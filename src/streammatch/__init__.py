@@ -10,7 +10,7 @@ invariant checker verify runs at desk scale.
 from .driver import (PassCountMismatch, RunConfig, RunReport,
                      expected_pass_count, normalize_epsilon, run,
                      scale_params, scale_schedule)
-from .invariants import InvariantViolationError, Violation, check_invariants
+from .invariants import InvariantViolationError, Violation
 from .matching import (ArcLabelTable, Matching, RemovedSet, augment_along,
                        greedy_maximal_matching, init_labels, validate_matching)
 from .phase import PhaseConfig, PhaseEngine, PhaseResult, alg_phase
@@ -24,7 +24,7 @@ __all__ = [
     "InvariantViolationError", "Matching", "PassCountMismatch", "PhaseConfig",
     "PhaseEngine", "PhaseResult", "RemovedSet", "RunConfig", "RunReport",
     "StreamFormatError", "Structure", "Violation", "alg_phase",
-    "augment_along", "check_invariants", "even_path_vertices",
+    "augment_along", "even_path_vertices",
     "expected_pass_count", "greedy_maximal_matching", "init_labels",
     "lift_contracted_path", "normalize_epsilon", "open_stream",
     "parse_graph_spec", "read_edgelist", "run", "scale_params",

@@ -31,13 +31,6 @@ def corpus() -> list[GraphSpec]:
     return specs
 
 
-def reference_matching_size(n: int, edges: list[tuple[int, int]]) -> int:
-    """Oracle matching size: exhaustive when tiny, rank-based otherwise."""
-    if n <= 14:
-        return oracle.exact_matching_exhaustive(n, edges)
-    return oracle.matching_size_rank(n, edges)
-
-
 def run_one(spec: GraphSpec, epsilon, check_invariants: bool = True,
             with_oracle: bool = True) -> dict:
     """Run one corpus instance and report the facts the tables need."""
@@ -58,7 +51,7 @@ def run_one(spec: GraphSpec, epsilon, check_invariants: bool = True,
         "seconds": round(elapsed, 3),
     }
     if with_oracle:
-        nu = reference_matching_size(report.n, stream.snapshot_edges())
+        nu = oracle.matching_size(report.n, stream.snapshot_edges())
         row["nu"] = nu
         row["guarantee_ok"] = (1 + report.epsilon_effective) * report.matching.size >= nu
     return row

@@ -1,8 +1,8 @@
 """Command-line entry points: run, verify, gen, trace, bench.
 
 Exit codes: 0 success, 1 usage or I/O failure, 2 approximation-guarantee
-violation, 3 invariant violation (or invalid matching), 4 pass-count
-mismatch.
+violation, 3 invariant violation (or invalid matching or augmenting path),
+4 pass-count mismatch.
 """
 
 from __future__ import annotations
@@ -10,21 +10,30 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from dataclasses import replace
 from fractions import Fraction
 from typing import Optional
 
 from . import bench, driver, oracle
 from .invariants import InvariantViolationError
-from .matching import validate_matching
-from .stream import (EdgeStream, GraphSpec, StreamFormatError, open_stream,
-                     parse_graph_spec, write_edgelist)
+from .stream import (EdgeStream, GraphSpec, open_stream, parse_graph_spec,
+                     write_edgelist)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_GUARANTEE = 2
 EXIT_INVARIANT = 3
 EXIT_PASSES = 4
+
+# The one place that maps a failure escaping a command to its exit code and
+# the label of its one-line message; the most specific type listed wins.
+FAILURES: dict[type, tuple[int, str]] = {
+    OSError: (EXIT_USAGE, "error"),
+    ValueError: (EXIT_USAGE, "error"),       # includes StreamFormatError
+    InvariantViolationError: (EXIT_INVARIANT, "invariant violation"),
+    driver.PassCountMismatch: (EXIT_PASSES, "pass-count mismatch"),
+}
 
 
 def _resolve_spec(args) -> GraphSpec:
@@ -39,7 +48,10 @@ def _resolve_spec(args) -> GraphSpec:
 
 
 def _parse_epsilon(text: str) -> Fraction:
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"epsilon {text!r} has a zero denominator") from None
 
 
 def _open(args) -> EdgeStream:
@@ -52,71 +64,49 @@ def _write_matching(report: driver.RunReport, path: str) -> None:
             fh.write(f"{u} {v}\n")
 
 
-def _trace_writer(path: Optional[str]):
-    if path is None:
-        return None, None
-    events: list[dict] = []
-    return events.append, events
+class _TraceFile:
+    """Trace callback that writes each event to a file as one JSON line,
+    as the event arrives."""
 
+    def __init__(self, path: str):
+        self.fh = open(path, "w", encoding="ascii")
+        self.events = 0
 
-def _dump_trace(events: list[dict], path: str) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        for event in events:
-            fh.write(json.dumps(event) + "\n")
+    def __call__(self, event: dict) -> None:
+        self.fh.write(json.dumps(event) + "\n")
+        self.events += 1
+
+    def __enter__(self) -> "_TraceFile":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.fh.close()
 
 
 def cmd_run(args) -> int:
     stream = _open(args)
-    sink, events = _trace_writer(args.trace)
-    report = driver.run(stream, driver.RunConfig(
-        epsilon=_parse_epsilon(args.epsilon),
-        check_invariants=args.check_invariants,
-        trace=sink))
-    if events is not None:
-        _dump_trace(events, args.trace)
+    with (_TraceFile(args.trace) if args.trace else nullcontext()) as trace:
+        report = driver.run(stream, driver.RunConfig(
+            epsilon=_parse_epsilon(args.epsilon),
+            check_invariants=args.check_invariants,
+            trace=trace))
     print(json.dumps(report.as_dict(), indent=2))
     if args.out:
         _write_matching(report, args.out)
     return EXIT_OK
 
 
-def _oracle_value(mode: str, n: int, edges) -> Optional[int]:
-    if mode == "none":
-        return None
-    if mode == "exhaustive":
-        return oracle.exact_matching_exhaustive(n, edges)
-    if mode == "tutte":
-        return oracle.matching_size_rank(n, edges)
-    # auto: pick whatever is applicable
-    if n <= 14:
-        return oracle.exact_matching_exhaustive(n, edges)
-    if n <= oracle.RANK_LIMIT:
-        return oracle.matching_size_rank(n, edges)
-    return None
-
-
 def cmd_verify(args) -> int:
     stream = _open(args)
     eps = driver.normalize_epsilon(_parse_epsilon(args.epsilon))
-    try:
-        report = driver.run(stream, driver.RunConfig(
-            epsilon=eps, check_invariants=True))
-    except InvariantViolationError as exc:
-        print(f"invariant violation: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
-    except driver.PassCountMismatch as exc:
-        print(f"pass-count mismatch: {exc}", file=sys.stderr)
-        return EXIT_PASSES
-
-    edges = stream.snapshot_edges()
-    if not validate_matching(report.matching, edges):
-        print("output is not a valid matching", file=sys.stderr)
-        return EXIT_INVARIANT
-    expected = driver.expected_pass_count(report.epsilon_effective)
-    if report.passes != expected:
-        print(f"pass-count mismatch: {report.passes} != {expected}", file=sys.stderr)
-        return EXIT_PASSES
-    nu = _oracle_value(args.oracle, stream.vertex_count, edges)
+    # A checked run raises on an invalid matching or a pass-count mismatch.
+    report = driver.run(stream, driver.RunConfig(epsilon=eps, check_invariants=True))
+    nu = None
+    if args.oracle != "none":
+        size = {"auto": oracle.matching_size,
+                "exhaustive": oracle.exact_matching_exhaustive,
+                "tutte": oracle.matching_size_rank}[args.oracle]
+        nu = size(stream.vertex_count, stream.snapshot_edges())
     if nu is not None:
         if (1 + report.epsilon_effective) * report.matching.size < nu:
             print(f"guarantee violated: (1+eps)*{report.matching.size} < nu={nu}",
@@ -155,11 +145,10 @@ def cmd_trace(args) -> int:
     if not args.out:
         raise SystemExit("trace requires --out")
     stream = _open(args)
-    events: list[dict] = []
-    driver.run(stream, driver.RunConfig(
-        epsilon=_parse_epsilon(args.epsilon), trace=events.append))
-    _dump_trace(events, args.out)
-    print(f"wrote {len(events)} events to {args.out}")
+    with _TraceFile(args.out) as trace:
+        driver.run(stream, driver.RunConfig(
+            epsilon=_parse_epsilon(args.epsilon), trace=trace))
+    print(f"wrote {trace.events} events to {args.out}")
     return EXIT_OK
 
 
@@ -219,9 +208,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (StreamFormatError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except tuple(FAILURES) as exc:
+        code, label = next(FAILURES[t] for t in type(exc).__mro__ if t in FAILURES)
+        print(f"{label}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
+from .invariants import InvariantViolationError, Violation
 from .matching import Matching, augment_along, greedy_maximal_matching, validate_matching
 from .phase import READS_PER_BUNDLE, PhaseConfig, PhaseEngine
 from .stream import EdgeStream
@@ -85,8 +86,6 @@ class RunConfig:
     epsilon: Fraction | float | str = Fraction(1, 2)
     check_invariants: bool = False
     trace: Optional[Callable[[dict], None]] = None
-    oracle_mode: str = "none"            # informational; used by the CLI
-    early_exit_no_augmentation: bool = False
 
 
 @dataclass
@@ -113,7 +112,6 @@ class RunReport:
     matching: Matching
     passes: int
     per_scale: list[ScaleReport]
-    invariant_violations: list = field(default_factory=list)
     stats: dict = field(default_factory=dict)
 
     @property
@@ -129,7 +127,6 @@ class RunReport:
             "matching_size": self.matching.size,
             "passes": self.passes,
             "per_scale": [s.as_dict() for s in self.per_scale],
-            "invariant_violations": [str(v) for v in self.invariant_violations],
             "stats": self.stats,
         }
 
@@ -142,11 +139,7 @@ def run(stream: EdgeStream, config: RunConfig) -> RunReport:
     scale_configs = [scale_params(h, eps) for h in schedule]
 
     checked = config.check_invariants
-    edge_set = None
-    coverage_check = False
-    if checked:
-        edge_set = {frozenset(e) for e in stream.snapshot_edges()}
-        coverage_check = stream.vertex_count <= 14
+    edge_set = {frozenset(e) for e in stream.snapshot_edges()} if checked else None
 
     matching = greedy_maximal_matching(stream)
 
@@ -157,8 +150,6 @@ def run(stream: EdgeStream, config: RunConfig) -> RunReport:
 
     for cfg in scale_configs:
         if skip_remaining_scales:
-            if config.early_exit_no_augmentation:
-                break
             stream.charge_passes(READS_PER_BUNDLE * cfg.t_max * cfg.tau_max)
             per_scale.append(ScaleReport(cfg.h, cfg.t_max, 0, 0, matching.size))
             continue
@@ -167,7 +158,7 @@ def run(stream: EdgeStream, config: RunConfig) -> RunReport:
         t = 1
         while t <= cfg.t_max:
             engine = PhaseEngine(stream, matching, cfg, trace=config.trace,
-                                 checked=checked, coverage_check=coverage_check)
+                                 checked=checked)
             result = engine.run()
             executed += 1
             engine.removed.clear()  # restore every vertex removed in the phase
@@ -179,9 +170,7 @@ def run(stream: EdgeStream, config: RunConfig) -> RunReport:
             if not result.paths:
                 # The matching did not change, so phases t+1 .. t_max of
                 # this scale would repeat this one verbatim.
-                stream.charge_passes(
-                    0 if config.early_exit_no_augmentation
-                    else READS_PER_BUNDLE * cfg.tau_max * (cfg.t_max - t))
+                stream.charge_passes(READS_PER_BUNDLE * cfg.tau_max * (cfg.t_max - t))
                 if not result.ever_on_hold and result.froze:
                     skip_remaining_scales = True
                 break
@@ -190,15 +179,13 @@ def run(stream: EdgeStream, config: RunConfig) -> RunReport:
                                      augmentations, matching.size))
 
     passes = stream.pass_count()
-    if not config.early_exit_no_augmentation:
-        expected = expected_pass_count(eps)
-        if passes != expected:
-            raise PassCountMismatch(
-                f"counted {passes} passes, formula gives {expected}")
+    expected = expected_pass_count(eps)
+    if passes != expected:
+        raise PassCountMismatch(f"counted {passes} passes, formula gives {expected}")
     if checked and not validate_matching(matching, stream.snapshot_edges()):
-        raise AssertionError("final matching is not a valid matching of the input")
+        raise InvariantViolationError([Violation(
+            "valid-matching", None, "final matching is not a valid matching of the input")])
     return RunReport(
         n=stream.vertex_count, m=stream.edge_count,
         epsilon_requested=requested, epsilon_effective=eps,
-        matching=matching, passes=passes, per_scale=per_scale,
-        invariant_violations=[], stats=totals)
+        matching=matching, passes=passes, per_scale=per_scale, stats=totals)

@@ -15,6 +15,10 @@ from .matching import RemovedSet
 from .oracle import enumerate_short_augmenting_paths
 from .structures import Blossom, Forest, Structure
 
+# Short-path coverage enumerates every short augmenting path at each bundle
+# boundary, so it is checked only on graphs with at most this many vertices.
+COVERAGE_LIMIT = 14
+
 
 @dataclass
 class Violation:
@@ -277,17 +281,18 @@ def check_active_bound(active: int, h: Fraction, matching_size_start: int) -> li
 
 class InvariantChecker:
     """Hooks the engine's operation and bundle boundaries; raises on the
-    first violation so failures stop at their cause."""
+    first violation so failures stop at their cause.  Boundaries also check
+    short-path coverage when the graph has at most ``COVERAGE_LIMIT``
+    vertices."""
 
     def __init__(self, edges: Sequence[tuple[int, int]], config,
                  forest: Forest, removed: RemovedSet, *,
-                 matching_size_start: int, coverage_check: bool = False):
+                 matching_size_start: int):
         self.edges = edges
         self.config = config
         self.forest = forest
         self.removed = removed
         self.matching_size_start = matching_size_start
-        self.coverage_check = coverage_check
 
     def _raise_if(self, violations: list[Violation]) -> None:
         if violations:
@@ -304,7 +309,7 @@ class InvariantChecker:
         cfg = self.config
         bad = check_forest(self.forest, cfg.limit, cfg.l_max, cfg.delta)
         bad.extend(check_outer_independence(self.forest, self.edges, self.removed))
-        if self.coverage_check:
+        if self.forest.n <= COVERAGE_LIMIT:
             bad.extend(check_short_path_coverage(self.forest, self.edges,
                                                  cfg.l_max, self.removed))
         self._raise_if(bad)
@@ -312,14 +317,3 @@ class InvariantChecker:
     def at_phase_end(self, active: int) -> None:
         self._raise_if(check_active_bound(active, self.config.h,
                                           self.matching_size_start))
-
-
-def check_invariants(forest: Forest, config, edges: Sequence[tuple[int, int]],
-                     removed: RemovedSet, *,
-                     coverage_check: bool = False) -> list[Violation]:
-    """Full sweep returning all violations instead of raising."""
-    bad = check_forest(forest, config.limit, config.l_max, config.delta)
-    bad.extend(check_outer_independence(forest, edges, removed))
-    if coverage_check:
-        bad.extend(check_short_path_coverage(forest, edges, config.l_max, removed))
-    return bad

@@ -53,8 +53,8 @@ class ArcLabelTable:
 
     The matched arc with tail ``v`` is (v, mate(v)), so labels are keyed by
     tail vertex.  Values live in [0, l_max + 1]; fresh tables hold
-    l_max + 1 everywhere.  Every reduction is logged as
-    (tail, old, new, bundle) so label-movement accounting can be audited.
+    l_max + 1 everywhere.  ``reductions`` counts the writes that lowered
+    a label.
     """
 
     def __init__(self, matching: Matching, l_max: int):
@@ -62,7 +62,7 @@ class ArcLabelTable:
         self.mate = matching.mate
         self.by_tail: dict[int, int] = {
             u: l_max + 1 for u, m in enumerate(matching.mate) if m is not None}
-        self.events: list[tuple[int, int, int, int]] = []
+        self.reductions = 0
 
     def get(self, arc: tuple[int, int]) -> int:
         u, v = arc
@@ -70,13 +70,12 @@ class ArcLabelTable:
             raise KeyError(f"arc ({u}, {v}) is not matched")
         return self.by_tail[u]
 
-    def set(self, arc: tuple[int, int], value: int, bundle: int = 0) -> None:
+    def set(self, arc: tuple[int, int], value: int) -> None:
         u, v = arc
         if self.mate[u] != v:
             raise KeyError(f"arc ({u}, {v}) is not matched")
-        old = self.by_tail[u]
-        if value < old:
-            self.events.append((u, old, value, bundle))
+        if value < self.by_tail[u]:
+            self.reductions += 1
         self.by_tail[u] = value
 
 
@@ -138,10 +137,14 @@ def augment_along(matching: Matching, path: list[int], *,
     """Flip matched and unmatched edges along an augmenting path.
 
     Grows the matching by exactly one.  ``checked`` validates the path
-    first; an invalid path signals an engine bug.
+    first; an invalid path signals an engine bug and raises
+    :class:`~streammatch.invariants.InvariantViolationError`.
     """
     if checked and not is_alternating_augmenting(path, matching, edges):
-        raise AssertionError(f"invalid augmenting path {path}")
+        # Imported here: the invariants module builds on this one.
+        from .invariants import InvariantViolationError, Violation
+        raise InvariantViolationError([Violation(
+            "augmenting-path", None, f"invalid augmenting path {path}")])
     mate = matching.mate
     for i in range(0, len(path) - 1, 2):
         u, v = path[i], path[i + 1]

@@ -104,6 +104,16 @@ def matching_size_rank(n: int, edges: Sequence[tuple[int, int]],
     return best
 
 
+def matching_size(n: int, edges: Sequence[tuple[int, int]]) -> Optional[int]:
+    """Maximum matching size from whichever oracle applies: subset DP up
+    to 14 vertices, the rank oracle up to ``RANK_LIMIT``, else None."""
+    if n <= 14:
+        return exact_matching_exhaustive(n, edges)
+    if n <= RANK_LIMIT:
+        return matching_size_rank(n, edges)
+    return None
+
+
 def enumerate_short_augmenting_paths(
         n: int, edges: Sequence[tuple[int, int]],
         mate: Sequence[Optional[int]], max_matched: int,

@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
+from .invariants import InvariantChecker
 from .matching import ArcLabelTable, Matching, RemovedSet, init_labels
 from .stream import EdgeStream
 from .structures import Forest
@@ -87,15 +88,11 @@ class PhaseResult:
 
     paths: list[list[int]]
     stats: dict
-    stream_reads: int            # accounted reads: always 3 * tau_max
     physical_reads: int          # reads actually performed before freezing
     bundles_executed: int
-    tau_max: int
     froze: bool                  # reached a fixpoint before tau_max bundles
     ever_on_hold: bool
     active_at_end: int
-    matching_size_start: int
-    label_events: list[tuple[int, int, int, int]]
     blossom_sizes: list[int] = field(default_factory=list)
 
 
@@ -104,7 +101,7 @@ class PhaseEngine:
 
     def __init__(self, stream: EdgeStream, matching: Matching, config: PhaseConfig,
                  *, trace: Optional[Callable[[dict], None]] = None,
-                 checked: bool = False, coverage_check: bool = False):
+                 checked: bool = False):
         self.stream = stream
         self.matching = matching
         self.config = config
@@ -121,11 +118,9 @@ class PhaseEngine:
             self.forest.init_structure(alpha)
         self.checker = None
         if checked:
-            from .invariants import InvariantChecker
             self.checker = InvariantChecker(
                 stream.snapshot_edges(), config, self.forest, self.removed,
-                matching_size_start=matching.size,
-                coverage_check=coverage_check)
+                matching_size_start=matching.size)
             self.forest.on_op = self.checker.after_operation
 
     def _emit(self, event: dict) -> None:
@@ -146,7 +141,6 @@ class PhaseEngine:
     def run(self) -> PhaseResult:
         cfg = self.config
         forest = self.forest
-        start_size = self.matching.size
         reads_before = self.stream.passes_used
         ever_on_hold = False
         froze = False
@@ -184,19 +178,15 @@ class PhaseEngine:
         active = sum(1 for s in forest.structures.values() if s.working is not None)
         if self.checker is not None:
             self.checker.at_phase_end(active)
-        self.stats["label_reductions"] = len(self.labels.events)
+        self.stats["label_reductions"] = self.labels.reductions
         return PhaseResult(
             paths=list(forest.paths),
             stats=dict(self.stats),
-            stream_reads=READS_PER_BUNDLE * cfg.tau_max,
             physical_reads=physical,
             bundles_executed=bundles,
-            tau_max=cfg.tau_max,
             froze=froze,
             ever_on_hold=ever_on_hold,
             active_at_end=active,
-            matching_size_start=start_size,
-            label_events=list(self.labels.events),
             blossom_sizes=list(forest.blossom_sizes),
         )
 
@@ -294,7 +284,7 @@ class PhaseEngine:
 
 def alg_phase(stream: EdgeStream, matching: Matching, eps, h, *,
               trace: Optional[Callable[[dict], None]] = None,
-              checked: bool = False, coverage_check: bool = False) -> PhaseResult:
+              checked: bool = False) -> PhaseResult:
     """Run a single phase at scale ``h`` and return its banked paths.
 
     The matching is expected to be maximal (no edge with both endpoints
@@ -303,6 +293,5 @@ def alg_phase(stream: EdgeStream, matching: Matching, eps, h, *,
     independence at the very first bundle boundary.
     """
     config = PhaseConfig.from_scale(Fraction(h), Fraction(eps))
-    engine = PhaseEngine(stream, matching, config, trace=trace,
-                         checked=checked, coverage_check=coverage_check)
+    engine = PhaseEngine(stream, matching, config, trace=trace, checked=checked)
     return engine.run()

@@ -75,11 +75,6 @@ class EdgeStream:
             yield arc
         self.passes_used += 1
 
-    def for_each_arc(self, visitor: Callable[[tuple[int, int]], None]) -> None:
-        """Run ``visitor`` over every arc of one full pass."""
-        for arc in self.iter_arcs_once():
-            visitor(arc)
-
     def pass_count(self) -> int:
         return self.passes_used
 
@@ -272,7 +267,3 @@ def read_edgelist(path: str) -> tuple[int, list[tuple[int, int]]]:
         edges.append((u, v))
     _validate_simple(n, edges)  # duplicate detection
     return n, edges
-
-
-def open_file(path: str) -> EdgeStream:
-    return open_stream(GraphSpec("edgelist-file", path=path))

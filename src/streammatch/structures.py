@@ -348,7 +348,7 @@ class Forest:
         for x in blossom.vertices:
             mx = mate[x]
             if mx is not None and mx in vset:
-                self.labels.set((x, mx), 0, self.bundle)
+                self.labels.set((x, mx), 0)
         structure.working = blossom
         structure.modified = True
         self.mutations += 1
@@ -398,7 +398,7 @@ class Forest:
             structure.verts.add(v)
             structure.verts.add(t)
             old = self.labels.by_tail[v]
-            self.labels.set((v, t), k, self.bundle)
+            self.labels.set((v, t), k)
             structure.working = bt
             structure.modified = True
             case = "1"
@@ -416,7 +416,7 @@ class Forest:
                 bv.parent_arc = (u, v)
                 bu.kids.append(bv)
                 old = self.labels.by_tail[v]
-                self.labels.set((v, t), k, self.bundle)
+                self.labels.set((v, t), k)
                 structure.working = bt
                 structure.modified = True
                 case = "2.1"
@@ -438,7 +438,7 @@ class Forest:
                     structure.verts.update(node.vertices)
                     victim.verts.difference_update(node.vertices)
                 old = self.labels.by_tail[v]
-                self.labels.set((v, t), k, self.bundle)
+                self.labels.set((v, t), k)
                 if victim.working is not None and id(victim.working) in moved_ids:
                     structure.working = victim.working
                     victim.working = old_parent
@@ -532,12 +532,3 @@ class Forest:
             count += len(blossom.cycle)
             stack.extend(sub for sub in blossom.subs if not sub.trivial)
         return count
-
-    def composite_blossoms(self, structure: Structure) -> list[Blossom]:
-        out: list[Blossom] = []
-        stack = [node for node in structure.tree_nodes() if not node.trivial]
-        while stack:
-            blossom = stack.pop()
-            out.append(blossom)
-            stack.extend(sub for sub in blossom.subs if not sub.trivial)  # type: ignore[union-attr]
-        return out

@@ -1,12 +1,13 @@
 """Command-line interface: subcommands, exit codes, output files."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
-from streammatch import cli, driver
+from streammatch import cli, driver, matching
 from streammatch.driver import expected_pass_count
-from streammatch.invariants import InvariantViolationError, Violation
+from streammatch.invariants import InvariantChecker, InvariantViolationError, Violation
 
 
 def run_cli(capsys, *argv):
@@ -77,7 +78,7 @@ def test_verify_fifty_seed_sweep(capsys):
 
 
 def test_verify_guarantee_failure_exit_2(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "_oracle_value", lambda mode, n, edges: 999)
+    monkeypatch.setattr(cli.oracle, "matching_size", lambda n, edges: 999)
     code, _, err = run_cli(capsys, "verify", "--gen", "path:4", "--epsilon", "0.5")
     assert code == 2
     assert "guarantee" in err
@@ -99,10 +100,55 @@ def test_verify_pass_mismatch_exit_4(capsys, monkeypatch):
     assert "pass-count" in err
 
 
+def assert_one_line_error(err, label, detail):
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"{label}: ") and detail in err
+
+
+def test_run_checked_invariant_failure_exit_3(capsys, monkeypatch):
+    def broken_boundary(checker):
+        raise InvariantViolationError([Violation("outer-independence", 0, "forced")])
+    monkeypatch.setattr(InvariantChecker, "at_boundary", broken_boundary)
+    code, out, err = run_cli(capsys, "run", "--gen", "path:4", "--epsilon", "0.5",
+                             "--check-invariants")
+    assert code == 3 and out == ""
+    assert_one_line_error(err, "invariant violation", "outer-independence")
+
+
+def test_run_pass_mismatch_exit_4(capsys, monkeypatch):
+    monkeypatch.setattr(driver, "expected_pass_count", lambda eps: 77)
+    code, out, err = run_cli(capsys, "run", "--gen", "path:4", "--epsilon", "0.5")
+    assert code == 4 and out == ""
+    assert_one_line_error(err, "pass-count mismatch", "77")
+
+
+def test_verify_invalid_final_matching_exit_3(capsys, monkeypatch):
+    monkeypatch.setattr(driver, "validate_matching", lambda m, edges: False)
+    code, out, err = run_cli(capsys, "verify", "--gen", "path:4", "--epsilon", "0.5")
+    assert code == 3 and out == ""
+    assert_one_line_error(err, "invariant violation", "valid-matching")
+
+
+def test_verify_invalid_augmenting_path_exit_3(capsys, monkeypatch):
+    monkeypatch.setattr(matching, "is_alternating_augmenting",
+                        lambda path, m, edges=None: False)
+    code, out, err = run_cli(capsys, "verify", "--gen", "gnm:40,120,seed=0",
+                             "--epsilon", "0.5")
+    assert code == 3 and out == ""
+    assert_one_line_error(err, "invariant violation", "augmenting-path")
+
+
 def test_usage_error_exit_1(capsys):
     code, _, err = run_cli(capsys, "run", "--gen", "torus:3", "--epsilon", "0.5")
     assert code == 1
     assert "error" in err
+
+
+def test_zero_denominator_epsilon_exit_1(capsys):
+    code, _, err = run_cli(capsys, "run", "--gen", "path:4", "--epsilon", "1/0")
+    assert code == 1
+    assert_one_line_error(err, "error", "zero denominator")
 
 
 def test_missing_file_exit_1(capsys):
@@ -136,7 +182,7 @@ def test_trace_roundtrip_deterministic(tmp_path, capsys):
     assert first.read_bytes() == second.read_bytes()
     events = [json.loads(line) for line in first.read_text().splitlines()]
     assert {e["op"] for e in events} <= {
-        "extend", "contract", "augment", "overtake", "backtrack", "hold"}
+        "contract", "augment", "overtake", "backtrack", "hold"}
 
 
 def test_bench_table(monkeypatch, capsys):
@@ -153,4 +199,4 @@ def test_run_with_check_invariants(capsys):
     code, out, _ = run_cli(capsys, "run", "--gen", "gnm:14,25,seed=3",
                            "--epsilon", "0.25", "--check-invariants")
     assert code == 0
-    assert json.loads(out)["invariant_violations"] == []
+    assert json.loads(out)["passes"] == expected_pass_count(Fraction(1, 4))

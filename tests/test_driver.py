@@ -135,16 +135,6 @@ def test_scale_end_approximation_bound():
             assert nu <= bound
 
 
-def test_early_exit_flag_reduces_passes_only():
-    stream_full = open_stream(GraphSpec("cycle", (9,)))
-    full = run(stream_full, RunConfig(epsilon=HALF))
-    stream_short = open_stream(GraphSpec("cycle", (9,)))
-    short = run(stream_short, RunConfig(epsilon=HALF,
-                                        early_exit_no_augmentation=True))
-    assert short.matching.size == full.matching.size
-    assert short.passes < full.passes
-
-
 def test_isolated_vertices_are_fine():
     # Path on 4 vertices plus three isolated ones.
     stream = open_stream(GraphSpec("random-gnm", (7, 0), 0))

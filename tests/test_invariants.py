@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from streammatch.invariants import (InvariantViolationError, check_active_bound,
-                                    check_forest, check_invariants,
+from streammatch.invariants import (InvariantChecker, InvariantViolationError,
+                                    check_active_bound, check_forest,
                                     check_outer_independence,
                                     check_short_path_coverage, check_structure)
 from streammatch.matching import Matching, RemovedSet, greedy_maximal_matching, init_labels
@@ -37,10 +37,9 @@ def test_healthy_boundary_state_has_no_violations():
     engine._extend_pass()
     engine._contract_and_augment()
     engine._backtrack_stuck()
-    violations = check_invariants(engine.forest, CFG,
-                                  stream.snapshot_edges(),
-                                  engine.removed, coverage_check=True)
-    assert violations == []
+    checker = InvariantChecker(stream.snapshot_edges(), CFG, engine.forest,
+                               engine.removed, matching_size_start=matching.size)
+    checker.at_boundary()  # raises on any violation; n <= 14 adds coverage
 
 
 def test_mid_bundle_state_passes_structure_checks():
@@ -80,8 +79,7 @@ def test_artificial_outer_outer_arc_is_flagged():
 def test_boundary_state_passes_outer_independence():
     stream = open_stream(GraphSpec("random-gnm", (14, 24), 2))
     matching = greedy_maximal_matching(stream)
-    engine = PhaseEngine(stream, matching, CFG, checked=True,
-                         coverage_check=True)
+    engine = PhaseEngine(stream, matching, CFG, checked=True)
     engine.run()  # raises on any boundary violation
 
 

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from streammatch.invariants import InvariantViolationError
 from streammatch.matching import (Matching, RemovedSet,
                                   augment_along, greedy_maximal_matching,
                                   init_labels, is_alternating_augmenting,
@@ -82,14 +83,15 @@ def test_label_set_requires_matched_arc():
         labels.set((1, 2), 1)
 
 
-def test_label_reduction_events_logged():
+def test_label_reductions_counted():
     m = Matching(2)
     m.add(0, 1)
     labels = init_labels(m, 6)
-    labels.set((0, 1), 3, bundle=2)
-    labels.set((0, 1), 3, bundle=3)   # not a reduction
-    labels.set((0, 1), 0, bundle=4)
-    assert labels.events == [(0, 7, 3, 2), (0, 3, 0, 4)]
+    labels.set((0, 1), 3)
+    labels.set((0, 1), 3)   # not a reduction
+    labels.set((0, 1), 0)
+    assert labels.reductions == 2
+    assert labels.get((0, 1)) == 0
 
 
 def test_augment_along_p4():
@@ -125,7 +127,7 @@ def test_augment_disjoint_paths_grow_by_count():
 def test_augment_checked_rejects_bad_paths(path):
     m = Matching(4)
     m.add(1, 2)
-    with pytest.raises(AssertionError):
+    with pytest.raises(InvariantViolationError, match="augmenting-path"):
         augment_along(m, path, checked=True)
 
 

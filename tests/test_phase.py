@@ -56,8 +56,7 @@ def test_phase_config_rejects_bad_parameters():
 def test_p4_phase_finds_the_augmenting_path():
     stream = open_stream(GraphSpec("path", (4,)))
     matching = matched(4, [(1, 2)])
-    result = alg_phase(stream, matching, HALF, HALF, checked=True,
-                       coverage_check=True)
+    result = alg_phase(stream, matching, HALF, HALF, checked=True)
     assert len(result.paths) == 1
     assert sorted(result.paths[0]) == [0, 1, 2, 3]
     assert is_alternating_augmenting(result.paths[0], matching)
@@ -73,8 +72,7 @@ def test_p4_path_found_in_first_bundle():
 
 def test_triangle_phase_contracts_and_finds_nothing():
     stream = open_stream(GraphSpec("cycle", (3,)))
-    result = alg_phase(stream, matched(3, [(1, 2)]), HALF, HALF,
-                       checked=True, coverage_check=True)
+    result = alg_phase(stream, matched(3, [(1, 2)]), HALF, HALF, checked=True)
     assert result.paths == []
     assert result.blossom_sizes == [3]
     assert result.stats["contracts"] == 1
@@ -93,8 +91,7 @@ def test_pass_accounting_three_reads_per_bundle():
     result = alg_phase(stream, matched(5, [(0, 1), (2, 3)]), HALF, HALF)
     assert READS_PER_BUNDLE == 3 <= READS_PER_BUNDLE_BOUND
     assert result.physical_reads == 3 * result.bundles_executed
-    assert result.stream_reads == 3 * result.tau_max
-    assert stream.pass_count() == result.stream_reads
+    assert stream.pass_count() == 3 * PhaseConfig.from_scale(HALF, HALF).tau_max
 
 
 def test_frozen_phase_result_matches_full_replay():
@@ -102,7 +99,8 @@ def test_frozen_phase_result_matches_full_replay():
     # frozen run against one whose bundle loop is driven to the end.
     stream = open_stream(GraphSpec("cycle", (5,)))
     result = alg_phase(stream, matched(5, [(0, 1), (2, 3)]), HALF, HALF)
-    assert result.froze and result.bundles_executed < result.tau_max
+    assert result.froze
+    assert result.bundles_executed < PhaseConfig.from_scale(HALF, HALF).tau_max
 
     engine = engine_for(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)],
                         [(0, 1), (2, 3)])
@@ -249,25 +247,36 @@ def test_cleanup_pass_augments_modified_structures():
                          "case": None}]
 
 
-def test_label_reductions_bounded_per_arc():
-    # Each matched arc's label strictly decreases per event and is
-    # reduced at most l_max + 1 times within a phase.
+def test_label_reductions_bounded_per_arc(monkeypatch):
+    # Within a phase each matched arc's label only ever decreases and is
+    # reduced at most l_max + 1 times; every overtake event in the trace
+    # reports one of those reductions.
     from collections import Counter
-    from streammatch.matching import greedy_maximal_matching
+    from streammatch.matching import ArcLabelTable, greedy_maximal_matching
+    writes = []
+    original_set = ArcLabelTable.set
+
+    def recording_set(table, arc, value):
+        writes.append((arc[0], table.by_tail[arc[0]], value))
+        original_set(table, arc, value)
+
+    monkeypatch.setattr(ArcLabelTable, "set", recording_set)
+    cfg = PhaseConfig.from_scale(HALF, HALF)
     for seed in range(20):
         stream = open_stream(GraphSpec("random-gnm", (18, 30), seed))
         matching = greedy_maximal_matching(stream)
-        result = alg_phase(stream, matching, HALF, HALF)
-        per_arc = Counter()
-        last = {}
-        for tail, old, new, _bundle in result.label_events:
-            assert new < old
-            if tail in last:
-                assert old <= last[tail]
-            last[tail] = new
-            per_arc[tail] += 1
-        cfg = PhaseConfig.from_scale(HALF, HALF)
-        assert all(k <= cfg.l_max + 1 for k in per_arc.values())
+        writes.clear()
+        events = []
+        result = alg_phase(stream, matching, HALF, HALF, trace=events.append)
+        reductions = [(tail, old, new) for tail, old, new in writes if new < old]
+        assert all(new <= old for _tail, old, new in writes)
+        assert result.stats["label_reductions"] == len(reductions)
+        assert all(k <= cfg.l_max + 1
+                   for k in Counter(tail for tail, _, _ in reductions).values())
+        overtakes = [e for e in events if e["op"] == "overtake"]
+        assert all(e["label_new"] < e["label_old"] for e in overtakes)
+        assert Counter((e["arc"][0], e["label_old"], e["label_new"])
+                       for e in overtakes) <= Counter(reductions)
 
 
 def test_phase_paths_disjoint_and_valid_on_random_graphs():

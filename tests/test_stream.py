@@ -10,9 +10,7 @@ from streammatch.stream import (EdgeStream, GraphSpec, StreamFormatError,
 
 
 def collect_arcs(stream):
-    out = []
-    stream.for_each_arc(out.append)
-    return out
+    return list(stream.iter_arcs_once())
 
 
 def test_path_generator():
