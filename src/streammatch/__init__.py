@@ -12,7 +12,7 @@ from .driver import (PassCountMismatch, RunConfig, RunReport,
                      scale_params, scale_schedule)
 from .invariants import InvariantViolationError, Violation
 from .matching import (ArcLabelTable, Matching, RemovedSet, augment_along,
-                       greedy_maximal_matching, init_labels, validate_matching)
+                       greedy_maximal_matching, validate_matching)
 from .phase import PhaseConfig, PhaseEngine, PhaseResult, alg_phase
 from .stream import (EdgeStream, GraphSpec, StreamFormatError, open_stream,
                      parse_graph_spec, read_edgelist, write_edgelist)
@@ -25,7 +25,7 @@ __all__ = [
     "PhaseEngine", "PhaseResult", "RemovedSet", "RunConfig", "RunReport",
     "StreamFormatError", "Structure", "Violation", "alg_phase",
     "augment_along", "even_path_vertices",
-    "expected_pass_count", "greedy_maximal_matching", "init_labels",
+    "expected_pass_count", "greedy_maximal_matching",
     "lift_contracted_path", "normalize_epsilon", "open_stream",
     "parse_graph_spec", "read_edgelist", "run", "scale_params",
     "scale_schedule", "validate_matching", "write_edgelist",

@@ -127,10 +127,7 @@ def cmd_verify(args) -> int:
 def cmd_gen(args) -> int:
     if not args.gen:
         raise SystemExit("gen requires --gen")
-    spec = parse_graph_spec(args.gen)
-    if args.seed is not None and "seed=" not in args.gen:
-        spec = replace(spec, seed=args.seed)
-    stream = open_stream(spec)
+    stream = _open(args)
     if args.out:
         write_edgelist(stream, args.out)
     else:

@@ -48,10 +48,22 @@ def _blossom_family(structure: Structure) -> list[Blossom]:
     return out
 
 
+class VertexSets(dict[Blossom, frozenset[int]]):
+    """Blossom -> frozenset of its vertices, built on first lookup.  A
+    blossom never changes after its contraction, so one instance serves
+    every check of a phase."""
+
+    def __missing__(self, blossom: Blossom) -> frozenset[int]:
+        found = self[blossom] = frozenset(blossom.vertices)
+        return found
+
+
 def check_structure(forest: Forest, structure: Structure, limit: int,
-                    l_max: int, delta: int) -> list[Violation]:
+                    l_max: int, delta: int,
+                    sets: Optional[VertexSets] = None) -> list[Violation]:
     """Structure-local checks: tree shape, arc realization, label order,
     blossom well-formedness, and size bounds."""
+    sets = VertexSets() if sets is None else sets
     bad: list[Violation] = []
     alpha = structure.alpha
     mate = forest.mate
@@ -81,10 +93,10 @@ def check_structure(forest: Forest, structure: Structure, limit: int,
                 flag("tree-representation", f"inner node {node!r} is composite")
             if len(node.kids) != 1:
                 flag("tree-representation", f"inner node {node!r} has {len(node.kids)} children")
-        overlap = seen_vertices.intersection(node.vset)
+        overlap = seen_vertices.intersection(sets[node])
         if overlap:
             flag("tree-representation", f"vertex reuse {sorted(overlap)} at {node!r}")
-        seen_vertices.update(node.vset)
+        seen_vertices.update(sets[node])
         if node.parent is not None:
             arc = node.parent_arc
             if arc is None:
@@ -113,18 +125,18 @@ def check_structure(forest: Forest, structure: Structure, limit: int,
                 flag("tree-representation", f"parent link broken at {kid!r}")
             stack.append((kid, depth + 1))
 
-    if seen_vertices != structure.verts:
+    size = structure.size
+    if size != len(seen_vertices):
         flag("tree-representation",
-             f"vertex set mismatch: tree {sorted(seen_vertices)} vs {sorted(structure.verts)}")
+             f"size {size} but the tree holds {len(seen_vertices)} vertices")
     if structure.working is not None:
         w = structure.working
         if w.structure is not structure or not w.outer:
             flag("tree-representation", f"working node {w!r} invalid")
-    for v in structure.verts:
+    for v in seen_vertices:
         if v in forest.removed:
             flag("tree-representation", f"removed vertex {v} inside structure")
 
-    size = len(structure.verts)
     if size > limit * l_max:
         flag("structure-size", f"{size} > limit*l_max = {limit * l_max}")
     if size > delta:
@@ -148,13 +160,14 @@ def check_structure(forest: Forest, structure: Structure, limit: int,
             flag("blossom-shape", f"{blossom!r} base not the stem sub's base")
         for i, (x, y) in enumerate(cycle):
             nxt = subs[(i + 1) % len(subs)]
-            if x not in subs[i].vset or y not in nxt.vset:
+            if x not in sets[subs[i]] or y not in sets[nxt]:
                 flag("blossom-shape", f"cycle arc {i} of {blossom!r} misconnected")
             if (mate[x] == y) != (i % 2 == 1):
                 flag("blossom-shape", f"cycle arc {i} of {blossom!r} breaks alternation")
+        members = sets[blossom]
         for x in blossom.vertices:
             mx = mate[x]
-            inside = mx is not None and mx in blossom.vset
+            inside = mx is not None and mx in members
             if x == blossom.base and inside:
                 flag("blossom-shape", f"base {x} of {blossom!r} matched inside")
             if x != blossom.base and not inside:
@@ -162,18 +175,21 @@ def check_structure(forest: Forest, structure: Structure, limit: int,
     return bad
 
 
-def check_forest(forest: Forest, limit: int, l_max: int, delta: int) -> list[Violation]:
+def check_forest(forest: Forest, limit: int, l_max: int, delta: int,
+                 sets: Optional[VertexSets] = None) -> list[Violation]:
     """Global checks: per-structure validity, disjointness, laminarity,
     label table consistency, resolution coherence."""
+    sets = VertexSets() if sets is None else sets
     bad: list[Violation] = []
     owner: dict[int, int] = {}
     for alpha, structure in forest.structures.items():
-        bad.extend(check_structure(forest, structure, limit, l_max, delta))
-        for v in structure.verts:
-            if v in owner:
-                bad.append(Violation("disjointness", alpha,
-                                     f"vertex {v} also in S_{owner[v]}"))
-            owner[v] = alpha
+        bad.extend(check_structure(forest, structure, limit, l_max, delta, sets))
+        for node in structure.tree_nodes():
+            for v in node.vertices:
+                if v in owner:
+                    bad.append(Violation("disjointness", alpha,
+                                         f"vertex {v} also in S_{owner[v]}"))
+                owner[v] = alpha
 
     mate = forest.mate
     for v, label_keyed in forest.labels.by_tail.items():
@@ -190,27 +206,28 @@ def check_forest(forest: Forest, limit: int, l_max: int, delta: int) -> list[Vio
         if v in forest.removed:
             continue
         node = forest.root_of[v]
-        if v not in node.vset:
+        members = sets[node]
+        if v not in members:
             bad.append(Violation("resolution", None, f"root_of[{v}] omits {v}"))
-        if node.structure is not None and v not in node.structure.verts:
+        if node.structure is not None and owner.get(v) != node.structure.alpha:
             bad.append(Violation("resolution", node.structure.alpha,
                                  f"{v} resolves into structure missing it"))
         # Matched arcs wholly inside one root blossom carry label 0.
         m = mate[v]
-        if m is not None and m in node.vset and m not in forest.removed:
+        if m is not None and m in members and m not in forest.removed:
             if forest.labels.by_tail[v] != 0:
                 bad.append(Violation("blossom-arc-labels", None,
                                      f"internal matched arc ({v}, {m}) has nonzero label"))
 
-    families: list[tuple[Optional[int], Blossom]] = []
+    families: list[tuple[int, frozenset[int]]] = []
     for alpha, structure in forest.structures.items():
         for blossom in _blossom_family(structure):
             if not blossom.trivial:
-                families.append((alpha, blossom))
+                families.append((alpha, sets[blossom]))
     for i in range(len(families)):
         for j in range(i + 1, len(families)):
-            a, b = families[i][1].vset, families[j][1].vset
-            if a & b and not (a <= b or b <= a):
+            a, b = families[i][1], families[j][1]
+            if not a.isdisjoint(b) and not (a <= b or b <= a):
                 bad.append(Violation("laminarity", families[i][0],
                                      f"{sorted(a)} crosses {sorted(b)}"))
     return bad
@@ -293,6 +310,7 @@ class InvariantChecker:
         self.forest = forest
         self.removed = removed
         self.matching_size_start = matching_size_start
+        self.sets = VertexSets()
 
     def _raise_if(self, violations: list[Violation]) -> None:
         if violations:
@@ -302,12 +320,12 @@ class InvariantChecker:
         bad: list[Violation] = []
         for structure in touched:
             bad.extend(check_structure(self.forest, structure, self.config.limit,
-                                       self.config.l_max, self.config.delta))
+                                       self.config.l_max, self.config.delta, self.sets))
         self._raise_if(bad)
 
     def at_boundary(self) -> None:
         cfg = self.config
-        bad = check_forest(self.forest, cfg.limit, cfg.l_max, cfg.delta)
+        bad = check_forest(self.forest, cfg.limit, cfg.l_max, cfg.delta, self.sets)
         bad.extend(check_outer_independence(self.forest, self.edges, self.removed))
         if self.forest.n <= COVERAGE_LIMIT:
             bad.extend(check_short_path_coverage(self.forest, self.edges,

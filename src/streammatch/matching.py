@@ -18,9 +18,6 @@ class Matching:
     def size(self) -> int:
         return sum(1 for m in self.mate if m is not None) // 2
 
-    def is_free(self, v: int) -> bool:
-        return self.mate[v] is None
-
     def add(self, u: int, v: int) -> None:
         assert u != v and self.mate[u] is None and self.mate[v] is None
         self.mate[u] = v
@@ -77,11 +74,6 @@ class ArcLabelTable:
         if value < self.by_tail[u]:
             self.reductions += 1
         self.by_tail[u] = value
-
-
-def init_labels(matching: Matching, l_max: int) -> ArcLabelTable:
-    """Label every matched arc direction with l_max + 1."""
-    return ArcLabelTable(matching, l_max)
 
 
 class RemovedSet:

@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .invariants import InvariantChecker
-from .matching import ArcLabelTable, Matching, RemovedSet, init_labels
+from .matching import ArcLabelTable, Matching, RemovedSet
 from .stream import EdgeStream
 from .structures import Forest
 
@@ -108,7 +108,7 @@ class PhaseEngine:
         self.user_trace = trace
         self.checked = checked
         self.n = stream.vertex_count
-        self.labels: ArcLabelTable = init_labels(matching, config.l_max)
+        self.labels = ArcLabelTable(matching, config.l_max)
         self.removed = RemovedSet(self.n)
         self.stats = {"overtakes": 0, "contracts": 0, "augments": 0,
                       "backtracks": 0, "holds": 0, "label_reductions": 0}
@@ -141,7 +141,6 @@ class PhaseEngine:
     def run(self) -> PhaseResult:
         cfg = self.config
         forest = self.forest
-        reads_before = self.stream.passes_used
         ever_on_hold = False
         froze = False
         bundles = 0
@@ -151,7 +150,7 @@ class PhaseEngine:
             forest.bundle = tau
             before = forest.mutations
             for structure in forest.structures.values():
-                hold = len(structure.verts) >= cfg.limit
+                hold = structure.size >= cfg.limit
                 if hold:
                     ever_on_hold = True
                     if not structure.on_hold:
@@ -173,8 +172,6 @@ class PhaseEngine:
                 froze = True
                 self.stream.charge_passes(READS_PER_BUNDLE * (cfg.tau_max - tau))
                 break
-        physical = self.stream.passes_used - reads_before \
-            - (READS_PER_BUNDLE * (cfg.tau_max - bundles) if froze else 0)
         active = sum(1 for s in forest.structures.values() if s.working is not None)
         if self.checker is not None:
             self.checker.at_phase_end(active)
@@ -182,7 +179,7 @@ class PhaseEngine:
         return PhaseResult(
             paths=list(forest.paths),
             stats=dict(self.stats),
-            physical_reads=physical,
+            physical_reads=READS_PER_BUNDLE * bundles,
             bundles_executed=bundles,
             froze=froze,
             ever_on_hold=ever_on_hold,

@@ -158,31 +158,38 @@ def bipartite_edges(a: int, b: int, m: int, seed: int) -> list[tuple[int, int]]:
     return [(i // b, a + i % b) for i in picks]
 
 
-_GENERATORS: dict[str, Callable[..., list[tuple[int, int]]]] = {
-    "path": lambda n: path_edges(n),
-    "cycle": lambda n: cycle_edges(n),
-    "complete": lambda n: complete_edges(n),
+# Each generator kind: its parameter count, and the builder that turns
+# (seed, *params) into (vertex_count, edges).
+_GENERATORS: dict[str, tuple[int, Callable[..., tuple[int, list[tuple[int, int]]]]]] = {
+    "path": (1, lambda seed, n: (n, path_edges(n))),
+    "cycle": (1, lambda seed, n: (n, cycle_edges(n))),
+    "complete": (1, lambda seed, n: (n, complete_edges(n))),
+    "petersen": (0, lambda seed: (10, petersen_edges())),
+    "random-gnm": (2, lambda seed, n, m: (n, gnm_edges(n, m, seed))),
+    "random-bipartite": (3, lambda seed, a, b, m: (a + b, bipartite_edges(a, b, m, seed))),
 }
+
+
+def _check_params(kind: str, params: tuple[int, ...], name: str) -> None:
+    """Reject an unknown generator kind, a wrong parameter count or a
+    negative size, naming the spec ``name`` in the message."""
+    if kind not in _GENERATORS:
+        raise ValueError(f"unknown generator spec {name!r}")
+    count = _GENERATORS[kind][0]
+    if len(params) != count:
+        raise ValueError(f"generator spec {name!r} takes {count} size "
+                         f"parameter(s), got {len(params)}")
+    if any(p < 0 for p in params):
+        raise ValueError(f"generator spec {name!r} has a negative size")
 
 
 def build_edges(spec: GraphSpec) -> tuple[int, list[tuple[int, int]]]:
     """Materialize the (vertex_count, edges) of a generator spec."""
-    kind = spec.kind
-    if kind in _GENERATORS:
-        (n,) = spec.params
-        return n, _GENERATORS[kind](n)
-    if kind == "petersen":
-        return 10, petersen_edges()
-    if kind == "random-gnm":
-        n, m = spec.params
-        return n, gnm_edges(n, m, spec.seed)
-    if kind == "random-bipartite":
-        a, b, m = spec.params
-        return a + b, bipartite_edges(a, b, m, spec.seed)
-    if kind == "edgelist-file":
+    if spec.kind == "edgelist-file":
         assert spec.path is not None
         return read_edgelist(spec.path)
-    raise ValueError(f"unknown graph kind {kind!r}")
+    _check_params(spec.kind, spec.params, str(spec))
+    return _GENERATORS[spec.kind][1](spec.seed, *spec.params)
 
 
 def open_stream(spec: GraphSpec) -> EdgeStream:
@@ -210,11 +217,8 @@ def parse_graph_spec(text: str) -> GraphSpec:
                 seed = int(token[5:])
             elif token:
                 params.append(int(token))
-    if kind == "petersen":
-        return GraphSpec("petersen")
-    if kind in ("path", "cycle", "complete", "random-gnm", "random-bipartite"):
-        return GraphSpec(kind, tuple(params), seed)
-    raise ValueError(f"unknown generator spec {text!r}")
+    _check_params(kind, tuple(params), text)
+    return GraphSpec(kind, tuple(params), seed)
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,7 @@ class Blossom:
     ``parent``, ``parent_arc``, ``kids``, ``outer``).
     """
 
-    __slots__ = ("bid", "vertex", "subs", "cycle", "base", "vertices", "vset",
+    __slots__ = ("bid", "vertex", "subs", "cycle", "base", "vertices",
                  "structure", "parent", "parent_arc", "kids", "outer")
 
     def __init__(self, bid: int, *, vertex: Optional[int] = None,
@@ -64,7 +64,6 @@ class Blossom:
             assert subs is not None and base is not None
             self.base = base
             self.vertices = [x for sub in subs for x in sub.vertices]
-        self.vset = frozenset(self.vertices)
         self.structure: Optional[Structure] = None
         self.parent: Optional[Blossom] = None
         self.parent_arc: Optional[Arc] = None
@@ -82,9 +81,10 @@ class Blossom:
 
 
 class Structure:
-    """Search structure of one free vertex: tree, working node, marks."""
+    """Search structure of one free vertex: tree, working node, marks, and
+    ``size``, the number of vertices its tree nodes hold."""
 
-    __slots__ = ("alpha", "root", "working", "on_hold", "modified", "verts")
+    __slots__ = ("alpha", "root", "working", "on_hold", "modified", "size")
 
     def __init__(self, alpha: int, root: Blossom):
         self.alpha = alpha
@@ -92,14 +92,7 @@ class Structure:
         self.working: Optional[Blossom] = root
         self.on_hold = False
         self.modified = False
-        self.verts: set[int] = set(root.vertices)
-
-    @property
-    def active(self) -> bool:
-        return self.working is not None
-
-    def size(self) -> int:
-        return len(self.verts)
+        self.size = len(root.vertices)
 
     def tree_nodes(self) -> Iterator[Blossom]:
         stack = [self.root]
@@ -130,40 +123,42 @@ def even_path_vertices(blossom: Blossom, x: int) -> list[int]:
     ``x`` is the base), so the path splices cleanly between an external
     matched arc at the base and an external unmatched arc at ``x``.
     """
-    if blossom.trivial:
-        if x != blossom.vertex:
+    # The path is a concatenation of pieces, each the even path of a sub
+    # from its base to a vertex, read forward or backward.  Pieces expand
+    # from an explicit stack, so nesting depth costs no recursion; a
+    # backward piece expands into its sub-pieces, reversed.
+    out: list[int] = []
+    stack: list[tuple[Blossom, int, bool]] = [(blossom, x, False)]
+    while stack:
+        node, target, backward = stack.pop()
+        subs, cycle = node.subs, node.cycle
+        if subs is None or cycle is None:
+            if target != node.vertex:
+                raise ValueError(f"vertex {x} not in {blossom!r}")
+            out.append(target)
+            continue
+        j = next((i for i, sub in enumerate(subs) if target in sub.vertices), None)
+        if j is None:
             raise ValueError(f"vertex {x} not in {blossom!r}")
-        return [x]
-    subs, cycle = blossom.subs, blossom.cycle
-    assert subs is not None and cycle is not None
-    j = next((i for i, sub in enumerate(subs) if x in sub.vset), None)
-    if j is None:
-        raise ValueError(f"vertex {x} not in {blossom!r}")
-    if j == 0:
-        return even_path_vertices(subs[0], x)
-    k = len(subs) - 1
-    if j % 2 == 0:
-        # Walk forward around the cycle: even number of arcs.
-        route_subs = [subs[i] for i in range(j + 1)]
-        route_arcs = [cycle[i] for i in range(j)]
-    else:
-        # Walk backward: also an even number of arcs, reversed orientation.
-        route_subs = [subs[0]] + [subs[i] for i in range(k, j - 1, -1)]
-        route_arcs = [(cycle[i][1], cycle[i][0]) for i in range(k, j - 1, -1)]
-    out = even_path_vertices(route_subs[0], route_arcs[0][0])
-    last = len(route_subs) - 1
-    for idx in range(1, last + 1):
-        entry = route_arcs[idx - 1][1]
-        entry_matched = (idx - 1) % 2 == 1
-        sub = route_subs[idx]
-        if entry_matched:
-            assert entry == sub.base
-            exit_v = x if idx == last else route_arcs[idx][0]
-            out.extend(even_path_vertices(sub, exit_v))
+        if j % 2 == 0:
+            # Walk forward around the cycle: even number of arcs.
+            route, arcs = subs[:j + 1], cycle[:j]
         else:
-            # Exit through the matched arc at this sub's base.
-            assert idx < last
-            out.extend(reversed(even_path_vertices(sub, entry)))
+            # Walk backward: also an even number of arcs, reversed orientation.
+            route = [subs[0]] + subs[j:][::-1]
+            arcs = [(b, a) for a, b in cycle[j:][::-1]]
+        # Odd route arcs are matched, so odd route subs are entered by an
+        # unmatched arc and left through the matched arc at their base.
+        pieces = [(route[0], arcs[0][0] if arcs else target, False)]
+        for i in range(1, len(route)):
+            if i % 2:
+                pieces.append((route[i], arcs[i - 1][1], True))
+            else:
+                pieces.append((route[i], arcs[i][0] if i < len(arcs) else target, False))
+        if backward:
+            stack.extend((sub, t, not back) for sub, t, back in pieces)
+        else:
+            stack.extend(reversed(pieces))
     return out
 
 
@@ -224,26 +219,6 @@ class Forest:
         self.paths: list[list[int]] = []
         self.blossom_sizes: list[int] = []
 
-    # -- queries ------------------------------------------------------------
-
-    def resolve(self, v: int) -> Blossom:
-        return self.root_of[v]
-
-    def classify(self, v: int) -> str:
-        node = self.root_of[v]
-        if node.structure is None:
-            return "unvisited"
-        return "outer" if node.outer else "inner"
-
-    def distance(self, node: Blossom) -> int:
-        """Alternating-path length bound at an outer node: 0 at the root,
-        otherwise the label of the matched arc realizing its tree edge."""
-        if node.parent is None:
-            return 0
-        arc = node.parent_arc
-        assert arc is not None
-        return self.labels.by_tail[arc[0]]
-
     # -- structure lifecycle --------------------------------------------------
 
     def init_structure(self, alpha: int) -> Structure:
@@ -264,9 +239,9 @@ class Forest:
         removed, their blossoms leave the family, the structures die."""
         assert first is not second
         for structure in (first, second):
-            for v in structure.verts:
-                self.removed.add(v)
             for node in structure.tree_nodes():
+                for v in node.vertices:
+                    self.removed.add(v)
                 node.structure = None
             del self.structures[structure.alpha]
         self.mutations += 1
@@ -280,7 +255,9 @@ class Forest:
         the tail side is its working node.  The tree path between them plus
         the arc forms an odd alternating cycle; the resulting blossom
         replaces the path nodes, becomes the new working node, and all
-        matched arcs inside it get label 0 in both directions.
+        matched arcs inside it get label 0 in both directions.  Those
+        inside its subs already have it, so only the matched cycle arcs
+        are relabelled.
         """
         bu, bv = self.root_of[u], self.root_of[v]
         structure = bu.structure
@@ -343,12 +320,9 @@ class Forest:
             node.outer = False
         for x in blossom.vertices:
             self.root_of[x] = blossom
-        vset = blossom.vset
-        mate = self.mate
-        for x in blossom.vertices:
-            mx = mate[x]
-            if mx is not None and mx in vset:
-                self.labels.set((x, mx), 0)
+        for x, y in cycle[1::2]:
+            self.labels.set((x, y), 0)
+            self.labels.set((y, x), 0)
         structure.working = blossom
         structure.modified = True
         self.mutations += 1
@@ -395,8 +369,7 @@ class Forest:
             bt.outer = True
             bt.kids = []
             bu.kids.append(bv)
-            structure.verts.add(v)
-            structure.verts.add(t)
+            structure.size += 2
             old = self.labels.by_tail[v]
             self.labels.set((v, t), k)
             structure.working = bt
@@ -433,10 +406,12 @@ class Forest:
                 bv.parent_arc = (u, v)
                 bu.kids.append(bv)
                 moved_ids = {id(node) for node in moved}
+                moved_size = 0
                 for node in moved:
                     node.structure = structure
-                    structure.verts.update(node.vertices)
-                    victim.verts.difference_update(node.vertices)
+                    moved_size += len(node.vertices)
+                structure.size += moved_size
+                victim.size -= moved_size
                 old = self.labels.by_tail[v]
                 self.labels.set((v, t), k)
                 if victim.working is not None and id(victim.working) in moved_ids:

@@ -192,7 +192,7 @@ def test_criterion_7_space_proxy(corpus_rows):
     engine = PhaseEngine(EdgeStream(n, edges), matching, cfg, checked=True)
     result = engine.run()
     structure = engine.forest.structures[0]
-    assert len(structure.verts) <= cfg.delta
+    assert structure.size <= cfg.delta
     assert engine.forest.structure_arc_count(structure) <= cfg.delta ** 2
     assert not check_structure(engine.forest, structure, cfg.limit,
                                cfg.l_max, cfg.delta)

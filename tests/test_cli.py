@@ -143,6 +143,11 @@ def test_usage_error_exit_1(capsys):
     code, _, err = run_cli(capsys, "run", "--gen", "torus:3", "--epsilon", "0.5")
     assert code == 1
     assert "error" in err
+    for command in ("run", "gen"):
+        for spec in ("gnm:5", "path:-3", "petersen:3"):
+            code, _, err = run_cli(capsys, command, "--gen", spec)
+            assert code == 1
+            assert_one_line_error(err, "error", repr(spec))
 
 
 def test_zero_denominator_epsilon_exit_1(capsys):

@@ -8,7 +8,7 @@ from streammatch.invariants import (InvariantChecker, InvariantViolationError,
                                     check_active_bound, check_forest,
                                     check_outer_independence,
                                     check_short_path_coverage, check_structure)
-from streammatch.matching import Matching, RemovedSet, greedy_maximal_matching, init_labels
+from streammatch.matching import ArcLabelTable, Matching, RemovedSet, greedy_maximal_matching
 from streammatch.phase import PhaseConfig, PhaseEngine
 from streammatch.stream import EdgeStream, GraphSpec, open_stream
 from streammatch.structures import Forest
@@ -134,7 +134,7 @@ def test_short_path_coverage_accepts_critical_arc():
 def test_broken_tree_parity_is_flagged():
     engine = mid_run_engine()
     forest = engine.forest
-    forest.resolve(1).outer = True        # inner node mislabeled
+    forest.root_of[1].outer = True        # inner node mislabeled
     names = {v.name for v in check_structure(forest, forest.structures[0],
                                              CFG.limit, CFG.l_max, CFG.delta)}
     assert "tree-representation" in names
@@ -143,9 +143,19 @@ def test_broken_tree_parity_is_flagged():
 def test_disjointness_violation_is_flagged():
     engine = mid_run_engine()
     forest = engine.forest
-    forest.structures[3].verts.add(1)     # vertex 1 already in S_0
+    forest.structures[3].root.kids.append(forest.root_of[1])  # {1} already in S_0
     names = {v.name for v in check_forest(forest, CFG.limit, CFG.l_max, CFG.delta)}
     assert "disjointness" in names
+
+
+def test_size_mismatch_is_flagged():
+    engine = mid_run_engine()
+    forest = engine.forest
+    forest.structures[0].size += 1        # the tree holds 3 vertices
+    violations = check_structure(forest, forest.structures[0],
+                                 CFG.limit, CFG.l_max, CFG.delta)
+    assert [v.name for v in violations] == ["tree-representation"]
+    assert "size 4" in violations[0].detail
 
 
 def test_checker_raises_through_engine():
@@ -162,7 +172,7 @@ def test_laminarity_check_on_nested_blossoms():
     matching = Matching(7)
     for u, v in [(1, 2), (3, 4), (5, 6)]:
         matching.add(u, v)
-    labels = init_labels(matching, 6)
+    labels = ArcLabelTable(matching, 6)
     forest = Forest(7, matching.mate, labels, RemovedSet(7))
     forest.init_structure(0)
     forest.overtake(0, 1, 1)

@@ -5,10 +5,9 @@ import itertools
 import pytest
 
 from streammatch.invariants import InvariantViolationError
-from streammatch.matching import (Matching, RemovedSet,
+from streammatch.matching import (ArcLabelTable, Matching, RemovedSet,
                                   augment_along, greedy_maximal_matching,
-                                  init_labels, is_alternating_augmenting,
-                                  validate_matching)
+                                  is_alternating_augmenting, validate_matching)
 from streammatch.oracle import exact_matching_exhaustive
 from streammatch.stream import EdgeStream, GraphSpec, open_stream
 
@@ -39,7 +38,7 @@ def test_greedy_is_maximal_no_free_edge():
     stream = open_stream(GraphSpec("random-gnm", (20, 50), 5))
     m = greedy_maximal_matching(stream)
     for u, v in stream.snapshot_edges():
-        assert not (m.is_free(u) and m.is_free(v))
+        assert not (m.mate[u] is None and m.mate[v] is None)
 
 
 def test_greedy_cycle5_any_order_gives_two():
@@ -56,7 +55,7 @@ def test_init_labels_quarter_epsilon():
     # l_max = 12 when eps = 1/4, so fresh labels are 13 in both directions.
     m = Matching(2)
     m.add(0, 1)
-    labels = init_labels(m, 12)
+    labels = ArcLabelTable(m, 12)
     assert labels.get((0, 1)) == 13
     assert labels.get((1, 0)) == 13
 
@@ -64,19 +63,19 @@ def test_init_labels_quarter_epsilon():
 def test_init_labels_unit_epsilon():
     m = Matching(2)
     m.add(0, 1)
-    labels = init_labels(m, 3)
+    labels = ArcLabelTable(m, 3)
     assert labels.get((0, 1)) == labels.get((1, 0)) == 4
 
 
 def test_init_labels_empty_matching():
-    labels = init_labels(Matching(4), 6)
+    labels = ArcLabelTable(Matching(4), 6)
     assert labels.by_tail == {}
 
 
 def test_label_set_requires_matched_arc():
     m = Matching(3)
     m.add(0, 1)
-    labels = init_labels(m, 6)
+    labels = ArcLabelTable(m, 6)
     with pytest.raises(KeyError):
         labels.get((0, 2))
     with pytest.raises(KeyError):
@@ -86,7 +85,7 @@ def test_label_set_requires_matched_arc():
 def test_label_reductions_counted():
     m = Matching(2)
     m.add(0, 1)
-    labels = init_labels(m, 6)
+    labels = ArcLabelTable(m, 6)
     labels.set((0, 1), 3)
     labels.set((0, 1), 3)   # not a reduction
     labels.set((0, 1), 0)

@@ -25,10 +25,14 @@ def engine_for(n, edges, pairs, h=HALF, eps=HALF, **kw):
                        PhaseConfig.from_scale(h, eps), **kw)
 
 
+def members(structure):
+    return {x for node in structure.tree_nodes() for x in node.vertices}
+
+
 def run_bundle(engine, tau):
     engine.forest.bundle = tau
     for s in engine.forest.structures.values():
-        s.on_hold = len(s.verts) >= engine.config.limit
+        s.on_hold = s.size >= engine.config.limit
         s.modified = False
     engine._extend_pass()
     engine._contract_and_augment()
@@ -118,11 +122,11 @@ def test_one_extension_per_structure_per_bundle():
     engine = engine_for(5, edges, [(1, 2), (3, 4)])
     run_bundle(engine, 1)
     s0 = engine.forest.structures[0]
-    assert s0.verts == {0, 1, 2}
+    assert members(s0) == {0, 1, 2}
     run_bundle(engine, 2)      # stuck at {2}; backtracks to the root
     assert s0.working is s0.root
     run_bundle(engine, 3)      # now the second branch is taken
-    assert s0.verts == {0, 1, 2, 3, 4}
+    assert members(s0) == {0, 1, 2, 3, 4}
 
 
 def test_matched_arcs_never_extend():
@@ -131,15 +135,19 @@ def test_matched_arcs_never_extend():
     # unmatched, so it overtakes; the matched arc (0,1) itself is skipped
     # as an extension seed for the (nonexistent) structure at 0.
     run_bundle(engine, 1)
-    assert engine.forest.structures[2].verts == {2, 1, 0}
+    assert members(engine.forest.structures[2]) == {2, 1, 0}
 
 
 def test_distance_values():
     engine = engine_for(4, [(0, 1), (1, 2), (2, 3)], [(1, 2)])
     forest = engine.forest
-    assert forest.distance(forest.resolve(0)) == 0
+    # The extension read's distance at an outer node: 0 at the root,
+    # otherwise the label of the matched arc realizing its tree edge.
+    assert forest.root_of[0].parent is None
     forest.overtake(0, 1, 1)
-    assert forest.distance(forest.structures[0].working) == 1
+    working = forest.structures[0].working
+    assert working.parent_arc == (1, 2)
+    assert forest.labels.by_tail[working.parent_arc[0]] == 1
 
 
 def test_distance_zero_at_contracted_root():
@@ -147,7 +155,7 @@ def test_distance_zero_at_contracted_root():
     forest = engine.forest
     forest.overtake(0, 1, 1)
     blossom = forest.contract(2, 0)
-    assert forest.distance(blossom) == 0
+    assert blossom.parent is None and blossom.parent_arc is None
 
 
 def test_overtake_skipped_toward_ancestor():
@@ -158,13 +166,13 @@ def test_overtake_skipped_toward_ancestor():
     run_bundle(engine, 1)
     run_bundle(engine, 2)
     forest = engine.forest
-    assert forest.structures[0].verts == {0, 1, 2, 3, 4}
+    assert members(forest.structures[0]) == {0, 1, 2, 3, 4}
     label_before = forest.labels.get((1, 2))
-    tree_before = {v: forest.resolve(v).parent_arc for v in range(5)}
+    tree_before = {v: forest.root_of[v].parent_arc for v in range(5)}
     run_bundle(engine, 3)   # (4,1) is read and must not overtake
     assert forest.labels.get((1, 2)) == label_before == 1
-    assert {v: forest.resolve(v).parent_arc for v in range(5)} == tree_before
-    assert forest.structures[0].verts == {0, 1, 2, 3, 4}
+    assert {v: forest.root_of[v].parent_arc for v in range(5)} == tree_before
+    assert members(forest.structures[0]) == {0, 1, 2, 3, 4}
 
 
 def test_on_hold_at_size_limit_freezes_structure():

@@ -193,5 +193,10 @@ def test_parse_graph_spec_forms():
     assert parse_graph_spec("petersen") == GraphSpec("petersen")
     assert parse_graph_spec("bipartite:3,4,5,seed=2") == GraphSpec(
         "random-bipartite", (3, 4, 5), 2)
-    with pytest.raises(ValueError):
-        parse_graph_spec("torus:3")
+    assert parse_graph_spec("path:0") == GraphSpec("path", (0,))
+    for text, message in [("torus:3", "unknown"), ("gnm:5", "takes 2"),
+                          ("bipartite:3,4", "takes 3"), ("path", "takes 1"),
+                          ("petersen:3", "takes 0"), ("path:-3", "negative")]:
+        with pytest.raises(ValueError, match=message) as info:
+            parse_graph_spec(text)
+        assert repr(text) in str(info.value)

@@ -3,7 +3,7 @@
 import pytest
 
 from streammatch.invariants import check_forest
-from streammatch.matching import Matching, RemovedSet, init_labels
+from streammatch.matching import ArcLabelTable, Matching, RemovedSet
 from streammatch.structures import (Forest, even_path_vertices, is_ancestor,
                                     lift_contracted_path)
 
@@ -14,7 +14,7 @@ def make_forest(n, matched_pairs):
     matching = Matching(n)
     for u, v in matched_pairs:
         matching.add(u, v)
-    labels = init_labels(matching, L_MAX)
+    labels = ArcLabelTable(matching, L_MAX)
     forest = Forest(n, matching.mate, labels, RemovedSet(n))
     return forest, matching
 
@@ -31,10 +31,14 @@ def assert_clean(forest, limit=100, delta=10_000):
     assert not violations, violations
 
 
+def members(structure):
+    return {x for node in structure.tree_nodes() for x in node.vertices}
+
+
 def test_resolve_before_contraction_is_trivial():
     forest, _ = make_forest(3, [(1, 2)])
-    assert forest.resolve(0).vertex == 0
-    assert forest.classify(0) == "unvisited"
+    assert forest.root_of[0].vertex == 0
+    assert forest.root_of[0].structure is None
 
 
 def build_triangle_blossom():
@@ -54,7 +58,7 @@ def test_contract_triangle():
     assert structure.working is blossom
     assert structure.root is blossom
     for v in range(3):
-        assert forest.resolve(v) is blossom
+        assert forest.root_of[v] is blossom
     assert forest.labels.get((1, 2)) == 0
     assert forest.labels.get((2, 1)) == 0
     assert_clean(forest)
@@ -82,7 +86,7 @@ def test_contract_cycle5():
 
 def test_even_path_trivial_blossom():
     forest, _ = make_forest(1, [])
-    node = forest.resolve(0)
+    node = forest.root_of[0]
     assert even_path_vertices(node, 0) == [0]
     with pytest.raises(ValueError):
         even_path_vertices(node, 1)
@@ -120,7 +124,7 @@ def test_even_path_cycle5_all_targets():
 
 def build_nested_blossom():
     # Inner triangle {2,3,4} contracted first, then the 7-vertex cycle
-    # through it; exercises recursion in the even-path expansion.
+    # through it; exercises nesting in the even-path expansion.
     forest, matching = make_forest(7, [(1, 2), (3, 4), (5, 6)])
     forest.init_structure(0)
     forest.overtake(0, 1, 1)
@@ -136,7 +140,7 @@ def test_nested_contraction_resolves_to_outermost():
     assert sorted(inner.vertices) == [2, 3, 4]
     assert sorted(outer.vertices) == list(range(7))
     for v in range(7):
-        assert forest.resolve(v) is outer
+        assert forest.root_of[v] is outer
     assert inner in outer.subs
     assert_clean(forest)
 
@@ -151,13 +155,47 @@ def test_even_path_nested_all_targets():
         assert_alternating(path, matching.mate, start_matched=False)
 
 
+def test_even_path_and_lift_through_1500_nested_blossoms():
+    # Each level hangs the matched pair (2i-1, 2i) off vertex 2i-2 of the
+    # current blossom and closes the triangle through 0, so blossom i has
+    # blossom i-1 as its stem and the even path to 2i runs through every
+    # level: 0, 1, 2, ..., 2i.  Far deeper than Python's recursion limit.
+    depth = 1500
+    n = 2 * depth + 1
+    forest, matching = make_forest(n, [(2 * i - 1, 2 * i) for i in range(1, depth + 1)])
+    structure = forest.init_structure(0)
+    for i in range(1, depth):
+        forest.overtake(2 * i - 2, 2 * i - 1, 1)
+        forest.contract(2 * i, 0)
+    # One level short of the top: lift the tree path root .. 2*depth.
+    forest.overtake(n - 3, n - 2, 1)
+    stem = structure.root
+    nodes = [stem, forest.root_of[n - 2], forest.root_of[n - 1]]
+    lifted = lift_contracted_path(nodes, [(n - 3, n - 2), (n - 2, n - 1)], forest.mate)
+    assert lifted == list(range(n))
+    assert_alternating(lifted, forest.mate, start_matched=False)
+
+    top = forest.contract(n - 1, 0)
+    assert top.subs[0] is stem and structure.size == n == len(top.vertices)
+    for x in (0, 1, 2, 3, 1499, 1500, n - 2, n - 1):
+        path = even_path_vertices(top, x)
+        assert path[0] == 0 and path[-1] == x
+        assert len(path) % 2 == 1 and len(set(path)) == len(path)
+        assert_alternating(path, forest.mate, start_matched=False)
+    assert even_path_vertices(top, n - 1) == list(range(n))
+    assert even_path_vertices(top, n - 2) == [0, n - 1, n - 2]
+    assert lift_contracted_path([top], [], forest.mate) == [0]
+    with pytest.raises(ValueError):
+        even_path_vertices(top, n)
+
+
 def test_lift_trivial_nodes_is_identity():
     forest, _ = make_forest(4, [(1, 2)])
     forest.init_structure(0)
     forest.overtake(0, 1, 1)
     forest.init_structure(3)
-    nodes = [forest.resolve(0), forest.resolve(1), forest.resolve(2),
-             forest.resolve(3)]
+    nodes = [forest.root_of[0], forest.root_of[1], forest.root_of[2],
+             forest.root_of[3]]
     arcs = [(0, 1), (1, 2), (2, 3)]
     assert lift_contracted_path(nodes, arcs, forest.mate) == [0, 1, 2, 3]
 
@@ -195,11 +233,11 @@ def test_overtake_case1_adds_pair():
     case = forest.overtake(0, 1, 1)
     assert case == "1"
     structure = forest.structures[0]
-    assert structure.verts == {0, 1, 2}
-    assert structure.working is forest.resolve(2)
+    assert members(structure) == {0, 1, 2} and structure.size == 3
+    assert structure.working is forest.root_of[2]
     assert forest.labels.get((1, 2)) == 1
-    assert forest.classify(1) == "inner"
-    assert forest.classify(2) == "outer"
+    assert forest.root_of[1].structure is structure and not forest.root_of[1].outer
+    assert forest.root_of[2].structure is structure and forest.root_of[2].outer
     assert_clean(forest)
 
 
@@ -216,16 +254,16 @@ def test_overtake_case21_reparents_within_structure():
     forest.backtrack(structure)   # {6} -> {4}
     forest.backtrack(structure)   # {4} -> {0}
     forest.overtake(0, 1, 1)
-    assert structure.working is forest.resolve(2)
-    node7 = forest.resolve(7)
+    assert structure.working is forest.root_of[2]
+    node7 = forest.root_of[7]
     old_parent = node7.parent
     case = forest.overtake(2, 7, 2)
     assert case == "2.1"
-    assert node7.parent is forest.resolve(2)
+    assert node7.parent is forest.root_of[2]
     assert node7.parent_arc == (2, 7)
     assert node7 not in old_parent.kids
     assert forest.labels.get((7, 8)) == 2
-    assert structure.working is forest.resolve(8)
+    assert structure.working is forest.root_of[8]
     assert_clean(forest)
 
 
@@ -243,17 +281,17 @@ def build_two_structures_for_steal():
 def test_overtake_case22_moves_subtree_with_working_handoff():
     forest, _ = build_two_structures_for_steal()
     s0, s7 = forest.structures[0], forest.structures[7]
-    assert s7.verts == {3, 4, 5, 6, 7}
-    assert s7.working is forest.resolve(3)
+    assert members(s7) == {3, 4, 5, 6, 7} and s7.size == 5
+    assert s7.working is forest.root_of[3]
     case = forest.overtake(0, 4, 1)
     assert case == "2.2"
     # S_7 loses exactly the subtree of the inner node {4}.
-    assert s7.verts == {5, 6, 7}
-    assert s0.verts == {0, 3, 4}
-    assert s0.working is forest.resolve(3)      # stolen working node
-    assert s7.working is forest.resolve(5)      # retreats to the cut parent
-    assert forest.resolve(4).parent is forest.resolve(0)
-    assert forest.resolve(4).parent_arc == (0, 4)
+    assert members(s7) == {5, 6, 7} and s7.size == 3
+    assert members(s0) == {0, 3, 4} and s0.size == 3
+    assert s0.working is forest.root_of[3]      # stolen working node
+    assert s7.working is forest.root_of[5]      # retreats to the cut parent
+    assert forest.root_of[4].parent is forest.root_of[0]
+    assert forest.root_of[4].parent_arc == (0, 4)
     assert forest.labels.get((4, 3)) == 1
     assert s0.modified and s7.modified
     assert_clean(forest)
@@ -266,13 +304,13 @@ def test_overtake_case22_without_handoff():
     forest, _ = build_two_structures_for_steal()
     s7 = forest.structures[7]
     forest.backtrack(s7)  # {3} -> {5}
-    assert s7.working is forest.resolve(5)
+    assert s7.working is forest.root_of[5]
     case = forest.overtake(0, 4, 1)
     assert case == "2.2"
     s0 = forest.structures[0]
-    assert s0.working is forest.resolve(3)
-    assert s7.working is forest.resolve(5)
-    assert s7.verts == {5, 6, 7}
+    assert s0.working is forest.root_of[3]
+    assert s7.working is forest.root_of[5]
+    assert members(s7) == {5, 6, 7} and s7.size == 3
     assert_clean(forest)
 
 
@@ -291,8 +329,8 @@ def test_is_ancestor_along_branch():
     forest.init_structure(0)
     forest.overtake(0, 1, 1)
     forest.overtake(2, 3, 2)
-    root = forest.resolve(0)
-    tip = forest.resolve(4)
+    root = forest.root_of[0]
+    tip = forest.root_of[4]
     assert is_ancestor(root, tip)
     assert not is_ancestor(tip, root)
 
@@ -306,17 +344,19 @@ def test_backtrack_steps_and_deactivates():
     assert structure.working is structure.root
     forest.backtrack(structure)
     assert structure.working is None
-    assert not structure.active
+    assert structure.working is None
 
 
 def test_structure_size_accounting():
     forest, _ = make_forest(5, [(1, 2), (3, 4)])
     structure = forest.init_structure(0)
-    assert structure.size() == 1
+    assert structure.size == 1
     forest.overtake(0, 1, 1)
-    assert structure.size() == 3
+    assert structure.size == 3
     forest.overtake(2, 3, 2)
-    assert structure.size() == 5
+    assert structure.size == 5
+    forest.contract(4, 0)
+    assert structure.size == 5 == len(members(structure))
 
 
 def test_structure_arc_count_includes_blossom_cycles():
