@@ -16,18 +16,36 @@ performs one step of a parallel depth-first search:
 4. backtrack   - structures that are neither on hold nor modified retreat
                  their working node two levels (or deactivate at the root).
 
-A bundle therefore consumes exactly 3 stream reads.  Once a bundle
-changes nothing, no later bundle of the phase can change anything either
-(the loop body is a deterministic function of the phase state), so the
-engine charges the remaining reads to the stream instead of performing
-them and ends the phase early with identical results.
+A bundle therefore consumes exactly 3 stream reads.  Each read is one full
+pass (:meth:`EdgeStream.iter_arcs_from`), but the engine's code visits only
+the arcs whose tail can act in it, in stream order; every other arc would
+fall through the read's guards untouched, so the outcome is the same as
+visiting them all:
+
+* extension    - tails in the working node of a structure that is neither
+                 on hold nor modified.  A structure acts at most once per
+                 read and only from its working node; that node and its
+                 vertices change only when the structure becomes modified
+                 or is removed, so this set only shrinks during the read.
+* collection   - tails in a structure that still has a working node.  The
+                 read changes nothing, and the fixpoint after it contracts
+                 only at working nodes; a structure without one never gets
+                 one back within the phase.
+* augmentation - tails in an outer node.  An arc acts only when both its
+                 ends lie in outer nodes of two different structures, and
+                 recording a path only removes structures.
+
+Once a bundle changes nothing, no later bundle of the phase can change
+anything either (the loop body is a deterministic function of the phase
+state), so the engine charges the remaining reads to the stream instead
+of performing them and ends the phase early with identical results.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .invariants import InvariantChecker
 from .matching import ArcLabelTable, Matching, RemovedSet
@@ -189,6 +207,11 @@ class PhaseEngine:
 
     # -- bundle parts ---------------------------------------------------------
 
+    def _read(self, tails: Iterable[int]) -> Iterator[tuple[int, int]]:
+        """One stream pass over the arcs whose tail is in ``tails``: the
+        only arcs that can act in the read (see the module docstring)."""
+        return self.stream.iter_arcs_from(tails)
+
     def _extend_pass(self) -> None:
         """One stream pass; each live structure extends at most once."""
         forest = self.forest
@@ -196,7 +219,10 @@ class PhaseEngine:
         removed = self.removed.flags
         mate = self.matching.mate
         by_tail = self.labels.by_tail
-        for u, v in self.stream.iter_arcs_once():
+        tails = (x for s in forest.structures.values()
+                 if s.working is not None and not (s.on_hold or s.modified)
+                 for x in s.working.vertices)
+        for u, v in self._read(tails):
             if removed[u] or removed[v]:
                 continue
             bu = root_of[u]
@@ -228,7 +254,9 @@ class PhaseEngine:
         removed = self.removed.flags
 
         buckets: dict[int, list[tuple[int, int]]] = {}
-        for u, v in self.stream.iter_arcs_once():
+        tails = (x for s in forest.structures.values() if s.working is not None
+                 for node in s.tree_nodes() for x in node.vertices)
+        for u, v in self._read(tails):
             if removed[u] or removed[v]:
                 continue
             owner = root_of[u].structure
@@ -255,7 +283,9 @@ class PhaseEngine:
                         break
 
         mate = self.matching.mate
-        for u, v in self.stream.iter_arcs_once():
+        tails = (x for s in forest.structures.values() for node in s.tree_nodes()
+                 if node.outer for x in node.vertices)
+        for u, v in self._read(tails):
             if removed[u] or removed[v]:
                 continue
             bu = root_of[u]

@@ -6,12 +6,22 @@ is delivered as the two directed arcs (u, v) and (v, u), in stored edge
 order.  Oracles and invariant checkers, which are allowed to inspect a
 snapshot of the graph, use :meth:`EdgeStream.snapshot_edges` instead and
 do not consume passes.
+
+A reader that can name, before a pass, the only tails whose arcs can act
+on it reads through :meth:`EdgeStream.iter_arcs_from`.  That is still one
+full pass, counted like any other: the stream runs
+:meth:`EdgeStream.iter_arcs_once` to the end and drops the arcs of other
+tails in C, so the reader's Python code visits only the arcs that can act,
+in stream order.  The arc positions of each tail come from an index built
+on the first such read.
 """
 
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass
+from itertools import accumulate, compress
 from typing import Callable, Iterable, Iterator, Optional
 
 
@@ -45,10 +55,12 @@ class GraphSpec:
 class EdgeStream:
     """A replayable, pass-counted source of undirected edges.
 
-    Every completed traversal of the arc sequence counts as one pass.
-    Skipped-but-accounted passes (see :meth:`charge_passes`) arise when the
-    caller can prove a traversal would not change its state; the counter
-    then reflects the passes the unoptimized reference loop would perform.
+    Every completed traversal of the arc sequence counts as one pass,
+    whether the caller sees every arc (:meth:`iter_arcs_once`) or only
+    those of chosen tails (:meth:`iter_arcs_from`).  Skipped-but-accounted
+    passes (see :meth:`charge_passes`) arise when the caller can prove a
+    whole traversal would not change its state; the counter then reflects
+    the passes the unoptimized reference loop would perform.
     """
 
     def __init__(self, vertex_count: int, edges: list[tuple[int, int]],
@@ -65,21 +77,67 @@ class EdgeStream:
             arcs.append((u, v))
             arcs.append((v, u))
         self._arcs = arcs
+        # Tail index in CSR form, built by the first iter_arcs_from: the
+        # arcs with tail x sit at positions _positions[_offsets[x]:_offsets[x + 1]].
+        self._offsets: Optional[array] = None
+        self._positions: Optional[array] = None
+        # The tails of the pass iter_arcs_from is opening, else None.
+        self._tails: Optional[Iterable[int]] = None
 
     def iter_arcs_once(self) -> Iterator[tuple[int, int]]:
-        """Yield every arc of one full pass; counts the pass on completion.
+        """One full pass over the arcs; counts the pass on completion.
 
-        An abandoned iteration (error mid-pass) does not count.
+        Yields every arc, except when called by :meth:`iter_arcs_from`,
+        which reads the stream through this method: then it yields only
+        the arcs of that call's tails.  An abandoned iteration (error
+        mid-pass) does not count.
         """
-        for arc in self._arcs:
+        if self._tails is None:
+            return self._pass(self._arcs)
+        return self._pass(compress(self._arcs, self._tail_mask(self._tails)))
+
+    def _pass(self, arcs: Iterable[tuple[int, int]]) -> Iterator[tuple[int, int]]:
+        for arc in arcs:
             yield arc
         self.passes_used += 1
+
+    def iter_arcs_from(self, tails: Iterable[int]) -> Iterator[tuple[int, int]]:
+        """One full pass that yields, in stream order, only the arcs whose
+        tail is in ``tails``; counts the pass on completion.
+
+        ``tails`` is read once, before the pass starts.  The pass is one
+        :meth:`iter_arcs_once` call run to the end, which drops the arcs
+        of other tails in C instead of handing them to Python code.
+        """
+        self._tails = tails
+        try:
+            return self.iter_arcs_once()
+        finally:
+            self._tails = None
+
+    def _tail_mask(self, tails: Iterable[int]) -> bytearray:
+        """A flag per arc position: 1 where the arc's tail is in ``tails``."""
+        if self._offsets is None:
+            arcs = self._arcs
+            counts = [0] * (self.vertex_count + 1)
+            for u, _ in arcs:
+                counts[u + 1] += 1
+            self._offsets = array("q", accumulate(counts))
+            # A stable sort by tail keeps each tail's positions in stream order.
+            self._positions = array("q", sorted(range(len(arcs)), key=lambda p: arcs[p][0]))
+        offsets, positions = self._offsets, self._positions
+        mask = bytearray(len(self._arcs))
+        for x in tails:
+            for p in positions[offsets[x]:offsets[x + 1]]:
+                mask[p] = 1
+        return mask
 
     def pass_count(self) -> int:
         return self.passes_used
 
     def charge_passes(self, count: int) -> None:
-        """Account for ``count`` passes whose traversal was provably a no-op."""
+        """Account for ``count`` whole passes whose traversal was provably
+        a no-op, without reading them."""
         if count < 0:
             raise ValueError("pass charge must be non-negative")
         self.passes_used += count
@@ -128,24 +186,25 @@ def petersen_edges() -> list[tuple[int, int]]:
     return outer + spokes + inner
 
 
-def _unrank_pair(index: int, n: int) -> tuple[int, int]:
-    # Pairs (u, v) with u < v ordered lexicographically.
-    u = 0
-    remaining = index
-    while remaining >= n - 1 - u:
-        remaining -= n - 1 - u
-        u += 1
-    return u, u + 1 + remaining
-
-
 def gnm_edges(n: int, m: int, seed: int) -> list[tuple[int, int]]:
-    """Uniform simple graph with n vertices and exactly m edges."""
+    """Uniform simple graph with n vertices and exactly m edges.
+
+    Each pick is a rank among the pairs (u, v), u < v, in lexicographic
+    order; row u holds the n - 1 - u ranks from ``row_start`` on.  The
+    picks are sorted, so one cursor walks the rows: O(n + m) in all.
+    """
     total = n * (n - 1) // 2
     if m > total:
         raise ValueError(f"m={m} exceeds the {total} possible edges for n={n}")
     rng = random.Random(seed)
-    picks = sorted(rng.sample(range(total), m))
-    return [_unrank_pair(i, n) for i in picks]
+    edges: list[tuple[int, int]] = []
+    u = row_start = 0
+    for i in sorted(rng.sample(range(total), m)):
+        while i >= row_start + n - 1 - u:
+            row_start += n - 1 - u
+            u += 1
+        edges.append((u, u + 1 + i - row_start))
+    return edges
 
 
 def bipartite_edges(a: int, b: int, m: int, seed: int) -> list[tuple[int, int]]:
@@ -214,11 +273,19 @@ def parse_graph_spec(text: str) -> GraphSpec:
         for token in rest.split(","):
             token = token.strip()
             if token.startswith("seed="):
-                seed = int(token[5:])
+                seed = _spec_int(token[5:], text)
             elif token:
-                params.append(int(token))
+                params.append(_spec_int(token, text))
     _check_params(kind, tuple(params), text)
     return GraphSpec(kind, tuple(params), seed)
+
+
+def _spec_int(token: str, text: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"generator spec {text!r} has a non-integer value "
+                         f"{token!r}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -144,7 +144,7 @@ def test_usage_error_exit_1(capsys):
     assert code == 1
     assert "error" in err
     for command in ("run", "gen"):
-        for spec in ("gnm:5", "path:-3", "petersen:3"):
+        for spec in ("gnm:5", "path:-3", "petersen:3", "gnm:5,x"):
             code, _, err = run_cli(capsys, command, "--gen", spec)
             assert code == 1
             assert_one_line_error(err, "error", repr(spec))

@@ -1,5 +1,7 @@
 """Stream layer: generators, arc expansion, pass accounting, edge-list I/O."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -63,6 +65,31 @@ def test_replay_determinism_and_arc_pairing():
         assert first[i + 1] == (v, u)
 
 
+def test_iter_arcs_from_yields_the_tails_arcs_in_stream_order(monkeypatch):
+    stream = open_stream(GraphSpec("random-gnm", (12, 30), 5))
+    every = collect_arcs(stream)
+    reads = []
+    original = EdgeStream.iter_arcs_once
+    monkeypatch.setattr(EdgeStream, "iter_arcs_once",
+                        lambda self: reads.append(1) or original(self))
+    for tails in ([], [3], [7, 0, 11, 3], range(12)):
+        wanted = set(tails)
+        assert list(stream.iter_arcs_from(iter(tails))) == \
+            [(u, v) for u, v in every if u in wanted]
+    # Each read is one full pass, made by one iter_arcs_once call.
+    assert len(reads) == 4 and stream.pass_count() == 5
+    assert collect_arcs(stream) == every
+
+
+def test_abandoned_selected_pass_is_not_counted():
+    stream = open_stream(GraphSpec("path", (4,)))
+    it = stream.iter_arcs_from([1, 2])
+    next(it)
+    it.close()
+    assert stream.pass_count() == 0
+    assert collect_arcs(stream) == [(0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2)]
+
+
 def test_abandoned_pass_is_not_counted():
     stream = open_stream(GraphSpec("path", (4,)))
     it = stream.iter_arcs_once()
@@ -96,6 +123,26 @@ def test_gnm_deterministic_and_simple():
     assert len(a) == 40
     assert len({frozenset(e) for e in a}) == 40
     assert all(u != v for u, v in a)
+
+
+def unrank_pair(index, n):
+    """Pair of rank ``index`` among the pairs (u, v), u < v < n, in
+    lexicographic order, by subtracting whole rows."""
+    u = 0
+    while index >= n - 1 - u:
+        index -= n - 1 - u
+        u += 1
+    return u, u + 1 + index
+
+
+def test_gnm_edges_follow_the_rank_closed_form():
+    for n in range(2, 14):
+        total = n * (n - 1) // 2
+        assert gnm_edges(n, total, seed=0) == [unrank_pair(i, n) for i in range(total)]
+        for seed in range(6):
+            for m in (0, 1, total // 3, total - 1):
+                picks = sorted(random.Random(seed).sample(range(total), m))
+                assert gnm_edges(n, m, seed) == [unrank_pair(i, n) for i in picks]
 
 
 def test_gnm_rejects_too_many_edges():
@@ -196,7 +243,9 @@ def test_parse_graph_spec_forms():
     assert parse_graph_spec("path:0") == GraphSpec("path", (0,))
     for text, message in [("torus:3", "unknown"), ("gnm:5", "takes 2"),
                           ("bipartite:3,4", "takes 3"), ("path", "takes 1"),
-                          ("petersen:3", "takes 0"), ("path:-3", "negative")]:
+                          ("petersen:3", "takes 0"), ("path:-3", "negative"),
+                          ("gnm:5,x", "non-integer value 'x'"),
+                          ("gnm:5,7,seed=y", "non-integer value 'y'")]:
         with pytest.raises(ValueError, match=message) as info:
             parse_graph_spec(text)
         assert repr(text) in str(info.value)
