@@ -13,7 +13,7 @@ from .driver import (PassCountMismatch, RunConfig, RunReport,
 from .invariants import InvariantViolationError, Violation
 from .matching import (ArcLabelTable, Matching, RemovedSet, augment_along,
                        greedy_maximal_matching, validate_matching)
-from .phase import PhaseConfig, PhaseEngine, PhaseResult, alg_phase
+from .phase import PhaseConfig, PhaseEngine, PhaseResult
 from .stream import (EdgeStream, GraphSpec, StreamFormatError, open_stream,
                      parse_graph_spec, read_edgelist, write_edgelist)
 from .structures import (Blossom, Forest, Structure, even_path_vertices,
@@ -23,8 +23,7 @@ __all__ = [
     "ArcLabelTable", "Blossom", "EdgeStream", "Forest", "GraphSpec",
     "InvariantViolationError", "Matching", "PassCountMismatch", "PhaseConfig",
     "PhaseEngine", "PhaseResult", "RemovedSet", "RunConfig", "RunReport",
-    "StreamFormatError", "Structure", "Violation", "alg_phase",
-    "augment_along", "even_path_vertices",
+    "StreamFormatError", "Structure", "Violation", "augment_along", "even_path_vertices",
     "expected_pass_count", "greedy_maximal_matching",
     "lift_contracted_path", "normalize_epsilon", "open_stream",
     "parse_graph_spec", "read_edgelist", "run", "scale_params",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import time
 from fractions import Fraction
 from multiprocessing import Pool
@@ -31,16 +32,16 @@ def corpus() -> list[GraphSpec]:
     return specs
 
 
-def run_one(spec: GraphSpec, epsilon, check_invariants: bool = True,
-            with_oracle: bool = True) -> dict:
-    """Run one corpus instance and report the facts the tables need."""
+def run_one(spec: GraphSpec, epsilon) -> dict:
+    """Run one corpus instance, checked, and report the facts the tables
+    need, the oracle's matching size among them."""
     stream = open_stream(spec)
     eps = Fraction(epsilon)
     started = time.perf_counter()
-    report = driver.run(stream, driver.RunConfig(
-        epsilon=eps, check_invariants=check_invariants))
+    report = driver.run(stream, driver.RunConfig(epsilon=eps, check_invariants=True))
     elapsed = time.perf_counter() - started
-    row = {
+    nu = oracle.matching_size(report.n, stream.snapshot_edges())
+    return {
         "spec": str(spec),
         "n": report.n,
         "m": report.m,
@@ -49,12 +50,9 @@ def run_one(spec: GraphSpec, epsilon, check_invariants: bool = True,
         "passes": report.passes,
         "expected_passes": driver.expected_pass_count(report.epsilon_effective),
         "seconds": round(elapsed, 3),
+        "nu": nu,
+        "guarantee_ok": (1 + report.epsilon_effective) * report.matching.size >= nu,
     }
-    if with_oracle:
-        nu = oracle.matching_size(report.n, stream.snapshot_edges())
-        row["nu"] = nu
-        row["guarantee_ok"] = (1 + report.epsilon_effective) * report.matching.size >= nu
-    return row
 
 
 def _run_one_task(args) -> dict:
@@ -62,29 +60,30 @@ def _run_one_task(args) -> dict:
     return run_one(spec, epsilon)
 
 
-def acceptance_tasks(max_n_quarter: int = 40) -> list[tuple[GraphSpec, Fraction]]:
+def acceptance_tasks() -> list[tuple[GraphSpec, Fraction]]:
     """The corpus crossed with epsilon in {1, 1/2, 1/4}; the tightest
-    epsilon only runs on instances up to ``max_n_quarter`` vertices."""
+    epsilon only runs on instances up to 40 vertices."""
     tasks: list[tuple[GraphSpec, Fraction]] = []
     for spec in corpus():
         n = open_stream(spec).vertex_count
         tasks.append((spec, Fraction(1)))
         tasks.append((spec, Fraction(1, 2)))
-        if n <= max_n_quarter:
+        if n <= 40:
             tasks.append((spec, Fraction(1, 4)))
     return tasks
 
 
-def run_corpus(workers: Optional[int] = None,
-               tasks: Optional[list[tuple[GraphSpec, Fraction]]] = None) -> list[dict]:
-    if tasks is None:
-        tasks = acceptance_tasks()
-    if workers and workers > 1:
-        with Pool(workers) as pool:
-            rows = pool.map(_run_one_task, tasks)
-    else:
-        rows = [_run_one_task(t) for t in tasks]
-    return rows
+def run_corpus(workers: Optional[int] = None) -> list[dict]:
+    """Run every acceptance task, in up to ``workers`` processes but never
+    more than this machine has CPUs."""
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    tasks = acceptance_tasks()
+    workers = min(workers or 1, os.cpu_count() or 1)
+    if workers == 1:
+        return [_run_one_task(t) for t in tasks]
+    with Pool(workers) as pool:
+        return pool.map(_run_one_task, tasks)
 
 
 def format_table(rows: list[dict]) -> str:

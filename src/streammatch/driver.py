@@ -143,8 +143,7 @@ def run(stream: EdgeStream, config: RunConfig) -> RunReport:
 
     matching = greedy_maximal_matching(stream)
 
-    totals = {"overtakes": 0, "contracts": 0, "augments": 0,
-              "backtracks": 0, "holds": 0, "label_reductions": 0}
+    totals: dict[str, int] = {}
     per_scale: list[ScaleReport] = []
     skip_remaining_scales = False
 
@@ -161,12 +160,11 @@ def run(stream: EdgeStream, config: RunConfig) -> RunReport:
                                  checked=checked)
             result = engine.run()
             executed += 1
-            engine.removed.clear()  # restore every vertex removed in the phase
             for path in result.paths:
                 augment_along(matching, path, checked=checked, edges=edge_set)
             augmentations += len(result.paths)
-            for key in totals:
-                totals[key] += result.stats[key]
+            for key, count in result.stats.items():
+                totals[key] = totals.get(key, 0) + count
             if not result.paths:
                 # The matching did not change, so phases t+1 .. t_max of
                 # this scale would repeat this one verbatim.

@@ -81,19 +81,12 @@ class RemovedSet:
 
     def __init__(self, n: int):
         self.flags = bytearray(n)
-        self.count = 0
 
     def add(self, v: int) -> None:
-        if not self.flags[v]:
-            self.flags[v] = 1
-            self.count += 1
+        self.flags[v] = 1
 
     def __contains__(self, v: int) -> bool:
         return bool(self.flags[v])
-
-    def clear(self) -> None:
-        self.flags = bytearray(len(self.flags))
-        self.count = 0
 
 
 def is_alternating_augmenting(path: list[int], matching: Matching,

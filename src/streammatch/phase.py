@@ -35,6 +35,11 @@ visiting them all:
                  ends lie in outer nodes of two different structures, and
                  recording a path only removes structures.
 
+A vertex removed with its structure resolves to a node whose ``structure``
+is None, so the owner checks of the collection and augmentation reads
+already skip arcs with a removed end.  The extension read tests removal
+itself, because it treats a node without a structure as unvisited.
+
 Once a bundle changes nothing, no later bundle of the phase can change
 anything either (the loop body is a deterministic function of the phase
 state), so the engine charges the remaining reads to the stream instead
@@ -43,7 +48,7 @@ of performing them and ends the phase early with identical results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -102,16 +107,12 @@ class PhaseConfig:
 
 @dataclass
 class PhaseResult:
-    """Outcome of one phase: banked augmenting paths plus accounting."""
+    """Outcome of one phase: banked augmenting paths plus operation counts."""
 
     paths: list[list[int]]
     stats: dict
-    physical_reads: int          # reads actually performed before freezing
-    bundles_executed: int
     froze: bool                  # reached a fixpoint before tau_max bundles
     ever_on_hold: bool
-    active_at_end: int
-    blossom_sizes: list[int] = field(default_factory=list)
 
 
 class PhaseEngine:
@@ -123,15 +124,12 @@ class PhaseEngine:
         self.stream = stream
         self.matching = matching
         self.config = config
-        self.user_trace = trace
         self.checked = checked
         self.n = stream.vertex_count
         self.labels = ArcLabelTable(matching, config.l_max)
         self.removed = RemovedSet(self.n)
-        self.stats = {"overtakes": 0, "contracts": 0, "augments": 0,
-                      "backtracks": 0, "holds": 0, "label_reductions": 0}
         self.forest = Forest(self.n, matching.mate, self.labels, self.removed,
-                             trace=self._emit)
+                             trace=trace)
         for alpha in matching.free_vertices():
             self.forest.init_structure(alpha)
         self.checker = None
@@ -141,47 +139,28 @@ class PhaseEngine:
                 matching_size_start=matching.size)
             self.forest.on_op = self.checker.after_operation
 
-    def _emit(self, event: dict) -> None:
-        op = event["op"]
-        if op == "overtake":
-            self.stats["overtakes"] += 1
-        elif op == "contract":
-            self.stats["contracts"] += 1
-        elif op == "augment":
-            self.stats["augments"] += 1
-        elif op == "backtrack":
-            self.stats["backtracks"] += 1
-        elif op == "hold":
-            self.stats["holds"] += 1
-        if self.user_trace is not None:
-            self.user_trace(event)
-
     def run(self) -> PhaseResult:
         cfg = self.config
         forest = self.forest
         ever_on_hold = False
         froze = False
-        bundles = 0
         if self.checker is not None:
             self.checker.at_boundary()
         for tau in range(1, cfg.tau_max + 1):
             forest.bundle = tau
-            before = forest.mutations
             for structure in forest.structures.values():
                 hold = structure.size >= cfg.limit
                 if hold:
                     ever_on_hold = True
                     if not structure.on_hold:
-                        self._emit({"bundle": tau, "op": "hold",
-                                    "structure": structure.alpha, "arc": None,
-                                    "label_old": None, "label_new": None,
-                                    "case": None})
+                        forest.record("hold", structure)
                 structure.on_hold = hold
                 structure.modified = False
+            # Taken after marking: a hold alone does not keep a phase going.
+            before = forest.mutations
             self._extend_pass()
             self._contract_and_augment()
             self._backtrack_stuck()
-            bundles = tau
             if self.checker is not None:
                 self.checker.at_boundary()
             if forest.mutations == before:
@@ -190,19 +169,14 @@ class PhaseEngine:
                 froze = True
                 self.stream.charge_passes(READS_PER_BUNDLE * (cfg.tau_max - tau))
                 break
-        active = sum(1 for s in forest.structures.values() if s.working is not None)
         if self.checker is not None:
-            self.checker.at_phase_end(active)
-        self.stats["label_reductions"] = self.labels.reductions
+            self.checker.at_phase_end(
+                sum(1 for s in forest.structures.values() if s.working is not None))
         return PhaseResult(
             paths=list(forest.paths),
-            stats=dict(self.stats),
-            physical_reads=READS_PER_BUNDLE * bundles,
-            bundles_executed=bundles,
+            stats=dict(forest.stats, label_reductions=self.labels.reductions),
             froze=froze,
             ever_on_hold=ever_on_hold,
-            active_at_end=active,
-            blossom_sizes=list(forest.blossom_sizes),
         )
 
     # -- bundle parts ---------------------------------------------------------
@@ -251,23 +225,18 @@ class PhaseEngine:
         """Two passes: contract to a fixpoint, then augment across structures."""
         forest = self.forest
         root_of = forest.root_of
-        removed = self.removed.flags
 
         buckets: dict[int, list[tuple[int, int]]] = {}
         tails = (x for s in forest.structures.values() if s.working is not None
                  for node in s.tree_nodes() for x in node.vertices)
         for u, v in self._read(tails):
-            if removed[u] or removed[v]:
-                continue
             owner = root_of[u].structure
             if owner is None or root_of[v].structure is not owner:
                 continue
             buckets.setdefault(owner.alpha, []).append((u, v))
 
         for alpha in sorted(buckets):
-            structure = forest.structures.get(alpha)
-            if structure is None:
-                continue
+            structure = forest.structures[alpha]
             arcs = buckets[alpha]
             progress = True
             while progress:
@@ -286,8 +255,6 @@ class PhaseEngine:
         tails = (x for s in forest.structures.values() for node in s.tree_nodes()
                  if node.outer for x in node.vertices)
         for u, v in self._read(tails):
-            if removed[u] or removed[v]:
-                continue
             bu = root_of[u]
             bv = root_of[v]
             if bu is bv:
@@ -308,17 +275,3 @@ class PhaseEngine:
                 continue
             forest.backtrack(structure)
 
-
-def alg_phase(stream: EdgeStream, matching: Matching, eps, h, *,
-              trace: Optional[Callable[[dict], None]] = None,
-              checked: bool = False) -> PhaseResult:
-    """Run a single phase at scale ``h`` and return its banked paths.
-
-    The matching is expected to be maximal (no edge with both endpoints
-    free), which the greedy bootstrap establishes and augmentation
-    preserves; otherwise two adjacent root nodes would violate outer
-    independence at the very first bundle boundary.
-    """
-    config = PhaseConfig.from_scale(Fraction(h), Fraction(eps))
-    engine = PhaseEngine(stream, matching, config, trace=trace, checked=checked)
-    return engine.run()

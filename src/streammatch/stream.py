@@ -148,6 +148,8 @@ class EdgeStream:
 
 
 def _validate_simple(n: int, edges: Iterable[tuple[int, int]]) -> None:
+    if n < 0:
+        raise StreamFormatError(f"negative vertex count {n}")
     seen: set[frozenset[int]] = set()
     for u, v in edges:
         if u == v:

@@ -196,9 +196,12 @@ class Forest:
 
     The blossom family is laminar: the trivial blossoms of all vertices,
     plus every contracted composite.  ``root_of[v]`` is kept eagerly
-    up to date, so resolution is a single array read.  ``mutations``
-    counts every state change; a full pass bundle that leaves it
-    untouched can never change anything again within the phase.
+    up to date, so resolution is a single array read.
+
+    Every operation reports itself once, through :meth:`record`, which
+    bumps ``mutations`` (a full pass bundle that leaves it untouched can
+    never change anything again within the phase), counts the operation
+    in ``stats``, writes the trace event and calls the ``on_op`` hook.
     """
 
     def __init__(self, n: int, mate: list[Optional[int]],
@@ -217,7 +220,8 @@ class Forest:
         self.root_of: list[Blossom] = [Blossom(v, vertex=v) for v in range(n)]
         self.structures: dict[int, Structure] = {}
         self.paths: list[list[int]] = []
-        self.blossom_sizes: list[int] = []
+        self.stats = {"overtakes": 0, "contracts": 0, "augments": 0,
+                      "backtracks": 0, "holds": 0}
 
     # -- structure lifecycle --------------------------------------------------
 
@@ -244,7 +248,22 @@ class Forest:
                     self.removed.add(v)
                 node.structure = None
             del self.structures[structure.alpha]
+
+    def record(self, op: str, structure: Structure, arc: Optional[list[int]] = None,
+               label_old: Optional[int] = None, label_new: Optional[int] = None,
+               case: Optional[str] = None, touched: tuple = ()) -> None:
+        """Report one operation of kind ``op`` (``contract``, ``overtake``,
+        ``augment``, ``backtrack`` or ``hold``) on ``structure``; ``touched``
+        names the structures whose shape it changed, for ``on_op``."""
         self.mutations += 1
+        self.stats[op + "s"] += 1
+        if self.trace is not None:
+            self.trace({"bundle": self.bundle, "op": op,
+                        "structure": structure.alpha, "arc": arc,
+                        "label_old": label_old, "label_new": label_new,
+                        "case": case})
+        if touched and self.on_op is not None:
+            self.on_op(op, touched)
 
     # -- operations -----------------------------------------------------------
 
@@ -325,15 +344,8 @@ class Forest:
             self.labels.set((y, x), 0)
         structure.working = blossom
         structure.modified = True
-        self.mutations += 1
-        self.blossom_sizes.append(len(blossom.vertices))
-        if self.trace is not None:
-            self.trace({"bundle": self.bundle, "op": "contract",
-                        "structure": structure.alpha, "arc": [u, v],
-                        "label_old": None, "label_new": None,
-                        "case": "blossom"})
-        if self.on_op is not None:
-            self.on_op("contract", (structure,))
+        self.record("contract", structure, [u, v], case="blossom",
+                    touched=(structure,))
         return blossom
 
     def overtake(self, u: int, v: int, k: int) -> str:
@@ -423,13 +435,7 @@ class Forest:
                 victim.modified = True
                 case = "2.2"
                 touched = (structure, victim)
-        self.mutations += 1
-        if self.trace is not None:
-            self.trace({"bundle": self.bundle, "op": "overtake",
-                        "structure": structure.alpha, "arc": [v, t],
-                        "label_old": old, "label_new": k, "case": case})
-        if self.on_op is not None:
-            self.on_op("overtake", touched)
+        self.record("overtake", structure, [v, t], old, k, case, touched)
         return case
 
     def record_augmentation(self, u: int, v: int) -> list[int]:
@@ -468,10 +474,7 @@ class Forest:
         path = lift_contracted_path(nodes, arcs, self.mate)
         assert path[0] == side_u.alpha and path[-1] == side_v.alpha
         self.paths.append(path)
-        if self.trace is not None:
-            self.trace({"bundle": self.bundle, "op": "augment",
-                        "structure": side_u.alpha, "arc": [u, v],
-                        "label_old": None, "label_new": None, "case": None})
+        self.record("augment", side_u, [u, v])
         self.remove_structures(side_u, side_v)
         return path
 
@@ -487,11 +490,7 @@ class Forest:
             assert grand is not None and grand.outer
             structure.working = grand
             case = "step"
-        self.mutations += 1
-        if self.trace is not None:
-            self.trace({"bundle": self.bundle, "op": "backtrack",
-                        "structure": structure.alpha, "arc": None,
-                        "label_old": None, "label_new": None, "case": case})
+        self.record("backtrack", structure, case=case)
 
     # -- bookkeeping ----------------------------------------------------------
 

@@ -166,11 +166,17 @@ def test_criterion_6_golden_traces(tmp_path, name, args, facts):
     if name == "c5":
         # the single contract is the whole 5-cycle collapsing
         from streammatch.matching import greedy_maximal_matching
-        from streammatch.phase import alg_phase
+        from streammatch.phase import PhaseConfig, PhaseEngine
         stream = open_stream(GraphSpec("cycle", (5,)))
         matching = greedy_maximal_matching(stream)
-        result = alg_phase(stream, matching, Fraction(1, 2), Fraction(1, 2))
-        assert result.blossom_sizes == [5]
+        phase_events = []
+        engine = PhaseEngine(stream, matching,
+                             PhaseConfig.from_scale(Fraction(1, 2), Fraction(1, 2)),
+                             trace=phase_events.append)
+        engine.run()
+        contracts = [e for e in phase_events if e["op"] == "contract"]
+        assert len(contracts) == 1
+        assert len(engine.forest.root_of[contracts[0]["arc"][0]].vertices) == 5
     print(f"\n[criterion 6] PASS: {name} trace is byte-identical to its golden")
 
 

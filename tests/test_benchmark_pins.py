@@ -2,13 +2,15 @@
 
 ``perfbench/workloads.json`` pins, for each workload graph at eps = 1/2,
 the SHA-256 of the JSONL trace (as ``streammatch trace`` writes it), the
-pass count and the matching size.  Checking the two cheaper workloads here
-makes a change to the engine's output fail the tests, not only the
-benchmark.
+pass count and the matching size.  Checking them here makes a change to
+the engine's output fail the tests, not only the benchmark.
 """
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,12 +19,17 @@ import pytest
 from streammatch import driver
 from streammatch.stream import open_stream, parse_graph_spec
 
-WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.json"
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ROOT / "perfbench" / "workloads.json"
 
 
-@pytest.mark.parametrize("name", ["bipartite-sparse", "verify-checked"])
+def load(name):
+    return json.loads(WORKLOADS.read_text(encoding="utf-8"))[name]
+
+
+@pytest.mark.parametrize("name", ["blossom-deep", "bipartite-sparse", "verify-checked"])
 def test_workload_pins(name):
-    entry = json.loads(WORKLOADS.read_text(encoding="utf-8"))[name]
+    entry = load(name)
     pins = entry["pins"]
     events = []
     report = driver.run(open_stream(parse_graph_spec(entry["graph"])),
@@ -31,3 +38,18 @@ def test_workload_pins(name):
     assert hashlib.sha256(trace.encode()).hexdigest() == pins["trace_sha256"]
     assert report.passes == pins["passes"]
     assert report.matching_size == pins["matching_size"]
+
+
+def test_trace_is_identical_across_processes_and_hash_seeds(tmp_path):
+    entry = load("verify-checked")
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    traces = []
+    for seed in ("0", "1"):
+        out = tmp_path / f"hashseed{seed}.jsonl"
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
+        subprocess.run([sys.executable, "-m", "streammatch.cli", "trace",
+                        "--gen", entry["graph"], "--out", str(out)],
+                       check=True, capture_output=True, env=env)
+        traces.append(out.read_bytes())
+    assert traces[0] == traces[1]
+    assert hashlib.sha256(traces[0]).hexdigest() == entry["pins"]["trace_sha256"]

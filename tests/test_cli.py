@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from streammatch import cli, driver, matching
+from streammatch import bench, cli, driver, matching
 from streammatch.driver import expected_pass_count
 from streammatch.invariants import InvariantChecker, InvariantViolationError, Violation
+from streammatch.stream import GraphSpec
 
 
 def run_cli(capsys, *argv):
@@ -156,6 +157,14 @@ def test_zero_denominator_epsilon_exit_1(capsys):
     assert_one_line_error(err, "error", "zero denominator")
 
 
+def test_negative_vertex_count_exit_1(tmp_path, capsys):
+    target = tmp_path / "negative.edgelist"
+    target.write_text("-3 0\n")
+    code, out, err = run_cli(capsys, "run", "--input", str(target))
+    assert code == 1 and out == ""
+    assert_one_line_error(err, "error", "negative vertex count -3")
+
+
 def test_missing_file_exit_1(capsys):
     code, _, err = run_cli(capsys, "run", "--input", "/nonexistent/file",
                            "--epsilon", "0.5")
@@ -198,6 +207,39 @@ def test_bench_table(monkeypatch, capsys):
     code, out, _ = run_cli(capsys, "bench")
     assert code == 0
     assert "path:4" in out and "matching_size" in out
+
+
+def test_bench_workers_checked_and_capped(monkeypatch, capsys):
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, size):
+            sizes.append(size)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return None
+
+        def map(self, fn, tasks):
+            return [fn(task) for task in tasks]
+
+    monkeypatch.setattr(bench, "Pool", RecordingPool)
+    monkeypatch.setattr(bench.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(bench, "acceptance_tasks",
+                        lambda: [(GraphSpec("path", (4,)), Fraction(1))])
+    code, out, _ = run_cli(capsys, "bench", "--workers", "10000")
+    assert code == 0 and "path:4" in out
+    assert sizes == [3]
+    code, out, _ = run_cli(capsys, "bench", "--workers", "1")
+    assert code == 0 and "path:4" in out
+    assert sizes == [3]
+    for workers in ("0", "-1"):
+        code, out, err = run_cli(capsys, "bench", "--workers", workers)
+        assert code == 1 and out == ""
+        assert_one_line_error(err, "error", f"got {workers}")
+    assert sizes == [3]
 
 
 def test_run_with_check_invariants(capsys):

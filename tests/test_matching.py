@@ -164,6 +164,3 @@ def test_removed_set_lifecycle():
     removed.add(2)
     removed.add(2)
     assert 2 in removed and 3 not in removed
-    assert removed.count == 1
-    removed.clear()
-    assert 2 not in removed and removed.count == 0

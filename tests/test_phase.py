@@ -6,7 +6,7 @@ import pytest
 
 from streammatch.matching import Matching, is_alternating_augmenting
 from streammatch.phase import (READS_PER_BUNDLE, READS_PER_BUNDLE_BOUND,
-                               PhaseConfig, PhaseEngine, alg_phase)
+                               PhaseConfig, PhaseEngine)
 from streammatch.stream import EdgeStream, GraphSpec, open_stream
 
 HALF = Fraction(1, 2)
@@ -23,6 +23,12 @@ def engine_for(n, edges, pairs, h=HALF, eps=HALF, **kw):
     stream = EdgeStream(n, edges)
     return PhaseEngine(stream, matched(n, pairs),
                        PhaseConfig.from_scale(h, eps), **kw)
+
+
+def run_phase(stream, matching, eps=HALF, h=HALF, **kw):
+    """Run one phase at scale ``h``; return the engine and its result."""
+    engine = PhaseEngine(stream, matching, PhaseConfig.from_scale(h, eps), **kw)
+    return engine, engine.run()
 
 
 def members(structure):
@@ -60,7 +66,7 @@ def test_phase_config_rejects_bad_parameters():
 def test_p4_phase_finds_the_augmenting_path():
     stream = open_stream(GraphSpec("path", (4,)))
     matching = matched(4, [(1, 2)])
-    result = alg_phase(stream, matching, HALF, HALF, checked=True)
+    _, result = run_phase(stream, matching, checked=True)
     assert len(result.paths) == 1
     assert sorted(result.paths[0]) == [0, 1, 2, 3]
     assert is_alternating_augmenting(result.paths[0], matching)
@@ -76,9 +82,13 @@ def test_p4_path_found_in_first_bundle():
 
 def test_triangle_phase_contracts_and_finds_nothing():
     stream = open_stream(GraphSpec("cycle", (3,)))
-    result = alg_phase(stream, matched(3, [(1, 2)]), HALF, HALF, checked=True)
+    events = []
+    engine, result = run_phase(stream, matched(3, [(1, 2)]), checked=True,
+                               trace=events.append)
     assert result.paths == []
-    assert result.blossom_sizes == [3]
+    contracts = [e for e in events if e["op"] == "contract"]
+    assert len(contracts) == 1
+    assert len(engine.forest.root_of[contracts[0]["arc"][0]].vertices) == 3
     assert result.stats["contracts"] == 1
 
 
@@ -87,14 +97,20 @@ def test_no_free_vertices_means_no_structures():
     assert engine.forest.structures == {}
     result = engine.run()
     assert result.paths == []
-    assert result.bundles_executed == 1 and result.froze
+    assert engine.forest.bundle == 1 and result.froze
 
 
-def test_pass_accounting_three_reads_per_bundle():
+def test_pass_accounting_three_reads_per_bundle(monkeypatch):
     stream = open_stream(GraphSpec("cycle", (5,)))
-    result = alg_phase(stream, matched(5, [(0, 1), (2, 3)]), HALF, HALF)
+    charged = []
+    charge = stream.charge_passes
+    monkeypatch.setattr(stream, "charge_passes",
+                        lambda count: (charged.append(count), charge(count)))
+    engine, result = run_phase(stream, matched(5, [(0, 1), (2, 3)]))
     assert READS_PER_BUNDLE == 3 <= READS_PER_BUNDLE_BOUND
-    assert result.physical_reads == 3 * result.bundles_executed
+    assert result.froze and charged
+    # Physical reads: every counted pass that was not charged.
+    assert stream.pass_count() - sum(charged) == 3 * engine.forest.bundle
     assert stream.pass_count() == 3 * PhaseConfig.from_scale(HALF, HALF).tau_max
 
 
@@ -102,17 +118,18 @@ def test_frozen_phase_result_matches_full_replay():
     # Same phase with and without fast-forward cannot differ: compare a
     # frozen run against one whose bundle loop is driven to the end.
     stream = open_stream(GraphSpec("cycle", (5,)))
-    result = alg_phase(stream, matched(5, [(0, 1), (2, 3)]), HALF, HALF)
+    frozen, result = run_phase(stream, matched(5, [(0, 1), (2, 3)]))
+    bundles = frozen.forest.bundle
     assert result.froze
-    assert result.bundles_executed < PhaseConfig.from_scale(HALF, HALF).tau_max
+    assert bundles < PhaseConfig.from_scale(HALF, HALF).tau_max
 
     engine = engine_for(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)],
                         [(0, 1), (2, 3)])
-    for tau in range(1, result.bundles_executed + 30):
+    for tau in range(1, bundles + 30):
         run_bundle(engine, tau)
     assert engine.forest.paths == result.paths
-    assert engine.stats["contracts"] == result.stats["contracts"]
-    assert engine.stats["overtakes"] == result.stats["overtakes"]
+    assert engine.forest.stats["contracts"] == result.stats["contracts"]
+    assert engine.forest.stats["overtakes"] == result.stats["overtakes"]
 
 
 def test_one_extension_per_structure_per_bundle():
@@ -182,18 +199,19 @@ def test_on_hold_at_size_limit_freezes_structure():
     edges = [(i, i + 1) for i in range(n - 1)]
     pairs = [(i, i + 1) for i in range(1, n - 1, 2)]
     stream = EdgeStream(n, edges)
-    result = alg_phase(stream, matched(n, pairs), HALF, HALF, checked=True)
+    engine, result = run_phase(stream, matched(n, pairs), checked=True)
     assert result.ever_on_hold
     assert result.stats["holds"] == 1
     assert result.paths == []
     assert result.froze
-    assert result.active_at_end == 1
+    live = engine.forest.structures.values()
+    assert sum(1 for s in live if s.working is not None) == 1
 
 
 def test_trace_sequence_cycle5():
     events = []
     stream = open_stream(GraphSpec("cycle", (5,)))
-    alg_phase(stream, matched(5, [(0, 1), (2, 3)]), Fraction(1), HALF,
+    run_phase(stream, matched(5, [(0, 1), (2, 3)]), eps=Fraction(1),
               trace=events.append)
     assert [(e["bundle"], e["op"], e["case"]) for e in events] == [
         (1, "overtake", "1"),
@@ -214,7 +232,7 @@ def test_engine_is_deterministic():
         matching = matched(18, [])
         from streammatch.matching import greedy_maximal_matching
         matching = greedy_maximal_matching(stream)
-        alg_phase(stream, matching, HALF, HALF, trace=events.append)
+        run_phase(stream, matching, trace=events.append)
         return events
 
     assert trace_of() == trace_of()
@@ -225,7 +243,7 @@ def test_length_one_augmenting_path():
     # matching is deliberately not maximal here, so the boundary checker
     # (which relies on maximality) stays off.
     stream = EdgeStream(2, [(0, 1)])
-    result = alg_phase(stream, Matching(2), HALF, HALF)
+    _, result = run_phase(stream, Matching(2))
     assert result.paths == [[0, 1]]
 
 
@@ -236,7 +254,7 @@ def test_checked_phase_requires_maximal_start():
     from streammatch.invariants import InvariantViolationError
     stream = EdgeStream(2, [(0, 1)])
     with pytest.raises(InvariantViolationError, match="outer-independence"):
-        alg_phase(stream, Matching(2), HALF, HALF, checked=True)
+        run_phase(stream, Matching(2), checked=True)
 
 
 def test_cleanup_pass_augments_modified_structures():
@@ -246,7 +264,7 @@ def test_cleanup_pass_augments_modified_structures():
     edges = [(0, 1), (3, 4), (1, 2), (4, 5), (2, 5)]
     engine = engine_for(6, edges, [(1, 2), (4, 5)])
     events = []
-    engine.user_trace = events.append
+    engine.forest.trace = events.append
     run_bundle(engine, 1)
     assert engine.forest.paths == [[0, 1, 2, 5, 4, 3]]
     augments = [e for e in events if e["op"] == "augment"]
@@ -275,7 +293,7 @@ def test_label_reductions_bounded_per_arc(monkeypatch):
         matching = greedy_maximal_matching(stream)
         writes.clear()
         events = []
-        result = alg_phase(stream, matching, HALF, HALF, trace=events.append)
+        _, result = run_phase(stream, matching, trace=events.append)
         reductions = [(tail, old, new) for tail, old, new in writes if new < old]
         assert all(new <= old for _tail, old, new in writes)
         assert result.stats["label_reductions"] == len(reductions)
@@ -293,7 +311,7 @@ def test_phase_paths_disjoint_and_valid_on_random_graphs():
         stream = open_stream(GraphSpec("random-gnm", (16, 26), seed))
         matching = greedy_maximal_matching(stream)
         pairs_before = set(matching.pairs())
-        result = alg_phase(stream, matching, HALF, HALF, checked=True)
+        _, result = run_phase(stream, matching, checked=True)
         edge_set = {frozenset(e) for e in stream.snapshot_edges()}
         used = set()
         for path in result.paths:

@@ -226,12 +226,18 @@ def test_file_order_is_stream_order(tmp_path):
     ("3 2\n0 1\n0 1\n", "duplicate"),
     ("3 1\n0 9\n", "0 <= u < v < n"),
     ("3 1\nx y\n", "non-integer"),
+    ("-3 0\n", "negative vertex count -3"),
 ])
 def test_malformed_files_rejected(tmp_path, content, message):
     target = tmp_path / "bad.edgelist"
     target.write_text(content)
     with pytest.raises(StreamFormatError, match=message):
         read_edgelist(str(target))
+
+
+def test_edge_stream_rejects_negative_vertex_count():
+    with pytest.raises(StreamFormatError, match="negative vertex count -1"):
+        EdgeStream(-1, [])
 
 
 def test_parse_graph_spec_forms():
