@@ -3,6 +3,16 @@
 The checker inspects phase state between stream passes (it never mutates
 and never consumes passes).  Violations carry the invariant name, the
 offending structure, and a witness, so a red run names its defect.
+
+Checks run at three moments: :func:`check_blossom` once per blossom, at
+its contraction; :func:`check_structure` after every operation, on the
+structures it changed; and at every pass-bundle boundary the O(n + m)
+scans of :func:`check_forest` and :func:`check_outer_independence`.
+
+Checking a blossom once is complete: its subs, cycle, base and vertices
+are written only when it is built, and the mate map changes only between
+phases.  The family is laminar because each blossom is the disjoint union
+of its subs and the root blossoms are pairwise disjoint.
 """
 
 from __future__ import annotations
@@ -37,33 +47,50 @@ class InvariantViolationError(AssertionError):
         self.violations = violations
 
 
-def _blossom_family(structure: Structure) -> list[Blossom]:
-    out: list[Blossom] = []
-    stack = list(structure.tree_nodes())
-    while stack:
-        blossom = stack.pop()
-        out.append(blossom)
-        if blossom.subs is not None:
-            stack.extend(blossom.subs)
-    return out
+def check_blossom(forest: Forest, blossom: Blossom) -> list[Violation]:
+    """Checks of a composite blossom, run once, when it is contracted: an
+    odd cycle of subs joined by alternating arcs, with only its base
+    matched outside it, whose vertices are the disjoint union of its subs'."""
+    alpha = blossom.structure.alpha if blossom.structure is not None else None
+    bad: list[Violation] = []
 
+    def flag(name: str, detail: str) -> None:
+        bad.append(Violation(name, alpha, detail))
 
-class VertexSets(dict[Blossom, frozenset[int]]):
-    """Blossom -> frozenset of its vertices, built on first lookup.  A
-    blossom never changes after its contraction, so one instance serves
-    every check of a phase."""
-
-    def __missing__(self, blossom: Blossom) -> frozenset[int]:
-        found = self[blossom] = frozenset(blossom.vertices)
-        return found
+    subs, cycle = blossom.subs, blossom.cycle
+    assert subs is not None and cycle is not None
+    members = set(blossom.vertices)
+    sub_of = {x: i for i, sub in enumerate(subs) for x in sub.vertices}
+    if (len(sub_of) != sum(len(sub.vertices) for sub in subs)
+            or len(members) != len(blossom.vertices) or members != sub_of.keys()):
+        flag("laminarity", f"{blossom!r} is not the disjoint union of its subs")
+    if len(subs) < 3 or len(subs) % 2 == 0:
+        flag("blossom-shape", f"{blossom!r} has {len(subs)} subs")
+    if len(blossom.vertices) % 2 == 0:
+        flag("blossom-shape", f"{blossom!r} has even vertex count")
+    if len(cycle) != len(subs):
+        flag("blossom-shape", f"{blossom!r} cycle/subs length mismatch")
+    if blossom.base != subs[0].base:
+        flag("blossom-shape", f"{blossom!r} base not the stem sub's base")
+    mate = forest.mate
+    for i, (x, y) in enumerate(cycle):
+        if sub_of.get(x) != i or sub_of.get(y) != (i + 1) % len(subs):
+            flag("blossom-shape", f"cycle arc {i} of {blossom!r} misconnected")
+        if (mate[x] == y) != (i % 2 == 1):
+            flag("blossom-shape", f"cycle arc {i} of {blossom!r} breaks alternation")
+    for x in blossom.vertices:
+        inside = mate[x] in members
+        if x == blossom.base and inside:
+            flag("blossom-shape", f"base {x} of {blossom!r} matched inside")
+        if x != blossom.base and not inside:
+            flag("blossom-shape", f"non-base {x} of {blossom!r} unmatched inside")
+    return bad
 
 
 def check_structure(forest: Forest, structure: Structure, limit: int,
-                    l_max: int, delta: int,
-                    sets: Optional[VertexSets] = None) -> list[Violation]:
-    """Structure-local checks: tree shape, arc realization, label order,
-    blossom well-formedness, and size bounds."""
-    sets = VertexSets() if sets is None else sets
+                    l_max: int, delta: int) -> list[Violation]:
+    """Structure-local checks: tree shape, arc realization, label order
+    and size bounds."""
     bad: list[Violation] = []
     alpha = structure.alpha
     mate = forest.mate
@@ -80,10 +107,8 @@ def check_structure(forest: Forest, structure: Structure, limit: int,
     seen_vertices: set[int] = set()
     outer_label_above: dict[int, int] = {id(root): 0}
     stack: list[tuple[Blossom, int]] = [(root, 0)]
-    node_count = 0
     while stack:
         node, depth = stack.pop()
-        node_count += 1
         if node.structure is not structure:
             flag("tree-representation", f"node {node!r} not owned")
         if node.outer != (depth % 2 == 0):
@@ -93,10 +118,10 @@ def check_structure(forest: Forest, structure: Structure, limit: int,
                 flag("tree-representation", f"inner node {node!r} is composite")
             if len(node.kids) != 1:
                 flag("tree-representation", f"inner node {node!r} has {len(node.kids)} children")
-        overlap = seen_vertices.intersection(sets[node])
+        overlap = seen_vertices.intersection(node.vertices)
         if overlap:
             flag("tree-representation", f"vertex reuse {sorted(overlap)} at {node!r}")
-        seen_vertices.update(sets[node])
+        seen_vertices.update(node.vertices)
         if node.parent is not None:
             arc = node.parent_arc
             if arc is None:
@@ -114,8 +139,7 @@ def check_structure(forest: Forest, structure: Structure, limit: int,
                          f"matched arc {arc} enters {node!r} away from its base")
                 if node.outer:
                     label = forest.labels.by_tail.get(x, 0)
-                    grand = node.parent.parent if node.parent is not None else None
-                    above = outer_label_above.get(id(grand), 0)
+                    above = outer_label_above.get(id(node.parent.parent), 0)
                     if label <= above:
                         flag("increasing-labeling",
                              f"label {label} under label {above} at {node!r}")
@@ -129,10 +153,9 @@ def check_structure(forest: Forest, structure: Structure, limit: int,
     if size != len(seen_vertices):
         flag("tree-representation",
              f"size {size} but the tree holds {len(seen_vertices)} vertices")
-    if structure.working is not None:
-        w = structure.working
-        if w.structure is not structure or not w.outer:
-            flag("tree-representation", f"working node {w!r} invalid")
+    w = structure.working
+    if w is not None and (w.structure is not structure or not w.outer):
+        flag("tree-representation", f"working node {w!r} invalid")
     for v in seen_vertices:
         if v in forest.removed:
             flag("tree-representation", f"removed vertex {v} inside structure")
@@ -144,92 +167,52 @@ def check_structure(forest: Forest, structure: Structure, limit: int,
     arc_count = forest.structure_arc_count(structure)
     if arc_count > delta * delta:
         flag("space-arcs", f"{arc_count} > delta^2 = {delta * delta}")
-
-    for blossom in _blossom_family(structure):
-        if blossom.trivial:
-            continue
-        subs, cycle = blossom.subs, blossom.cycle
-        assert subs is not None and cycle is not None
-        if len(subs) < 3 or len(subs) % 2 == 0:
-            flag("blossom-shape", f"{blossom!r} has {len(subs)} subs")
-        if len(blossom.vertices) % 2 == 0:
-            flag("blossom-shape", f"{blossom!r} has even vertex count")
-        if len(cycle) != len(subs):
-            flag("blossom-shape", f"{blossom!r} cycle/subs length mismatch")
-        if blossom.base != subs[0].base:
-            flag("blossom-shape", f"{blossom!r} base not the stem sub's base")
-        for i, (x, y) in enumerate(cycle):
-            nxt = subs[(i + 1) % len(subs)]
-            if x not in sets[subs[i]] or y not in sets[nxt]:
-                flag("blossom-shape", f"cycle arc {i} of {blossom!r} misconnected")
-            if (mate[x] == y) != (i % 2 == 1):
-                flag("blossom-shape", f"cycle arc {i} of {blossom!r} breaks alternation")
-        members = sets[blossom]
-        for x in blossom.vertices:
-            mx = mate[x]
-            inside = mx is not None and mx in members
-            if x == blossom.base and inside:
-                flag("blossom-shape", f"base {x} of {blossom!r} matched inside")
-            if x != blossom.base and not inside:
-                flag("blossom-shape", f"non-base {x} of {blossom!r} unmatched inside")
     return bad
 
 
-def check_forest(forest: Forest, limit: int, l_max: int, delta: int,
-                 sets: Optional[VertexSets] = None) -> list[Violation]:
-    """Global checks: per-structure validity, disjointness, laminarity,
-    label table consistency, resolution coherence."""
-    sets = VertexSets() if sets is None else sets
+def check_forest(forest: Forest, limit: int, l_max: int, delta: int) -> list[Violation]:
+    """Global checks: per-structure validity, disjointness, label table
+    consistency, resolution coherence."""
     bad: list[Violation] = []
-    owner: dict[int, int] = {}
+    node_of: dict[int, Blossom] = {}
     for alpha, structure in forest.structures.items():
-        bad.extend(check_structure(forest, structure, limit, l_max, delta, sets))
+        bad.extend(check_structure(forest, structure, limit, l_max, delta))
         for node in structure.tree_nodes():
             for v in node.vertices:
-                if v in owner:
+                if v in node_of:
                     bad.append(Violation("disjointness", alpha,
-                                         f"vertex {v} also in S_{owner[v]}"))
-                owner[v] = alpha
+                                         f"vertex {v} also in {node_of[v]!r}"))
+                node_of[v] = node
 
     mate = forest.mate
-    for v, label_keyed in forest.labels.by_tail.items():
+    by_tail = forest.labels.by_tail
+    for v, label_keyed in by_tail.items():
         if mate[v] is None:
             bad.append(Violation("label-range", None, f"label on unmatched tail {v}"))
         if not (0 <= label_keyed <= forest.labels.l_max + 1):
             bad.append(Violation("label-range", None,
                                  f"label {label_keyed} out of range at tail {v}"))
     for v, m in enumerate(mate):
-        if m is not None and v not in forest.labels.by_tail:
+        if m is not None and v not in by_tail:
             bad.append(Violation("label-range", None, f"matched tail {v} unlabeled"))
 
+    removed = forest.removed.flags
     for v in range(forest.n):
-        if v in forest.removed:
+        if removed[v]:
             continue
         node = forest.root_of[v]
-        members = sets[node]
-        if v not in members:
-            bad.append(Violation("resolution", None, f"root_of[{v}] omits {v}"))
-        if node.structure is not None and owner.get(v) != node.structure.alpha:
-            bad.append(Violation("resolution", node.structure.alpha,
-                                 f"{v} resolves into structure missing it"))
+        home = node_of.get(v)
+        if home is None:
+            if node.vertex != v or node.structure is not None:
+                bad.append(Violation("resolution", None,
+                                     f"{v} is in no structure but resolves to {node!r}"))
+        elif node is not home:
+            bad.append(Violation("resolution", None,
+                                 f"root_of[{v}] is {node!r}, not its tree node {home!r}"))
         # Matched arcs wholly inside one root blossom carry label 0.
-        m = mate[v]
-        if m is not None and m in members and m not in forest.removed:
-            if forest.labels.by_tail[v] != 0:
-                bad.append(Violation("blossom-arc-labels", None,
-                                     f"internal matched arc ({v}, {m}) has nonzero label"))
-
-    families: list[tuple[int, frozenset[int]]] = []
-    for alpha, structure in forest.structures.items():
-        for blossom in _blossom_family(structure):
-            if not blossom.trivial:
-                families.append((alpha, sets[blossom]))
-    for i in range(len(families)):
-        for j in range(i + 1, len(families)):
-            a, b = families[i][1], families[j][1]
-            if not a.isdisjoint(b) and not (a <= b or b <= a):
-                bad.append(Violation("laminarity", families[i][0],
-                                     f"{sorted(a)} crosses {sorted(b)}"))
+        elif node_of.get(mate[v]) is node and by_tail.get(v, 0) != 0:
+            bad.append(Violation("blossom-arc-labels", None,
+                                 f"internal matched arc ({v}, {mate[v]}) has nonzero label"))
     return bad
 
 
@@ -238,8 +221,9 @@ def check_outer_independence(forest: Forest, edges: Sequence[tuple[int, int]],
     """At a pass-bundle boundary no edge may join two outer nodes."""
     bad: list[Violation] = []
     root_of = forest.root_of
+    flags = removed.flags
     for u, v in edges:
-        if u in removed or v in removed:
+        if flags[u] or flags[v]:
             continue
         bu, bv = root_of[u], root_of[v]
         if bu is bv:
@@ -297,10 +281,10 @@ def check_active_bound(active: int, h: Fraction, matching_size_start: int) -> li
 
 
 class InvariantChecker:
-    """Hooks the engine's operation and bundle boundaries; raises on the
-    first violation so failures stop at their cause.  Boundaries also check
-    short-path coverage when the graph has at most ``COVERAGE_LIMIT``
-    vertices."""
+    """Hooks the engine's operations and bundle boundaries; raises on the
+    first violation so failures stop at their cause.  A contraction also
+    checks its new blossom, and boundaries check short-path coverage when
+    the graph has at most ``COVERAGE_LIMIT`` vertices."""
 
     def __init__(self, edges: Sequence[tuple[int, int]], config,
                  forest: Forest, removed: RemovedSet, *,
@@ -310,22 +294,24 @@ class InvariantChecker:
         self.forest = forest
         self.removed = removed
         self.matching_size_start = matching_size_start
-        self.sets = VertexSets()
 
     def _raise_if(self, violations: list[Violation]) -> None:
         if violations:
             raise InvariantViolationError(violations)
 
     def after_operation(self, op: str, touched: tuple) -> None:
+        cfg = self.config
         bad: list[Violation] = []
+        if op == "contract":
+            bad.extend(check_blossom(self.forest, touched[0].working))
         for structure in touched:
-            bad.extend(check_structure(self.forest, structure, self.config.limit,
-                                       self.config.l_max, self.config.delta, self.sets))
+            bad.extend(check_structure(self.forest, structure, cfg.limit,
+                                       cfg.l_max, cfg.delta))
         self._raise_if(bad)
 
     def at_boundary(self) -> None:
         cfg = self.config
-        bad = check_forest(self.forest, cfg.limit, cfg.l_max, cfg.delta, self.sets)
+        bad = check_forest(self.forest, cfg.limit, cfg.l_max, cfg.delta)
         bad.extend(check_outer_independence(self.forest, self.edges, self.removed))
         if self.forest.n <= COVERAGE_LIMIT:
             bad.extend(check_short_path_coverage(self.forest, self.edges,

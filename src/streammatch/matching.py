@@ -61,12 +61,6 @@ class ArcLabelTable:
             u: l_max + 1 for u, m in enumerate(matching.mate) if m is not None}
         self.reductions = 0
 
-    def get(self, arc: tuple[int, int]) -> int:
-        u, v = arc
-        if self.mate[u] != v:
-            raise KeyError(f"arc ({u}, {v}) is not matched")
-        return self.by_tail[u]
-
     def set(self, arc: tuple[int, int], value: int) -> None:
         u, v = arc
         if self.mate[u] != v:

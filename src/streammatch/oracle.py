@@ -161,25 +161,3 @@ def enumerate_short_augmenting_paths(
             path.clear()
     return sorted(found)
 
-
-def max_disjoint_short_paths(n: int, edges: Sequence[tuple[int, int]],
-                             mate: Sequence[Optional[int]],
-                             max_matched: int) -> int:
-    """Largest vertex-disjoint subset of the short augmenting paths,
-    by branch and bound over the enumeration."""
-    paths = enumerate_short_augmenting_paths(n, edges, mate, max_matched)
-    sets = [frozenset(p) for p in paths]
-    best = 0
-
-    def recurse(idx: int, used: frozenset[int], count: int) -> None:
-        nonlocal best
-        if count > best:
-            best = count
-        if idx >= len(sets) or count + (len(sets) - idx) <= best:
-            return
-        if not (sets[idx] & used):
-            recurse(idx + 1, used | sets[idx], count + 1)
-        recurse(idx + 1, used, count)
-
-    recurse(0, frozenset(), 0)
-    return best

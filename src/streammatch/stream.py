@@ -295,18 +295,10 @@ def _spec_int(token: str, text: str) -> int:
 # "u v" per line with 0 <= u < v < n, sorted lexicographically.
 # ---------------------------------------------------------------------------
 
-def write_edgelist(stream_or_edges, path: str, vertex_count: Optional[int] = None) -> None:
-    if isinstance(stream_or_edges, EdgeStream):
-        n = stream_or_edges.vertex_count
-        edges = stream_or_edges.snapshot_edges()
-    else:
-        if vertex_count is None:
-            raise ValueError("vertex_count required when passing a raw edge list")
-        n = vertex_count
-        edges = list(stream_or_edges)
-    normalized = sorted((min(u, v), max(u, v)) for u, v in edges)
+def write_edgelist(stream: EdgeStream, path: str) -> None:
+    normalized = sorted((min(u, v), max(u, v)) for u, v in stream.snapshot_edges())
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{n} {len(normalized)}\n")
+        fh.write(f"{stream.vertex_count} {len(normalized)}\n")
         for u, v in normalized:
             fh.write(f"{u} {v}\n")
 

@@ -27,13 +27,20 @@ def load(name):
     return json.loads(WORKLOADS.read_text(encoding="utf-8"))[name]
 
 
-@pytest.mark.parametrize("name", ["blossom-deep", "bipartite-sparse", "verify-checked"])
-def test_workload_pins(name):
+@pytest.mark.parametrize("name, checked", [
+    pytest.param("blossom-deep", False, id="blossom-deep"),
+    pytest.param("bipartite-sparse", False, id="bipartite-sparse"),
+    pytest.param("verify-checked", False, id="verify-checked"),
+    # 750 contractions nested 360 deep: the checker must keep up with them.
+    pytest.param("blossom-deep", True, id="blossom-deep-checked"),
+])
+def test_workload_pins(name, checked):
     entry = load(name)
     pins = entry["pins"]
     events = []
     report = driver.run(open_stream(parse_graph_spec(entry["graph"])),
-                        driver.RunConfig(epsilon=Fraction(1, 2), trace=events.append))
+                        driver.RunConfig(epsilon=Fraction(1, 2), trace=events.append,
+                                         check_invariants=checked))
     trace = "".join(json.dumps(event) + "\n" for event in events)
     assert hashlib.sha256(trace.encode()).hexdigest() == pins["trace_sha256"]
     assert report.passes == pins["passes"]

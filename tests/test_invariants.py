@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from streammatch.invariants import (InvariantChecker, InvariantViolationError,
-                                    check_active_bound, check_forest,
+                                    check_active_bound, check_blossom, check_forest,
                                     check_outer_independence,
                                     check_short_path_coverage, check_structure)
 from streammatch.matching import ArcLabelTable, Matching, RemovedSet, greedy_maximal_matching
@@ -168,16 +168,121 @@ def test_checker_raises_through_engine():
         engine.run()
 
 
-def test_laminarity_check_on_nested_blossoms():
+NESTED_EDGES = [(0, 1), (1, 2), (2, 3), (3, 4), (2, 4), (4, 5), (5, 6), (0, 6)]
+
+
+def nested_blossom_forest(corrupt=None):
+    """S_0 over 7 vertices: blossom {2, 3, 4} inside a blossom of all seven.
+
+    With ``corrupt``, the checker runs after every operation, and each new
+    blossom passes through ``corrupt`` before the checker sees it.
+    """
     matching = Matching(7)
     for u, v in [(1, 2), (3, 4), (5, 6)]:
         matching.add(u, v)
-    labels = ArcLabelTable(matching, 6)
+    labels = ArcLabelTable(matching, CFG.l_max)
     forest = Forest(7, matching.mate, labels, RemovedSet(7))
+    if corrupt is not None:
+        checker = InvariantChecker(NESTED_EDGES, CFG, forest, forest.removed,
+                                   matching_size_start=matching.size)
+
+        def on_op(op, touched):
+            if op == "contract":
+                corrupt(touched[0].working)
+            checker.after_operation(op, touched)
+
+        forest.on_op = on_op
     forest.init_structure(0)
     forest.overtake(0, 1, 1)
     forest.overtake(2, 3, 2)
     forest.contract(4, 2)
-    forest.overtake(4, 5, 1)
+    forest.overtake(4, 5, 3)          # labels rise along 0 .. 6: 1, then 3
     forest.contract(6, 0)
+    return forest
+
+
+def names_raised_after_contract(corrupt):
+    with pytest.raises(InvariantViolationError) as caught:
+        nested_blossom_forest(corrupt)
+    return {v.name for v in caught.value.violations}
+
+
+def forest_names(forest):
+    return {v.name for v in check_forest(forest, CFG.limit, CFG.l_max, CFG.delta)}
+
+
+def test_laminarity_check_on_nested_blossoms():
+    forest = nested_blossom_forest(corrupt=lambda blossom: None)
     assert check_forest(forest, CFG.limit, CFG.l_max, CFG.delta) == []
+    composites = []
+    stack = [forest.structures[0].root]
+    while stack:
+        blossom = stack.pop()
+        if not blossom.trivial:
+            composites.append(blossom)
+            stack.extend(blossom.subs)
+    assert sorted(len(b.vertices) for b in composites) == [3, 7]
+    for blossom in composites:
+        assert check_blossom(forest, blossom) == []
+
+
+def test_unlabeled_tail_inside_blossom_is_flagged():
+    forest = nested_blossom_forest()
+    del forest.labels.by_tail[3]          # (3, 4) lies inside both blossoms
+    assert forest_names(forest) == {"label-range"}
+
+
+def test_label_on_unmatched_tail_is_flagged():
+    engine = mid_run_engine()
+    engine.forest.labels.by_tail[0] = 1   # 0 is free
+    assert forest_names(engine.forest) == {"label-range"}
+
+
+def test_nonzero_label_inside_blossom_is_flagged():
+    forest = nested_blossom_forest()
+    forest.labels.by_tail[3] = 1          # contraction set it to 0
+    assert forest_names(forest) == {"blossom-arc-labels"}
+
+
+def test_stale_resolution_is_flagged():
+    engine = mid_run_engine()
+    forest = engine.forest
+    forest.root_of[3] = forest.root_of[0]  # 3 is the root of S_3
+    assert forest_names(forest) == {"resolution"}
+
+
+def test_missing_realizing_arc_is_flagged():
+    engine = mid_run_engine()
+    forest = engine.forest
+    forest.root_of[1].parent_arc = None
+    names = {v.name for v in check_structure(forest, forest.structures[0],
+                                             CFG.limit, CFG.l_max, CFG.delta)}
+    assert names == {"unique-arc"}
+
+
+def test_space_arcs_violation_is_flagged():
+    engine = mid_run_engine()
+    forest = engine.forest
+    # S_0 holds 3 vertices and 2 arcs; delta = 1 bounds arcs at 1.
+    violations = check_structure(forest, forest.structures[0],
+                                 limit=CFG.limit, l_max=CFG.l_max, delta=1)
+    assert "space-arcs" in {v.name for v in violations}
+
+
+def test_misconnected_blossom_cycle_is_flagged_at_contraction():
+    assert names_raised_after_contract(lambda blossom: blossom.cycle.reverse()) \
+        == {"blossom-shape"}
+
+
+def test_blossom_that_is_not_the_union_of_its_subs_is_flagged():
+    def swap_in_outside_vertex(blossom):
+        blossom.vertices[blossom.vertices.index(4)] = 5
+
+    assert "laminarity" in names_raised_after_contract(swap_in_outside_vertex)
+
+
+def test_blossom_with_overlapping_subs_is_flagged():
+    def share_a_vertex(blossom):
+        blossom.subs[1].vertices.append(blossom.subs[2].vertices[0])
+
+    assert "laminarity" in names_raised_after_contract(share_a_vertex)

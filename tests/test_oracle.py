@@ -1,4 +1,4 @@
-"""Oracles: exhaustive DP, rank-based size, path enumeration, disjoint packing."""
+"""Oracles: exhaustive DP, rank-based size, path enumeration."""
 
 import itertools
 
@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from streammatch.oracle import (enumerate_short_augmenting_paths,
-                                exact_matching_exhaustive, matching_size_rank,
-                                max_disjoint_short_paths)
+                                exact_matching_exhaustive, matching_size_rank)
 from streammatch.stream import (GraphSpec, complete_edges, cycle_edges,
                                 gnm_edges, open_stream, path_edges,
                                 petersen_edges)
@@ -182,33 +181,6 @@ def test_enumeration_output_is_sound():
         for i in range(len(path) - 1):
             assert frozenset((path[i], path[i + 1])) in edge_set
             assert (mate[path[i]] == path[i + 1]) == (i % 2 == 1)
-
-
-def test_max_disjoint_two_separate_edges():
-    edges = [(0, 1), (2, 3)]
-    assert max_disjoint_short_paths(4, edges, [None] * 4, 3) == 2
-
-
-def test_max_disjoint_p4_is_one():
-    assert max_disjoint_short_paths(4, path_edges(4), mate_of(4, [(1, 2)]), 3) == 1
-
-
-def test_max_disjoint_star_is_one():
-    edges = [(0, 1), (0, 2), (0, 3)]
-    assert max_disjoint_short_paths(4, edges, [None] * 4, 3) == 1
-
-
-def test_max_disjoint_matches_exhaustive_growth():
-    # Packing disjoint augmenting paths of unbounded length onto an empty
-    # matching yields a maximal set; compare against nu for sanity.
-    for seed in range(20):
-        n = 6 + seed % 4
-        edges = gnm_edges(n, n + 2, seed)
-        packed = max_disjoint_short_paths(n, edges, [None] * n, n)
-        nu = exact_matching_exhaustive(n, edges)
-        assert packed <= nu
-        # single-edge paths alone give a maximal matching lower bound
-        assert packed >= (1 if nu >= 1 else 0)
 
 
 def test_petersen_from_stream_snapshot():

@@ -184,10 +184,10 @@ def test_overtake_skipped_toward_ancestor():
     run_bundle(engine, 2)
     forest = engine.forest
     assert members(forest.structures[0]) == {0, 1, 2, 3, 4}
-    label_before = forest.labels.get((1, 2))
+    label_before = forest.labels.by_tail[1]
     tree_before = {v: forest.root_of[v].parent_arc for v in range(5)}
     run_bundle(engine, 3)   # (4,1) is read and must not overtake
-    assert forest.labels.get((1, 2)) == label_before == 1
+    assert forest.labels.by_tail[1] == label_before == 1
     assert {v: forest.root_of[v].parent_arc for v in range(5)} == tree_before
     assert members(forest.structures[0]) == {0, 1, 2, 3, 4}
 

@@ -59,8 +59,7 @@ def test_contract_triangle():
     assert structure.root is blossom
     for v in range(3):
         assert forest.root_of[v] is blossom
-    assert forest.labels.get((1, 2)) == 0
-    assert forest.labels.get((2, 1)) == 0
+    assert forest.labels.by_tail[1] == forest.labels.by_tail[2] == 0
     assert_clean(forest)
 
 
@@ -235,7 +234,7 @@ def test_overtake_case1_adds_pair():
     structure = forest.structures[0]
     assert members(structure) == {0, 1, 2} and structure.size == 3
     assert structure.working is forest.root_of[2]
-    assert forest.labels.get((1, 2)) == 1
+    assert forest.labels.by_tail[1] == 1
     assert forest.root_of[1].structure is structure and not forest.root_of[1].outer
     assert forest.root_of[2].structure is structure and forest.root_of[2].outer
     assert_clean(forest)
@@ -262,7 +261,7 @@ def test_overtake_case21_reparents_within_structure():
     assert node7.parent is forest.root_of[2]
     assert node7.parent_arc == (2, 7)
     assert node7 not in old_parent.kids
-    assert forest.labels.get((7, 8)) == 2
+    assert forest.labels.by_tail[7] == 2
     assert structure.working is forest.root_of[8]
     assert_clean(forest)
 
@@ -292,7 +291,7 @@ def test_overtake_case22_moves_subtree_with_working_handoff():
     assert s7.working is forest.root_of[5]      # retreats to the cut parent
     assert forest.root_of[4].parent is forest.root_of[0]
     assert forest.root_of[4].parent_arc == (0, 4)
-    assert forest.labels.get((4, 3)) == 1
+    assert forest.labels.by_tail[4] == 1
     assert s0.modified and s7.modified
     assert_clean(forest)
 
