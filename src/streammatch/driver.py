@@ -70,14 +70,14 @@ def scale_params(h, eps) -> PhaseConfig:
     return config
 
 
-def expected_pass_count(eps, reads_per_bundle: int = READS_PER_BUNDLE) -> int:
+def expected_pass_count(eps) -> int:
     """Closed-form pass count: one greedy pass plus, per scale, the phase
     count times the bundle count times the reads per bundle."""
     eps = normalize_epsilon(eps)
     total = 1
     for h in scale_schedule(eps):
         config = PhaseConfig.from_scale(h, eps)
-        total += reads_per_bundle * config.t_max * config.tau_max
+        total += READS_PER_BUNDLE * config.t_max * config.tau_max
     return total
 
 

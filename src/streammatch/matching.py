@@ -18,11 +18,6 @@ class Matching:
     def size(self) -> int:
         return sum(1 for m in self.mate if m is not None) // 2
 
-    def add(self, u: int, v: int) -> None:
-        assert u != v and self.mate[u] is None and self.mate[v] is None
-        self.mate[u] = v
-        self.mate[v] = u
-
     def pairs(self) -> list[tuple[int, int]]:
         return [(u, v) for u, v in enumerate(self.mate)
                 if v is not None and u < v]

@@ -58,7 +58,6 @@ from .stream import EdgeStream
 from .structures import Forest
 
 READS_PER_BUNDLE = 3
-READS_PER_BUNDLE_BOUND = 4  # stated budget; we stay below it
 
 
 @dataclass(frozen=True)

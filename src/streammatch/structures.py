@@ -21,6 +21,13 @@ The three mutating operations mirror the search steps:
   structures; the two root-to-node paths plus the arc form an augmenting
   path, which is lifted to the graph and banked, and both structures are
   removed for the rest of the phase.
+
+The operations share three tree walks: ``ancestors`` (a node's parent
+chain), ``subtree`` (a node and everything below it), and ``closed_walk``
+(down from one ancestor to a node, across an arc, and up from the other
+end to another ancestor).  ``contract`` reads its cycle off the closed walk
+whose two tops are the LCA, and ``record_augmentation`` its path off the
+closed walk whose tops are the two roots.
 """
 
 from __future__ import annotations
@@ -39,14 +46,16 @@ class Blossom:
     sub-blossoms ``subs`` and the connecting arcs ``cycle``, where
     ``cycle[i]`` runs from ``subs[i]`` to ``subs[(i+1) % len]`` and the
     odd-indexed arcs are matched.  ``base`` is the unique vertex left
-    unmatched by the blossom's own edge set.
+    unmatched by the blossom's own edge set.  ``arcs`` counts the cycle
+    arcs of the blossom and of every blossom nested in it; cycles never
+    change after construction, so it is fixed then.
 
     While a blossom is a root blossom inside a structure it doubles as a
     node of that structure's alternating tree (fields ``structure``,
     ``parent``, ``parent_arc``, ``kids``, ``outer``).
     """
 
-    __slots__ = ("bid", "vertex", "subs", "cycle", "base", "vertices",
+    __slots__ = ("bid", "vertex", "subs", "cycle", "base", "vertices", "arcs",
                  "structure", "parent", "parent_arc", "kids", "outer")
 
     def __init__(self, bid: int, *, vertex: Optional[int] = None,
@@ -60,10 +69,12 @@ class Blossom:
         if vertex is not None:
             self.base = vertex
             self.vertices = [vertex]
+            self.arcs = 0
         else:
-            assert subs is not None and base is not None
+            assert subs is not None and cycle is not None and base is not None
             self.base = base
             self.vertices = [x for sub in subs for x in sub.vertices]
+            self.arcs = len(cycle) + sum(sub.arcs for sub in subs)
         self.structure: Optional[Structure] = None
         self.parent: Optional[Blossom] = None
         self.parent_arc: Optional[Arc] = None
@@ -95,24 +106,54 @@ class Structure:
         self.size = len(root.vertices)
 
     def tree_nodes(self) -> Iterator[Blossom]:
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            yield node
-            stack.extend(node.kids)
+        return subtree(self.root)
 
     def __repr__(self) -> str:
         return f"S({self.alpha})"
 
 
-def is_ancestor(candidate: Blossom, node: Blossom) -> bool:
-    """True iff ``candidate`` is a proper ancestor of ``node`` in its tree."""
-    cur = node.parent
-    while cur is not None:
-        if cur is candidate:
-            return True
-        cur = cur.parent
-    return False
+def ancestors(node: Optional[Blossom]) -> Iterator[Blossom]:
+    """``node``, its parent, its grandparent, ... up to its tree's root."""
+    while node is not None:
+        yield node
+        node = node.parent
+
+
+def subtree(node: Blossom) -> Iterator[Blossom]:
+    """``node`` and every tree node below it, depth first."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(node.kids)
+
+
+def closed_walk(a: Blossom, b: Blossom, arc: Arc, top_a: Blossom,
+                top_b: Blossom) -> tuple[list[Blossom], list[Arc]]:
+    """The walk from ``top_a`` down to ``a``, across ``arc`` (tail in ``a``,
+    head in ``b``), then up from ``b`` to ``top_b``.  ``top_a`` is ``a`` or
+    one of its ancestors, and ``top_b`` likewise for ``b``.
+
+    Returns the walk's nodes and its arcs, where ``arcs[i]`` runs from
+    ``nodes[i]`` to ``nodes[i + 1]``: tree arcs are read parent to child on
+    the way down and child to parent on the way up.
+    """
+    down = _climb(a, top_a)[::-1]
+    up = _climb(b, top_b)
+    arcs: list[Arc] = [node.parent_arc for node in down[1:]]  # type: ignore[misc]
+    arcs.append(arc)
+    arcs.extend((y, x) for x, y in (node.parent_arc for node in up[:-1]))  # type: ignore[misc]
+    return down + up, arcs
+
+
+def _climb(node: Blossom, top: Blossom) -> list[Blossom]:
+    """Tree nodes from ``node`` up to ``top``, both included."""
+    out = []
+    for cur in ancestors(node):
+        out.append(cur)
+        if cur is top:
+            return out
+    raise ValueError(f"{top!r} is not above {node!r}")
 
 
 def even_path_vertices(blossom: Blossom, x: int) -> list[int]:
@@ -285,35 +326,12 @@ class Forest:
         assert structure.working is bu
         assert self.mate[u] != v
 
-        seen: dict[int, Blossom] = {}
-        cursor: Optional[Blossom] = bu
-        chain_u: list[Blossom] = []
-        while cursor is not None:
-            seen[id(cursor)] = cursor
-            chain_u.append(cursor)
-            cursor = cursor.parent
-        climb_v: list[Blossom] = []
-        lca = bv
-        while id(lca) not in seen:
-            climb_v.append(lca)
-            parent = lca.parent
-            assert parent is not None
-            lca = parent
-        path_u = []
-        for node in chain_u:
-            if node is lca:
-                break
-            path_u.append(node)
-
-        down_v = list(reversed(climb_v))          # lca's child .. bv
-        subs = [lca] + down_v + path_u            # path_u = bu .. child of lca
-        cycle: list[Arc] = [node.parent_arc for node in down_v]  # type: ignore[misc]
-        cycle.append((v, u))
-        for node in path_u:
-            arc = node.parent_arc
-            assert arc is not None
-            cycle.append((arc[1], arc[0]))
-
+        above_u = set(ancestors(bu))
+        lca = next(node for node in ancestors(bv) if node in above_u)
+        # The cycle runs from the LCA down to bv, across (v, u) and back up
+        # from bu; the walk ends at the LCA it started from, so drop that.
+        nodes, cycle = closed_walk(bv, bu, (v, u), lca, lca)
+        subs = nodes[:-1]
         blossom = Blossom(self._next_bid, subs=subs, cycle=cycle, base=lca.base)
         self._next_bid += 1
         blossom.structure = structure
@@ -325,10 +343,10 @@ class Forest:
             blossom.parent.kids.append(blossom)
         else:
             structure.root = blossom
-        on_path = {id(node) for node in subs}
+        on_path = set(subs)
         for node in subs:
             for kid in node.kids:
-                if id(kid) not in on_path:
+                if kid not in on_path:
                     kid.parent = blossom
                     blossom.kids.append(kid)
         for node in subs:
@@ -367,74 +385,51 @@ class Forest:
         assert t is not None and self.mate[u] != v
         assert 0 < k < self.labels.by_tail[v]
 
-        if bv.structure is None:
+        # Each case only decides which nodes change structure and where the
+        # working node goes; ``owner`` is the structure bv leaves, if any.
+        owner = bv.structure
+        if owner is None:
+            # Case 1: the unvisited pair v = t joins as an inner node and
+            # its outer kid.
             bt = self.root_of[t]
             assert bt.structure is None and bv.trivial and bt.trivial
-            bv.structure = structure
-            bv.parent = bu
-            bv.parent_arc = (u, v)
-            bv.outer = False
-            bv.kids = [bt]
-            bt.structure = structure
-            bt.parent = bv
-            bt.parent_arc = (v, t)
-            bt.outer = True
-            bt.kids = []
-            bu.kids.append(bv)
-            structure.size += 2
-            old = self.labels.by_tail[v]
-            self.labels.set((v, t), k)
-            structure.working = bt
-            structure.modified = True
-            case = "1"
-            touched: tuple = (structure,)
+            bv.outer, bv.kids = False, [bt]
+            bt.parent, bt.parent_arc = bv, (v, t)
+            bt.outer, bt.kids = True, []
+            case, moved, working = "1", [bv, bt], bt
         else:
-            assert not bv.outer and bv.trivial
-            victim = bv.structure
+            assert not bv.outer and bv.trivial and len(bv.kids) == 1
             old_parent = bv.parent
-            assert old_parent is not None and len(bv.kids) == 1
-            bt = bv.kids[0]
-            if victim is structure:
-                assert not is_ancestor(bv, bu)
-                old_parent.kids.remove(bv)
-                bv.parent = bu
-                bv.parent_arc = (u, v)
-                bu.kids.append(bv)
-                old = self.labels.by_tail[v]
-                self.labels.set((v, t), k)
-                structure.working = bt
-                structure.modified = True
-                case = "2.1"
-                touched = (structure,)
+            assert old_parent is not None
+            working = bv.kids[0]
+            if owner is structure:
+                # Case 2.1: the subtree moves within its own tree.
+                assert bv not in ancestors(bu)
+                case, moved = "2.1", []
             else:
-                moved: list[Blossom] = []
-                stack = [bv]
-                while stack:
-                    node = stack.pop()
-                    moved.append(node)
-                    stack.extend(node.kids)
-                old_parent.kids.remove(bv)
-                bv.parent = bu
-                bv.parent_arc = (u, v)
-                bu.kids.append(bv)
-                moved_ids = {id(node) for node in moved}
-                moved_size = 0
-                for node in moved:
-                    node.structure = structure
-                    moved_size += len(node.vertices)
-                structure.size += moved_size
-                victim.size -= moved_size
-                old = self.labels.by_tail[v]
-                self.labels.set((v, t), k)
-                if victim.working is not None and id(victim.working) in moved_ids:
-                    structure.working = victim.working
-                    victim.working = old_parent
-                else:
-                    structure.working = bt
-                structure.modified = True
-                victim.modified = True
-                case = "2.2"
-                touched = (structure, victim)
+                # Case 2.2: the subtree is stolen, and with it the owner's
+                # working node if that lies inside; the owner then resumes
+                # at the node the subtree was cut from.
+                case, moved = "2.2", list(subtree(bv))
+                if owner.working in moved:
+                    working, owner.working = owner.working, old_parent
+            old_parent.kids.remove(bv)
+            owner.modified = True
+
+        bv.parent, bv.parent_arc = bu, (u, v)
+        bu.kids.append(bv)
+        moved_size = 0
+        for node in moved:
+            node.structure = structure
+            moved_size += len(node.vertices)
+        structure.size += moved_size
+        if owner is not None:
+            owner.size -= moved_size
+        old = self.labels.by_tail[v]
+        self.labels.set((v, t), k)
+        structure.working = working
+        structure.modified = True
+        touched = (structure,) if owner in (None, structure) else (structure, owner)
         self.record("overtake", structure, [v, t], old, k, case, touched)
         return case
 
@@ -448,29 +443,7 @@ class Forest:
         assert side_u is not None and side_v is not None and side_u is not side_v
         assert bu.outer and bv.outer and self.mate[u] != v
 
-        nodes_u: list[Blossom] = []
-        cursor: Optional[Blossom] = bu
-        while cursor is not None:
-            nodes_u.append(cursor)
-            cursor = cursor.parent
-        nodes_u.reverse()
-        nodes_v: list[Blossom] = []
-        cursor = bv
-        while cursor is not None:
-            nodes_v.append(cursor)
-            cursor = cursor.parent
-
-        nodes = nodes_u + nodes_v
-        arcs: list[Arc] = []
-        for node in nodes_u[1:]:
-            assert node.parent_arc is not None
-            arcs.append(node.parent_arc)
-        arcs.append((u, v))
-        for node in nodes_v[:-1]:
-            arc = node.parent_arc
-            assert arc is not None
-            arcs.append((arc[1], arc[0]))
-
+        nodes, arcs = closed_walk(bu, bv, (u, v), side_u.root, side_v.root)
         path = lift_contracted_path(nodes, arcs, self.mate)
         assert path[0] == side_u.alpha and path[-1] == side_v.alpha
         self.paths.append(path)
@@ -497,12 +470,4 @@ class Forest:
     def structure_arc_count(self, structure: Structure) -> int:
         """Arcs stored by a structure: tree-realizing arcs plus the cycle
         arcs of every composite blossom in its family."""
-        nodes = list(structure.tree_nodes())
-        count = len(nodes) - 1
-        stack = [node for node in nodes if not node.trivial]
-        while stack:
-            blossom = stack.pop()
-            assert blossom.cycle is not None and blossom.subs is not None
-            count += len(blossom.cycle)
-            stack.extend(sub for sub in blossom.subs if not sub.trivial)
-        return count
+        return sum(1 + node.arcs for node in structure.tree_nodes()) - 1

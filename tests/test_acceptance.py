@@ -12,11 +12,12 @@ from pathlib import Path
 
 import pytest
 
+from helpers import matched
 from streammatch import bench, driver
 from streammatch.driver import expected_pass_count, scale_params, scale_schedule
 from streammatch.invariants import InvariantChecker, check_short_path_coverage
 from streammatch.oracle import exact_matching_exhaustive, matching_size_rank
-from streammatch.phase import READS_PER_BUNDLE, READS_PER_BUNDLE_BOUND
+from streammatch.phase import READS_PER_BUNDLE
 from streammatch.stream import GraphSpec, open_stream
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
@@ -69,7 +70,7 @@ def test_criterion_2_pass_count_formula(corpus_rows):
 
     for eps in epsilons[:-1]:
         assert min_scale_term(eps / 2) == 64 * min_scale_term(eps)
-    assert READS_PER_BUNDLE == 3 <= READS_PER_BUNDLE_BOUND
+    assert READS_PER_BUNDLE == 3
     print(f"\n[criterion 2] PASS: pass count equals "
           f"1 + sum_h 3*t_max(h)*tau_max(h) on all {len(corpus_rows)} runs; "
           f"halving eps scales the formula by 64 (theta(1/eps^6))")
@@ -185,15 +186,12 @@ def test_criterion_7_space_proxy(corpus_rows):
     # on every checked run (names space-vertices / space-arcs); confirm
     # the bounds are meaningful on a run that grows large structures.
     from streammatch.invariants import check_structure
-    from streammatch.matching import Matching
     from streammatch.phase import PhaseConfig, PhaseEngine
     from streammatch.stream import EdgeStream
 
     n = 15
     edges = [(i, i + 1) for i in range(n - 1)]
-    matching = Matching(n)
-    for i in range(1, n - 1, 2):
-        matching.add(i, i + 1)
+    matching = matched(n, [(i, i + 1) for i in range(1, n - 1, 2)])
     cfg = PhaseConfig.from_scale(Fraction(1, 2), Fraction(1, 2))
     engine = PhaseEngine(EdgeStream(n, edges), matching, cfg, checked=True)
     result = engine.run()

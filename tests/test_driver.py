@@ -52,10 +52,10 @@ def test_size_bound_within_space_budget_for_all_scheduled_scales():
 
 def test_expected_pass_count_single_scale_term():
     # Scale 1/2 at eps=1 contributes reads * 288 * 144 passes.
-    assert 4 * 288 * 144 == 165888
-    with_scale = expected_pass_count(Fraction(1), reads_per_bundle=4)
+    assert 3 * 288 * 144 == 124416
+    with_scale = expected_pass_count(Fraction(1))
     cfg = scale_params(HALF, Fraction(1))
-    assert with_scale > 4 * cfg.t_max * cfg.tau_max == 165888
+    assert with_scale > 3 * cfg.t_max * cfg.tau_max == 124416
 
 
 def test_expected_pass_count_closed_form():

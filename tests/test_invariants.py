@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import matched
 from streammatch.invariants import (InvariantChecker, InvariantViolationError,
                                     check_active_bound, check_blossom, check_forest,
                                     check_outer_independence,
@@ -20,8 +21,7 @@ CFG = PhaseConfig.from_scale(HALF, HALF)
 def mid_run_engine():
     """P4 engine stopped right after the first structure extension."""
     stream = EdgeStream(4, [(0, 1), (1, 2), (2, 3)])
-    matching = Matching(4)
-    matching.add(1, 2)
+    matching = matched(4, [(1, 2)])
     engine = PhaseEngine(stream, matching, CFG)
     engine.forest.overtake(0, 1, 1)
     return engine
@@ -53,9 +53,7 @@ def test_corrupted_label_order_is_flagged():
     # P6 with a 2-deep branch; raising the shallow label above the deep
     # one breaks the strictly increasing root-to-leaf order.
     stream = EdgeStream(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
-    matching = Matching(6)
-    matching.add(1, 2)
-    matching.add(3, 4)
+    matching = matched(6, [(1, 2), (3, 4)])
     engine = PhaseEngine(stream, matching, CFG)
     forest = engine.forest
     forest.overtake(0, 1, 1)
@@ -110,8 +108,7 @@ def test_short_path_coverage_flags_ignored_path():
     # A live augmenting path with every structure deactivated by hand is
     # a coverage violation (never reachable through the real engine).
     stream = EdgeStream(4, [(0, 1), (1, 2), (2, 3)])
-    matching = Matching(4)
-    matching.add(1, 2)
+    matching = matched(4, [(1, 2)])
     engine = PhaseEngine(stream, matching, CFG)
     for structure in engine.forest.structures.values():
         structure.working = None
@@ -160,8 +157,7 @@ def test_size_mismatch_is_flagged():
 
 def test_checker_raises_through_engine():
     stream = EdgeStream(4, [(0, 1), (1, 2), (2, 3)])
-    matching = Matching(4)
-    matching.add(1, 2)
+    matching = matched(4, [(1, 2)])
     engine = PhaseEngine(stream, matching, CFG, checked=True)
     engine.forest.structures[0].root.outer = False   # root must be outer
     with pytest.raises(InvariantViolationError):
@@ -177,9 +173,7 @@ def nested_blossom_forest(corrupt=None):
     With ``corrupt``, the checker runs after every operation, and each new
     blossom passes through ``corrupt`` before the checker sees it.
     """
-    matching = Matching(7)
-    for u, v in [(1, 2), (3, 4), (5, 6)]:
-        matching.add(u, v)
+    matching = matched(7, [(1, 2), (3, 4), (5, 6)])
     labels = ArcLabelTable(matching, CFG.l_max)
     forest = Forest(7, matching.mate, labels, RemovedSet(7))
     if corrupt is not None:

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from helpers import matched
 from streammatch.invariants import InvariantViolationError
 from streammatch.matching import (ArcLabelTable, Matching, RemovedSet,
                                   augment_along, greedy_maximal_matching,
@@ -53,15 +54,13 @@ def test_greedy_cycle5_any_order_gives_two():
 
 def test_init_labels_quarter_epsilon():
     # l_max = 12 when eps = 1/4, so fresh labels are 13 in both directions.
-    m = Matching(2)
-    m.add(0, 1)
+    m = matched(2, [(0, 1)])
     labels = ArcLabelTable(m, 12)
     assert labels.by_tail == {0: 13, 1: 13}
 
 
 def test_init_labels_unit_epsilon():
-    m = Matching(2)
-    m.add(0, 1)
+    m = matched(2, [(0, 1)])
     labels = ArcLabelTable(m, 3)
     assert labels.by_tail == {0: 4, 1: 4}
 
@@ -72,16 +71,14 @@ def test_init_labels_empty_matching():
 
 
 def test_label_set_requires_matched_arc():
-    m = Matching(3)
-    m.add(0, 1)
+    m = matched(3, [(0, 1)])
     labels = ArcLabelTable(m, 6)
     with pytest.raises(KeyError):
         labels.set((1, 2), 1)
 
 
 def test_label_reductions_counted():
-    m = Matching(2)
-    m.add(0, 1)
+    m = matched(2, [(0, 1)])
     labels = ArcLabelTable(m, 6)
     labels.set((0, 1), 3)
     labels.set((0, 1), 3)   # not a reduction
@@ -91,8 +88,7 @@ def test_label_reductions_counted():
 
 
 def test_augment_along_p4():
-    m = Matching(4)
-    m.add(1, 2)
+    m = matched(4, [(1, 2)])
     augment_along(m, [0, 1, 2, 3], checked=True,
                   edges={frozenset(e) for e in [(0, 1), (1, 2), (2, 3)]})
     assert set(m.pairs()) == {(0, 1), (2, 3)}
@@ -105,9 +101,7 @@ def test_augment_along_single_edge():
 
 
 def test_augment_disjoint_paths_grow_by_count():
-    m = Matching(8)
-    m.add(1, 2)
-    m.add(5, 6)
+    m = matched(8, [(1, 2), (5, 6)])
     paths = [[0, 1, 2, 3], [4, 5, 6, 7]]
     before = m.size
     for path in paths:
@@ -121,15 +115,13 @@ def test_augment_disjoint_paths_grow_by_count():
     [1, 2, 3, 0],       # endpoint not free
 ])
 def test_augment_checked_rejects_bad_paths(path):
-    m = Matching(4)
-    m.add(1, 2)
+    m = matched(4, [(1, 2)])
     with pytest.raises(InvariantViolationError, match="augmenting-path"):
         augment_along(m, path, checked=True)
 
 
 def test_is_alternating_augmenting_rejects_wrong_parity():
-    m = Matching(4)
-    m.add(1, 2)
+    m = matched(4, [(1, 2)])
     assert is_alternating_augmenting([0, 1, 2, 3], m)
     # second edge must be matched
     assert not is_alternating_augmenting([0, 3, 1, 2], m)
@@ -140,8 +132,7 @@ def test_is_alternating_augmenting_rejects_wrong_parity():
 
 def test_validate_matching_cases():
     edges = [(0, 1), (1, 2), (2, 3)]
-    good = Matching(4)
-    good.add(0, 1)
+    good = matched(4, [(0, 1)])
     assert validate_matching(good, edges)
 
     non_edge = Matching(4)

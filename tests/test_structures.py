@@ -2,18 +2,17 @@
 
 import pytest
 
-from streammatch.invariants import check_forest
-from streammatch.matching import ArcLabelTable, Matching, RemovedSet
-from streammatch.structures import (Forest, even_path_vertices, is_ancestor,
+from helpers import matched
+from streammatch.invariants import check_blossom, check_forest
+from streammatch.matching import ArcLabelTable, RemovedSet
+from streammatch.structures import (Forest, ancestors, even_path_vertices,
                                     lift_contracted_path)
 
 L_MAX = 6  # eps = 1/2
 
 
 def make_forest(n, matched_pairs):
-    matching = Matching(n)
-    for u, v in matched_pairs:
-        matching.add(u, v)
+    matching = matched(n, matched_pairs)
     labels = ArcLabelTable(matching, L_MAX)
     forest = Forest(n, matching.mate, labels, RemovedSet(n))
     return forest, matching
@@ -313,6 +312,108 @@ def test_overtake_case22_without_handoff():
     assert_clean(forest)
 
 
+def contract_lca_is_bv():
+    # 0 - 1 = 2 - 3 = 4 closed by (4, 0): the root is the LCA.
+    forest, _ = make_forest(5, [(1, 2), (3, 4)])
+    forest.init_structure(0)
+    forest.overtake(0, 1, 1)
+    forest.overtake(2, 3, 2)
+    return forest, (4, 0)
+
+
+def contract_lca_is_bu():
+    # The same path, backtracked to the root, closed from the root by (0, 4).
+    forest, _ = make_forest(5, [(1, 2), (3, 4)])
+    structure = forest.init_structure(0)
+    forest.overtake(0, 1, 1)
+    forest.overtake(2, 3, 2)
+    forest.backtrack(structure)   # {4} -> {2}
+    forest.backtrack(structure)   # {2} -> {0}
+    return forest, (0, 4)
+
+
+def contract_lca_above_both():
+    # Two branches below {2}: 2 - 3 = 4 and 2 - 5 = 6, closed by (6, 4).
+    forest, _ = make_forest(7, [(1, 2), (3, 4), (5, 6)])
+    structure = forest.init_structure(0)
+    forest.overtake(0, 1, 1)
+    forest.overtake(2, 3, 2)
+    forest.backtrack(structure)   # {4} -> {2}
+    forest.overtake(2, 5, 2)
+    return forest, (6, 4)
+
+
+@pytest.mark.parametrize("build, subs, cycle, base", [
+    (contract_lca_is_bv, [0, 4, 3, 2, 1],
+     [(0, 4), (4, 3), (3, 2), (2, 1), (1, 0)], 0),
+    (contract_lca_is_bu, [0, 1, 2, 3, 4],
+     [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)], 0),
+    (contract_lca_above_both, [2, 3, 4, 6, 5],
+     [(2, 3), (3, 4), (4, 6), (6, 5), (5, 2)], 2),
+], ids=["lca-is-bv", "lca-is-bu", "lca-above-both"])
+def test_contract_shapes(build, subs, cycle, base):
+    # The cycle runs from the LCA down to the head's node, across the arc
+    # and back up from the working node.
+    forest, (u, v) = build()
+    before = list(forest.root_of)
+    lca = before[base]
+    parent, parent_arc = lca.parent, lca.parent_arc
+    blossom = forest.contract(u, v)
+    assert blossom.subs == [before[x] for x in subs]
+    assert blossom.cycle == cycle and blossom.base == base
+    assert [x for x in range(forest.n) if forest.root_of[x] is blossom] == sorted(subs)
+    assert all(forest.root_of[x] is before[x] for x in range(forest.n) if x not in subs)
+    assert (blossom.parent, blossom.parent_arc) == (parent, parent_arc)
+    assert parent is None or parent.kids == [blossom]
+    assert blossom.structure.working is blossom
+    assert check_blossom(forest, blossom) == []
+    assert_clean(forest)
+
+
+def overtake_case_1():
+    forest, _ = make_forest(4, [(1, 2)])
+    forest.init_structure(0)
+    forest.init_structure(3)
+    return forest
+
+
+def overtake_case_21():
+    # The short branch's tip {2} reaches the deep branch's pair (7, 8);
+    # S_9 looks on.
+    forest, _ = make_forest(10, [(1, 2), (3, 4), (5, 6), (7, 8)])
+    structure = forest.init_structure(0)
+    forest.init_structure(9)
+    forest.overtake(0, 3, 1)
+    forest.overtake(4, 5, 2)
+    forest.overtake(6, 7, 3)
+    for _ in range(3):
+        forest.backtrack(structure)
+    forest.overtake(0, 1, 1)
+    return forest
+
+
+def overtake_case_22():
+    forest, _ = build_two_structures_for_steal()
+    return forest
+
+
+@pytest.mark.parametrize("build, arc, case, touched, sizes", [
+    (overtake_case_1, (0, 1, 1), "1", (0,), {0: 3, 3: 1}),
+    (overtake_case_21, (2, 7, 2), "2.1", (0,), {0: 9, 9: 1}),
+    (overtake_case_22, (0, 4, 1), "2.2", (0, 7), {0: 3, 7: 3}),
+], ids=["case-1", "case-2.1", "case-2.2"])
+def test_overtake_reports_touched_structures_and_sizes(build, arc, case, touched, sizes):
+    forest = build()
+    reports = []
+    forest.on_op = lambda op, structures: reports.append((op, structures))
+    assert forest.overtake(*arc) == case
+    assert reports == [("overtake", tuple(forest.structures[a] for a in touched))]
+    assert {alpha: s.size for alpha, s in forest.structures.items()} == sizes
+    for structure in forest.structures.values():
+        assert structure.size == len(members(structure))
+    assert_clean(forest)
+
+
 def test_overtake_requires_label_improvement():
     forest, _ = make_forest(4, [(1, 2)])
     forest.init_structure(0)
@@ -330,8 +431,9 @@ def test_is_ancestor_along_branch():
     forest.overtake(2, 3, 2)
     root = forest.root_of[0]
     tip = forest.root_of[4]
-    assert is_ancestor(root, tip)
-    assert not is_ancestor(tip, root)
+    assert list(ancestors(tip)) == [forest.root_of[x] for x in (4, 3, 2, 1, 0)]
+    assert root in ancestors(tip)
+    assert tip not in ancestors(root)
 
 
 def test_backtrack_steps_and_deactivates():
