@@ -9,31 +9,47 @@ performs one step of a parallel depth-first search:
 2. extension   - one pass over the stream; each not-on-hold structure
                  performs at most one of contract / augment / overtake,
                  driven by arcs whose tail resolves to its working node;
-3. cleanup     - two more passes: arcs internal to a structure are
-                 collected and contracted to a fixpoint around working
-                 nodes, then arcs joining outer nodes of two different
-                 structures trigger augment recording;
+3. cleanup     - two more passes: the arcs at each working node
+                 contract to a fixpoint around it, then arcs joining
+                 outer nodes of two different structures trigger augment
+                 recording;
 4. backtrack   - structures that are neither on hold nor modified retreat
                  their working node two levels (or deactivate at the root).
 
 A bundle therefore consumes exactly 3 stream reads.  Each read is one full
-pass (:meth:`EdgeStream.iter_arcs_from`), but the engine's code visits only
-the arcs whose tail can act in it, in stream order; every other arc would
-fall through the read's guards untouched, so the outcome is the same as
-visiting them all:
+pass (an :meth:`EdgeStream.read`), but the engine's code visits only the
+arcs that can act in it; every other arc would fall through the read's
+guards untouched, so the outcome is the same as visiting them all:
 
-* extension    - tails in the working node of a structure that is neither
-                 on hold nor modified.  A structure acts at most once per
-                 read and only from its working node; that node and its
-                 vertices change only when the structure becomes modified
-                 or is removed, so this set only shrinks during the read.
-* collection   - tails in a structure that still has a working node.  The
-                 read changes nothing, and the fixpoint after it contracts
-                 only at working nodes; a structure without one never gets
-                 one back within the phase.
-* augmentation - tails in an outer node.  An arc acts only when both its
-                 ends lie in outer nodes of two different structures, and
-                 recording a path only removes structures.
+* extension    - the arcs whose tail is in the working node of a structure
+                 that is neither on hold nor modified, in stream order.  A
+                 structure acts at most once per read and only from its
+                 working node; that node and its vertices change only when
+                 the structure becomes modified or is removed, so this set
+                 only shrinks during the read.
+* collection   - per structure with a working node, in ``alpha`` order, a
+                 worklist of the stream positions of the arcs whose tail is
+                 in the working node, smallest first.  Only such an arc can
+                 contract, and only if its head lies in another outer node
+                 of the same structure.  The working node only grows during
+                 the fixpoint, and an arc that fails that test never passes
+                 it later in the fixpoint: its head is outside the
+                 structure, or in the working node, or in an inner node
+                 that stays inner or is absorbed into the working node.  So
+                 each contraction takes the first qualifying arc in stream
+                 order, as a restart from the first arc would, and a
+                 contraction only adds the arcs of the vertices it absorbs.
+* augmentation - both arcs of every edge at a ``Forest.dirty`` vertex, in
+                 stream order; the engine clears the list after the read.
+                 After each augmentation read no edge joins outer nodes of
+                 two live structures (the read would have banked it, and
+                 banking only removes structures).  Within a bundle, such an
+                 edge can appear only by one of its ends becoming outer or
+                 moving to another structure as part of an outer node, and
+                 those are the vertices ``Forest`` marks dirty.  The free
+                 vertex of each new structure is marked too, so the first
+                 bundle reads every edge at a free vertex, whether or not
+                 the phase starts from a maximal matching.
 
 A vertex removed with its structure resolves to a node whose ``structure``
 is None, so the owner checks of the collection and augmentation reads
@@ -54,8 +70,8 @@ from typing import Callable, Iterable, Iterator, Optional
 
 from .invariants import InvariantChecker
 from .matching import ArcLabelTable, Matching, RemovedSet
-from .stream import EdgeStream
-from .structures import Forest
+from .stream import EdgeStream, StreamRead
+from .structures import Forest, Structure
 
 READS_PER_BUNDLE = 3
 
@@ -180,10 +196,12 @@ class PhaseEngine:
 
     # -- bundle parts ---------------------------------------------------------
 
-    def _read(self, tails: Iterable[int]) -> Iterator[tuple[int, int]]:
-        """One stream pass over the arcs whose tail is in ``tails``: the
-        only arcs that can act in the read (see the module docstring)."""
-        return self.stream.iter_arcs_from(tails)
+    def _extension_arcs(self, read: StreamRead,
+                        tails: Iterable[int]) -> Iterator[tuple[int, int]]:
+        """The arcs the extension read visits: those whose tail is in
+        ``tails``, the only arcs that can act in it (see the module
+        docstring)."""
+        return read.arcs_from(tails)
 
     def _extend_pass(self) -> None:
         """One stream pass; each live structure extends at most once."""
@@ -195,7 +213,8 @@ class PhaseEngine:
         tails = (x for s in forest.structures.values()
                  if s.working is not None and not (s.on_hold or s.modified)
                  for x in s.working.vertices)
-        for u, v in self._read(tails):
+        read = self.stream.read()
+        for u, v in self._extension_arcs(read, tails):
             if removed[u] or removed[v]:
                 continue
             bu = root_of[u]
@@ -219,41 +238,24 @@ class PhaseEngine:
                 distance = 0 if bu.parent is None else by_tail[bu.parent_arc[0]]
                 if distance + 1 < by_tail[v]:
                     forest.overtake(u, v, distance + 1)
+        read.close()
 
     def _contract_and_augment(self) -> None:
         """Two passes: contract to a fixpoint, then augment across structures."""
         forest = self.forest
         root_of = forest.root_of
+        structures = forest.structures
 
-        buckets: dict[int, list[tuple[int, int]]] = {}
-        tails = (x for s in forest.structures.values() if s.working is not None
-                 for node in s.tree_nodes() for x in node.vertices)
-        for u, v in self._read(tails):
-            owner = root_of[u].structure
-            if owner is None or root_of[v].structure is not owner:
-                continue
-            buckets.setdefault(owner.alpha, []).append((u, v))
-
-        for alpha in sorted(buckets):
-            structure = forest.structures[alpha]
-            arcs = buckets[alpha]
-            progress = True
-            while progress:
-                progress = False
-                for u, v in arcs:
-                    bu = root_of[u]
-                    bv = root_of[v]
-                    if bu is bv:
-                        continue
-                    if structure.working is bu and bv.outer:
-                        forest.contract(u, v)
-                        progress = True
-                        break
+        read = self.stream.read()
+        for alpha in sorted(structures):
+            structure = structures[alpha]
+            if structure.working is not None:
+                self._contract_at_working(read, structure)
+        read.close()
 
         mate = self.matching.mate
-        tails = (x for s in forest.structures.values() for node in s.tree_nodes()
-                 if node.outer for x in node.vertices)
-        for u, v in self._read(tails):
+        read = self.stream.read()
+        for u, v in read.edges_at(forest.dirty):
             bu = root_of[u]
             bv = root_of[v]
             if bu is bv:
@@ -265,6 +267,33 @@ class PhaseEngine:
             if bu.outer and bv.outer:
                 assert mate[u] != v
                 forest.record_augmentation(u, v)
+        read.close()
+        forest.dirty.clear()
+
+    def _contract_at_working(self, read: StreamRead, structure: Structure) -> None:
+        """Contract at the structure's working node until no arc at it
+        closes a blossom, each time by the first such arc in stream order."""
+        forest = self.forest
+        root_of = forest.root_of
+        arcs = read.arcs
+        working = structure.working
+        # The positions of the arcs at the working node not yet tried.
+        pending = sorted(read.positions(working.vertices))
+        while pending:
+            untried = iter(pending)
+            pending = []
+            for p in untried:
+                u, v = arcs[p]
+                bv = root_of[v]
+                if bv is working or bv.structure is not structure or not bv.outer:
+                    continue
+                blossom = forest.contract(u, v)
+                added = read.positions(x for sub in blossom.subs if sub is not working
+                                       for x in sub.vertices)
+                added.extend(untried)
+                pending = sorted(added)
+                working = blossom
+                break
 
     def _backtrack_stuck(self) -> None:
         """Retreat every structure that is live but failed to progress."""

@@ -7,13 +7,13 @@ order.  Oracles and invariant checkers, which are allowed to inspect a
 snapshot of the graph, use :meth:`EdgeStream.snapshot_edges` instead and
 do not consume passes.
 
-A reader that can name, before a pass, the only tails whose arcs can act
-on it reads through :meth:`EdgeStream.iter_arcs_from`.  That is still one
-full pass, counted like any other: the stream runs
-:meth:`EdgeStream.iter_arcs_once` to the end and drops the arcs of other
-tails in C, so the reader's Python code visits only the arcs that can act,
-in stream order.  The arc positions of each tail come from an index built
-on the first such read.
+A reader that visits only some of the arcs of a pass opens a
+:class:`StreamRead` with :meth:`EdgeStream.read`.  That is still one full
+pass, counted like any other: the read opens its pass through
+:meth:`EdgeStream.iter_arcs_once` and runs it to the end when it closes,
+while it hands the reader the arcs at chosen positions, in stream order,
+and each tail's arc positions on demand.  The positions of each tail come
+from an index built on the first read.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 import random
 from array import array
 from dataclasses import dataclass
-from itertools import accumulate, compress
+from itertools import accumulate
 from typing import Callable, Iterable, Iterator, Optional
 
 
@@ -57,10 +57,10 @@ class EdgeStream:
 
     Every completed traversal of the arc sequence counts as one pass,
     whether the caller sees every arc (:meth:`iter_arcs_once`) or only
-    those of chosen tails (:meth:`iter_arcs_from`).  Skipped-but-accounted
-    passes (see :meth:`charge_passes`) arise when the caller can prove a
-    whole traversal would not change its state; the counter then reflects
-    the passes the unoptimized reference loop would perform.
+    chosen ones (:meth:`read`).  Skipped-but-accounted passes (see
+    :meth:`charge_passes`) arise when the caller can prove a whole
+    traversal would not change its state; the counter then reflects the
+    passes the unoptimized reference loop would perform.
     """
 
     def __init__(self, vertex_count: int, edges: list[tuple[int, int]],
@@ -71,52 +71,37 @@ class EdgeStream:
         self.source = source
         self.passes_used = 0
         self._edges = list(edges)
-        # Pre-expanded arc list: (u, v) then (v, u) per stored edge.
+        # Pre-expanded arc list: (u, v) then (v, u) per stored edge, so the
+        # two arcs of an edge sit at positions p and p ^ 1.
         arcs: list[tuple[int, int]] = []
         for u, v in self._edges:
             arcs.append((u, v))
             arcs.append((v, u))
         self._arcs = arcs
-        # Tail index in CSR form, built by the first iter_arcs_from: the
-        # arcs with tail x sit at positions _positions[_offsets[x]:_offsets[x + 1]].
+        # Tail index in CSR form, built by the first read: the arcs with
+        # tail x sit at positions _positions[_offsets[x]:_offsets[x + 1]].
         self._offsets: Optional[array] = None
         self._positions: Optional[array] = None
-        # The tails of the pass iter_arcs_from is opening, else None.
-        self._tails: Optional[Iterable[int]] = None
+        # True while read() opens its pass.
+        self._opening = False
 
     def iter_arcs_once(self) -> Iterator[tuple[int, int]]:
         """One full pass over the arcs; counts the pass on completion.
 
-        Yields every arc, except when called by :meth:`iter_arcs_from`,
-        which reads the stream through this method: then it yields only
-        the arcs of that call's tails.  An abandoned iteration (error
-        mid-pass) does not count.
+        Yields every arc, except when :meth:`read` opens its pass through
+        this method: then it yields none, and the read hands out the arcs
+        itself.  An abandoned iteration (error mid-pass) does not count.
         """
-        if self._tails is None:
-            return self._pass(self._arcs)
-        return self._pass(compress(self._arcs, self._tail_mask(self._tails)))
+        return self._pass(() if self._opening else self._arcs)
 
     def _pass(self, arcs: Iterable[tuple[int, int]]) -> Iterator[tuple[int, int]]:
         for arc in arcs:
             yield arc
         self.passes_used += 1
 
-    def iter_arcs_from(self, tails: Iterable[int]) -> Iterator[tuple[int, int]]:
-        """One full pass that yields, in stream order, only the arcs whose
-        tail is in ``tails``; counts the pass on completion.
-
-        ``tails`` is read once, before the pass starts.  The pass is one
-        :meth:`iter_arcs_once` call run to the end, which drops the arcs
-        of other tails in C instead of handing them to Python code.
-        """
-        self._tails = tails
-        try:
-            return self.iter_arcs_once()
-        finally:
-            self._tails = None
-
-    def _tail_mask(self, tails: Iterable[int]) -> bytearray:
-        """A flag per arc position: 1 where the arc's tail is in ``tails``."""
+    def read(self) -> "StreamRead":
+        """Open one full pass that visits only the arcs its reader picks;
+        the pass counts when the read closes (see :class:`StreamRead`)."""
         if self._offsets is None:
             arcs = self._arcs
             counts = [0] * (self.vertex_count + 1)
@@ -125,12 +110,12 @@ class EdgeStream:
             self._offsets = array("q", accumulate(counts))
             # A stable sort by tail keeps each tail's positions in stream order.
             self._positions = array("q", sorted(range(len(arcs)), key=lambda p: arcs[p][0]))
-        offsets, positions = self._offsets, self._positions
-        mask = bytearray(len(self._arcs))
-        for x in tails:
-            for p in positions[offsets[x]:offsets[x + 1]]:
-                mask[p] = 1
-        return mask
+        self._opening = True
+        try:
+            counted = self.iter_arcs_once()
+        finally:
+            self._opening = False
+        return StreamRead(self._arcs, self._offsets, self._positions, counted)
 
     def pass_count(self) -> int:
         return self.passes_used
@@ -145,6 +130,53 @@ class EdgeStream:
     def snapshot_edges(self) -> list[tuple[int, int]]:
         """Edge list copy for oracles and checkers; consumes no pass."""
         return list(self._edges)
+
+
+class StreamRead:
+    """One pass of an :class:`EdgeStream` that visits chosen arcs.
+
+    While the read is open, ``arcs[p]`` is the arc at stream position
+    ``p``, :meth:`positions` gives the arc positions of chosen tails, and
+    :meth:`arcs_from` and :meth:`edges_at` yield the arcs of chosen tails
+    or edges in stream order.  The pass counts once, when :meth:`close`
+    runs; a read abandoned without it, say by an error, counts none.
+    """
+
+    __slots__ = ("arcs", "_offsets", "_positions", "_pass")
+
+    def __init__(self, arcs: list[tuple[int, int]], offsets: array,
+                 positions: array, counted: Iterator[tuple[int, int]]):
+        self.arcs = arcs
+        self._offsets = offsets
+        self._positions = positions
+        self._pass = counted
+
+    def positions(self, tails: Iterable[int]) -> array:
+        """The positions of the arcs whose tail is in ``tails`` (distinct
+        vertices): each tail's positions in stream order, tail after tail."""
+        offsets, positions = self._offsets, self._positions
+        picked = array("q")
+        for x in tails:
+            picked.extend(positions[offsets[x]:offsets[x + 1]])
+        return picked
+
+    def arcs_from(self, tails: Iterable[int]) -> Iterator[tuple[int, int]]:
+        """The arcs whose tail is in ``tails`` (distinct vertices), in
+        stream order.  ``tails`` is read once, before the first arc."""
+        return map(self.arcs.__getitem__, sorted(self.positions(tails)))
+
+    def edges_at(self, vertices: Iterable[int]) -> Iterator[tuple[int, int]]:
+        """Both arcs of every edge with an end in ``vertices``, each arc
+        once, in stream order.  ``vertices`` is read once, before the
+        first arc."""
+        picked = set(self.positions(vertices))
+        picked.update([p ^ 1 for p in picked])
+        return map(self.arcs.__getitem__, sorted(picked))
+
+    def close(self) -> None:
+        """Run the pass to its end, which counts it."""
+        for _ in self._pass:
+            pass
 
 
 def _validate_simple(n: int, edges: Iterable[tuple[int, int]]) -> None:

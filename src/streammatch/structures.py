@@ -243,6 +243,13 @@ class Forest:
     bumps ``mutations`` (a full pass bundle that leaves it untouched can
     never change anything again within the phase), counts the operation
     in ``stats``, writes the trace event and calls the ``on_op`` hook.
+
+    ``dirty`` lists the vertices that became outer, or moved to another
+    structure as part of an outer node, since the engine last cleared it:
+    a new structure's free vertex, the inner vertices a contraction
+    absorbs, the new outer vertex of an overtake of an unvisited arc, and
+    the outer vertices of a stolen subtree.  Only an edge with an end in
+    ``dirty`` can have come to join outer nodes of two structures.
     """
 
     def __init__(self, n: int, mate: list[Optional[int]],
@@ -260,6 +267,7 @@ class Forest:
         self._next_bid = n
         self.root_of: list[Blossom] = [Blossom(v, vertex=v) for v in range(n)]
         self.structures: dict[int, Structure] = {}
+        self.dirty: list[int] = []
         self.paths: list[list[int]] = []
         self.stats = {"overtakes": 0, "contracts": 0, "augments": 0,
                       "backtracks": 0, "holds": 0}
@@ -277,6 +285,7 @@ class Forest:
         node.kids = []
         node.outer = True
         self.structures[alpha] = structure
+        self.dirty.append(alpha)
         return structure
 
     def remove_structures(self, first: Structure, second: Structure) -> None:
@@ -350,6 +359,8 @@ class Forest:
                     kid.parent = blossom
                     blossom.kids.append(kid)
         for node in subs:
+            if not node.outer:
+                self.dirty.extend(node.vertices)
             node.structure = None
             node.parent = None
             node.parent_arc = None
@@ -396,6 +407,7 @@ class Forest:
             bv.outer, bv.kids = False, [bt]
             bt.parent, bt.parent_arc = bv, (v, t)
             bt.outer, bt.kids = True, []
+            self.dirty.append(t)
             case, moved, working = "1", [bv, bt], bt
         else:
             assert not bv.outer and bv.trivial and len(bv.kids) == 1
@@ -411,6 +423,9 @@ class Forest:
                 # working node if that lies inside; the owner then resumes
                 # at the node the subtree was cut from.
                 case, moved = "2.2", list(subtree(bv))
+                for node in moved:
+                    if node.outer:
+                        self.dirty.extend(node.vertices)
                 if owner.working in moved:
                     working, owner.working = owner.working, old_parent
             old_parent.kids.remove(bv)

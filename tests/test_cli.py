@@ -1,7 +1,11 @@
 """Command-line interface: subcommands, exit codes, output files."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +27,15 @@ def test_run_path4(capsys):
     report = json.loads(out)
     assert report["matching_size"] == 2
     assert report["epsilon_effective"] == "1/2"
+
+
+def test_module_entry_point_runs_the_cli():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-m", "streammatch", "run", "--gen", "petersen"],
+                          capture_output=True, text=True, env=env, check=False)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["matching_size"] == 5
 
 
 def test_run_petersen(capsys):

@@ -312,3 +312,57 @@ def test_phase_paths_disjoint_and_valid_on_random_graphs():
             assert not (set(path) & used)
             used.update(path)
         assert set(matching.pairs()) == pairs_before
+
+
+def test_phase_from_a_non_maximal_matching_augments_in_the_first_bundle():
+    # The free vertices 0 and 3 are adjacent, so the start breaks outer
+    # independence.  Each new structure marks its free vertex dirty, so
+    # the first augmentation read still sees the edge 0-3.
+    edges = [(0, 1), (1, 2), (3, 4), (4, 5), (0, 3)]
+    events = []
+    engine = engine_for(6, edges, [(1, 2), (4, 5)], trace=events.append)
+    result = engine.run()
+    assert result.paths == [[0, 3]]
+    augments = [e for e in events if e["op"] == "augment"]
+    assert [(e["bundle"], e["arc"]) for e in augments] == [(1, [0, 3])]
+
+
+# Each test below builds a forest by hand at a bundle boundary (the dirty
+# list cleared, no edge joining outer nodes of two structures), applies
+# one operation that makes a vertex outer in a new structure, and runs
+# the cleanup reads: the only edge that augments is at that vertex, so
+# without its dirty mark the augmentation read would miss it.
+
+def cleanup_after(engine, operation):
+    forest = engine.forest
+    forest.bundle = 1
+    forest.dirty.clear()
+    operation(forest)
+    engine._contract_and_augment()
+    return forest.paths
+
+
+def test_dirty_contract_marks_the_inner_vertices_it_absorbs():
+    # Structure 0 holds the triangle 0-1-2 with 1 inner; 1 is also
+    # adjacent to the free vertex 3.  Contracting makes 1 outer.
+    engine = engine_for(4, [(0, 1), (1, 2), (2, 0), (1, 3)], [(1, 2)])
+    engine.forest.overtake(0, 1, 1)
+    assert cleanup_after(engine, lambda f: f.contract(2, 0)) == [[0, 2, 1, 3]]
+
+
+def test_dirty_overtake_case_1_marks_the_new_outer_vertex():
+    # The path 0-1=2-3: structure 0 takes the unvisited pair 1=2, and 2
+    # becomes outer next to the free vertex 3.
+    engine = engine_for(4, [(0, 1), (1, 2), (2, 3)], [(1, 2)])
+    assert cleanup_after(engine, lambda f: f.overtake(0, 1, 1)) == [[0, 1, 2, 3]]
+
+
+def test_dirty_overtake_case_2_2_marks_the_outer_vertices_it_moves():
+    # Structure 5 holds 5-6=7-3=4 with an uncontracted edge 4-5 between
+    # its outer nodes.  Structure 0 steals the subtree 3=4 through the
+    # shorter arc 0-3, and 4, outer in structure 0 now, is adjacent to 5.
+    edges = [(0, 3), (5, 6), (6, 7), (7, 3), (3, 4), (4, 5)]
+    engine = engine_for(8, edges, [(6, 7), (3, 4)])
+    engine.forest.overtake(5, 6, 1)
+    engine.forest.overtake(7, 3, 2)
+    assert cleanup_after(engine, lambda f: f.overtake(0, 3, 1)) == [[0, 3, 4, 5]]

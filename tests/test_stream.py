@@ -65,7 +65,7 @@ def test_replay_determinism_and_arc_pairing():
         assert first[i + 1] == (v, u)
 
 
-def test_iter_arcs_from_yields_the_tails_arcs_in_stream_order(monkeypatch):
+def test_read_arcs_from_yields_the_tails_arcs_in_stream_order(monkeypatch):
     stream = open_stream(GraphSpec("random-gnm", (12, 30), 5))
     every = collect_arcs(stream)
     reads = []
@@ -74,19 +74,62 @@ def test_iter_arcs_from_yields_the_tails_arcs_in_stream_order(monkeypatch):
                         lambda self: reads.append(1) or original(self))
     for tails in ([], [3], [7, 0, 11, 3], range(12)):
         wanted = set(tails)
-        assert list(stream.iter_arcs_from(iter(tails))) == \
+        read = stream.read()
+        assert list(read.arcs_from(iter(tails))) == \
             [(u, v) for u, v in every if u in wanted]
-    # Each read is one full pass, made by one iter_arcs_once call.
+        read.close()
+    # Each read is one full pass, opened by one iter_arcs_once call.
     assert len(reads) == 4 and stream.pass_count() == 5
     assert collect_arcs(stream) == every
 
 
+def test_read_edges_at_yields_each_edges_two_arcs_once():
+    stream = open_stream(GraphSpec("random-gnm", (12, 30), 5))
+    every = collect_arcs(stream)
+    for ends in ([], [4], [0, 1, 2], [5, 9, 6], range(12)):
+        wanted = set(ends)
+        read = stream.read()
+        assert list(read.edges_at(iter(ends))) == \
+            [(u, v) for u, v in every if u in wanted or v in wanted]
+        read.close()
+    assert stream.pass_count() == 6
+
+
+def test_read_whose_tails_grow_while_open_counts_one_pass():
+    stream = open_stream(GraphSpec("cycle", (6,)))
+    read = stream.read()
+    seen = read.positions([0])
+    for x in (1, 2, 3):
+        seen.extend(read.positions([x]))
+    assert [read.arcs[p] for p in sorted(seen)] == \
+        [(0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2), (3, 4), (0, 5)]
+    read.close()
+    assert stream.pass_count() == 1
+    read.close()
+    assert stream.pass_count() == 1
+
+
 def test_abandoned_selected_pass_is_not_counted():
     stream = open_stream(GraphSpec("path", (4,)))
-    it = stream.iter_arcs_from([1, 2])
-    next(it)
-    it.close()
+    read = stream.read()
+    next(read.arcs_from([1, 2]))
+    del read  # never closed
     assert stream.pass_count() == 0
+    assert collect_arcs(stream) == [(0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2)]
+
+
+def test_reads_opened_one_after_the_other_share_no_state():
+    stream = open_stream(GraphSpec("path", (4,)))
+    first = stream.read()
+    second = stream.read()
+    assert list(first.arcs_from([1])) == [(1, 0), (1, 2)]
+    assert list(second.edges_at([3])) == [(2, 3), (3, 2)]
+    second.close()
+    assert stream.pass_count() == 1
+    assert list(first.arcs_from([2])) == [(2, 1), (2, 3)]
+    first.close()
+    assert stream.pass_count() == 2
+    # A full pass opened after a read yields every arc again.
     assert collect_arcs(stream) == [(0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2)]
 
 
