@@ -11,7 +11,7 @@ from .driver import (PassCountMismatch, RunConfig, RunReport,
                      expected_pass_count, normalize_epsilon, run,
                      scale_params, scale_schedule)
 from .invariants import InvariantViolationError, Violation
-from .matching import (ArcLabelTable, Matching, RemovedSet, augment_along,
+from .matching import (ArcLabelTable, Matching, augment_along,
                        greedy_maximal_matching, validate_matching)
 from .phase import PhaseConfig, PhaseEngine, PhaseResult
 from .stream import (EdgeStream, GraphSpec, StreamFormatError, open_stream,
@@ -22,7 +22,7 @@ from .structures import (Blossom, Forest, Structure, even_path_vertices,
 __all__ = [
     "ArcLabelTable", "Blossom", "EdgeStream", "Forest", "GraphSpec",
     "InvariantViolationError", "Matching", "PassCountMismatch", "PhaseConfig",
-    "PhaseEngine", "PhaseResult", "RemovedSet", "RunConfig", "RunReport",
+    "PhaseEngine", "PhaseResult", "RunConfig", "RunReport",
     "StreamFormatError", "Structure", "Violation", "augment_along", "even_path_vertices",
     "expected_pass_count", "greedy_maximal_matching",
     "lift_contracted_path", "normalize_epsilon", "open_stream",

@@ -13,7 +13,7 @@ import sys
 from contextlib import nullcontext
 from dataclasses import replace
 from fractions import Fraction
-from typing import Optional
+from typing import NoReturn, Optional
 
 from . import bench, driver, oracle
 from .invariants import InvariantViolationError
@@ -128,13 +128,9 @@ def cmd_gen(args) -> int:
     if not args.gen:
         raise SystemExit("gen requires --gen")
     stream = _open(args)
-    if args.out:
-        write_edgelist(stream, args.out)
-    else:
-        print(f"{stream.vertex_count} {stream.edge_count}")
-        for u, v in sorted((min(u, v), max(u, v))
-                           for u, v in stream.snapshot_edges()):
-            print(f"{u} {v}")
+    with (open(args.out, "w", encoding="ascii") if args.out
+          else nullcontext(sys.stdout)) as fh:
+        write_edgelist(stream, fh)
     return EXIT_OK
 
 
@@ -156,8 +152,17 @@ def cmd_bench(args) -> int:
     return EXIT_OK if not bad else EXIT_GUARANTEE
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors exit with ``EXIT_USAGE``:
+    argparse's own status 2 would read as a guarantee violation."""
+
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="streammatch",
         description="Multi-pass streaming approximate maximum matching")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .matching import RemovedSet
 from .oracle import enumerate_short_augmenting_paths
 from .structures import Blossom, Forest, Structure
 
@@ -156,9 +155,6 @@ def check_structure(forest: Forest, structure: Structure, limit: int,
     w = structure.working
     if w is not None and (w.structure is not structure or not w.outer):
         flag("tree-representation", f"working node {w!r} invalid")
-    for v in seen_vertices:
-        if v in forest.removed:
-            flag("tree-representation", f"removed vertex {v} inside structure")
 
     if size > limit * l_max:
         flag("structure-size", f"{size} > limit*l_max = {limit * l_max}")
@@ -196,16 +192,21 @@ def check_forest(forest: Forest, limit: int, l_max: int, delta: int) -> list[Vio
         if m is not None and v not in by_tail:
             bad.append(Violation("label-range", None, f"matched tail {v} unlabeled"))
 
-    removed = forest.removed.flags
+    # A vertex in no tree is unvisited (None) or removed: it resolves to a
+    # node without a structure, and each such node is resolved to by
+    # exactly its own vertices.
+    resolvers: dict[Blossom, int] = {}
     for v in range(forest.n):
-        if removed[v]:
-            continue
         node = forest.root_of[v]
         home = node_of.get(v)
         if home is None:
-            if node.vertex != v or node.structure is not None:
+            if node is None:
+                continue
+            if node.structure is not None:
                 bad.append(Violation("resolution", None,
-                                     f"{v} is in no structure but resolves to {node!r}"))
+                                     f"{v} is in no tree but resolves to {node!r}"))
+            else:
+                resolvers[node] = resolvers.get(node, 0) + 1
         elif node is not home:
             bad.append(Violation("resolution", None,
                                  f"root_of[{v}] is {node!r}, not its tree node {home!r}"))
@@ -213,20 +214,23 @@ def check_forest(forest: Forest, limit: int, l_max: int, delta: int) -> list[Vio
         elif node_of.get(mate[v]) is node and by_tail.get(v, 0) != 0:
             bad.append(Violation("blossom-arc-labels", None,
                                  f"internal matched arc ({v}, {mate[v]}) has nonzero label"))
+    for node, count in resolvers.items():
+        if (count != len(node.vertices)
+                or any(forest.root_of[x] is not node for x in node.vertices)):
+            bad.append(Violation("resolution", None,
+                                 f"removed {node!r} is not resolved to by exactly "
+                                 f"its own vertices"))
     return bad
 
 
-def check_outer_independence(forest: Forest, edges: Sequence[tuple[int, int]],
-                             removed: RemovedSet) -> list[Violation]:
+def check_outer_independence(forest: Forest,
+                             edges: Sequence[tuple[int, int]]) -> list[Violation]:
     """At a pass-bundle boundary no edge may join two outer nodes."""
     bad: list[Violation] = []
     root_of = forest.root_of
-    flags = removed.flags
     for u, v in edges:
-        if flags[u] or flags[v]:
-            continue
         bu, bv = root_of[u], root_of[v]
-        if bu is bv:
+        if bu is None or bv is None or bu is bv:
             continue
         if (bu.structure is not None and bu.outer
                 and bv.structure is not None and bv.outer):
@@ -238,7 +242,7 @@ def check_outer_independence(forest: Forest, edges: Sequence[tuple[int, int]],
 
 
 def check_short_path_coverage(forest: Forest, edges: Sequence[tuple[int, int]],
-                              l_max: int, removed: RemovedSet) -> list[Violation]:
+                              l_max: int) -> list[Violation]:
     """Every live augmenting path with at most l_max matched edges must
     touch the search: it contains an arc whose contracted image lies on
     an active path, or (taken from either end) starts at an active
@@ -254,12 +258,14 @@ def check_short_path_coverage(forest: Forest, edges: Sequence[tuple[int, int]],
     root_of = forest.root_of
     paths = enumerate_short_augmenting_paths(
         forest.n, edges, mate, l_max,
-        removed=[v for v in range(forest.n) if v in removed])
+        removed=[v for v, node in enumerate(root_of)
+                 if node is not None and node.structure is None])
     for path in paths:
         covered = False
         for i in range(len(path) - 1):
             bx, by = root_of[path[i]], root_of[path[i + 1]]
-            if bx is not by and frozenset((bx.bid, by.bid)) in active_pairs:
+            if (bx is not None and by is not None and bx is not by
+                    and frozenset((bx.bid, by.bid)) in active_pairs):
                 covered = True
                 break
         if not covered:
@@ -287,12 +293,10 @@ class InvariantChecker:
     the graph has at most ``COVERAGE_LIMIT`` vertices."""
 
     def __init__(self, edges: Sequence[tuple[int, int]], config,
-                 forest: Forest, removed: RemovedSet, *,
-                 matching_size_start: int):
+                 forest: Forest, *, matching_size_start: int):
         self.edges = edges
         self.config = config
         self.forest = forest
-        self.removed = removed
         self.matching_size_start = matching_size_start
 
     def _raise_if(self, violations: list[Violation]) -> None:
@@ -312,10 +316,9 @@ class InvariantChecker:
     def at_boundary(self) -> None:
         cfg = self.config
         bad = check_forest(self.forest, cfg.limit, cfg.l_max, cfg.delta)
-        bad.extend(check_outer_independence(self.forest, self.edges, self.removed))
+        bad.extend(check_outer_independence(self.forest, self.edges))
         if self.forest.n <= COVERAGE_LIMIT:
-            bad.extend(check_short_path_coverage(self.forest, self.edges,
-                                                 cfg.l_max, self.removed))
+            bad.extend(check_short_path_coverage(self.forest, self.edges, cfg.l_max))
         self._raise_if(bad)
 
     def at_phase_end(self, active: int) -> None:

@@ -1,4 +1,4 @@
-"""Matching state: mate map, per-arc labels, removed vertices, augmentation."""
+"""Matching state: mate map, per-arc labels, augmentation."""
 
 from __future__ import annotations
 
@@ -63,19 +63,6 @@ class ArcLabelTable:
         if value < self.by_tail[u]:
             self.reductions += 1
         self.by_tail[u] = value
-
-
-class RemovedSet:
-    """Vertices conceptually removed for the rest of the current phase."""
-
-    def __init__(self, n: int):
-        self.flags = bytearray(n)
-
-    def add(self, v: int) -> None:
-        self.flags[v] = 1
-
-    def __contains__(self, v: int) -> bool:
-        return bool(self.flags[v])
 
 
 def is_alternating_augmenting(path: list[int], matching: Matching,

@@ -51,10 +51,11 @@ guards untouched, so the outcome is the same as visiting them all:
                  bundle reads every edge at a free vertex, whether or not
                  the phase starts from a maximal matching.
 
-A vertex removed with its structure resolves to a node whose ``structure``
-is None, so the owner checks of the collection and augmentation reads
-already skip arcs with a removed end.  The extension read tests removal
-itself, because it treats a node without a structure as unvisited.
+Each read takes its guards from ``Forest.root_of`` alone.  A vertex no
+structure has reached resolves to None: an arc with such a tail is
+skipped, and an extension arc with such a head is an overtake candidate.
+A vertex removed with its structure resolves to a node whose
+``structure`` is None, so every read skips an arc with a removed end.
 
 Once a bundle changes nothing, no later bundle of the phase can change
 anything either (the loop body is a deterministic function of the phase
@@ -69,7 +70,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional
 
 from .invariants import InvariantChecker
-from .matching import ArcLabelTable, Matching, RemovedSet
+from .matching import ArcLabelTable, Matching
 from .stream import EdgeStream, StreamRead
 from .structures import Forest, Structure
 
@@ -142,15 +143,13 @@ class PhaseEngine:
         self.checked = checked
         self.n = stream.vertex_count
         self.labels = ArcLabelTable(matching, config.l_max)
-        self.removed = RemovedSet(self.n)
-        self.forest = Forest(self.n, matching.mate, self.labels, self.removed,
-                             trace=trace)
+        self.forest = Forest(self.n, matching.mate, self.labels, trace=trace)
         for alpha in matching.free_vertices():
             self.forest.init_structure(alpha)
         self.checker = None
         if checked:
             self.checker = InvariantChecker(
-                stream.snapshot_edges(), config, self.forest, self.removed,
+                stream.snapshot_edges(), config, self.forest,
                 matching_size_start=matching.size)
             self.forest.on_op = self.checker.after_operation
 
@@ -207,7 +206,6 @@ class PhaseEngine:
         """One stream pass; each live structure extends at most once."""
         forest = self.forest
         root_of = forest.root_of
-        removed = self.removed.flags
         mate = self.matching.mate
         by_tail = self.labels.by_tail
         tails = (x for s in forest.structures.values()
@@ -215,29 +213,30 @@ class PhaseEngine:
                  for x in s.working.vertices)
         read = self.stream.read()
         for u, v in self._extension_arcs(read, tails):
-            if removed[u] or removed[v]:
-                continue
             bu = root_of[u]
             bv = root_of[v]
-            if bu is bv:
+            if bu is None or bu is bv:
                 continue
             structure = bu.structure
             if structure is None or structure.working is not bu or mate[u] == v:
                 continue
             if structure.modified or structure.on_hold:
                 continue
-            target = bv.structure
-            if target is not None and bv.outer:
-                if target is structure:
-                    forest.contract(u, v)
-                else:
-                    forest.record_augmentation(u, v)
-            else:
-                # bv is unvisited or inner, so v is matched and the matched
-                # arc with tail v is the one to (possibly) overtake.
-                distance = 0 if bu.parent is None else by_tail[bu.parent_arc[0]]
-                if distance + 1 < by_tail[v]:
-                    forest.overtake(u, v, distance + 1)
+            if bv is not None:
+                target = bv.structure
+                if target is None:
+                    continue
+                if bv.outer:
+                    if target is structure:
+                        forest.contract(u, v)
+                    else:
+                        forest.record_augmentation(u, v)
+                    continue
+            # bv is unvisited or inner, so v is matched and the matched
+            # arc with tail v is the one to (possibly) overtake.
+            distance = 0 if bu.parent is None else by_tail[bu.parent_arc[0]]
+            if distance + 1 < by_tail[v]:
+                forest.overtake(u, v, distance + 1)
         read.close()
 
     def _contract_and_augment(self) -> None:
@@ -258,7 +257,7 @@ class PhaseEngine:
         for u, v in read.edges_at(forest.dirty):
             bu = root_of[u]
             bv = root_of[v]
-            if bu is bv:
+            if bu is None or bv is None or bu is bv:
                 continue
             owner = bu.structure
             target = bv.structure
@@ -285,7 +284,8 @@ class PhaseEngine:
             for p in untried:
                 u, v = arcs[p]
                 bv = root_of[v]
-                if bv is working or bv.structure is not structure or not bv.outer:
+                if (bv is None or bv is working or bv.structure is not structure
+                        or not bv.outer):
                     continue
                 blossom = forest.contract(u, v)
                 added = read.positions(x for sub in blossom.subs if sub is not working

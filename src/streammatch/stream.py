@@ -22,7 +22,7 @@ import random
 from array import array
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional, TextIO
 
 
 class StreamFormatError(ValueError):
@@ -327,12 +327,13 @@ def _spec_int(token: str, text: str) -> int:
 # "u v" per line with 0 <= u < v < n, sorted lexicographically.
 # ---------------------------------------------------------------------------
 
-def write_edgelist(stream: EdgeStream, path: str) -> None:
+def write_edgelist(stream: EdgeStream, fh: TextIO) -> None:
+    """Write the graph to the open text file ``fh``: the header 'n m', then
+    one 'u v' line per edge with u < v, in sorted order."""
     normalized = sorted((min(u, v), max(u, v)) for u, v in stream.snapshot_edges())
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{stream.vertex_count} {len(normalized)}\n")
-        for u, v in normalized:
-            fh.write(f"{u} {v}\n")
+    fh.write(f"{stream.vertex_count} {len(normalized)}\n")
+    for u, v in normalized:
+        fh.write(f"{u} {v}\n")
 
 
 def read_edgelist(path: str) -> tuple[int, list[tuple[int, int]]]:

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterator, Optional
 
-from .matching import ArcLabelTable, RemovedSet
+from .matching import ArcLabelTable
 
 Arc = tuple[int, int]
 
@@ -235,9 +235,13 @@ def lift_contracted_path(nodes: list[Blossom], arcs: list[Arc],
 class Forest:
     """All structures of one phase plus vertex-to-root-blossom resolution.
 
-    The blossom family is laminar: the trivial blossoms of all vertices,
-    plus every contracted composite.  ``root_of[v]`` is kept eagerly
-    up to date, so resolution is a single array read.
+    The blossom family is laminar: the trivial blossoms of the vertices
+    the search has reached, plus every contracted composite.  A vertex
+    gets its trivial blossom when it joins a structure, as a free root or
+    in a matched pair by an overtake; ``root_of[v]`` is None until then
+    and kept eagerly up to date after, so resolution is a single array
+    read.  A vertex whose node has no ``structure`` was removed with its
+    structure for the rest of the phase.
 
     Every operation reports itself once, through :meth:`record`, which
     bumps ``mutations`` (a full pass bundle that leaves it untouched can
@@ -252,20 +256,18 @@ class Forest:
     ``dirty`` can have come to join outer nodes of two structures.
     """
 
-    def __init__(self, n: int, mate: list[Optional[int]],
-                 labels: ArcLabelTable, removed: RemovedSet,
+    def __init__(self, n: int, mate: list[Optional[int]], labels: ArcLabelTable,
                  trace: Optional[Callable[[dict], None]] = None,
                  on_op: Optional[Callable[[str, tuple], None]] = None):
         self.n = n
         self.mate = mate
         self.labels = labels
-        self.removed = removed
         self.trace = trace
         self.on_op = on_op
         self.bundle = 0
         self.mutations = 0
         self._next_bid = n
-        self.root_of: list[Blossom] = [Blossom(v, vertex=v) for v in range(n)]
+        self.root_of: list[Optional[Blossom]] = [None] * n
         self.structures: dict[int, Structure] = {}
         self.dirty: list[int] = []
         self.paths: list[list[int]] = []
@@ -275,27 +277,22 @@ class Forest:
     # -- structure lifecycle --------------------------------------------------
 
     def init_structure(self, alpha: int) -> Structure:
-        node = self.root_of[alpha]
-        assert self.mate[alpha] is None and alpha not in self.removed
-        assert node.trivial and node.structure is None
+        assert self.mate[alpha] is None and self.root_of[alpha] is None
+        node = self.root_of[alpha] = Blossom(alpha, vertex=alpha)
         structure = Structure(alpha, node)
         node.structure = structure
-        node.parent = None
-        node.parent_arc = None
-        node.kids = []
         node.outer = True
         self.structures[alpha] = structure
         self.dirty.append(alpha)
         return structure
 
     def remove_structures(self, first: Structure, second: Structure) -> None:
-        """Take both structures out of the phase: their vertices become
-        removed, their blossoms leave the family, the structures die."""
+        """Take both structures out of the phase: their tree nodes lose
+        their structure, which marks their vertices removed, and the
+        structures die."""
         assert first is not second
         for structure in (first, second):
             for node in structure.tree_nodes():
-                for v in node.vertices:
-                    self.removed.add(v)
                 node.structure = None
             del self.structures[structure.alpha]
 
@@ -391,25 +388,26 @@ class Forest:
         structure = bu.structure
         assert structure is not None and structure.working is bu
         bv = self.root_of[v]
-        assert bv is not bu
         t = self.mate[v]
         assert t is not None and self.mate[u] != v
         assert 0 < k < self.labels.by_tail[v]
 
         # Each case only decides which nodes change structure and where the
         # working node goes; ``owner`` is the structure bv leaves, if any.
-        owner = bv.structure
-        if owner is None:
+        if bv is None:
             # Case 1: the unvisited pair v = t joins as an inner node and
-            # its outer kid.
-            bt = self.root_of[t]
-            assert bt.structure is None and bv.trivial and bt.trivial
-            bv.outer, bv.kids = False, [bt]
+            # its outer kid, each getting its trivial blossom.
+            assert self.root_of[t] is None
+            bv = self.root_of[v] = Blossom(v, vertex=v)
+            bt = self.root_of[t] = Blossom(t, vertex=t)
+            bv.kids = [bt]
             bt.parent, bt.parent_arc = bv, (v, t)
-            bt.outer, bt.kids = True, []
+            bt.outer = True
             self.dirty.append(t)
-            case, moved, working = "1", [bv, bt], bt
+            owner, case, moved, working = None, "1", [bv, bt], bt
         else:
+            owner = bv.structure
+            assert owner is not None and bv is not bu
             assert not bv.outer and bv.trivial and len(bv.kids) == 1
             old_parent = bv.parent
             assert old_parent is not None

@@ -115,9 +115,9 @@ def test_criterion_4_short_path_coverage(corpus_rows, monkeypatch):
     calls = {"n": 0}
     original = check_short_path_coverage
 
-    def counting(forest, edges, l_max, removed):
+    def counting(forest, edges, l_max):
         calls["n"] += 1
-        return original(forest, edges, l_max, removed)
+        return original(forest, edges, l_max)
 
     import streammatch.invariants as inv
     monkeypatch.setattr(inv, "check_short_path_coverage", counting)

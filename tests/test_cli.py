@@ -162,6 +162,17 @@ def test_usage_error_exit_1(capsys):
             code, _, err = run_cli(capsys, command, "--gen", spec)
             assert code == 1
             assert_one_line_error(err, "error", repr(spec))
+    # argparse's own usage errors exit 1 too, not its default 2, which
+    # would read as a guarantee violation; --help still exits 0.
+    for argv in (["run", "--gen", "path:4", "--bogus"], [],
+                 ["run", "--gen", "gnm:10,20", "--seed", "x"]):
+        with pytest.raises(SystemExit) as caught:
+            cli.main(argv)
+        assert caught.value.code == 1, argv
+        assert "error:" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as caught:
+        cli.main(["run", "--help"])
+    assert caught.value.code == 0
 
 
 def test_zero_denominator_epsilon_exit_1(capsys):
@@ -189,6 +200,16 @@ def test_gen_writes_edgelist(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "gen", "--gen", "cycle:3", "--out", str(target))
     assert code == 0
     assert target.read_text() == "3 3\n0 1\n0 2\n1 2\n"
+
+
+def test_gen_stdout_and_out_file_bytes_match(tmp_path, capsys):
+    target = tmp_path / "gnm.edgelist"
+    code, out, _ = run_cli(capsys, "gen", "--gen", "gnm:12,20,seed=3")
+    assert code == 0
+    code, _, _ = run_cli(capsys, "gen", "--gen", "gnm:12,20,seed=3", "--out", str(target))
+    assert code == 0
+    assert out.encode("ascii") == target.read_bytes()
+    assert out.startswith("12 20\n")
 
 
 def test_gen_seed_flag_changes_random_output(capsys):

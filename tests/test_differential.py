@@ -36,6 +36,8 @@ class FullScanEngine(PhaseEngine):
 
         buckets = {}
         for u, v in self.stream.iter_arcs_once():
+            if root_of[u] is None or root_of[v] is None:
+                continue
             owner = root_of[u].structure
             if owner is None or owner.working is None or root_of[v].structure is not owner:
                 continue
@@ -61,7 +63,7 @@ class FullScanEngine(PhaseEngine):
         for u, v in self.stream.iter_arcs_once():
             bu = root_of[u]
             bv = root_of[v]
-            if bu is bv:
+            if bu is None or bv is None or bu is bv:
                 continue
             owner = bu.structure
             target = bv.structure

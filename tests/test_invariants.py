@@ -9,7 +9,7 @@ from streammatch.invariants import (InvariantChecker, InvariantViolationError,
                                     check_active_bound, check_blossom, check_forest,
                                     check_outer_independence,
                                     check_short_path_coverage, check_structure)
-from streammatch.matching import ArcLabelTable, Matching, RemovedSet, greedy_maximal_matching
+from streammatch.matching import ArcLabelTable, Matching, greedy_maximal_matching
 from streammatch.phase import PhaseConfig, PhaseEngine
 from streammatch.stream import EdgeStream, GraphSpec, open_stream
 from streammatch.structures import Forest
@@ -38,7 +38,7 @@ def test_healthy_boundary_state_has_no_violations():
     engine._contract_and_augment()
     engine._backtrack_stuck()
     checker = InvariantChecker(stream.snapshot_edges(), CFG, engine.forest,
-                               engine.removed, matching_size_start=matching.size)
+                               matching_size_start=matching.size)
     checker.at_boundary()  # raises on any violation; n <= 14 adds coverage
 
 
@@ -68,9 +68,7 @@ def test_artificial_outer_outer_arc_is_flagged():
     # Two singleton structures joined by an edge: both roots are outer.
     stream = EdgeStream(2, [(0, 1)])
     engine = PhaseEngine(stream, Matching(2), CFG)
-    violations = check_outer_independence(engine.forest,
-                                          stream.snapshot_edges(),
-                                          engine.removed)
+    violations = check_outer_independence(engine.forest, stream.snapshot_edges())
     assert [v.name for v in violations] == ["outer-independence"]
 
 
@@ -113,8 +111,7 @@ def test_short_path_coverage_flags_ignored_path():
     for structure in engine.forest.structures.values():
         structure.working = None
     violations = check_short_path_coverage(engine.forest,
-                                           stream.snapshot_edges(),
-                                           CFG.l_max, engine.removed)
+                                           stream.snapshot_edges(), CFG.l_max)
     assert [v.name for v in violations] == ["short-path-coverage"]
 
 
@@ -123,8 +120,7 @@ def test_short_path_coverage_accepts_critical_arc():
     # S_0 is active and its active path covers (0,1),(1,2); S_3 is active
     # too, so every orientation is covered.
     violations = check_short_path_coverage(engine.forest,
-                                           engine.stream.snapshot_edges(),
-                                           CFG.l_max, engine.removed)
+                                           engine.stream.snapshot_edges(), CFG.l_max)
     assert violations == []
 
 
@@ -175,9 +171,9 @@ def nested_blossom_forest(corrupt=None):
     """
     matching = matched(7, [(1, 2), (3, 4), (5, 6)])
     labels = ArcLabelTable(matching, CFG.l_max)
-    forest = Forest(7, matching.mate, labels, RemovedSet(7))
+    forest = Forest(7, matching.mate, labels)
     if corrupt is not None:
-        checker = InvariantChecker(NESTED_EDGES, CFG, forest, forest.removed,
+        checker = InvariantChecker(NESTED_EDGES, CFG, forest,
                                    matching_size_start=matching.size)
 
         def on_op(op, touched):
@@ -242,6 +238,22 @@ def test_stale_resolution_is_flagged():
     engine = mid_run_engine()
     forest = engine.forest
     forest.root_of[3] = forest.root_of[0]  # 3 is the root of S_3
+    assert forest_names(forest) == {"resolution"}
+
+
+def test_unvisited_vertex_resolving_to_removed_node_is_flagged():
+    # 0 - 1 augments and removes both structures; the pair 2 = 3 is never
+    # reached.  Pointing 2 at the removed node {0} makes that node
+    # resolved to by a vertex it does not hold.
+    matching = matched(4, [(2, 3)])
+    forest = Forest(4, matching.mate, ArcLabelTable(matching, CFG.l_max))
+    forest.init_structure(0)
+    forest.init_structure(1)
+    forest.record_augmentation(0, 1)
+    assert forest_names(forest) == set()
+    forest.root_of[2] = forest.root_of[0]
+    assert forest_names(forest) == {"resolution"}
+    forest.root_of[0] = None              # {0} is resolved to by 2 alone
     assert forest_names(forest) == {"resolution"}
 
 

@@ -6,8 +6,8 @@ import pytest
 
 from helpers import matched
 from streammatch.invariants import InvariantViolationError
-from streammatch.matching import (ArcLabelTable, Matching, RemovedSet,
-                                  augment_along, greedy_maximal_matching,
+from streammatch.matching import (ArcLabelTable, Matching, augment_along,
+                                  greedy_maximal_matching,
                                   is_alternating_augmenting, validate_matching)
 from streammatch.oracle import exact_matching_exhaustive
 from streammatch.stream import EdgeStream, GraphSpec, open_stream
@@ -146,9 +146,3 @@ def test_validate_matching_cases():
     shared.mate[2] = 1
     assert not validate_matching(shared, edges)
 
-
-def test_removed_set_lifecycle():
-    removed = RemovedSet(5)
-    removed.add(2)
-    removed.add(2)
-    assert 2 in removed and 3 not in removed

@@ -160,6 +160,18 @@ def test_distance_values():
     assert forest.labels.by_tail[working.parent_arc[0]] == 1
 
 
+def test_phase_builds_no_blossom_for_unreached_vertices():
+    # 0 - 1 = 2 - 3 augments; the perfectly matched path 4 = 5 - 6 = 7
+    # holds no free vertex, so no structure ever reaches it.
+    edges = [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7)]
+    engine = engine_for(8, edges, [(1, 2), (4, 5), (6, 7)], checked=True)
+    result = engine.run()
+    root_of = engine.forest.root_of
+    assert result.paths == [[3, 2, 1, 0]]
+    assert all(root_of[v].structure is None for v in range(4))  # removed
+    assert root_of[4:] == [None] * 4
+
+
 def test_distance_zero_at_contracted_root():
     engine = engine_for(3, [(0, 1), (1, 2), (0, 2)], [(1, 2)])
     forest = engine.forest

@@ -215,22 +215,27 @@ def test_bipartite_generator_sides():
         assert u < 4 <= v
 
 
+def write_to(stream, target):
+    with open(target, "w", encoding="ascii") as fh:
+        write_edgelist(stream, fh)
+
+
 def test_write_edgelist_path_bytes(tmp_path):
     target = tmp_path / "p3.edgelist"
-    write_edgelist(open_stream(GraphSpec("path", (3,))), str(target))
+    write_to(open_stream(GraphSpec("path", (3,))), target)
     assert target.read_text() == "3 2\n0 1\n1 2\n"
 
 
 def test_write_edgelist_cycle_bytes(tmp_path):
     target = tmp_path / "c3.edgelist"
-    write_edgelist(open_stream(GraphSpec("cycle", (3,))), str(target))
+    write_to(open_stream(GraphSpec("cycle", (3,))), target)
     assert target.read_text() == "3 3\n0 1\n0 2\n1 2\n"
 
 
 def test_round_trip_path_identical_arcs(tmp_path):
     target = tmp_path / "p5.edgelist"
     original = open_stream(GraphSpec("path", (5,)))
-    write_edgelist(original, str(target))
+    write_to(original, target)
     reopened = open_stream(GraphSpec("edgelist-file", path=str(target)))
     assert collect_arcs(reopened) == collect_arcs(original)
 
@@ -238,16 +243,15 @@ def test_round_trip_path_identical_arcs(tmp_path):
 def test_round_trip_write_is_idempotent(tmp_path):
     first = tmp_path / "a.edgelist"
     second = tmp_path / "b.edgelist"
-    write_edgelist(open_stream(GraphSpec("cycle", (5,))), str(first))
-    write_edgelist(open_stream(GraphSpec("edgelist-file", path=str(first))),
-                   str(second))
+    write_to(open_stream(GraphSpec("cycle", (5,))), first)
+    write_to(open_stream(GraphSpec("edgelist-file", path=str(first))), second)
     assert first.read_text() == second.read_text()
 
 
 def test_round_trip_preserves_edge_set(tmp_path):
     target = tmp_path / "g.edgelist"
     stream = open_stream(GraphSpec("random-gnm", (15, 30), 11))
-    write_edgelist(stream, str(target))
+    write_to(stream, target)
     n, edges = read_edgelist(str(target))
     assert n == 15
     assert {frozenset(e) for e in edges} == {frozenset(e) for e in stream.snapshot_edges()}

@@ -4,7 +4,7 @@ import pytest
 
 from helpers import matched
 from streammatch.invariants import check_blossom, check_forest
-from streammatch.matching import ArcLabelTable, RemovedSet
+from streammatch.matching import ArcLabelTable
 from streammatch.structures import (Forest, ancestors, even_path_vertices,
                                     lift_contracted_path)
 
@@ -14,7 +14,7 @@ L_MAX = 6  # eps = 1/2
 def make_forest(n, matched_pairs):
     matching = matched(n, matched_pairs)
     labels = ArcLabelTable(matching, L_MAX)
-    forest = Forest(n, matching.mate, labels, RemovedSet(n))
+    forest = Forest(n, matching.mate, labels)
     return forest, matching
 
 
@@ -36,8 +36,13 @@ def members(structure):
 
 def test_resolve_before_contraction_is_trivial():
     forest, _ = make_forest(3, [(1, 2)])
-    assert forest.root_of[0].vertex == 0
-    assert forest.root_of[0].structure is None
+    assert forest.root_of == [None, None, None]
+    forest.init_structure(0)
+    forest.overtake(0, 1, 1)
+    for v in range(3):
+        node = forest.root_of[v]
+        assert node.trivial and node.vertex == v and node.bid == v
+        assert node.structure is forest.structures[0]
 
 
 def build_triangle_blossom():
@@ -84,6 +89,7 @@ def test_contract_cycle5():
 
 def test_even_path_trivial_blossom():
     forest, _ = make_forest(1, [])
+    forest.init_structure(0)
     node = forest.root_of[0]
     assert even_path_vertices(node, 0) == [0]
     with pytest.raises(ValueError):
@@ -221,7 +227,7 @@ def test_record_augmentation_removes_both_structures():
     path = forest.record_augmentation(2, 3)
     assert path == [0, 1, 2, 3]
     assert forest.structures == {}
-    assert all(v in forest.removed for v in range(4))
+    assert all(forest.root_of[v].structure is None for v in range(4))
     assert forest.paths == [[0, 1, 2, 3]]
 
 
