@@ -11,8 +11,8 @@ from .driver import (PassCountMismatch, RunConfig, RunReport,
                      expected_pass_count, normalize_epsilon, run,
                      scale_params, scale_schedule)
 from .invariants import InvariantViolationError, Violation
-from .matching import (ArcLabelTable, Matching, augment_along,
-                       greedy_maximal_matching, validate_matching)
+from .matching import (Matching, augment_along, greedy_maximal_matching,
+                       validate_matching)
 from .phase import PhaseConfig, PhaseEngine, PhaseResult
 from .stream import (EdgeStream, GraphSpec, StreamFormatError, open_stream,
                      parse_graph_spec, read_edgelist, write_edgelist)
@@ -20,7 +20,7 @@ from .structures import (Blossom, Forest, Structure, even_path_vertices,
                          lift_contracted_path)
 
 __all__ = [
-    "ArcLabelTable", "Blossom", "EdgeStream", "Forest", "GraphSpec",
+    "Blossom", "EdgeStream", "Forest", "GraphSpec",
     "InvariantViolationError", "Matching", "PassCountMismatch", "PhaseConfig",
     "PhaseEngine", "PhaseResult", "RunConfig", "RunReport",
     "StreamFormatError", "Structure", "Violation", "augment_along", "even_path_vertices",

@@ -37,9 +37,7 @@ FAILURES: dict[type, tuple[int, str]] = {
 
 
 def _resolve_spec(args) -> GraphSpec:
-    if bool(args.input) == bool(args.gen):
-        raise SystemExit("exactly one of --input and --gen is required")
-    if args.input:
+    if args.gen is None:
         return GraphSpec("edgelist-file", path=args.input)
     spec = parse_graph_spec(args.gen)
     if args.seed is not None and "seed=" not in args.gen:
@@ -107,26 +105,16 @@ def cmd_verify(args) -> int:
                 "exhaustive": oracle.exact_matching_exhaustive,
                 "tutte": oracle.matching_size_rank}[args.oracle]
         nu = size(stream.vertex_count, stream.snapshot_edges())
-    if nu is not None:
-        if (1 + report.epsilon_effective) * report.matching.size < nu:
-            print(f"guarantee violated: (1+eps)*{report.matching.size} < nu={nu}",
-                  file=sys.stderr)
-            return EXIT_GUARANTEE
-        l_max = 3 / report.epsilon_effective
-        for row in report.per_scale:
-            bound = (1 + 4 * row.h * l_max) * (1 + 1 / l_max) * row.matching_size
-            if nu > bound:
-                print(f"scale-end bound violated at h={row.h}: nu={nu} > {bound}",
-                      file=sys.stderr)
-                return EXIT_GUARANTEE
+    failure = report.guarantee_failure(nu) if nu is not None else None
+    if failure is not None:
+        print(failure, file=sys.stderr)
+        return EXIT_GUARANTEE
     print(json.dumps({"ok": True, "matching_size": report.matching.size,
                       "nu": nu, "passes": report.passes}, indent=2))
     return EXIT_OK
 
 
 def cmd_gen(args) -> int:
-    if not args.gen:
-        raise SystemExit("gen requires --gen")
     stream = _open(args)
     with (open(args.out, "w", encoding="ascii") if args.out
           else nullcontext(sys.stdout)) as fh:
@@ -135,8 +123,6 @@ def cmd_gen(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    if not args.out:
-        raise SystemExit("trace requires --out")
     stream = _open(args)
     with _TraceFile(args.out) as trace:
         driver.run(stream, driver.RunConfig(
@@ -167,14 +153,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Multi-pass streaming approximate maximum matching")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, epsilon=True):
-        p.add_argument("--input", help="edge-list file (first line 'n m')")
-        p.add_argument("--gen", help="generator spec, e.g. path:4 or gnm:20,50,seed=7")
+    def add_common(p, solve=True):
+        """``--gen`` and ``--seed``; a command that solves also takes
+        ``--input`` in place of ``--gen``, and ``--epsilon``."""
+        gen_help = "generator spec, e.g. path:4 or gnm:20,50,seed=7"
         p.add_argument("--seed", type=int, default=None,
                        help="seed for random generators without an explicit seed")
-        if epsilon:
-            p.add_argument("--epsilon", default="0.5",
-                           help="approximation parameter in (0, 1]")
+        if not solve:
+            p.add_argument("--gen", required=True, help=gen_help)
+            return
+        source = p.add_mutually_exclusive_group(required=True)
+        source.add_argument("--input", help="edge-list file (first line 'n m')")
+        source.add_argument("--gen", help=gen_help)
+        p.add_argument("--epsilon", default="0.5",
+                       help="approximation parameter in (0, 1]")
 
     p_run = sub.add_parser("run", help="compute a matching and print a JSON report")
     add_common(p_run)
@@ -190,13 +182,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=cmd_verify)
 
     p_gen = sub.add_parser("gen", help="write a generated graph as an edge list")
-    add_common(p_gen, epsilon=False)
+    add_common(p_gen, solve=False)
     p_gen.add_argument("--out", help="output file (stdout if omitted)")
     p_gen.set_defaults(func=cmd_gen)
 
     p_trace = sub.add_parser("trace", help="run and write the JSONL event trace")
     add_common(p_trace)
-    p_trace.add_argument("--out", help="trace output file", required=False)
+    p_trace.add_argument("--out", help="trace output file", required=True)
     p_trace.set_defaults(func=cmd_trace)
 
     p_bench = sub.add_parser("bench", help="run the built-in corpus and print a table")

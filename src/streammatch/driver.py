@@ -25,7 +25,8 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .invariants import InvariantViolationError, Violation
-from .matching import Matching, augment_along, greedy_maximal_matching, validate_matching
+from .matching import (Matching, augment_along, greedy_maximal_matching,
+                       is_alternating_augmenting, validate_matching)
 from .phase import READS_PER_BUNDLE, PhaseConfig, PhaseEngine
 from .stream import EdgeStream
 
@@ -130,6 +131,22 @@ class RunReport:
             "stats": self.stats,
         }
 
+    def guarantee_failure(self, nu: int) -> Optional[str]:
+        """The first approximation bound the run breaks against the maximum
+        matching size ``nu``, as a message, or None if it keeps them all:
+        (1 + eps)|M| >= nu at the end, and (1 + 4 h l_max)(1 + 1/l_max)|M_h|
+        >= nu at the end of each scale h."""
+        eps = self.epsilon_effective
+        size = self.matching.size
+        if (1 + eps) * size < nu:
+            return f"guarantee violated: (1+eps)*{size} < nu={nu}"
+        l_max = 3 / eps
+        for row in self.per_scale:
+            bound = (1 + 4 * row.h * l_max) * (1 + 1 / l_max) * row.matching_size
+            if nu > bound:
+                return f"scale-end bound violated at h={row.h}: nu={nu} > {bound}"
+        return None
+
 
 def run(stream: EdgeStream, config: RunConfig) -> RunReport:
     """Compute a (1 + eps)-approximate maximum matching over the stream."""
@@ -161,7 +178,10 @@ def run(stream: EdgeStream, config: RunConfig) -> RunReport:
             result = engine.run()
             executed += 1
             for path in result.paths:
-                augment_along(matching, path, checked=checked, edges=edge_set)
+                if checked and not is_alternating_augmenting(path, matching, edge_set):
+                    raise InvariantViolationError([Violation(
+                        "augmenting-path", None, f"invalid augmenting path {path}")])
+                augment_along(matching, path)
             augmentations += len(result.paths)
             for key, count in result.stats.items():
                 totals[key] = totals.get(key, 0) + count

@@ -137,7 +137,7 @@ def check_structure(forest: Forest, structure: Structure, limit: int,
                     flag("tree-representation",
                          f"matched arc {arc} enters {node!r} away from its base")
                 if node.outer:
-                    label = forest.labels.by_tail.get(x, 0)
+                    label = forest.labels[x]
                     above = outer_label_above.get(id(node.parent.parent), 0)
                     if label <= above:
                         flag("increasing-labeling",
@@ -167,8 +167,8 @@ def check_structure(forest: Forest, structure: Structure, limit: int,
 
 
 def check_forest(forest: Forest, limit: int, l_max: int, delta: int) -> list[Violation]:
-    """Global checks: per-structure validity, disjointness, label table
-    consistency, resolution coherence."""
+    """Global checks: per-structure validity, disjointness, label range,
+    resolution coherence."""
     bad: list[Violation] = []
     node_of: dict[int, Blossom] = {}
     for alpha, structure in forest.structures.items():
@@ -181,16 +181,15 @@ def check_forest(forest: Forest, limit: int, l_max: int, delta: int) -> list[Vio
                 node_of[v] = node
 
     mate = forest.mate
-    by_tail = forest.labels.by_tail
-    for v, label_keyed in by_tail.items():
-        if mate[v] is None:
-            bad.append(Violation("label-range", None, f"label on unmatched tail {v}"))
-        if not (0 <= label_keyed <= forest.labels.l_max + 1):
+    labels = forest.labels
+    fresh = l_max + 1
+    for v, label in enumerate(labels):
+        if not 0 <= label <= fresh:
             bad.append(Violation("label-range", None,
-                                 f"label {label_keyed} out of range at tail {v}"))
-    for v, m in enumerate(mate):
-        if m is not None and v not in by_tail:
-            bad.append(Violation("label-range", None, f"matched tail {v} unlabeled"))
+                                 f"label {label} out of range at tail {v}"))
+        elif mate[v] is None and label != fresh:
+            bad.append(Violation("label-range", None,
+                                 f"label {label} written on unmatched tail {v}"))
 
     # A vertex in no tree is unvisited (None) or removed: it resolves to a
     # node without a structure, and each such node is resolved to by
@@ -211,7 +210,7 @@ def check_forest(forest: Forest, limit: int, l_max: int, delta: int) -> list[Vio
             bad.append(Violation("resolution", None,
                                  f"root_of[{v}] is {node!r}, not its tree node {home!r}"))
         # Matched arcs wholly inside one root blossom carry label 0.
-        elif node_of.get(mate[v]) is node and by_tail.get(v, 0) != 0:
+        elif node_of.get(mate[v]) is node and labels[v] != 0:
             bad.append(Violation("blossom-arc-labels", None,
                                  f"internal matched arc ({v}, {mate[v]}) has nonzero label"))
     for node, count in resolvers.items():
@@ -248,11 +247,11 @@ def check_short_path_coverage(forest: Forest, edges: Sequence[tuple[int, int]],
     an active path, or (taken from either end) starts at an active
     structure's free vertex."""
     bad: list[Violation] = []
-    active_pairs: set[frozenset[int]] = set()
+    active_pairs: set[frozenset[Blossom]] = set()
     for structure in forest.structures.values():
         node = structure.working
         while node is not None and node.parent is not None:
-            active_pairs.add(frozenset((node.bid, node.parent.bid)))
+            active_pairs.add(frozenset((node, node.parent)))
             node = node.parent
     mate = forest.mate
     root_of = forest.root_of
@@ -265,7 +264,7 @@ def check_short_path_coverage(forest: Forest, edges: Sequence[tuple[int, int]],
         for i in range(len(path) - 1):
             bx, by = root_of[path[i]], root_of[path[i + 1]]
             if (bx is not None and by is not None and bx is not by
-                    and frozenset((bx.bid, by.bid)) in active_pairs):
+                    and frozenset((bx, by)) in active_pairs):
                 covered = True
                 break
         if not covered:

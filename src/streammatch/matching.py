@@ -1,4 +1,4 @@
-"""Matching state: mate map, per-arc labels, augmentation."""
+"""Matching state: mate map, greedy bootstrap, augmentation, validation."""
 
 from __future__ import annotations
 
@@ -40,31 +40,6 @@ def greedy_maximal_matching(stream: EdgeStream) -> Matching:
     return matching
 
 
-class ArcLabelTable:
-    """Labels of matched arcs, one per direction.
-
-    The matched arc with tail ``v`` is (v, mate(v)), so labels are keyed by
-    tail vertex.  Values live in [0, l_max + 1]; fresh tables hold
-    l_max + 1 everywhere.  ``reductions`` counts the writes that lowered
-    a label.
-    """
-
-    def __init__(self, matching: Matching, l_max: int):
-        self.l_max = l_max
-        self.mate = matching.mate
-        self.by_tail: dict[int, int] = {
-            u: l_max + 1 for u, m in enumerate(matching.mate) if m is not None}
-        self.reductions = 0
-
-    def set(self, arc: tuple[int, int], value: int) -> None:
-        u, v = arc
-        if self.mate[u] != v:
-            raise KeyError(f"arc ({u}, {v}) is not matched")
-        if value < self.by_tail[u]:
-            self.reductions += 1
-        self.by_tail[u] = value
-
-
 def is_alternating_augmenting(path: list[int], matching: Matching,
                               edges: Optional[set[frozenset[int]]] = None) -> bool:
     """True iff ``path`` (a vertex sequence) is a valid augmenting path.
@@ -92,20 +67,9 @@ def is_alternating_augmenting(path: list[int], matching: Matching,
     return True
 
 
-def augment_along(matching: Matching, path: list[int], *,
-                  checked: bool = False,
-                  edges: Optional[set[frozenset[int]]] = None) -> None:
-    """Flip matched and unmatched edges along an augmenting path.
-
-    Grows the matching by exactly one.  ``checked`` validates the path
-    first; an invalid path signals an engine bug and raises
-    :class:`~streammatch.invariants.InvariantViolationError`.
-    """
-    if checked and not is_alternating_augmenting(path, matching, edges):
-        # Imported here: the invariants module builds on this one.
-        from .invariants import InvariantViolationError, Violation
-        raise InvariantViolationError([Violation(
-            "augmenting-path", None, f"invalid augmenting path {path}")])
+def augment_along(matching: Matching, path: list[int]) -> None:
+    """Flip matched and unmatched edges along an augmenting path, which
+    grows the matching by exactly one."""
     mate = matching.mate
     for i in range(0, len(path) - 1, 2):
         u, v = path[i], path[i + 1]

@@ -70,7 +70,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional
 
 from .invariants import InvariantChecker
-from .matching import ArcLabelTable, Matching
+from .matching import Matching
 from .stream import EdgeStream, StreamRead
 from .structures import Forest, Structure
 
@@ -140,10 +140,8 @@ class PhaseEngine:
         self.stream = stream
         self.matching = matching
         self.config = config
-        self.checked = checked
         self.n = stream.vertex_count
-        self.labels = ArcLabelTable(matching, config.l_max)
-        self.forest = Forest(self.n, matching.mate, self.labels, trace=trace)
+        self.forest = Forest(self.n, matching.mate, config.l_max, trace=trace)
         for alpha in matching.free_vertices():
             self.forest.init_structure(alpha)
         self.checker = None
@@ -188,7 +186,7 @@ class PhaseEngine:
                 sum(1 for s in forest.structures.values() if s.working is not None))
         return PhaseResult(
             paths=list(forest.paths),
-            stats=dict(forest.stats, label_reductions=self.labels.reductions),
+            stats=dict(forest.stats),
             froze=froze,
             ever_on_hold=ever_on_hold,
         )
@@ -207,7 +205,7 @@ class PhaseEngine:
         forest = self.forest
         root_of = forest.root_of
         mate = self.matching.mate
-        by_tail = self.labels.by_tail
+        labels = forest.labels
         tails = (x for s in forest.structures.values()
                  if s.working is not None and not (s.on_hold or s.modified)
                  for x in s.working.vertices)
@@ -234,8 +232,8 @@ class PhaseEngine:
                     continue
             # bv is unvisited or inner, so v is matched and the matched
             # arc with tail v is the one to (possibly) overtake.
-            distance = 0 if bu.parent is None else by_tail[bu.parent_arc[0]]
-            if distance + 1 < by_tail[v]:
+            distance = 0 if bu.parent is None else labels[bu.parent_arc[0]]
+            if distance + 1 < labels[v]:
                 forest.overtake(u, v, distance + 1)
         read.close()
 

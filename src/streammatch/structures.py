@@ -34,13 +34,12 @@ from __future__ import annotations
 
 from typing import Callable, Iterator, Optional
 
-from .matching import ArcLabelTable
-
 Arc = tuple[int, int]
 
 
 class Blossom:
-    """A trivial blossom (single vertex) or a contracted odd cycle of blossoms.
+    """A trivial blossom (the single vertex ``base``) or a contracted odd
+    cycle of blossoms.
 
     Composite blossoms keep their construction: the odd-length list of
     sub-blossoms ``subs`` and the connecting arcs ``cycle``, where
@@ -55,24 +54,19 @@ class Blossom:
     ``parent``, ``parent_arc``, ``kids``, ``outer``).
     """
 
-    __slots__ = ("bid", "vertex", "subs", "cycle", "base", "vertices", "arcs",
+    __slots__ = ("subs", "cycle", "base", "vertices", "arcs",
                  "structure", "parent", "parent_arc", "kids", "outer")
 
-    def __init__(self, bid: int, *, vertex: Optional[int] = None,
-                 subs: Optional[list["Blossom"]] = None,
-                 cycle: Optional[list[Arc]] = None,
-                 base: Optional[int] = None):
-        self.bid = bid
-        self.vertex = vertex
+    def __init__(self, base: int, subs: Optional[list["Blossom"]] = None,
+                 cycle: Optional[list[Arc]] = None):
+        self.base = base
         self.subs = subs
         self.cycle = cycle
-        if vertex is not None:
-            self.base = vertex
-            self.vertices = [vertex]
+        if subs is None:
+            self.vertices = [base]
             self.arcs = 0
         else:
-            assert subs is not None and cycle is not None and base is not None
-            self.base = base
+            assert cycle is not None
             self.vertices = [x for sub in subs for x in sub.vertices]
             self.arcs = len(cycle) + sum(sub.arcs for sub in subs)
         self.structure: Optional[Structure] = None
@@ -87,8 +81,8 @@ class Blossom:
 
     def __repr__(self) -> str:
         if self.trivial:
-            return f"B({self.vertex})"
-        return f"B{self.bid}{sorted(self.vertices)}"
+            return f"B({self.base})"
+        return f"B{sorted(self.vertices)}"
 
 
 class Structure:
@@ -174,7 +168,7 @@ def even_path_vertices(blossom: Blossom, x: int) -> list[int]:
         node, target, backward = stack.pop()
         subs, cycle = node.subs, node.cycle
         if subs is None or cycle is None:
-            if target != node.vertex:
+            if target != node.base:
                 raise ValueError(f"vertex {x} not in {blossom!r}")
             out.append(target)
             continue
@@ -221,8 +215,8 @@ def lift_contracted_path(nodes: list[Blossom], arcs: list[Arc],
         exit_v = arcs[i][0] if i < last else node.base
         entry_matched = i == 0 or mate[arcs[i - 1][0]] == arcs[i - 1][1]
         if node.trivial:
-            assert entry == exit_v == node.vertex
-            out.append(node.vertex)
+            assert entry == exit_v == node.base
+            out.append(node.base)
         elif entry_matched:
             assert entry == node.base
             out.extend(even_path_vertices(node, exit_v))
@@ -243,6 +237,10 @@ class Forest:
     read.  A vertex whose node has no ``structure`` was removed with its
     structure for the rest of the phase.
 
+    ``labels[v]`` is the label of the matched arc with tail ``v``, the arc
+    (v, mate(v)).  Every entry starts at l_max + 1, and only
+    :meth:`relabel` changes one, so an unmatched tail keeps it.
+
     Every operation reports itself once, through :meth:`record`, which
     bumps ``mutations`` (a full pass bundle that leaves it untouched can
     never change anything again within the phase), counts the operation
@@ -256,29 +254,27 @@ class Forest:
     ``dirty`` can have come to join outer nodes of two structures.
     """
 
-    def __init__(self, n: int, mate: list[Optional[int]], labels: ArcLabelTable,
-                 trace: Optional[Callable[[dict], None]] = None,
-                 on_op: Optional[Callable[[str, tuple], None]] = None):
+    def __init__(self, n: int, mate: list[Optional[int]], l_max: int,
+                 trace: Optional[Callable[[dict], None]] = None):
         self.n = n
         self.mate = mate
-        self.labels = labels
+        self.labels = [l_max + 1] * n
         self.trace = trace
-        self.on_op = on_op
+        self.on_op: Optional[Callable[[str, tuple], None]] = None
         self.bundle = 0
         self.mutations = 0
-        self._next_bid = n
         self.root_of: list[Optional[Blossom]] = [None] * n
         self.structures: dict[int, Structure] = {}
         self.dirty: list[int] = []
         self.paths: list[list[int]] = []
         self.stats = {"overtakes": 0, "contracts": 0, "augments": 0,
-                      "backtracks": 0, "holds": 0}
+                      "backtracks": 0, "holds": 0, "label_reductions": 0}
 
     # -- structure lifecycle --------------------------------------------------
 
     def init_structure(self, alpha: int) -> Structure:
         assert self.mate[alpha] is None and self.root_of[alpha] is None
-        node = self.root_of[alpha] = Blossom(alpha, vertex=alpha)
+        node = self.root_of[alpha] = Blossom(alpha)
         structure = Structure(alpha, node)
         node.structure = structure
         node.outer = True
@@ -312,6 +308,15 @@ class Forest:
         if touched and self.on_op is not None:
             self.on_op(op, touched)
 
+    def relabel(self, u: int, v: int, value: int) -> None:
+        """Set the label of the matched arc (u, v) to ``value``, counting
+        the write in ``stats`` when it lowers the label."""
+        if self.mate[u] != v:
+            raise KeyError(f"arc ({u}, {v}) is not matched")
+        if value < self.labels[u]:
+            self.stats["label_reductions"] += 1
+        self.labels[u] = value
+
     # -- operations -----------------------------------------------------------
 
     def contract(self, u: int, v: int) -> Blossom:
@@ -338,8 +343,7 @@ class Forest:
         # from bu; the walk ends at the LCA it started from, so drop that.
         nodes, cycle = closed_walk(bv, bu, (v, u), lca, lca)
         subs = nodes[:-1]
-        blossom = Blossom(self._next_bid, subs=subs, cycle=cycle, base=lca.base)
-        self._next_bid += 1
+        blossom = Blossom(lca.base, subs, cycle)
         blossom.structure = structure
         blossom.outer = True
         blossom.parent = lca.parent
@@ -366,8 +370,8 @@ class Forest:
         for x in blossom.vertices:
             self.root_of[x] = blossom
         for x, y in cycle[1::2]:
-            self.labels.set((x, y), 0)
-            self.labels.set((y, x), 0)
+            self.relabel(x, y, 0)
+            self.relabel(y, x, 0)
         structure.working = blossom
         structure.modified = True
         self.record("contract", structure, [u, v], case="blossom",
@@ -390,7 +394,7 @@ class Forest:
         bv = self.root_of[v]
         t = self.mate[v]
         assert t is not None and self.mate[u] != v
-        assert 0 < k < self.labels.by_tail[v]
+        assert 0 < k < self.labels[v]
 
         # Each case only decides which nodes change structure and where the
         # working node goes; ``owner`` is the structure bv leaves, if any.
@@ -398,8 +402,8 @@ class Forest:
             # Case 1: the unvisited pair v = t joins as an inner node and
             # its outer kid, each getting its trivial blossom.
             assert self.root_of[t] is None
-            bv = self.root_of[v] = Blossom(v, vertex=v)
-            bt = self.root_of[t] = Blossom(t, vertex=t)
+            bv = self.root_of[v] = Blossom(v)
+            bt = self.root_of[t] = Blossom(t)
             bv.kids = [bt]
             bt.parent, bt.parent_arc = bv, (v, t)
             bt.outer = True
@@ -438,8 +442,8 @@ class Forest:
         structure.size += moved_size
         if owner is not None:
             owner.size -= moved_size
-        old = self.labels.by_tail[v]
-        self.labels.set((v, t), k)
+        old = self.labels[v]
+        self.relabel(v, t, k)
         structure.working = working
         structure.modified = True
         touched = (structure,) if owner in (None, structure) else (structure, owner)

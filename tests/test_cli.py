@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from streammatch import bench, cli, driver, matching
+from streammatch import bench, cli, driver
 from streammatch.driver import expected_pass_count
 from streammatch.invariants import InvariantChecker, InvariantViolationError, Violation
 from streammatch.stream import GraphSpec
@@ -92,10 +92,14 @@ def test_verify_fifty_seed_sweep(capsys):
 
 
 def test_verify_guarantee_failure_exit_2(capsys, monkeypatch):
-    monkeypatch.setattr(cli.oracle, "matching_size", lambda n, edges: 999)
-    code, _, err = run_cli(capsys, "verify", "--gen", "path:4", "--epsilon", "0.5")
-    assert code == 2
-    assert "guarantee" in err
+    # path:4 gives |M| = 2 at eps = 1/2.  nu = 999 breaks the final
+    # guarantee; nu = 3 keeps it (1.5 * 2 >= 3) but breaks the bound at the
+    # end of scale h = 1/256, (1 + 4 * 6/256) * (7/6) * 2 = 2.55 < 3.
+    for nu, message in ((999, "guarantee violated"), (3, "scale-end bound violated")):
+        monkeypatch.setattr(cli.oracle, "matching_size", lambda n, edges, nu=nu: nu)
+        code, out, err = run_cli(capsys, "verify", "--gen", "path:4", "--epsilon", "0.5")
+        assert code == 2 and out == ""
+        assert err.startswith(message)
 
 
 def test_verify_invariant_failure_exit_3(capsys, monkeypatch):
@@ -145,7 +149,7 @@ def test_verify_invalid_final_matching_exit_3(capsys, monkeypatch):
 
 
 def test_verify_invalid_augmenting_path_exit_3(capsys, monkeypatch):
-    monkeypatch.setattr(matching, "is_alternating_augmenting",
+    monkeypatch.setattr(driver, "is_alternating_augmenting",
                         lambda path, m, edges=None: False)
     code, out, err = run_cli(capsys, "verify", "--gen", "gnm:40,120,seed=0",
                              "--epsilon", "0.5")
@@ -163,9 +167,13 @@ def test_usage_error_exit_1(capsys):
             assert code == 1
             assert_one_line_error(err, "error", repr(spec))
     # argparse's own usage errors exit 1 too, not its default 2, which
-    # would read as a guarantee violation; --help still exits 0.
+    # would read as a guarantee violation; --help still exits 0.  A graph
+    # comes from exactly one of --input and --gen (gen takes only --gen),
+    # and trace needs --out.
     for argv in (["run", "--gen", "path:4", "--bogus"], [],
-                 ["run", "--gen", "gnm:10,20", "--seed", "x"]):
+                 ["run", "--gen", "gnm:10,20", "--seed", "x"],
+                 ["trace", "--gen", "path:4"], ["gen"], ["gen", "--input", "g.txt"],
+                 ["run"], ["run", "--input", "g.txt", "--gen", "path:4"]):
         with pytest.raises(SystemExit) as caught:
             cli.main(argv)
         assert caught.value.code == 1, argv
@@ -241,6 +249,15 @@ def test_bench_table(monkeypatch, capsys):
     code, out, _ = run_cli(capsys, "bench")
     assert code == 0
     assert "path:4" in out and "matching_size" in out
+
+
+def test_bench_row_checks_the_scale_end_bound(monkeypatch):
+    # nu = 3 keeps the final guarantee on path:4 but not the scale-end
+    # bound (see test_verify_guarantee_failure_exit_2); bench flags it too.
+    monkeypatch.setattr(bench.oracle, "matching_size", lambda n, edges: 3)
+    row = bench.run_one(GraphSpec("path", (4,)), Fraction(1, 2))
+    assert row["matching_size"] == 2 and row["nu"] == 3
+    assert row["guarantee_ok"] is False
 
 
 def test_bench_workers_checked_and_capped(monkeypatch, capsys):

@@ -11,7 +11,8 @@ from streammatch.driver import (RunConfig, expected_pass_count,
                                 scale_schedule)
 from streammatch.matching import validate_matching
 from streammatch.oracle import exact_matching_exhaustive
-from streammatch.stream import GraphSpec, open_stream
+from streammatch.stream import GraphSpec, open_stream, parse_graph_spec
+from streammatch.structures import Forest
 
 HALF = Fraction(1, 2)
 
@@ -133,6 +134,30 @@ def test_scale_end_approximation_bound():
         for row in report.per_scale:
             bound = (1 + 4 * row.h * l_max) * (1 + 1 / l_max) * row.matching_size
             assert nu <= bound
+
+
+@pytest.mark.parametrize("eps", [HALF, Fraction(1, 4)])
+def test_label_reductions_are_overtakes_and_contracted_cycle_arcs(monkeypatch, eps):
+    # Every overtake lowers one label, and a contraction lowers both
+    # directions of each matched cycle arc, len(cycle) - 1 labels in all;
+    # nothing else writes a label.
+    cycle_arcs = []
+    original_contract = Forest.contract
+
+    def recording_contract(forest, u, v):
+        blossom = original_contract(forest, u, v)
+        cycle_arcs.append(len(blossom.cycle) - 1)
+        return blossom
+
+    monkeypatch.setattr(Forest, "contract", recording_contract)
+    for spec in ("cycle:7", "petersen", "gnm:40,120,seed=0",
+                 "gnm:300,900,seed=1", "bipartite:30,30,90,seed=2"):
+        cycle_arcs.clear()
+        report = run(open_stream(parse_graph_spec(spec)), RunConfig(epsilon=eps))
+        stats = report.stats
+        assert stats["contracts"] == len(cycle_arcs)
+        assert stats["label_reductions"] == stats["overtakes"] + sum(cycle_arcs), spec
+        assert list(stats)[-1] == "label_reductions"
 
 
 def test_isolated_vertices_are_fine():

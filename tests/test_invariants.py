@@ -9,7 +9,7 @@ from streammatch.invariants import (InvariantChecker, InvariantViolationError,
                                     check_active_bound, check_blossom, check_forest,
                                     check_outer_independence,
                                     check_short_path_coverage, check_structure)
-from streammatch.matching import ArcLabelTable, Matching, greedy_maximal_matching
+from streammatch.matching import Matching, greedy_maximal_matching
 from streammatch.phase import PhaseConfig, PhaseEngine
 from streammatch.stream import EdgeStream, GraphSpec, open_stream
 from streammatch.structures import Forest
@@ -58,7 +58,7 @@ def test_corrupted_label_order_is_flagged():
     forest = engine.forest
     forest.overtake(0, 1, 1)
     forest.overtake(2, 3, 2)
-    forest.labels.by_tail[1] = 5          # was 1; the arc below carries 2
+    forest.labels[1] = 5                  # was 1; the arc below carries 2
     names = {v.name for v in check_structure(forest, forest.structures[0],
                                              CFG.limit, CFG.l_max, CFG.delta)}
     assert "increasing-labeling" in names
@@ -170,8 +170,7 @@ def nested_blossom_forest(corrupt=None):
     blossom passes through ``corrupt`` before the checker sees it.
     """
     matching = matched(7, [(1, 2), (3, 4), (5, 6)])
-    labels = ArcLabelTable(matching, CFG.l_max)
-    forest = Forest(7, matching.mate, labels)
+    forest = Forest(7, matching.mate, CFG.l_max)
     if corrupt is not None:
         checker = InvariantChecker(NESTED_EDGES, CFG, forest,
                                    matching_size_start=matching.size)
@@ -216,21 +215,22 @@ def test_laminarity_check_on_nested_blossoms():
         assert check_blossom(forest, blossom) == []
 
 
-def test_unlabeled_tail_inside_blossom_is_flagged():
-    forest = nested_blossom_forest()
-    del forest.labels.by_tail[3]          # (3, 4) lies inside both blossoms
-    assert forest_names(forest) == {"label-range"}
+def test_out_of_range_label_is_flagged():
+    for label in (-1, CFG.l_max + 2):
+        engine = mid_run_engine()
+        engine.forest.labels[2] = label   # (2, 1) is matched, outside any blossom
+        assert forest_names(engine.forest) == {"label-range"}
 
 
 def test_label_on_unmatched_tail_is_flagged():
     engine = mid_run_engine()
-    engine.forest.labels.by_tail[0] = 1   # 0 is free
+    engine.forest.labels[0] = 1           # 0 is free, so it must keep l_max + 1
     assert forest_names(engine.forest) == {"label-range"}
 
 
 def test_nonzero_label_inside_blossom_is_flagged():
     forest = nested_blossom_forest()
-    forest.labels.by_tail[3] = 1          # contraction set it to 0
+    forest.labels[3] = 1                  # contraction set it to 0
     assert forest_names(forest) == {"blossom-arc-labels"}
 
 
@@ -246,7 +246,7 @@ def test_unvisited_vertex_resolving_to_removed_node_is_flagged():
     # reached.  Pointing 2 at the removed node {0} makes that node
     # resolved to by a vertex it does not hold.
     matching = matched(4, [(2, 3)])
-    forest = Forest(4, matching.mate, ArcLabelTable(matching, CFG.l_max))
+    forest = Forest(4, matching.mate, CFG.l_max)
     forest.init_structure(0)
     forest.init_structure(1)
     forest.record_augmentation(0, 1)

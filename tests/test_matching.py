@@ -1,16 +1,15 @@
-"""Matching state: greedy bootstrap, labels, augmentation, validation."""
+"""Matching state: greedy bootstrap, augmentation, validation; arc labels."""
 
 import itertools
 
 import pytest
 
 from helpers import matched
-from streammatch.invariants import InvariantViolationError
-from streammatch.matching import (ArcLabelTable, Matching, augment_along,
-                                  greedy_maximal_matching,
+from streammatch.matching import (Matching, augment_along, greedy_maximal_matching,
                                   is_alternating_augmenting, validate_matching)
 from streammatch.oracle import exact_matching_exhaustive
 from streammatch.stream import EdgeStream, GraphSpec, open_stream
+from streammatch.structures import Forest
 
 
 def stream_of(n, edges):
@@ -53,50 +52,55 @@ def test_greedy_cycle5_any_order_gives_two():
 
 
 def test_init_labels_quarter_epsilon():
-    # l_max = 12 when eps = 1/4, so fresh labels are 13 in both directions.
-    m = matched(2, [(0, 1)])
-    labels = ArcLabelTable(m, 12)
-    assert labels.by_tail == {0: 13, 1: 13}
+    # l_max = 12 when eps = 1/4, so fresh labels are 13 in both directions;
+    # the free vertex 2 holds 13 too.
+    m = matched(3, [(0, 1)])
+    assert Forest(3, m.mate, 12).labels == [13, 13, 13]
 
 
 def test_init_labels_unit_epsilon():
-    m = matched(2, [(0, 1)])
-    labels = ArcLabelTable(m, 3)
-    assert labels.by_tail == {0: 4, 1: 4}
+    m = matched(3, [(0, 1)])
+    assert Forest(3, m.mate, 3).labels == [4, 4, 4]
 
 
 def test_init_labels_empty_matching():
-    labels = ArcLabelTable(Matching(4), 6)
-    assert labels.by_tail == {}
+    assert Forest(4, Matching(4).mate, 6).labels == [7] * 4
 
 
 def test_label_set_requires_matched_arc():
     m = matched(3, [(0, 1)])
-    labels = ArcLabelTable(m, 6)
+    forest = Forest(3, m.mate, 6)
     with pytest.raises(KeyError):
-        labels.set((1, 2), 1)
+        forest.relabel(1, 2, 1)
+    with pytest.raises(KeyError):
+        forest.relabel(2, 0, 1)   # 2 is free
+    assert forest.labels == [7, 7, 7]
 
 
 def test_label_reductions_counted():
-    m = matched(2, [(0, 1)])
-    labels = ArcLabelTable(m, 6)
-    labels.set((0, 1), 3)
-    labels.set((0, 1), 3)   # not a reduction
-    labels.set((0, 1), 0)
-    assert labels.reductions == 2
-    assert labels.by_tail[0] == 0
+    m = matched(3, [(0, 1)])
+    forest = Forest(3, m.mate, 6)
+    forest.relabel(0, 1, 3)
+    forest.relabel(0, 1, 3)   # not a reduction
+    forest.relabel(0, 1, 0)
+    assert forest.stats["label_reductions"] == 2
+    assert list(forest.stats)[-1] == "label_reductions"
+    assert forest.labels == [0, 7, 7]
 
 
 def test_augment_along_p4():
     m = matched(4, [(1, 2)])
-    augment_along(m, [0, 1, 2, 3], checked=True,
-                  edges={frozenset(e) for e in [(0, 1), (1, 2), (2, 3)]})
+    path = [0, 1, 2, 3]
+    assert is_alternating_augmenting(path, m,
+                                     {frozenset(e) for e in [(0, 1), (1, 2), (2, 3)]})
+    augment_along(m, path)
     assert set(m.pairs()) == {(0, 1), (2, 3)}
 
 
 def test_augment_along_single_edge():
     m = Matching(2)
-    augment_along(m, [0, 1], checked=True, edges={frozenset((0, 1))})
+    assert is_alternating_augmenting([0, 1], m, {frozenset((0, 1))})
+    augment_along(m, [0, 1])
     assert m.pairs() == [(0, 1)]
 
 
@@ -116,8 +120,7 @@ def test_augment_disjoint_paths_grow_by_count():
 ])
 def test_augment_checked_rejects_bad_paths(path):
     m = matched(4, [(1, 2)])
-    with pytest.raises(InvariantViolationError, match="augmenting-path"):
-        augment_along(m, path, checked=True)
+    assert not is_alternating_augmenting(path, m)
 
 
 def test_is_alternating_augmenting_rejects_wrong_parity():

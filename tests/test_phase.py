@@ -157,7 +157,7 @@ def test_distance_values():
     forest.overtake(0, 1, 1)
     working = forest.structures[0].working
     assert working.parent_arc == (1, 2)
-    assert forest.labels.by_tail[working.parent_arc[0]] == 1
+    assert forest.labels[working.parent_arc[0]] == 1
 
 
 def test_phase_builds_no_blossom_for_unreached_vertices():
@@ -189,10 +189,10 @@ def test_overtake_skipped_toward_ancestor():
     run_bundle(engine, 2)
     forest = engine.forest
     assert members(forest.structures[0]) == {0, 1, 2, 3, 4}
-    label_before = forest.labels.by_tail[1]
+    label_before = forest.labels[1]
     tree_before = {v: forest.root_of[v].parent_arc for v in range(5)}
     run_bundle(engine, 3)   # (4,1) is read and must not overtake
-    assert forest.labels.by_tail[1] == label_before == 1
+    assert forest.labels[1] == label_before == 1
     assert {v: forest.root_of[v].parent_arc for v in range(5)} == tree_before
     assert members(forest.structures[0]) == {0, 1, 2, 3, 4}
 
@@ -283,15 +283,16 @@ def test_label_reductions_bounded_per_arc(monkeypatch):
     # reduced at most l_max + 1 times; every overtake event in the trace
     # reports one of those reductions.
     from collections import Counter
-    from streammatch.matching import ArcLabelTable, greedy_maximal_matching
+    from streammatch.matching import greedy_maximal_matching
+    from streammatch.structures import Forest
     writes = []
-    original_set = ArcLabelTable.set
+    original_relabel = Forest.relabel
 
-    def recording_set(table, arc, value):
-        writes.append((arc[0], table.by_tail[arc[0]], value))
-        original_set(table, arc, value)
+    def recording_relabel(forest, u, v, value):
+        writes.append((u, forest.labels[u], value))
+        original_relabel(forest, u, v, value)
 
-    monkeypatch.setattr(ArcLabelTable, "set", recording_set)
+    monkeypatch.setattr(Forest, "relabel", recording_relabel)
     cfg = PhaseConfig.from_scale(HALF, HALF)
     for seed in range(20):
         stream = open_stream(GraphSpec("random-gnm", (18, 30), seed))

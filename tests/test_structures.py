@@ -4,7 +4,6 @@ import pytest
 
 from helpers import matched
 from streammatch.invariants import check_blossom, check_forest
-from streammatch.matching import ArcLabelTable
 from streammatch.structures import (Forest, ancestors, even_path_vertices,
                                     lift_contracted_path)
 
@@ -13,8 +12,7 @@ L_MAX = 6  # eps = 1/2
 
 def make_forest(n, matched_pairs):
     matching = matched(n, matched_pairs)
-    labels = ArcLabelTable(matching, L_MAX)
-    forest = Forest(n, matching.mate, labels)
+    forest = Forest(n, matching.mate, L_MAX)
     return forest, matching
 
 
@@ -41,7 +39,7 @@ def test_resolve_before_contraction_is_trivial():
     forest.overtake(0, 1, 1)
     for v in range(3):
         node = forest.root_of[v]
-        assert node.trivial and node.vertex == v and node.bid == v
+        assert node.trivial and node.base == v and node.vertices == [v]
         assert node.structure is forest.structures[0]
 
 
@@ -63,7 +61,7 @@ def test_contract_triangle():
     assert structure.root is blossom
     for v in range(3):
         assert forest.root_of[v] is blossom
-    assert forest.labels.by_tail[1] == forest.labels.by_tail[2] == 0
+    assert forest.labels[1] == forest.labels[2] == 0
     assert_clean(forest)
 
 
@@ -83,7 +81,7 @@ def test_contract_cycle5():
     assert sorted(blossom.vertices) == [0, 1, 2, 3, 4]
     assert blossom.base == 0
     for v in range(1, 5):
-        assert forest.labels.by_tail[v] == 0
+        assert forest.labels[v] == 0
     assert_clean(forest)
 
 
@@ -239,7 +237,7 @@ def test_overtake_case1_adds_pair():
     structure = forest.structures[0]
     assert members(structure) == {0, 1, 2} and structure.size == 3
     assert structure.working is forest.root_of[2]
-    assert forest.labels.by_tail[1] == 1
+    assert forest.labels[1] == 1
     assert forest.root_of[1].structure is structure and not forest.root_of[1].outer
     assert forest.root_of[2].structure is structure and forest.root_of[2].outer
     assert_clean(forest)
@@ -266,7 +264,7 @@ def test_overtake_case21_reparents_within_structure():
     assert node7.parent is forest.root_of[2]
     assert node7.parent_arc == (2, 7)
     assert node7 not in old_parent.kids
-    assert forest.labels.by_tail[7] == 2
+    assert forest.labels[7] == 2
     assert structure.working is forest.root_of[8]
     assert_clean(forest)
 
@@ -296,7 +294,7 @@ def test_overtake_case22_moves_subtree_with_working_handoff():
     assert s7.working is forest.root_of[5]      # retreats to the cut parent
     assert forest.root_of[4].parent is forest.root_of[0]
     assert forest.root_of[4].parent_arc == (0, 4)
-    assert forest.labels.by_tail[4] == 1
+    assert forest.labels[4] == 1
     assert s0.modified and s7.modified
     assert_clean(forest)
 
