@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .oracle import enumerate_short_augmenting_paths
-from .structures import Blossom, Forest, Structure
+from .structures import Blossom, Forest, Structure, subtree
 
 # Short-path coverage enumerates every short augmenting path at each bundle
 # boundary, so it is checked only on graphs with at most this many vertices.
@@ -173,7 +173,7 @@ def check_forest(forest: Forest, limit: int, l_max: int, delta: int) -> list[Vio
     node_of: dict[int, Blossom] = {}
     for alpha, structure in forest.structures.items():
         bad.extend(check_structure(forest, structure, limit, l_max, delta))
-        for node in structure.tree_nodes():
+        for node in subtree(structure.root):
             for v in node.vertices:
                 if v in node_of:
                     bad.append(Violation("disjointness", alpha,

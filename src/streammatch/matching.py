@@ -8,15 +8,12 @@ from .stream import EdgeStream
 
 
 class Matching:
-    """Current matching M as a symmetric mate map over vertices 0..n-1."""
+    """Current matching M as a symmetric mate map over vertices 0..n-1, and its size."""
 
     def __init__(self, n: int):
         self.n = n
         self.mate: list[Optional[int]] = [None] * n
-
-    @property
-    def size(self) -> int:
-        return sum(1 for m in self.mate if m is not None) // 2
+        self.size = 0
 
     def pairs(self) -> list[tuple[int, int]]:
         return [(u, v) for u, v in enumerate(self.mate)
@@ -37,6 +34,7 @@ def greedy_maximal_matching(stream: EdgeStream) -> Matching:
         if mate[u] is None and mate[v] is None:
             mate[u] = v
             mate[v] = u
+            matching.size += 1
     return matching
 
 
@@ -75,6 +73,7 @@ def augment_along(matching: Matching, path: list[int]) -> None:
         u, v = path[i], path[i + 1]
         mate[u] = v
         mate[v] = u
+    matching.size += 1
 
 
 def validate_matching(matching: Matching, edges: Iterable[tuple[int, int]]) -> bool:

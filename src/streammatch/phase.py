@@ -21,24 +21,28 @@ pass (an :meth:`EdgeStream.read`), but the engine's code visits only the
 arcs that can act in it; every other arc would fall through the read's
 guards untouched, so the outcome is the same as visiting them all:
 
-* extension    - the arcs whose tail is in the working node of a structure
-                 that is neither on hold nor modified, in stream order.  A
-                 structure acts at most once per read and only from its
-                 working node; that node and its vertices change only when
-                 the structure becomes modified or is removed, so this set
-                 only shrinks during the read.
+* extension    - the arcs not retired whose tail is in the working node of
+                 a structure that is neither on hold nor modified, in
+                 stream order.  A structure acts at most once per read and
+                 only from its working node; that node and its vertices
+                 change only when the structure becomes modified or is
+                 removed, so this set only shrinks during the read.  The
+                 read retires an arc whose ends share a root blossom,
+                 whose tail or head is removed, or that is matched.
 * collection   - per structure with a working node, in ``alpha`` order, a
-                 worklist of the stream positions of the arcs whose tail is
-                 in the working node, smallest first.  Only such an arc can
-                 contract, and only if its head lies in another outer node
-                 of the same structure.  The working node only grows during
-                 the fixpoint, and an arc that fails that test never passes
-                 it later in the fixpoint: its head is outside the
-                 structure, or in the working node, or in an inner node
-                 that stays inner or is absorbed into the working node.  So
-                 each contraction takes the first qualifying arc in stream
-                 order, as a restart from the first arc would, and a
-                 contraction only adds the arcs of the vertices it absorbs.
+                 worklist of the stream positions of the arcs not retired
+                 whose tail is in the working node, smallest first.  Only
+                 such an arc can contract, and only if its head lies in
+                 another outer node of the same structure.  The working
+                 node only grows during the fixpoint, and an arc that fails
+                 that test never passes it later in the fixpoint: its head
+                 is outside the structure, or in the working node, or in an
+                 inner node that stays inner or is absorbed into the
+                 working node.  So each contraction takes the first
+                 qualifying arc in stream order, as a restart from the
+                 first arc would, and a contraction only adds the arcs of
+                 the vertices it absorbs.  The read retires an arc whose
+                 head is in the working node or removed.
 * augmentation - both arcs of every edge at a ``Forest.dirty`` vertex, in
                  stream order; the engine clears the list after the read.
                  After each augmentation read no edge joins outer nodes of
@@ -57,6 +61,18 @@ skipped, and an extension arc with such a head is an overtake candidate.
 A vertex removed with its structure resolves to a node whose
 ``structure`` is None, so every read skips an arc with a removed end.
 
+Within a phase root blossoms only merge, removed vertices stay removed
+and the matching is fixed, so a retired arc never acts again in the
+phase; no arc is retired for a passing reason (a structure on hold or
+modified, a tail outside the working node, a head not yet reached).
+Retiring marks both arcs of the edge dead; a tail with a dead arc keeps
+a compacted list of its other arc positions, read in place of the
+stream's tail index.  The per-bundle loops (marking, extension tails,
+collection, backtracking) run over the phase's live structures in
+``alpha`` order, from which each bundle first drops those that lost their
+working node by deactivation or removal: they never act again, and a
+deactivated one only shrinks, so it never goes on hold.
+
 Once a bundle changes nothing, no later bundle of the phase can change
 anything either (the loop body is a deterministic function of the phase
 state), so the engine charges the remaining reads to the stream instead
@@ -65,9 +81,10 @@ of performing them and ends the phase early with identical results.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Optional
 
 from .invariants import InvariantChecker
 from .matching import Matching
@@ -135,15 +152,23 @@ class PhaseEngine:
     """Executes one phase over a stream against a fixed matching."""
 
     def __init__(self, stream: EdgeStream, matching: Matching, config: PhaseConfig,
-                 *, trace: Optional[Callable[[dict], None]] = None,
+                 *, free: Optional[list[int]] = None,
+                 trace: Optional[Callable[[dict], None]] = None,
                  checked: bool = False):
+        # ``free``, if given, lists the matching's free vertices in order.
         self.stream = stream
         self.matching = matching
         self.config = config
         self.n = stream.vertex_count
         self.forest = Forest(self.n, matching.mate, config.l_max, trace=trace)
-        for alpha in matching.free_vertices():
+        for alpha in matching.free_vertices() if free is None else free:
             self.forest.init_structure(alpha)
+        # The structures that may still act, in alpha order.
+        self.live = list(self.forest.structures.values())
+        # Retired arcs, and per tail the positions of its other arcs: None
+        # while none is retired, False until a read compacts them.
+        self.dead = bytearray(2 * stream.edge_count)
+        self.kept: list = [None] * self.n
         self.checker = None
         if checked:
             self.checker = InvariantChecker(
@@ -160,7 +185,8 @@ class PhaseEngine:
             self.checker.at_boundary()
         for tau in range(1, cfg.tau_max + 1):
             forest.bundle = tau
-            for structure in forest.structures.values():
+            self.live = [s for s in self.live if s.working is not None]
+            for structure in self.live:
                 hold = structure.size >= cfg.limit
                 if hold:
                     ever_on_hold = True
@@ -182,8 +208,7 @@ class PhaseEngine:
                 self.stream.charge_passes(READS_PER_BUNDLE * (cfg.tau_max - tau))
                 break
         if self.checker is not None:
-            self.checker.at_phase_end(
-                sum(1 for s in forest.structures.values() if s.working is not None))
+            self.checker.at_phase_end(sum(1 for s in self.live if s.working is not None))
         return PhaseResult(
             paths=list(forest.paths),
             stats=dict(forest.stats),
@@ -193,12 +218,20 @@ class PhaseEngine:
 
     # -- bundle parts ---------------------------------------------------------
 
-    def _extension_arcs(self, read: StreamRead,
-                        tails: Iterable[int]) -> Iterator[tuple[int, int]]:
-        """The arcs the extension read visits: those whose tail is in
-        ``tails``, the only arcs that can act in it (see the module
-        docstring)."""
-        return read.arcs_from(tails)
+    def _live_positions(self, read: StreamRead, tails: Iterable[int]) -> array:
+        """The positions of the arcs not retired whose tail is in ``tails``
+        (distinct vertices), tail after tail."""
+        offsets, by_tail, kept, dead = read.offsets, read.by_tail, self.kept, self.dead
+        picked = array("q")
+        for x in tails:
+            own = kept[x]
+            if own is None:
+                own = by_tail[offsets[x]:offsets[x + 1]]
+            elif own is False:
+                own = kept[x] = array("q", [p for p in by_tail[offsets[x]:offsets[x + 1]]
+                                            if not dead[p]])
+            picked.extend(own)
+        return picked
 
     def _extend_pass(self) -> None:
         """One stream pass; each live structure extends at most once."""
@@ -206,30 +239,30 @@ class PhaseEngine:
         root_of = forest.root_of
         mate = self.matching.mate
         labels = forest.labels
-        tails = (x for s in forest.structures.values()
+        dead, kept = self.dead, self.kept
+        tails = (x for s in self.live
                  if s.working is not None and not (s.on_hold or s.modified)
                  for x in s.working.vertices)
         read = self.stream.read()
-        for u, v in self._extension_arcs(read, tails):
-            bu = root_of[u]
+        arcs = read.arcs
+        for p in sorted(self._live_positions(read, tails)):
+            u, v = arcs[p]
+            bu = root_of[u]  # reached: in a working node when the read began
             bv = root_of[v]
-            if bu is None or bu is bv:
-                continue
             structure = bu.structure
-            if structure is None or structure.working is not bu or mate[u] == v:
+            if (bu is bv or structure is None or mate[u] == v
+                    or (bv is not None and bv.structure is None)):
+                dead[p] = dead[p ^ 1] = 1
+                kept[u] = kept[v] = False
                 continue
-            if structure.modified or structure.on_hold:
+            if structure.working is not bu or structure.modified or structure.on_hold:
                 continue
-            if bv is not None:
-                target = bv.structure
-                if target is None:
-                    continue
-                if bv.outer:
-                    if target is structure:
-                        forest.contract(u, v)
-                    else:
-                        forest.record_augmentation(u, v)
-                    continue
+            if bv is not None and bv.outer:
+                if bv.structure is structure:
+                    forest.contract(u, v)
+                else:
+                    forest.record_augmentation(u, v)
+                continue
             # bv is unvisited or inner, so v is matched and the matched
             # arc with tail v is the one to (possibly) overtake.
             distance = 0 if bu.parent is None else labels[bu.parent_arc[0]]
@@ -241,11 +274,9 @@ class PhaseEngine:
         """Two passes: contract to a fixpoint, then augment across structures."""
         forest = self.forest
         root_of = forest.root_of
-        structures = forest.structures
 
         read = self.stream.read()
-        for alpha in sorted(structures):
-            structure = structures[alpha]
+        for structure in self.live:
             if structure.working is not None:
                 self._contract_at_working(read, structure)
         read.close()
@@ -273,21 +304,28 @@ class PhaseEngine:
         forest = self.forest
         root_of = forest.root_of
         arcs = read.arcs
+        dead, kept = self.dead, self.kept
         working = structure.working
         # The positions of the arcs at the working node not yet tried.
-        pending = sorted(read.positions(working.vertices))
+        pending = sorted(self._live_positions(read, working.vertices))
         while pending:
             untried = iter(pending)
             pending = []
             for p in untried:
                 u, v = arcs[p]
                 bv = root_of[v]
-                if (bv is None or bv is working or bv.structure is not structure
-                        or not bv.outer):
+                if bv is None:
+                    continue
+                if bv is working or bv.structure is None:
+                    dead[p] = dead[p ^ 1] = 1
+                    kept[u] = kept[v] = False
+                    continue
+                if bv.structure is not structure or not bv.outer:
                     continue
                 blossom = forest.contract(u, v)
-                added = read.positions(x for sub in blossom.subs if sub is not working
-                                       for x in sub.vertices)
+                added = self._live_positions(
+                    read, (x for sub in blossom.subs if sub is not working
+                           for x in sub.vertices))
                 added.extend(untried)
                 pending = sorted(added)
                 working = blossom
@@ -296,8 +334,7 @@ class PhaseEngine:
     def _backtrack_stuck(self) -> None:
         """Retreat every structure that is live but failed to progress."""
         forest = self.forest
-        for structure in list(forest.structures.values()):
+        for structure in self.live:
             if structure.on_hold or structure.modified or structure.working is None:
                 continue
             forest.backtrack(structure)
-

@@ -136,34 +136,29 @@ class StreamRead:
     """One pass of an :class:`EdgeStream` that visits chosen arcs.
 
     While the read is open, ``arcs[p]`` is the arc at stream position
-    ``p``, :meth:`positions` gives the arc positions of chosen tails, and
-    :meth:`arcs_from` and :meth:`edges_at` yield the arcs of chosen tails
-    or edges in stream order.  The pass counts once, when :meth:`close`
+    ``p``, tail ``x``'s arcs sit at ``by_tail[offsets[x]:offsets[x + 1]]``,
+    :meth:`positions` gives the arc positions of chosen tails, and
+    :meth:`edges_at` yields the arcs of chosen edges in stream order.  The pass counts once, when :meth:`close`
     runs; a read abandoned without it, say by an error, counts none.
     """
 
-    __slots__ = ("arcs", "_offsets", "_positions", "_pass")
+    __slots__ = ("arcs", "offsets", "by_tail", "_pass")
 
     def __init__(self, arcs: list[tuple[int, int]], offsets: array,
-                 positions: array, counted: Iterator[tuple[int, int]]):
+                 by_tail: array, counted: Iterator[tuple[int, int]]):
         self.arcs = arcs
-        self._offsets = offsets
-        self._positions = positions
+        self.offsets = offsets
+        self.by_tail = by_tail
         self._pass = counted
 
     def positions(self, tails: Iterable[int]) -> array:
         """The positions of the arcs whose tail is in ``tails`` (distinct
         vertices): each tail's positions in stream order, tail after tail."""
-        offsets, positions = self._offsets, self._positions
+        offsets, by_tail = self.offsets, self.by_tail
         picked = array("q")
         for x in tails:
-            picked.extend(positions[offsets[x]:offsets[x + 1]])
+            picked.extend(by_tail[offsets[x]:offsets[x + 1]])
         return picked
-
-    def arcs_from(self, tails: Iterable[int]) -> Iterator[tuple[int, int]]:
-        """The arcs whose tail is in ``tails`` (distinct vertices), in
-        stream order.  ``tails`` is read once, before the first arc."""
-        return map(self.arcs.__getitem__, sorted(self.positions(tails)))
 
     def edges_at(self, vertices: Iterable[int]) -> Iterator[tuple[int, int]]:
         """Both arcs of every edge with an end in ``vertices``, each arc

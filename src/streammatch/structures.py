@@ -99,9 +99,6 @@ class Structure:
         self.modified = False
         self.size = len(root.vertices)
 
-    def tree_nodes(self) -> Iterator[Blossom]:
-        return subtree(self.root)
-
     def __repr__(self) -> str:
         return f"S({self.alpha})"
 
@@ -285,11 +282,12 @@ class Forest:
     def remove_structures(self, first: Structure, second: Structure) -> None:
         """Take both structures out of the phase: their tree nodes lose
         their structure, which marks their vertices removed, and the
-        structures die."""
+        structures die, losing their working node."""
         assert first is not second
         for structure in (first, second):
-            for node in structure.tree_nodes():
+            for node in subtree(structure.root):
                 node.structure = None
+            structure.working = None
             del self.structures[structure.alpha]
 
     def record(self, op: str, structure: Structure, arc: Optional[list[int]] = None,
@@ -487,4 +485,4 @@ class Forest:
     def structure_arc_count(self, structure: Structure) -> int:
         """Arcs stored by a structure: tree-realizing arcs plus the cycle
         arcs of every composite blossom in its family."""
-        return sum(1 + node.arcs for node in structure.tree_nodes()) - 1
+        return sum(1 + node.arcs for node in subtree(structure.root)) - 1

@@ -1,6 +1,6 @@
 """Builders shared by the test modules."""
 
-from streammatch.matching import Matching
+from streammatch.matching import Matching, augment_along
 
 
 def matched(n, pairs):
@@ -9,6 +9,5 @@ def matched(n, pairs):
     mate = matching.mate
     for u, v in pairs:
         assert u != v and mate[u] is None and mate[v] is None
-        mate[u] = v
-        mate[v] = u
+        augment_along(matching, [u, v])
     return matching

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from streammatch import driver
 from streammatch.driver import (RunConfig, expected_pass_count,
                                 normalize_epsilon, run, scale_params,
                                 scale_schedule)
 from streammatch.matching import validate_matching
+from streammatch.phase import PhaseEngine
 from streammatch.oracle import exact_matching_exhaustive
 from streammatch.stream import GraphSpec, open_stream, parse_graph_spec
 from streammatch.structures import Forest
@@ -158,6 +160,43 @@ def test_label_reductions_are_overtakes_and_contracted_cycle_arcs(monkeypatch, e
         assert stats["contracts"] == len(cycle_arcs)
         assert stats["label_reductions"] == stats["overtakes"] + sum(cycle_arcs), spec
         assert list(stats)[-1] == "label_reductions"
+
+
+@pytest.mark.parametrize("spec", ["gnm:60,150,seed=3", "gnm:150,450,seed=1",
+                                  "bipartite:30,30,90,seed=2"])
+def test_matching_size_and_free_list_follow_every_change(monkeypatch, spec):
+    # The driver keeps Matching.size and the free vertices it hands each
+    # phase as counts and lists; both must equal a scan of the mate map
+    # after greedy and after each augmentation.
+    def scan(matching):
+        free = [v for v, mate in enumerate(matching.mate) if mate is None]
+        return (matching.n - len(free)) // 2, free
+
+    seen = []
+    greedy, augment = driver.greedy_maximal_matching, driver.augment_along
+
+    def checked_greedy(stream):
+        matching = greedy(stream)
+        assert matching.size == scan(matching)[0]
+        return matching
+
+    def checked_augment(matching, path):
+        augment(matching, path)
+        assert matching.size == scan(matching)[0]
+        seen.append("augment")
+
+    class CheckedEngine(PhaseEngine):
+        def __init__(self, stream, matching, config, *, free=None, **kwargs):
+            assert free == scan(matching)[1]
+            seen.append("phase")
+            super().__init__(stream, matching, config, free=free, **kwargs)
+
+    monkeypatch.setattr(driver, "greedy_maximal_matching", checked_greedy)
+    monkeypatch.setattr(driver, "augment_along", checked_augment)
+    monkeypatch.setattr(driver, "PhaseEngine", CheckedEngine)
+    report = run(open_stream(parse_graph_spec(spec)), RunConfig(epsilon=HALF))
+    assert report.matching.size == scan(report.matching)[0]
+    assert seen.count("phase") > 1 and "augment" in seen
 
 
 def test_isolated_vertices_are_fine():

@@ -5,9 +5,11 @@ from fractions import Fraction
 import pytest
 
 from helpers import matched
+from test_differential import FullScanEngine
 from streammatch.matching import Matching, is_alternating_augmenting
 from streammatch.phase import READS_PER_BUNDLE, PhaseConfig, PhaseEngine
 from streammatch.stream import EdgeStream, GraphSpec, open_stream
+from streammatch.structures import subtree
 
 HALF = Fraction(1, 2)
 
@@ -25,7 +27,7 @@ def run_phase(stream, matching, eps=HALF, h=HALF, **kw):
 
 
 def members(structure):
-    return {x for node in structure.tree_nodes() for x in node.vertices}
+    return {x for node in subtree(structure.root) for x in node.vertices}
 
 
 def run_bundle(engine, tau):
@@ -379,3 +381,40 @@ def test_dirty_overtake_case_2_2_marks_the_outer_vertices_it_moves():
     engine.forest.overtake(5, 6, 1)
     engine.forest.overtake(7, 3, 2)
     assert cleanup_after(engine, lambda f: f.overtake(0, 3, 1)) == [[0, 3, 4, 5]]
+
+
+def phase_events(engine_class, n, edges, pairs):
+    events = []
+    engine_class(EdgeStream(n, edges), matched(n, pairs),
+                 PhaseConfig.from_scale(HALF, HALF), trace=events.append).run()
+    return events
+
+
+@pytest.mark.parametrize("edges, pairs, op, arc", [
+    # 0 takes 1=2 by (0,1) and so skips (0,3) in the same read, while 3 is
+    # unreached; stuck at 2, it backtracks and takes 3=4 through (0,3).
+    ([(0, 1), (0, 3), (1, 2), (3, 4)], [(1, 2), (3, 4)], "overtake", [3, 4]),
+    # 0 takes 1=2 by (0,1) and skips (0,4) while 4 is unreached; then 2
+    # takes 3=4, and the other arc of the skipped edge, (4,0), closes the
+    # blossom 0-1=2-3=4.
+    ([(0, 1), (0, 4), (1, 2), (2, 3), (3, 4)], [(1, 2), (3, 4)], "contract", [4, 0]),
+])
+def test_arc_read_while_its_head_is_unreached_acts_later(edges, pairs, op, arc):
+    events = phase_events(PhaseEngine, 5, edges, pairs)
+    assert [e for e in events if e["op"] == op and e["arc"] == arc]
+    assert events == phase_events(FullScanEngine, 5, edges, pairs)
+
+
+def test_arc_into_another_structures_inner_node_overtakes_after_a_skipped_bundle():
+    # Structure 3 reaches 6=7 in bundle 2, at label 2.  Structure 0 reads
+    # (0,6) in bundle 3 just after (0,8) took 8=9, so it skips it; stuck at
+    # 9, it backtracks to its root and steals 6=7 through (0,6) at label 1.
+    edges = [(0, 1), (0, 8), (0, 6), (1, 2), (3, 4), (4, 5), (5, 6), (6, 7), (8, 9)]
+    pairs = [(1, 2), (4, 5), (6, 7), (8, 9)]
+    events = phase_events(PhaseEngine, 10, edges, pairs)
+    takes = [(e["bundle"], e["structure"], e["case"]) for e in events
+             if e["op"] == "overtake" and e["arc"] == [6, 7]]
+    assert takes == [(2, 3, "1"), (5, 0, "2.2")]
+    assert [(e["bundle"], e["structure"]) for e in events
+            if e["op"] == "overtake" and e["arc"] == [8, 9]] == [(3, 0)]
+    assert events == phase_events(FullScanEngine, 10, edges, pairs)

@@ -65,7 +65,7 @@ def test_replay_determinism_and_arc_pairing():
         assert first[i + 1] == (v, u)
 
 
-def test_read_arcs_from_yields_the_tails_arcs_in_stream_order(monkeypatch):
+def test_read_positions_pick_the_tails_arcs(monkeypatch):
     stream = open_stream(GraphSpec("random-gnm", (12, 30), 5))
     every = collect_arcs(stream)
     reads = []
@@ -75,7 +75,7 @@ def test_read_arcs_from_yields_the_tails_arcs_in_stream_order(monkeypatch):
     for tails in ([], [3], [7, 0, 11, 3], range(12)):
         wanted = set(tails)
         read = stream.read()
-        assert list(read.arcs_from(iter(tails))) == \
+        assert [read.arcs[p] for p in sorted(read.positions(iter(tails)))] == \
             [(u, v) for u, v in every if u in wanted]
         read.close()
     # Each read is one full pass, opened by one iter_arcs_once call.
@@ -112,7 +112,7 @@ def test_read_whose_tails_grow_while_open_counts_one_pass():
 def test_abandoned_selected_pass_is_not_counted():
     stream = open_stream(GraphSpec("path", (4,)))
     read = stream.read()
-    next(read.arcs_from([1, 2]))
+    next(read.edges_at([1, 2]))
     del read  # never closed
     assert stream.pass_count() == 0
     assert collect_arcs(stream) == [(0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2)]
@@ -122,11 +122,11 @@ def test_reads_opened_one_after_the_other_share_no_state():
     stream = open_stream(GraphSpec("path", (4,)))
     first = stream.read()
     second = stream.read()
-    assert list(first.arcs_from([1])) == [(1, 0), (1, 2)]
+    assert [first.arcs[p] for p in first.positions([1])] == [(1, 0), (1, 2)]
     assert list(second.edges_at([3])) == [(2, 3), (3, 2)]
     second.close()
     assert stream.pass_count() == 1
-    assert list(first.arcs_from([2])) == [(2, 1), (2, 3)]
+    assert [first.arcs[p] for p in first.positions([2])] == [(2, 1), (2, 3)]
     first.close()
     assert stream.pass_count() == 2
     # A full pass opened after a read yields every arc again.

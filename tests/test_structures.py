@@ -5,7 +5,7 @@ import pytest
 from helpers import matched
 from streammatch.invariants import check_blossom, check_forest
 from streammatch.structures import (Forest, ancestors, even_path_vertices,
-                                    lift_contracted_path)
+                                    lift_contracted_path, subtree)
 
 L_MAX = 6  # eps = 1/2
 
@@ -29,7 +29,7 @@ def assert_clean(forest, limit=100, delta=10_000):
 
 
 def members(structure):
-    return {x for node in structure.tree_nodes() for x in node.vertices}
+    return {x for node in subtree(structure.root) for x in node.vertices}
 
 
 def test_resolve_before_contraction_is_trivial():
