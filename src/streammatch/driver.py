@@ -159,7 +159,7 @@ def run(stream: EdgeStream, config: RunConfig) -> RunReport:
     edge_set = {frozenset(e) for e in stream.snapshot_edges()} if checked else None
 
     matching = greedy_maximal_matching(stream)
-    # Ascending; banking a path matches its two ends and no other vertex.
+    # The free vertices, ascending: banking a path matches only its two ends.
     free = matching.free_vertices()
 
     totals: dict[str, int] = {}

@@ -155,7 +155,7 @@ class PhaseEngine:
                  *, free: Optional[list[int]] = None,
                  trace: Optional[Callable[[dict], None]] = None,
                  checked: bool = False):
-        # ``free``, if given, lists the matching's free vertices in order.
+        # ``free``, if given, lists the matching's free vertices, ascending.
         self.stream = stream
         self.matching = matching
         self.config = config

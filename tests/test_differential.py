@@ -7,8 +7,9 @@ edges at vertices that became outer; the first two skip the arcs they
 retired earlier in the phase.  :class:`FullScanEngine` reads every arc of
 every pass and retires nothing, collects the arcs internal to each
 structure, contracts by rescanning them from the first arc after each
-contraction, and checks every arc for an augmentation.  Both must produce the same trace,
-matching, counters, per-scale rows and pass count on every input.
+contraction, and checks every arc for an augmentation.  Both must produce
+the same trace, matching, counters, per-scale rows and pass count on every
+input.
 """
 
 from collections import Counter
@@ -134,13 +135,13 @@ def arcs_visited_per_read_kind(engine_class, n, edges):
     reads = count()
     kind = [None]
     full_pass = EdgeStream.iter_arcs_once
-    engines = []
+    engine = [None]
     seen_dead = set()
 
     class Tracked(engine_class):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
-            engines.append(self)
+            engine[0] = self
             seen_dead.clear()
 
     class CountingArcs(list):
@@ -148,7 +149,7 @@ def arcs_visited_per_read_kind(engine_class, n, edges):
             visits[kind[0]] += 1
             if kind[0] not in ("extension", "collection"):
                 return
-            root_of = engines[-1].forest.root_of
+            root_of = engine[0].forest.root_of
             bu, bv = root_of[arc[0]], root_of[arc[1]]
             if ((bu is not None and (bu is bv or bu.structure is None))
                     or (bv is not None and bv.structure is None)):
