@@ -159,8 +159,6 @@ def run(stream: EdgeStream, config: RunConfig) -> RunReport:
     edge_set = {frozenset(e) for e in stream.snapshot_edges()} if checked else None
 
     matching = greedy_maximal_matching(stream)
-    # The free vertices, ascending: banking a path matches only its two ends.
-    free = matching.free_vertices()
 
     totals: dict[str, int] = {}
     per_scale: list[ScaleReport] = []
@@ -175,8 +173,8 @@ def run(stream: EdgeStream, config: RunConfig) -> RunReport:
         augmentations = 0
         t = 1
         while t <= cfg.t_max:
-            engine = PhaseEngine(stream, matching, cfg, free=free,
-                                 trace=config.trace, checked=checked)
+            engine = PhaseEngine(stream, matching, cfg, trace=config.trace,
+                                 checked=checked)
             result = engine.run()
             executed += 1
             for path in result.paths:
@@ -194,8 +192,6 @@ def run(stream: EdgeStream, config: RunConfig) -> RunReport:
                 if not result.ever_on_hold and result.froze:
                     skip_remaining_scales = True
                 break
-            ends = {x for path in result.paths for x in (path[0], path[-1])}
-            free = [v for v in free if v not in ends]
             t += 1
         per_scale.append(ScaleReport(cfg.h, cfg.t_max, executed,
                                      augmentations, matching.size))

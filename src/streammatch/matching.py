@@ -8,19 +8,26 @@ from .stream import EdgeStream
 
 
 class Matching:
-    """Current matching M as a symmetric mate map over vertices 0..n-1, and its size."""
+    """Current matching M as a symmetric mate map over vertices 0..n-1, its
+    size, and the vertices that may still be free: augmenting matches a
+    path's free ends and keeps its inner vertices matched, so no matched
+    vertex is ever free again."""
 
     def __init__(self, n: int):
         self.n = n
         self.mate: list[Optional[int]] = [None] * n
         self.size = 0
+        self._free = list(range(n))
 
     def pairs(self) -> list[tuple[int, int]]:
         return [(u, v) for u, v in enumerate(self.mate)
                 if v is not None and u < v]
 
     def free_vertices(self) -> list[int]:
-        return [v for v in range(self.n) if self.mate[v] is None]
+        """The free vertices, ascending."""
+        mate = self.mate
+        self._free = [v for v in self._free if mate[v] is None]
+        return self._free
 
 
 def greedy_maximal_matching(stream: EdgeStream) -> Matching:

@@ -152,16 +152,14 @@ class PhaseEngine:
     """Executes one phase over a stream against a fixed matching."""
 
     def __init__(self, stream: EdgeStream, matching: Matching, config: PhaseConfig,
-                 *, free: Optional[list[int]] = None,
-                 trace: Optional[Callable[[dict], None]] = None,
+                 *, trace: Optional[Callable[[dict], None]] = None,
                  checked: bool = False):
-        # ``free``, if given, lists the matching's free vertices, ascending.
         self.stream = stream
         self.matching = matching
         self.config = config
         self.n = stream.vertex_count
         self.forest = Forest(self.n, matching.mate, config.l_max, trace=trace)
-        for alpha in matching.free_vertices() if free is None else free:
+        for alpha in matching.free_vertices():
             self.forest.init_structure(alpha)
         # The structures that may still act, in alpha order.
         self.live = list(self.forest.structures.values())
@@ -221,15 +219,14 @@ class PhaseEngine:
     def _live_positions(self, read: StreamRead, tails: Iterable[int]) -> array:
         """The positions of the arcs not retired whose tail is in ``tails``
         (distinct vertices), tail after tail."""
-        offsets, by_tail, kept, dead = read.offsets, read.by_tail, self.kept, self.dead
+        tail_positions, kept, dead = read.tail_positions, self.kept, self.dead
         picked = array("q")
         for x in tails:
             own = kept[x]
             if own is None:
-                own = by_tail[offsets[x]:offsets[x + 1]]
+                own = tail_positions(x)
             elif own is False:
-                own = kept[x] = array("q", [p for p in by_tail[offsets[x]:offsets[x + 1]]
-                                            if not dead[p]])
+                own = kept[x] = array("q", [p for p in tail_positions(x) if not dead[p]])
             picked.extend(own)
         return picked
 

@@ -136,28 +136,33 @@ class StreamRead:
     """One pass of an :class:`EdgeStream` that visits chosen arcs.
 
     While the read is open, ``arcs[p]`` is the arc at stream position
-    ``p``, tail ``x``'s arcs sit at ``by_tail[offsets[x]:offsets[x + 1]]``,
-    :meth:`positions` gives the arc positions of chosen tails, and
-    :meth:`edges_at` yields the arcs of chosen edges in stream order.  The pass counts once, when :meth:`close`
-    runs; a read abandoned without it, say by an error, counts none.
+    ``p``, :meth:`tail_positions` and :meth:`positions` give the arc
+    positions of one or more chosen tails, and :meth:`edges_at` yields the
+    arcs of chosen edges in stream order.  The pass counts once, when
+    :meth:`close` runs; a read abandoned without it, say by an error,
+    counts none.
     """
 
-    __slots__ = ("arcs", "offsets", "by_tail", "_pass")
+    __slots__ = ("arcs", "_offsets", "_positions", "_pass")
 
     def __init__(self, arcs: list[tuple[int, int]], offsets: array,
-                 by_tail: array, counted: Iterator[tuple[int, int]]):
+                 positions: array, counted: Iterator[tuple[int, int]]):
         self.arcs = arcs
-        self.offsets = offsets
-        self.by_tail = by_tail
+        self._offsets = offsets
+        self._positions = positions
         self._pass = counted
+
+    def tail_positions(self, x: int) -> array:
+        """The positions of the arcs whose tail is ``x``, in stream order."""
+        return self._positions[self._offsets[x]:self._offsets[x + 1]]
 
     def positions(self, tails: Iterable[int]) -> array:
         """The positions of the arcs whose tail is in ``tails`` (distinct
         vertices): each tail's positions in stream order, tail after tail."""
-        offsets, by_tail = self.offsets, self.by_tail
+        offsets, positions = self._offsets, self._positions
         picked = array("q")
         for x in tails:
-            picked.extend(by_tail[offsets[x]:offsets[x + 1]])
+            picked.extend(positions[offsets[x]:offsets[x + 1]])
         return picked
 
     def edges_at(self, vertices: Iterable[int]) -> Iterator[tuple[int, int]]:

@@ -21,87 +21,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import FullScanEngine
 from streammatch import bench, driver
 from streammatch.phase import PhaseEngine
 from streammatch.stream import (EdgeStream, bipartite_edges, build_edges, gnm_edges,
                                 open_stream, parse_graph_spec)
-
-
-class FullScanEngine(PhaseEngine):
-    """Reference engine: each read visits every arc of the pass."""
-
-    def _extend_pass(self):
-        forest = self.forest
-        root_of = forest.root_of
-        mate = self.matching.mate
-        labels = forest.labels
-        for u, v in self.stream.iter_arcs_once():
-            bu = root_of[u]
-            bv = root_of[v]
-            if bu is None or bu is bv:
-                continue
-            structure = bu.structure
-            if structure is None or structure.working is not bu or mate[u] == v:
-                continue
-            if structure.modified or structure.on_hold:
-                continue
-            if bv is not None:
-                target = bv.structure
-                if target is None:
-                    continue
-                if bv.outer:
-                    if target is structure:
-                        forest.contract(u, v)
-                    else:
-                        forest.record_augmentation(u, v)
-                    continue
-            distance = 0 if bu.parent is None else labels[bu.parent_arc[0]]
-            if distance + 1 < labels[v]:
-                forest.overtake(u, v, distance + 1)
-
-    def _contract_and_augment(self):
-        forest = self.forest
-        root_of = forest.root_of
-
-        buckets = {}
-        for u, v in self.stream.iter_arcs_once():
-            if root_of[u] is None or root_of[v] is None:
-                continue
-            owner = root_of[u].structure
-            if owner is None or owner.working is None or root_of[v].structure is not owner:
-                continue
-            buckets.setdefault(owner.alpha, []).append((u, v))
-
-        for alpha in sorted(buckets):
-            structure = forest.structures[alpha]
-            arcs = buckets[alpha]
-            progress = True
-            while progress:
-                progress = False
-                for u, v in arcs:
-                    bu = root_of[u]
-                    bv = root_of[v]
-                    if bu is bv:
-                        continue
-                    if structure.working is bu and bv.outer:
-                        forest.contract(u, v)
-                        progress = True
-                        break
-
-        mate = self.matching.mate
-        for u, v in self.stream.iter_arcs_once():
-            bu = root_of[u]
-            bv = root_of[v]
-            if bu is None or bv is None or bu is bv:
-                continue
-            owner = bu.structure
-            target = bv.structure
-            if owner is None or target is None or owner is target:
-                continue
-            if bu.outer and bv.outer:
-                assert mate[u] != v
-                forest.record_augmentation(u, v)
-        forest.dirty.clear()
 
 
 def outcome(make_stream, eps, checked):

@@ -165,37 +165,38 @@ def test_label_reductions_are_overtakes_and_contracted_cycle_arcs(monkeypatch, e
 @pytest.mark.parametrize("spec", ["gnm:60,150,seed=3", "gnm:150,450,seed=1",
                                   "bipartite:30,30,90,seed=2"])
 def test_matching_size_and_free_list_follow_every_change(monkeypatch, spec):
-    # The driver keeps Matching.size and the free vertices it hands each
-    # phase as counts and lists; both must equal a scan of the mate map
-    # after greedy and after each augmentation.
-    def scan(matching):
+    # Matching keeps its size as a count and its free vertices as a list
+    # it only prunes; both must equal a scan of the mate map after greedy,
+    # after each augmentation and when each phase starts.
+    def assert_as_scanned(matching):
         free = [v for v, mate in enumerate(matching.mate) if mate is None]
-        return (matching.n - len(free)) // 2, free
+        assert matching.size == (matching.n - len(free)) // 2
+        assert matching.free_vertices() == free
 
     seen = []
     greedy, augment = driver.greedy_maximal_matching, driver.augment_along
 
     def checked_greedy(stream):
         matching = greedy(stream)
-        assert matching.size == scan(matching)[0]
+        assert_as_scanned(matching)
         return matching
 
     def checked_augment(matching, path):
         augment(matching, path)
-        assert matching.size == scan(matching)[0]
+        assert_as_scanned(matching)
         seen.append("augment")
 
     class CheckedEngine(PhaseEngine):
-        def __init__(self, stream, matching, config, *, free=None, **kwargs):
-            assert free == scan(matching)[1]
+        def __init__(self, stream, matching, config, **kwargs):
+            assert_as_scanned(matching)
             seen.append("phase")
-            super().__init__(stream, matching, config, free=free, **kwargs)
+            super().__init__(stream, matching, config, **kwargs)
 
     monkeypatch.setattr(driver, "greedy_maximal_matching", checked_greedy)
     monkeypatch.setattr(driver, "augment_along", checked_augment)
     monkeypatch.setattr(driver, "PhaseEngine", CheckedEngine)
     report = run(open_stream(parse_graph_spec(spec)), RunConfig(epsilon=HALF))
-    assert report.matching.size == scan(report.matching)[0]
+    assert_as_scanned(report.matching)
     assert seen.count("phase") > 1 and "augment" in seen
 
 

@@ -4,8 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import matched
-from test_differential import FullScanEngine
+from helpers import FullScanEngine, matched
 from streammatch.matching import Matching, is_alternating_augmenting
 from streammatch.phase import READS_PER_BUNDLE, PhaseConfig, PhaseEngine
 from streammatch.stream import EdgeStream, GraphSpec, open_stream
