@@ -170,12 +170,13 @@ def check_forest(forest: Forest, limit: int, l_max: int, delta: int) -> list[Vio
     """Global checks: per-structure validity, disjointness, label range,
     resolution coherence."""
     bad: list[Violation] = []
-    node_of: dict[int, Blossom] = {}
+    # Per vertex, the tree node that holds it, or None.
+    node_of: list[Optional[Blossom]] = [None] * forest.n
     for alpha, structure in forest.structures.items():
         bad.extend(check_structure(forest, structure, limit, l_max, delta))
         for node in subtree(structure.root):
             for v in node.vertices:
-                if v in node_of:
+                if node_of[v] is not None:
                     bad.append(Violation("disjointness", alpha,
                                          f"vertex {v} also in {node_of[v]!r}"))
                 node_of[v] = node
@@ -197,7 +198,7 @@ def check_forest(forest: Forest, limit: int, l_max: int, delta: int) -> list[Vio
     resolvers: dict[Blossom, int] = {}
     for v in range(forest.n):
         node = forest.root_of[v]
-        home = node_of.get(v)
+        home = node_of[v]
         if home is None:
             if node is None:
                 continue
@@ -210,7 +211,7 @@ def check_forest(forest: Forest, limit: int, l_max: int, delta: int) -> list[Vio
             bad.append(Violation("resolution", None,
                                  f"root_of[{v}] is {node!r}, not its tree node {home!r}"))
         # Matched arcs wholly inside one root blossom carry label 0.
-        elif node_of.get(mate[v]) is node and labels[v] != 0:
+        elif mate[v] is not None and node_of[mate[v]] is node and labels[v] != 0:
             bad.append(Violation("blossom-arc-labels", None,
                                  f"internal matched arc ({v}, {mate[v]}) has nonzero label"))
     for node, count in resolvers.items():

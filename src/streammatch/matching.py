@@ -46,12 +46,12 @@ def greedy_maximal_matching(stream: EdgeStream) -> Matching:
 
 
 def is_alternating_augmenting(path: list[int], matching: Matching,
-                              edges: Optional[set[frozenset[int]]] = None) -> bool:
+                              edges: set[frozenset[int]]) -> bool:
     """True iff ``path`` (a vertex sequence) is a valid augmenting path.
 
     Checks simplicity, free endpoints, strict alternation starting and
-    ending with unmatched edges, and (when an edge set is supplied)
-    that every step is an actual edge of the graph.
+    ending with unmatched edges, and that every step is an edge in
+    ``edges``.
     """
     if len(path) < 2 or len(path) % 2 != 0:
         return False
@@ -62,7 +62,7 @@ def is_alternating_augmenting(path: list[int], matching: Matching,
         return False
     for i in range(len(path) - 1):
         u, v = path[i], path[i + 1]
-        if edges is not None and frozenset((u, v)) not in edges:
+        if frozenset((u, v)) not in edges:
             return False
         matched = mate[u] == v
         if i % 2 == 0 and matched:

@@ -43,8 +43,11 @@ guards untouched, so the outcome is the same as visiting them all:
                  first arc would, and a contraction only adds the arcs of
                  the vertices it absorbs.  The read retires an arc whose
                  head is in the working node or removed.
-* augmentation - both arcs of every edge at a ``Forest.dirty`` vertex, in
-                 stream order; the engine clears the list after the read.
+* augmentation - both arcs of every edge not retired at a ``Forest.dirty``
+                 vertex, in stream order; the engine clears the list after
+                 the read.  A retired arc has its ends in one root
+                 blossom, has an end removed, or is matched, and this
+                 read's guards skip all three kinds.
                  After each augmentation read no edge joins outer nodes of
                  two live structures (the read would have banked it, and
                  banking only removes structures).  Within a bundle, such an
@@ -65,13 +68,15 @@ Within a phase root blossoms only merge, removed vertices stay removed
 and the matching is fixed, so a retired arc never acts again in the
 phase; no arc is retired for a passing reason (a structure on hold or
 modified, a tail outside the working node, a head not yet reached).
-Retiring marks both arcs of the edge dead; a tail with a dead arc keeps
-a compacted list of its other arc positions, read in place of the
-stream's tail index.  The per-bundle loops (marking, extension tails,
-collection, backtracking) run over the phase's live structures in
-``alpha`` order, from which each bundle first drops those that lost their
-working node by deactivation or removal: they never act again, and a
-deactivated one only shrinks, so it never goes on hold.
+Retiring marks both arcs of the edge dead.  All three reads take their
+positions from one place: per tail, the positions of its arcs not
+retired, filtered from the stream's tail index when first asked for and
+again after each retirement at the tail.  The per-bundle loops
+(marking, extension tails, collection, backtracking) run over the
+phase's live structures in ``alpha`` order, from which each bundle first
+drops those that lost their working node by deactivation or removal:
+they never act again, and a deactivated one only shrinks, so it never
+goes on hold.
 
 Once a bundle changes nothing, no later bundle of the phase can change
 anything either (the loop body is a deterministic function of the phase
@@ -163,8 +168,8 @@ class PhaseEngine:
             self.forest.init_structure(alpha)
         # The structures that may still act, in alpha order.
         self.live = list(self.forest.structures.values())
-        # Retired arcs, and per tail the positions of its other arcs: None
-        # while none is retired, False until a read compacts them.
+        # Retired arcs, and per tail the positions of its arcs not retired,
+        # or None where they are to be filtered from the tail index.
         self.dead = bytearray(2 * stream.edge_count)
         self.kept: list = [None] * self.n
         self.checker = None
@@ -217,15 +222,13 @@ class PhaseEngine:
     # -- bundle parts ---------------------------------------------------------
 
     def _live_positions(self, read: StreamRead, tails: Iterable[int]) -> array:
-        """The positions of the arcs not retired whose tail is in ``tails``
-        (distinct vertices), tail after tail."""
+        """The positions of the arcs not retired whose tail is in ``tails``,
+        tail after tail; a tail given twice gives its positions twice."""
         tail_positions, kept, dead = read.tail_positions, self.kept, self.dead
         picked = array("q")
         for x in tails:
             own = kept[x]
             if own is None:
-                own = tail_positions(x)
-            elif own is False:
                 own = kept[x] = array("q", [p for p in tail_positions(x) if not dead[p]])
             picked.extend(own)
         return picked
@@ -250,7 +253,7 @@ class PhaseEngine:
             if (bu is bv or structure is None or mate[u] == v
                     or (bv is not None and bv.structure is None)):
                 dead[p] = dead[p ^ 1] = 1
-                kept[u] = kept[v] = False
+                kept[u] = kept[v] = None
                 continue
             if structure.working is not bu or structure.modified or structure.on_hold:
                 continue
@@ -280,7 +283,11 @@ class PhaseEngine:
 
         mate = self.matching.mate
         read = self.stream.read()
-        for u, v in read.edges_at(forest.dirty):
+        arcs = read.arcs
+        picked = set(self._live_positions(read, forest.dirty))
+        picked.update([p ^ 1 for p in picked])
+        for p in sorted(picked):
+            u, v = arcs[p]
             bu = root_of[u]
             bv = root_of[v]
             if bu is None or bv is None or bu is bv:
@@ -315,7 +322,7 @@ class PhaseEngine:
                     continue
                 if bv is working or bv.structure is None:
                     dead[p] = dead[p ^ 1] = 1
-                    kept[u] = kept[v] = False
+                    kept[u] = kept[v] = None
                     continue
                 if bv.structure is not structure or not bv.outer:
                     continue

@@ -10,10 +10,10 @@ do not consume passes.
 A reader that visits only some of the arcs of a pass opens a
 :class:`StreamRead` with :meth:`EdgeStream.read`.  That is still one full
 pass, counted like any other: the read opens its pass through
-:meth:`EdgeStream.iter_arcs_once` and runs it to the end when it closes,
-while it hands the reader the arcs at chosen positions, in stream order,
-and each tail's arc positions on demand.  The positions of each tail come
-from an index built on the first read.
+:meth:`EdgeStream.iter_arcs_once` and runs it to the end when it closes.
+Meanwhile the reader looks up the arc at any stream position and the
+positions of any tail's arcs, from an index built on the first read; the
+reader picks positions and their order itself.
 """
 
 from __future__ import annotations
@@ -70,11 +70,12 @@ class EdgeStream:
         self.edge_count = len(edges)
         self.source = source
         self.passes_used = 0
-        self._edges = list(edges)
-        # Pre-expanded arc list: (u, v) then (v, u) per stored edge, so the
-        # two arcs of an edge sit at positions p and p ^ 1.
+        # The graph, stored once as its arcs: (u, v) then (v, u) per edge,
+        # so the two arcs of an edge sit at positions p and p ^ 1 and the
+        # edges are the arcs at even positions.  Tuples, because the
+        # engine's read loops unpack them.
         arcs: list[tuple[int, int]] = []
-        for u, v in self._edges:
+        for u, v in edges:
             arcs.append((u, v))
             arcs.append((v, u))
         self._arcs = arcs
@@ -129,18 +130,16 @@ class EdgeStream:
 
     def snapshot_edges(self) -> list[tuple[int, int]]:
         """Edge list copy for oracles and checkers; consumes no pass."""
-        return list(self._edges)
+        return self._arcs[::2]
 
 
 class StreamRead:
     """One pass of an :class:`EdgeStream` that visits chosen arcs.
 
     While the read is open, ``arcs[p]`` is the arc at stream position
-    ``p``, :meth:`tail_positions` and :meth:`positions` give the arc
-    positions of one or more chosen tails, and :meth:`edges_at` yields the
-    arcs of chosen edges in stream order.  The pass counts once, when
-    :meth:`close` runs; a read abandoned without it, say by an error,
-    counts none.
+    ``p`` and :meth:`tail_positions` gives the positions of one tail's
+    arcs.  The pass counts once, when :meth:`close` runs; a read abandoned
+    without it, say by an error, counts none.
     """
 
     __slots__ = ("arcs", "_offsets", "_positions", "_pass")
@@ -156,23 +155,6 @@ class StreamRead:
         """The positions of the arcs whose tail is ``x``, in stream order."""
         return self._positions[self._offsets[x]:self._offsets[x + 1]]
 
-    def positions(self, tails: Iterable[int]) -> array:
-        """The positions of the arcs whose tail is in ``tails`` (distinct
-        vertices): each tail's positions in stream order, tail after tail."""
-        offsets, positions = self._offsets, self._positions
-        picked = array("q")
-        for x in tails:
-            picked.extend(positions[offsets[x]:offsets[x + 1]])
-        return picked
-
-    def edges_at(self, vertices: Iterable[int]) -> Iterator[tuple[int, int]]:
-        """Both arcs of every edge with an end in ``vertices``, each arc
-        once, in stream order.  ``vertices`` is read once, before the
-        first arc."""
-        picked = set(self.positions(vertices))
-        picked.update([p ^ 1 for p in picked])
-        return map(self.arcs.__getitem__, sorted(picked))
-
     def close(self) -> None:
         """Run the pass to its end, which counts it."""
         for _ in self._pass:
@@ -182,13 +164,15 @@ class StreamRead:
 def _validate_simple(n: int, edges: Iterable[tuple[int, int]]) -> None:
     if n < 0:
         raise StreamFormatError(f"negative vertex count {n}")
-    seen: set[frozenset[int]] = set()
+    # An edge's key is the rank of (min, max) in an n-by-n table: one int
+    # per edge, where a frozenset would cost over 200 bytes.
+    seen: set[int] = set()
     for u, v in edges:
         if u == v:
             raise StreamFormatError(f"self-loop at vertex {u}")
         if not (0 <= u < n and 0 <= v < n):
             raise StreamFormatError(f"edge ({u}, {v}) out of range for n={n}")
-        key = frozenset((u, v))
+        key = u * n + v if u < v else v * n + u
         if key in seen:
             raise StreamFormatError(f"duplicate edge {{{u}, {v}}}")
         seen.add(key)

@@ -8,8 +8,12 @@ from helpers import matched
 from streammatch.matching import (Matching, augment_along, greedy_maximal_matching,
                                   is_alternating_augmenting, validate_matching)
 from streammatch.oracle import exact_matching_exhaustive
-from streammatch.stream import EdgeStream, GraphSpec, open_stream
+from streammatch.stream import EdgeStream, GraphSpec, complete_edges, open_stream
 from streammatch.structures import Forest
+
+# Every pair of 0..3 is an edge, so a path on them fails the augmenting
+# path check only for the reason a test names.
+K4 = {frozenset(e) for e in complete_edges(4)}
 
 
 def stream_of(n, edges):
@@ -120,15 +124,15 @@ def test_augment_disjoint_paths_grow_by_count():
 ])
 def test_augment_checked_rejects_bad_paths(path):
     m = matched(4, [(1, 2)])
-    assert not is_alternating_augmenting(path, m)
+    assert not is_alternating_augmenting(path, m, K4)
 
 
 def test_is_alternating_augmenting_rejects_wrong_parity():
     m = matched(4, [(1, 2)])
-    assert is_alternating_augmenting([0, 1, 2, 3], m)
+    assert is_alternating_augmenting([0, 1, 2, 3], m, K4)
     # second edge must be matched
-    assert not is_alternating_augmenting([0, 3, 1, 2], m)
-    # with the edge set supplied, non-edges are rejected too
+    assert not is_alternating_augmenting([0, 3, 1, 2], m, K4)
+    # non-edges are rejected too
     p4 = {frozenset(e) for e in [(0, 1), (1, 2), (2, 3)]}
     assert not is_alternating_augmenting([0, 2, 1, 3], m, p4)
 

@@ -63,7 +63,8 @@ def test_p4_phase_finds_the_augmenting_path():
     _, result = run_phase(stream, matching, checked=True)
     assert len(result.paths) == 1
     assert sorted(result.paths[0]) == [0, 1, 2, 3]
-    assert is_alternating_augmenting(result.paths[0], matching)
+    assert is_alternating_augmenting(result.paths[0], matching,
+                                     {frozenset(e) for e in stream.snapshot_edges()})
     # the matching itself is untouched during the phase
     assert matching.pairs() == [(1, 2)]
 

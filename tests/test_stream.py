@@ -73,34 +73,36 @@ def test_read_positions_pick_the_tails_arcs(monkeypatch):
     monkeypatch.setattr(EdgeStream, "iter_arcs_once",
                         lambda self: reads.append(1) or original(self))
     for tails in ([], [3], [7, 0, 11, 3], range(12)):
-        wanted = set(tails)
         read = stream.read()
-        assert [read.arcs[p] for p in sorted(read.positions(iter(tails)))] == \
-            [(u, v) for u, v in every if u in wanted]
+        for x in tails:
+            # Each tail's positions come in stream order.
+            assert [read.arcs[p] for p in read.tail_positions(x)] == \
+                [(u, v) for u, v in every if u == x]
         read.close()
     # Each read is one full pass, opened by one iter_arcs_once call.
     assert len(reads) == 4 and stream.pass_count() == 5
     assert collect_arcs(stream) == every
 
 
-def test_read_edges_at_yields_each_edges_two_arcs_once():
+def test_read_partner_positions_give_each_edges_other_arc():
+    # The other arc of the edge at position p sits at p ^ 1, so the
+    # partners of a tail's positions are the arcs with that head.
     stream = open_stream(GraphSpec("random-gnm", (12, 30), 5))
     every = collect_arcs(stream)
-    for ends in ([], [4], [0, 1, 2], [5, 9, 6], range(12)):
-        wanted = set(ends)
-        read = stream.read()
-        assert list(read.edges_at(iter(ends))) == \
-            [(u, v) for u, v in every if u in wanted or v in wanted]
-        read.close()
-    assert stream.pass_count() == 6
+    read = stream.read()
+    for x in range(12):
+        partners = [read.arcs[p ^ 1] for p in read.tail_positions(x)]
+        assert partners == [(u, v) for u, v in every if v == x]
+    read.close()
+    assert stream.pass_count() == 2
 
 
 def test_read_whose_tails_grow_while_open_counts_one_pass():
     stream = open_stream(GraphSpec("cycle", (6,)))
     read = stream.read()
-    seen = read.positions([0])
+    seen = read.tail_positions(0)
     for x in (1, 2, 3):
-        seen.extend(read.positions([x]))
+        seen.extend(read.tail_positions(x))
     assert [read.arcs[p] for p in sorted(seen)] == \
         [(0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2), (3, 4), (0, 5)]
     read.close()
@@ -112,7 +114,7 @@ def test_read_whose_tails_grow_while_open_counts_one_pass():
 def test_abandoned_selected_pass_is_not_counted():
     stream = open_stream(GraphSpec("path", (4,)))
     read = stream.read()
-    next(read.edges_at([1, 2]))
+    assert read.arcs[read.tail_positions(1)[0]] == (1, 0)
     del read  # never closed
     assert stream.pass_count() == 0
     assert collect_arcs(stream) == [(0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2)]
@@ -122,11 +124,11 @@ def test_reads_opened_one_after_the_other_share_no_state():
     stream = open_stream(GraphSpec("path", (4,)))
     first = stream.read()
     second = stream.read()
-    assert [first.arcs[p] for p in first.positions([1])] == [(1, 0), (1, 2)]
-    assert list(second.edges_at([3])) == [(2, 3), (3, 2)]
+    assert [first.arcs[p] for p in first.tail_positions(1)] == [(1, 0), (1, 2)]
+    assert [second.arcs[p] for p in second.tail_positions(3)] == [(3, 2)]
     second.close()
     assert stream.pass_count() == 1
-    assert [first.arcs[p] for p in first.positions([2])] == [(2, 1), (2, 3)]
+    assert [first.arcs[p] for p in first.tail_positions(2)] == [(2, 1), (2, 3)]
     first.close()
     assert stream.pass_count() == 2
     # A full pass opened after a read yields every arc again.
