@@ -9,7 +9,7 @@ invariant checker verify runs at desk scale.
 
 from .driver import (PassCountMismatch, RunConfig, RunReport,
                      expected_pass_count, normalize_epsilon, run,
-                     scale_params, scale_schedule)
+                     scale_schedule)
 from .invariants import InvariantViolationError, Violation
 from .matching import (Matching, augment_along, greedy_maximal_matching,
                        validate_matching)
@@ -26,6 +26,6 @@ __all__ = [
     "StreamFormatError", "Structure", "Violation", "augment_along", "even_path_vertices",
     "expected_pass_count", "greedy_maximal_matching",
     "lift_contracted_path", "normalize_epsilon", "open_stream",
-    "parse_graph_spec", "read_edgelist", "run", "scale_params",
+    "parse_graph_spec", "read_edgelist", "run",
     "scale_schedule", "validate_matching", "write_edgelist",
 ]

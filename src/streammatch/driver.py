@@ -60,17 +60,6 @@ def scale_schedule(eps: Fraction) -> list[Fraction]:
     return out
 
 
-def scale_params(h, eps) -> PhaseConfig:
-    """Exact parameters for scale ``h``; also asserts the structure-size
-    bound fits under the per-structure space budget."""
-    config = PhaseConfig.from_scale(Fraction(h), Fraction(eps))
-    if config.limit * config.l_max > config.delta:
-        raise AssertionError(
-            f"size bound {config.limit * config.l_max} exceeds space budget "
-            f"{config.delta} at h={h}, eps={eps}")
-    return config
-
-
 def expected_pass_count(eps) -> int:
     """Closed-form pass count: one greedy pass plus, per scale, the phase
     count times the bundle count times the reads per bundle."""
@@ -152,8 +141,7 @@ def run(stream: EdgeStream, config: RunConfig) -> RunReport:
     """Compute a (1 + eps)-approximate maximum matching over the stream."""
     requested = Fraction(config.epsilon)
     eps = normalize_epsilon(requested)
-    schedule = scale_schedule(eps)
-    scale_configs = [scale_params(h, eps) for h in schedule]
+    scale_configs = [PhaseConfig.from_scale(h, eps) for h in scale_schedule(eps)]
 
     checked = config.check_invariants
     edge_set = {frozenset(e) for e in stream.snapshot_edges()} if checked else None

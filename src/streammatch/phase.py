@@ -43,11 +43,14 @@ guards untouched, so the outcome is the same as visiting them all:
                  first arc would, and a contraction only adds the arcs of
                  the vertices it absorbs.  The read retires an arc whose
                  head is in the working node or removed.
-* augmentation - both arcs of every edge not retired at a ``Forest.dirty``
-                 vertex, in stream order; the engine clears the list after
-                 the read.  A retired arc has its ends in one root
-                 blossom, has an end removed, or is matched, and this
-                 read's guards skip all three kinds.
+* augmentation - each edge not retired at a ``Forest.dirty`` vertex once,
+                 as its arc in stored orientation (the even position), in
+                 stream order; the engine clears the list after the read.
+                 The guards treat both arcs of an edge alike and banking
+                 removes both structures, so the reverse arc, next in
+                 stream order, could never act.  A retired arc has its ends
+                 in one root blossom, has an end removed, or is matched,
+                 and the guards skip all three kinds.
                  After each augmentation read no edge joins outer nodes of
                  two live structures (the read would have banked it, and
                  banking only removes structures).  Within a bundle, such an
@@ -104,7 +107,8 @@ class PhaseConfig:
     """Exact integer parameters of one phase at scale ``h``.
 
     All values are derived from (h, eps) with 1/h and 1/eps powers of two,
-    so the divisions below are exact.
+    so the divisions below are exact.  :meth:`from_scale` also checks that
+    the structure-size bound ``limit * l_max`` fits the space budget ``delta``.
     """
 
     h: Fraction
@@ -140,6 +144,10 @@ class PhaseConfig:
             if value.denominator != 1 or value <= 0:
                 raise ValueError(f"parameter {name}={value} is not a positive integer")
             ints[name] = int(value)
+        bound = ints["limit"] * ints["l_max"]
+        if bound > ints["delta"]:
+            raise ValueError(f"size bound {bound} exceeds space budget {ints['delta']} "
+                             f"at h={h}, eps={eps}")
         return PhaseConfig(h=h, eps=eps, **ints)
 
 
@@ -284,9 +292,7 @@ class PhaseEngine:
         mate = self.matching.mate
         read = self.stream.read()
         arcs = read.arcs
-        picked = set(self._live_positions(read, forest.dirty))
-        picked.update([p ^ 1 for p in picked])
-        for p in sorted(picked):
+        for p in sorted({p & ~1 for p in self._live_positions(read, forest.dirty)}):
             u, v = arcs[p]
             bu = root_of[u]
             bv = root_of[v]

@@ -35,6 +35,7 @@ from __future__ import annotations
 from typing import Callable, Iterator, Optional
 
 Arc = tuple[int, int]
+Piece = tuple["Blossom", int, bool]  # (blossom, target, backward); see _pieces
 
 
 class Blossom:
@@ -155,71 +156,68 @@ def even_path_vertices(blossom: Blossom, x: int) -> list[int]:
     ``x`` is the base), so the path splices cleanly between an external
     matched arc at the base and an external unmatched arc at ``x``.
     """
-    # The path is a concatenation of pieces, each the even path of a sub
-    # from its base to a vertex, read forward or backward.  Pieces expand
-    # from an explicit stack, so nesting depth costs no recursion; a
-    # backward piece expands into its sub-pieces, reversed.
+    return _expand([(blossom, x, False)])
+
+
+def lift_contracted_path(nodes: list[Blossom], arcs: list[Arc]) -> list[int]:
+    """Expand a path over root blossoms into a vertex path of the graph.
+
+    ``arcs[i]`` runs from ``nodes[i]`` to ``nodes[i+1]``, and the arcs at
+    odd positions are matched, as on a tree path read from its root or on
+    an augmenting path between two roots.
+    """
+    return _expand(_pieces(nodes, arcs, nodes[-1].base))
+
+
+def _pieces(nodes: list[Blossom], arcs: list[Arc], end: int) -> list[Piece]:
+    """The walk through ``nodes`` along ``arcs``, whose odd positions are
+    matched, as pieces ``(node, target, backward)``: the even path of
+    ``node`` from its base to ``target``, read backward if ``backward``.
+    A node at an even position is entered at its base and left where its
+    next arc starts, or at ``end`` if it is the last; a node at an odd
+    position is entered where its arc ends and left through its base."""
+    last = len(nodes) - 1
+    assert len(arcs) == last
+    pieces = []
+    for i, node in enumerate(nodes):
+        if i % 2:
+            assert i == last or arcs[i][0] == node.base
+            pieces.append((node, arcs[i - 1][1], True))
+        else:
+            assert i == 0 or arcs[i - 1][1] == node.base
+            pieces.append((node, arcs[i][0] if i < last else end, False))
+    return pieces
+
+
+def _expand(pieces: list[Piece]) -> list[int]:
+    """The vertices of ``pieces`` in order.  A composite blossom's piece is
+    the walk around its cycle from its first sub to the sub holding the
+    target, in the direction with an even number of arcs; a backward piece
+    expands into those sub-pieces reversed.  Pieces expand from an explicit
+    stack, so nesting depth costs no recursion."""
     out: list[int] = []
-    stack: list[tuple[Blossom, int, bool]] = [(blossom, x, False)]
+    stack = pieces[::-1]
     while stack:
         node, target, backward = stack.pop()
         subs, cycle = node.subs, node.cycle
         if subs is None or cycle is None:
             if target != node.base:
-                raise ValueError(f"vertex {x} not in {blossom!r}")
+                raise ValueError(f"vertex {target} not in {node!r}")
             out.append(target)
             continue
         j = next((i for i, sub in enumerate(subs) if target in sub.vertices), None)
         if j is None:
-            raise ValueError(f"vertex {x} not in {blossom!r}")
+            raise ValueError(f"vertex {target} not in {node!r}")
         if j % 2 == 0:
-            # Walk forward around the cycle: even number of arcs.
             route, arcs = subs[:j + 1], cycle[:j]
         else:
-            # Walk backward: also an even number of arcs, reversed orientation.
             route = [subs[0]] + subs[j:][::-1]
             arcs = [(b, a) for a, b in cycle[j:][::-1]]
-        # Odd route arcs are matched, so odd route subs are entered by an
-        # unmatched arc and left through the matched arc at their base.
-        pieces = [(route[0], arcs[0][0] if arcs else target, False)]
-        for i in range(1, len(route)):
-            if i % 2:
-                pieces.append((route[i], arcs[i - 1][1], True))
-            else:
-                pieces.append((route[i], arcs[i][0] if i < len(arcs) else target, False))
+        inner = _pieces(route, arcs, target)
         if backward:
-            stack.extend((sub, t, not back) for sub, t, back in pieces)
+            stack.extend((sub, t, not back) for sub, t, back in inner)
         else:
-            stack.extend(reversed(pieces))
-    return out
-
-
-def lift_contracted_path(nodes: list[Blossom], arcs: list[Arc],
-                         mate: list[Optional[int]]) -> list[int]:
-    """Expand a path over root blossoms into a vertex path of the graph.
-
-    ``arcs[i]`` connects ``nodes[i]`` to ``nodes[i+1]`` (tail in the former,
-    head in the latter).  For an augmenting path the arc sequence starts and
-    ends unmatched; the path enters every blossom through a matched arc at
-    its base or leaves through one, and the gap is bridged by the blossom's
-    internal even alternating path.
-    """
-    assert len(arcs) == len(nodes) - 1
-    out: list[int] = []
-    last = len(nodes) - 1
-    for i, node in enumerate(nodes):
-        entry = arcs[i - 1][1] if i > 0 else node.base
-        exit_v = arcs[i][0] if i < last else node.base
-        entry_matched = i == 0 or mate[arcs[i - 1][0]] == arcs[i - 1][1]
-        if node.trivial:
-            assert entry == exit_v == node.base
-            out.append(node.base)
-        elif entry_matched:
-            assert entry == node.base
-            out.extend(even_path_vertices(node, exit_v))
-        else:
-            assert exit_v == node.base
-            out.extend(reversed(even_path_vertices(node, entry)))
+            stack.extend(reversed(inner))
     return out
 
 
@@ -459,7 +457,7 @@ class Forest:
         assert bu.outer and bv.outer and self.mate[u] != v
 
         nodes, arcs = closed_walk(bu, bv, (u, v), side_u.root, side_v.root)
-        path = lift_contracted_path(nodes, arcs, self.mate)
+        path = lift_contracted_path(nodes, arcs)
         assert path[0] == side_u.alpha and path[-1] == side_v.alpha
         self.paths.append(path)
         self.record("augment", side_u, [u, v])

@@ -14,10 +14,10 @@ import pytest
 
 from helpers import matched
 from streammatch import bench, driver
-from streammatch.driver import expected_pass_count, scale_params, scale_schedule
+from streammatch.driver import expected_pass_count, scale_schedule
 from streammatch.invariants import InvariantChecker, check_short_path_coverage
 from streammatch.oracle import exact_matching_exhaustive, matching_size_rank
-from streammatch.phase import READS_PER_BUNDLE
+from streammatch.phase import READS_PER_BUNDLE, PhaseConfig
 from streammatch.stream import GraphSpec, open_stream
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
@@ -65,7 +65,7 @@ def test_criterion_2_pass_count_formula(corpus_rows):
         previous = ratio
 
     def min_scale_term(eps):
-        cfg = scale_params(scale_schedule(eps)[-1], eps)
+        cfg = PhaseConfig.from_scale(scale_schedule(eps)[-1], eps)
         return READS_PER_BUNDLE * cfg.t_max * cfg.tau_max
 
     for eps in epsilons[:-1]:
@@ -167,7 +167,7 @@ def test_criterion_6_golden_traces(tmp_path, name, args, facts):
     if name == "c5":
         # the single contract is the whole 5-cycle collapsing
         from streammatch.matching import greedy_maximal_matching
-        from streammatch.phase import PhaseConfig, PhaseEngine
+        from streammatch.phase import PhaseEngine
         stream = open_stream(GraphSpec("cycle", (5,)))
         matching = greedy_maximal_matching(stream)
         phase_events = []
@@ -186,7 +186,7 @@ def test_criterion_7_space_proxy(corpus_rows):
     # on every checked run (names space-vertices / space-arcs); confirm
     # the bounds are meaningful on a run that grows large structures.
     from streammatch.invariants import check_structure
-    from streammatch.phase import PhaseConfig, PhaseEngine
+    from streammatch.phase import PhaseEngine
     from streammatch.stream import EdgeStream
 
     n = 15

@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 
 from streammatch import driver
 from streammatch.driver import (RunConfig, expected_pass_count,
-                                normalize_epsilon, run, scale_params,
-                                scale_schedule)
+                                normalize_epsilon, run, scale_schedule)
 from streammatch.matching import validate_matching
-from streammatch.phase import PhaseEngine
+from streammatch.phase import PhaseConfig, PhaseEngine
 from streammatch.oracle import exact_matching_exhaustive
 from streammatch.stream import GraphSpec, open_stream, parse_graph_spec
 from streammatch.structures import Forest
@@ -38,10 +37,10 @@ def test_scale_schedule_counts():
 
 
 def test_scale_params_table_values():
-    cfg = scale_params(HALF, Fraction(1, 4))
+    cfg = PhaseConfig.from_scale(HALF, Fraction(1, 4))
     assert (cfg.l_max, cfg.limit, cfg.tau_max, cfg.t_max, cfg.delta) == \
         (12, 13, 576, 1152, 288)
-    cfg = scale_params(HALF, Fraction(1))
+    cfg = PhaseConfig.from_scale(HALF, Fraction(1))
     assert (cfg.l_max, cfg.limit, cfg.tau_max, cfg.t_max, cfg.delta) == \
         (3, 13, 144, 288, 72)
 
@@ -49,7 +48,7 @@ def test_scale_params_table_values():
 def test_size_bound_within_space_budget_for_all_scheduled_scales():
     for eps in (Fraction(1), HALF, Fraction(1, 4), Fraction(1, 8)):
         for h in scale_schedule(eps):
-            cfg = scale_params(h, eps)
+            cfg = PhaseConfig.from_scale(h, eps)
             assert cfg.limit * cfg.l_max <= cfg.delta
 
 
@@ -57,14 +56,14 @@ def test_expected_pass_count_single_scale_term():
     # Scale 1/2 at eps=1 contributes reads * 288 * 144 passes.
     assert 3 * 288 * 144 == 124416
     with_scale = expected_pass_count(Fraction(1))
-    cfg = scale_params(HALF, Fraction(1))
+    cfg = PhaseConfig.from_scale(HALF, Fraction(1))
     assert with_scale > 3 * cfg.t_max * cfg.tau_max == 124416
 
 
 def test_expected_pass_count_closed_form():
     total = 1
     for h in scale_schedule(Fraction(1)):
-        cfg = scale_params(h, Fraction(1))
+        cfg = PhaseConfig.from_scale(h, Fraction(1))
         total += 3 * cfg.t_max * cfg.tau_max
     assert expected_pass_count(Fraction(1)) == total
 
@@ -83,7 +82,7 @@ def test_pass_count_scaling_ratio():
     # the minimum-scale term scales by exactly 64 per halving
     def min_scale_term(eps):
         h = scale_schedule(eps)[-1]
-        cfg = scale_params(h, eps)
+        cfg = PhaseConfig.from_scale(h, eps)
         return 3 * cfg.t_max * cfg.tau_max
     for eps in (Fraction(1), HALF, Fraction(1, 4)):
         assert min_scale_term(eps / 2) == 64 * min_scale_term(eps)
@@ -113,7 +112,7 @@ def test_run_reports_both_epsilons_and_scales():
     assert report.epsilon_requested == Fraction(2, 3)
     assert report.epsilon_effective == HALF
     assert len(report.per_scale) == len(scale_schedule(HALF))
-    assert report.per_scale[0].phases_total == scale_params(
+    assert report.per_scale[0].phases_total == PhaseConfig.from_scale(
         HALF, HALF).t_max
 
 

@@ -173,7 +173,7 @@ def test_even_path_and_lift_through_1500_nested_blossoms():
     forest.overtake(n - 3, n - 2, 1)
     stem = structure.root
     nodes = [stem, forest.root_of[n - 2], forest.root_of[n - 1]]
-    lifted = lift_contracted_path(nodes, [(n - 3, n - 2), (n - 2, n - 1)], forest.mate)
+    lifted = lift_contracted_path(nodes, [(n - 3, n - 2), (n - 2, n - 1)])
     assert lifted == list(range(n))
     assert_alternating(lifted, forest.mate, start_matched=False)
 
@@ -186,7 +186,7 @@ def test_even_path_and_lift_through_1500_nested_blossoms():
         assert_alternating(path, forest.mate, start_matched=False)
     assert even_path_vertices(top, n - 1) == list(range(n))
     assert even_path_vertices(top, n - 2) == [0, n - 1, n - 2]
-    assert lift_contracted_path([top], [], forest.mate) == [0]
+    assert lift_contracted_path([top], []) == [0]
     with pytest.raises(ValueError):
         even_path_vertices(top, n)
 
@@ -199,7 +199,7 @@ def test_lift_trivial_nodes_is_identity():
     nodes = [forest.root_of[0], forest.root_of[1], forest.root_of[2],
              forest.root_of[3]]
     arcs = [(0, 1), (1, 2), (2, 3)]
-    assert lift_contracted_path(nodes, arcs, forest.mate) == [0, 1, 2, 3]
+    assert lift_contracted_path(nodes, arcs) == [0, 1, 2, 3]
 
 
 def test_lift_through_contracted_triangle_six_vertices():
@@ -215,6 +215,22 @@ def test_lift_through_contracted_triangle_six_vertices():
     assert path == [0, 1, 2, 3, 4, 5]
     assert len(path) - 1 == 5
     assert sorted(blossom.vertices) == [2, 3, 4]
+
+
+@pytest.mark.parametrize("tail, path", [(4, [5, 4, 3, 2, 1, 0]),
+                                        (3, [5, 3, 4, 2, 1, 0])])
+def test_lift_through_composite_odd_node_entered_off_its_base(tail, path):
+    # The fixture above with the edge 3-5 added, augmented from 5's side:
+    # the blossom {2,3,4} is the path's odd node, entered at 4 or 3 and
+    # left through its base 2, so its even path is read backward.
+    forest, matching = make_forest(6, [(1, 2), (3, 4)])
+    forest.init_structure(0)
+    forest.init_structure(5)
+    forest.overtake(0, 1, 1)
+    forest.overtake(2, 3, 2)
+    forest.contract(4, 2)
+    assert forest.record_augmentation(5, tail) == path
+    assert_alternating(path, matching.mate, start_matched=False)
 
 
 def test_record_augmentation_removes_both_structures():
