@@ -71,10 +71,17 @@ Within a phase root blossoms only merge, removed vertices stay removed
 and the matching is fixed, so a retired arc never acts again in the
 phase; no arc is retired for a passing reason (a structure on hold or
 modified, a tail outside the working node, a head not yet reached).
-Retiring marks both arcs of the edge dead.  All three reads take their
-positions from one place: per tail, the positions of its arcs not
-retired, filtered from the stream's tail index when first asked for and
-again after each retirement at the tail.  The per-bundle loops
+Retiring marks both arcs of the edge dead and the root blossoms of both
+ends stale.  The extension and collection reads take their positions from
+one list per root blossom, kept under its base (no other root blossom
+has that base): the positions of the live arcs whose tail is in the node,
+in stream order.  A trivial node's list starts as its vertex's slice of
+the stream's tail index, and a contraction sorts its subs' lists into the
+blossom's once and drops theirs.  A stale list is filtered by ``dead``
+once, on its next read.  An arc retired while its head is unreached marks
+that vertex stale, as the base of the trivial node it gets when reached.
+The augmentation read filters the tail index of each dirty vertex by
+``dead``, with no list of its own.  The per-bundle loops
 (marking, extension tails, collection, backtracking) run over the
 phase's live structures in ``alpha`` order, from which each bundle first
 drops those that lost their working node by deactivation or removal:
@@ -92,12 +99,12 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from .invariants import InvariantChecker
 from .matching import Matching
 from .stream import EdgeStream, StreamRead
-from .structures import Forest, Structure
+from .structures import Blossom, Forest, Structure
 
 READS_PER_BUNDLE = 3
 
@@ -176,10 +183,12 @@ class PhaseEngine:
             self.forest.init_structure(alpha)
         # The structures that may still act, in alpha order.
         self.live = list(self.forest.structures.values())
-        # Retired arcs, and per tail the positions of its arcs not retired,
-        # or None where they are to be filtered from the tail index.
+        # Retired arcs; per root blossom, under its base, the positions of
+        # its live arcs (None: not cached), and whether retirements since
+        # they were cached leave dead positions in them.
         self.dead = bytearray(2 * stream.edge_count)
-        self.kept: list = [None] * self.n
+        self.arcs_at: list[Optional[array]] = [None] * self.n
+        self.stale = bytearray(self.n)
         self.checker = None
         if checked:
             self.checker = InvariantChecker(
@@ -229,17 +238,36 @@ class PhaseEngine:
 
     # -- bundle parts ---------------------------------------------------------
 
-    def _live_positions(self, read: StreamRead, tails: Iterable[int]) -> array:
-        """The positions of the arcs not retired whose tail is in ``tails``,
-        tail after tail; a tail given twice gives its positions twice."""
-        tail_positions, kept, dead = read.tail_positions, self.kept, self.dead
-        picked = array("q")
-        for x in tails:
-            own = kept[x]
-            if own is None:
-                own = kept[x] = array("q", [p for p in tail_positions(x) if not dead[p]])
-            picked.extend(own)
-        return picked
+    def _arcs_at(self, read: StreamRead, node: Blossom) -> array:
+        """The positions of the live arcs whose tail is in the root blossom
+        ``node``, in stream order; a stale list is filtered once, here."""
+        base = node.base
+        own = self.arcs_at[base]
+        if own is None:
+            assert node.trivial
+            own = read.tail_positions(base)
+        if self.stale[base]:
+            self.stale[base] = 0
+            dead = self.dead
+            own = array("q", [p for p in own if not dead[p]])
+        self.arcs_at[base] = own
+        return own
+
+    def _contract(self, read: StreamRead, u: int, v: int) -> array:
+        """Contract at the working node by the arc (u, v) and cache the new
+        blossom's list, its subs' lists merged.  Returns the live positions
+        at the subs other than the working node, sub after sub."""
+        arcs_at = self.arcs_at
+        working = self.forest.root_of[u]
+        blossom = self.forest.contract(u, v)
+        own = self._arcs_at(read, working)
+        absorbed = array("q")
+        for sub in blossom.subs:
+            if sub is not working:
+                absorbed.extend(self._arcs_at(read, sub))
+            arcs_at[sub.base] = None
+        arcs_at[blossom.base] = array("q", sorted(own + absorbed))
+        return absorbed
 
     def _extend_pass(self) -> None:
         """One stream pass; each live structure extends at most once."""
@@ -247,13 +275,14 @@ class PhaseEngine:
         root_of = forest.root_of
         mate = self.matching.mate
         labels = forest.labels
-        dead, kept = self.dead, self.kept
-        tails = (x for s in self.live
-                 if s.working is not None and not (s.on_hold or s.modified)
-                 for x in s.working.vertices)
+        dead, stale = self.dead, self.stale
         read = self.stream.read()
         arcs = read.arcs
-        for p in sorted(self._live_positions(read, tails)):
+        picked = array("q")
+        for s in self.live:
+            if s.working is not None and not (s.on_hold or s.modified):
+                picked.extend(self._arcs_at(read, s.working))
+        for p in sorted(picked):
             u, v = arcs[p]
             bu = root_of[u]  # reached: in a working node when the read began
             bv = root_of[v]
@@ -261,13 +290,14 @@ class PhaseEngine:
             if (bu is bv or structure is None or mate[u] == v
                     or (bv is not None and bv.structure is None)):
                 dead[p] = dead[p ^ 1] = 1
-                kept[u] = kept[v] = None
+                # An unreached head will be the base of its trivial node.
+                stale[bu.base] = stale[v if bv is None else bv.base] = 1
                 continue
             if structure.working is not bu or structure.modified or structure.on_hold:
                 continue
             if bv is not None and bv.outer:
                 if bv.structure is structure:
-                    forest.contract(u, v)
+                    self._contract(read, u, v)
                 else:
                     forest.record_augmentation(u, v)
                 continue
@@ -290,9 +320,11 @@ class PhaseEngine:
         read.close()
 
         mate = self.matching.mate
+        dead = self.dead
         read = self.stream.read()
-        arcs = read.arcs
-        for p in sorted({p & ~1 for p in self._live_positions(read, forest.dirty)}):
+        arcs, tail_positions = read.arcs, read.tail_positions
+        for p in sorted({p & ~1 for x in forest.dirty for p in tail_positions(x)
+                         if not dead[p]}):
             u, v = arcs[p]
             bu = root_of[u]
             bv = root_of[v]
@@ -311,13 +343,12 @@ class PhaseEngine:
     def _contract_at_working(self, read: StreamRead, structure: Structure) -> None:
         """Contract at the structure's working node until no arc at it
         closes a blossom, each time by the first such arc in stream order."""
-        forest = self.forest
-        root_of = forest.root_of
+        root_of = self.forest.root_of
         arcs = read.arcs
-        dead, kept = self.dead, self.kept
+        dead, stale = self.dead, self.stale
         working = structure.working
         # The positions of the arcs at the working node not yet tried.
-        pending = sorted(self._live_positions(read, working.vertices))
+        pending = self._arcs_at(read, working)
         while pending:
             untried = iter(pending)
             pending = []
@@ -328,17 +359,14 @@ class PhaseEngine:
                     continue
                 if bv is working or bv.structure is None:
                     dead[p] = dead[p ^ 1] = 1
-                    kept[u] = kept[v] = None
+                    stale[working.base] = stale[bv.base] = 1
                     continue
                 if bv.structure is not structure or not bv.outer:
                     continue
-                blossom = forest.contract(u, v)
-                added = self._live_positions(
-                    read, (x for sub in blossom.subs if sub is not working
-                           for x in sub.vertices))
+                added = self._contract(read, u, v)
                 added.extend(untried)
                 pending = sorted(added)
-                working = blossom
+                working = structure.working
                 break
 
     def _backtrack_stuck(self) -> None:

@@ -119,7 +119,8 @@ def test_reference_reads_more_arcs_than_the_engine():
         assert 0 < engine[kind] < reference[kind], kind
 
 
-@pytest.mark.parametrize("spec", ["gnm:40,80,seed=3", "gnm:150,450,seed=1"])
+@pytest.mark.parametrize("spec", ["gnm:40,80,seed=3", "gnm:150,450,seed=1",
+                                  "gnm:300,900,seed=1"])
 def test_engine_reads_a_dead_arc_once_per_phase(spec):
     # Once an extension or collection read meets an arc whose ends share a
     # root blossom or with a removed end, it retires the arc, and no read

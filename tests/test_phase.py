@@ -5,9 +5,11 @@ from fractions import Fraction
 import pytest
 
 from helpers import FullScanEngine, matched
+from streammatch import driver
 from streammatch.matching import Matching, is_alternating_augmenting
 from streammatch.phase import READS_PER_BUNDLE, PhaseConfig, PhaseEngine
-from streammatch.stream import EdgeStream, GraphSpec, open_stream
+from streammatch.stream import (EdgeStream, GraphSpec, build_edges, open_stream,
+                                parse_graph_spec)
 from streammatch.structures import subtree
 
 HALF = Fraction(1, 2)
@@ -362,7 +364,9 @@ def test_dirty_contract_marks_the_inner_vertices_it_absorbs():
     # adjacent to the free vertex 3.  Contracting makes 1 outer.
     engine = engine_for(4, [(0, 1), (1, 2), (2, 0), (1, 3)], [(1, 2)])
     engine.forest.overtake(0, 1, 1)
-    assert cleanup_after(engine, lambda f: f.contract(2, 0)) == [[0, 2, 1, 3]]
+    # Through the engine, which makes the blossom's arc list as it contracts.
+    assert cleanup_after(engine, lambda f: engine._contract(engine.stream.read(), 2, 0)) \
+        == [[0, 2, 1, 3]]
 
 
 def test_dirty_overtake_case_1_marks_the_new_outer_vertex():
@@ -418,3 +422,44 @@ def test_arc_into_another_structures_inner_node_overtakes_after_a_skipped_bundle
     assert [(e["bundle"], e["structure"]) for e in events
             if e["op"] == "overtake" and e["arc"] == [8, 9]] == [(3, 0)]
     assert events == phase_events(FullScanEngine, 10, edges, pairs)
+
+
+@pytest.mark.parametrize("eps", [HALF, Fraction(1, 4)])
+def test_node_arc_lists_hold_exactly_the_live_arcs_at_every_boundary(monkeypatch, eps):
+    # At each bundle boundary every root blossom has the list it would
+    # read: the one cached under its base, or for a trivial node or a vertex
+    # no structure reached, the tail index slice of the vertex.  After its
+    # stale filter that list is the stream-ordered positions of the live
+    # arcs with a tail in the node.  A vertex that is not the base of its
+    # root blossom keeps no list (a contraction drops its subs' lists), and
+    # a composite root blossom always has one.  A merge or a stale mark
+    # that drops or keeps an arc fails here even where the outcome matches.
+    n, edges = build_edges(parse_graph_spec("gnm:150,450,seed=1"))
+    seen = {"composite": 0, "stale with dead": 0}
+    backtrack = PhaseEngine._backtrack_stuck
+
+    def backtrack_then_check(engine):
+        backtrack(engine)
+        read = engine.stream.read()  # never closed, so it counts no pass
+        root_of, dead = engine.forest.root_of, engine.dead
+        for x in range(n):
+            node = root_of[x]
+            own = engine.arcs_at[x]
+            if node is not None and node.base != x:
+                assert own is None
+                continue
+            if own is None:
+                assert node is None or node.trivial
+                own = read.tail_positions(x)
+            live = [p for p in own if not dead[p]]
+            if engine.stale[x]:
+                seen["stale with dead"] += len(live) < len(own)
+                own = live
+            vertices = [x] if node is None else node.vertices
+            assert list(own) == sorted(p for y in vertices
+                                       for p in read.tail_positions(y) if not dead[p])
+            seen["composite"] += node is not None and not node.trivial
+
+    monkeypatch.setattr(PhaseEngine, "_backtrack_stuck", backtrack_then_check)
+    driver.run(EdgeStream(n, edges), driver.RunConfig(epsilon=eps))
+    assert seen["composite"] > 0 and seen["stale with dead"] > 0
