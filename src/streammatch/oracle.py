@@ -58,27 +58,77 @@ def exact_matching_exhaustive(n: int, edges: Sequence[tuple[int, int]]) -> int:
     return solve((1 << n) - 1)
 
 
-def _rank_mod_p(rows: list[list[int]], n: int) -> int:
+def _slot_bits(n: int) -> int:
+    """Bits per slot of a packed row, a whole number of bytes: a slot
+    starts below _PRIME and gains at most n - 1 products below _PRIME**2,
+    so it stays below n * _PRIME**2 and never carries into the next."""
+    return 8 * -(-(2 * _PRIME.bit_length() + n.bit_length() + 1) // 8)
+
+
+def _packed_rows(n: int, edges: Sequence[tuple[int, int]],
+                 rng: random.Random) -> list[int]:
+    """One random skew-symmetric matrix, row r packed into one int whose
+    slot c (bits c * w to (c + 1) * w, w = ``_slot_bits(n)``) holds entry
+    (r, c).  Entries are drawn edge by edge; a repeated edge keeps its
+    last draw."""
+    entries: list[dict[int, int]] = [{} for _ in range(n)]
+    for u, v in edges:
+        entry = rng.randrange(1, _PRIME)
+        entries[u][v] = entry
+        entries[v][u] = _PRIME - entry
+    size = _slot_bits(n) // 8
+    rows = []
+    for row in entries:
+        buf = bytearray(n * size)
+        for col, entry in row.items():
+            buf[col * size:col * size + 8] = entry.to_bytes(8, "little")
+        rows.append(int.from_bytes(buf, "little"))
+    return rows
+
+
+def _rank_mod_p(rows: list[int], n: int) -> int:
+    """Rank mod _PRIME of the n x n matrix packed in ``rows`` (see
+    ``_packed_rows``), by Gaussian elimination that updates a whole row
+    with one big-int operation.  Every remaining row is shifted right by
+    one slot per column, so slot 0 is always the current column; slots
+    are reduced mod _PRIME only where they are read."""
+    width = _slot_bits(n)
+    size = width // 8
+    mask = (1 << width) - 1
     rank = 0
     for col in range(n):
         pivot = None
         for r in range(rank, n):
-            if rows[r][col]:
+            if (rows[r] & mask) % _PRIME:
                 pivot = r
                 break
         if pivot is None:
+            for r in range(rank, n):
+                rows[r] >>= width
             continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = pow(rows[rank][col], _PRIME - 2, _PRIME)
-        base = rows[rank]
-        for r in range(rank + 1, n):
-            factor = rows[r][col]
-            if factor:
-                scale = factor * inv % _PRIME
-                row = rows[r]
-                for c in range(col, n):
-                    row[c] = (row[c] - scale * base[c]) % _PRIME
+        base = rows[pivot]
+        rows[pivot] = rows[rank]
+        rows[rank] = 0
         rank += 1
+        inv = pow((base & mask) % _PRIME, _PRIME - 2, _PRIME)
+        # Slot c of neg holds minus the pivot row's entry in column
+        # col + 1 + c, mod _PRIME, so adding (factor / pivot entry) * neg to
+        # a row shifted past column col subtracts the multiple of the pivot
+        # row that clears that column.
+        rest = (base >> width).to_bytes((n - col - 1) * size, "little")
+        neg = bytearray(len(rest))
+        for i in range(0, len(rest), size):
+            entry = int.from_bytes(rest[i:i + size], "little") % _PRIME
+            if entry:
+                neg[i:i + 8] = (_PRIME - entry).to_bytes(8, "little")
+        neg = int.from_bytes(neg, "little")
+        for r in range(rank, n):
+            row = rows[r]
+            factor = row & mask
+            if factor:
+                rows[r] = (row >> width) + factor * inv % _PRIME * neg
+            else:
+                rows[r] = row >> width
     return rank
 
 
@@ -93,15 +143,8 @@ def matching_size_rank(n: int, edges: Sequence[tuple[int, int]],
     if n == 0 or not edges:
         return 0
     rng = random.Random(seed)
-    best = 0
-    for _ in range(trials):
-        rows = [[0] * n for _ in range(n)]
-        for u, v in edges:
-            entry = rng.randrange(1, _PRIME)
-            rows[u][v] = entry
-            rows[v][u] = _PRIME - entry
-        best = max(best, _rank_mod_p(rows, n) // 2)
-    return best
+    return max(_rank_mod_p(_packed_rows(n, edges, rng), n) // 2
+               for _ in range(trials))
 
 
 def matching_size(n: int, edges: Sequence[tuple[int, int]]) -> Optional[int]:

@@ -118,6 +118,20 @@ def test_verify_pass_mismatch_exit_4(capsys, monkeypatch):
     assert "pass-count" in err
 
 
+@pytest.mark.parametrize("oracle, spec, limit", [
+    ("exhaustive", "path:23", "n <= 22"),
+    ("tutte", "path:2001", "n <= 2000"),
+])
+def test_verify_oracle_limit_fails_before_the_checked_run(capsys, monkeypatch,
+                                                         oracle, spec, limit):
+    def unexpected_run(stream, config):
+        raise AssertionError("driver.run called before the oracle's size check")
+    monkeypatch.setattr(driver, "run", unexpected_run)
+    code, out, err = run_cli(capsys, "verify", "--gen", spec, "--oracle", oracle)
+    assert code == 1 and out == ""
+    assert_one_line_error(err, "error", limit)
+
+
 def assert_one_line_error(err, label, detail):
     assert "Traceback" not in err
     assert len(err.splitlines()) == 1

@@ -1,16 +1,20 @@
 """Oracles: exhaustive DP, rank-based size, path enumeration."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streammatch.oracle import (enumerate_short_augmenting_paths,
+from streammatch import bench
+from streammatch.oracle import (_DEFAULT_SEED, _DEFAULT_TRIALS, _PRIME,
+                                RANK_LIMIT, _packed_rows, _rank_mod_p,
+                                _slot_bits, enumerate_short_augmenting_paths,
                                 exact_matching_exhaustive, matching_size_rank)
-from streammatch.stream import (GraphSpec, complete_edges, cycle_edges,
-                                gnm_edges, open_stream, path_edges,
-                                petersen_edges)
+from streammatch.stream import (GraphSpec, build_edges, complete_edges,
+                                cycle_edges, gnm_edges, open_stream,
+                                parse_graph_spec, path_edges, petersen_edges)
 
 
 def brute_force_matching(n, edges):
@@ -88,6 +92,122 @@ def test_rank_oracle_small_values():
 def test_rank_oracle_is_deterministic_per_seed():
     edges = gnm_edges(20, 40, seed=5)
     assert matching_size_rank(20, edges, seed=9) == matching_size_rank(20, edges, seed=9)
+
+
+def reference_matrix(n, edges, rng):
+    """The random skew-symmetric matrix as a dense list of lists, drawn
+    edge by edge like the oracle's; a repeated edge keeps its last draw."""
+    rows = [[0] * n for _ in range(n)]
+    for u, v in edges:
+        entry = rng.randrange(1, _PRIME)
+        rows[u][v] = entry
+        rows[v][u] = _PRIME - entry
+    return rows
+
+
+def reference_rank_mod_p(rows, n):
+    """Reference elimination: one Python step per matrix entry, every
+    entry reduced mod _PRIME as it is written."""
+    rank = 0
+    for col in range(n):
+        pivot = None
+        for r in range(rank, n):
+            if rows[r][col]:
+                pivot = r
+                break
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], _PRIME - 2, _PRIME)
+        base = rows[rank]
+        for r in range(rank + 1, n):
+            factor = rows[r][col]
+            if factor:
+                scale = factor * inv % _PRIME
+                row = rows[r]
+                for c in range(col, n):
+                    row[c] = (row[c] - scale * base[c]) % _PRIME
+        rank += 1
+    return rank
+
+
+def assert_packed_ranks_match_reference(n, edges):
+    """Every trial's packed rows hold the reference matrix, and the packed
+    elimination finds the reference rank; the oracle reports the best."""
+    size = _slot_bits(n) // 8
+    packed_rng = random.Random(_DEFAULT_SEED)
+    dense_rng = random.Random(_DEFAULT_SEED)
+    ranks = []
+    for trial in range(_DEFAULT_TRIALS):
+        packed = _packed_rows(n, edges, packed_rng)
+        dense = reference_matrix(n, edges, dense_rng)
+        assert packed == [int.from_bytes(b"".join(
+            entry.to_bytes(size, "little") for entry in row), "little")
+            for row in dense], trial
+        rank = reference_rank_mod_p(dense, n)
+        assert _rank_mod_p(packed, n) == rank, trial
+        ranks.append(rank)
+    assert matching_size_rank(n, edges) == max(ranks) // 2
+
+
+def test_packed_rank_matches_reference_on_bench_corpus():
+    for spec in bench.corpus():
+        n, edges = build_edges(spec)
+        if n > 12:
+            assert_packed_ranks_match_reference(n, edges)
+
+
+def spec_param(spec):
+    return pytest.param(*build_edges(parse_graph_spec(spec)), id=spec)
+
+
+@pytest.mark.parametrize("n, edges", [
+    spec_param("gnm:13,20,seed=3"), spec_param("gnm:64,150,seed=2"),
+    spec_param("gnm:151,400,seed=5"), spec_param("gnm:300,900,seed=1"),
+    spec_param("bipartite:20,21,80,seed=1"),
+    spec_param("bipartite:100,100,300,seed=2"),
+    spec_param("bipartite:149,150,450,seed=3"),
+    pytest.param(0, [], id="empty"),
+    pytest.param(1, [], id="isolated-vertex"),
+    pytest.param(5, [(0, 1), (2, 3)], id="with-isolated-vertex"),
+    spec_param("complete:30"),
+    pytest.param(4, [(0, 1), (2, 3), (1, 0), (0, 1)], id="repeated-edge"),
+])
+def test_packed_rank_matches_reference(n, edges):
+    assert_packed_ranks_match_reference(n, edges)
+
+
+def test_packed_slots_cannot_carry_at_rank_limit():
+    # A slot starts below p and gains at most n - 1 products below p**2.
+    assert RANK_LIMIT * (_PRIME - 1) ** 2 + _PRIME < 1 << _slot_bits(RANK_LIMIT)
+
+
+@pytest.mark.parametrize("spec, nu", [
+    ("gnm:300,900,seed=1", 149),
+    ("gnm:400,1200,seed=1", 199),
+])
+def test_rank_oracle_matches_networkx(spec, nu):
+    nx = pytest.importorskip("networkx")
+    n, edges = build_edges(parse_graph_spec(spec))
+    graph = nx.Graph()
+    graph.add_nodes_from(range(n))
+    graph.add_edges_from(edges)
+    assert len(nx.max_weight_matching(graph, maxcardinality=True)) == nu
+    assert matching_size_rank(n, edges) == nu
+
+
+def test_rank_oracle_matches_scipy_on_bipartite_graph():
+    sparse = pytest.importorskip("scipy.sparse")
+    csgraph = pytest.importorskip("scipy.sparse.csgraph")
+    a, b = 200, 200
+    n, edges = build_edges(parse_graph_spec(f"bipartite:{a},{b},500,seed=1"))
+    biadjacency = sparse.csr_matrix(
+        ([1] * len(edges), ([u for u, _ in edges], [v - a for _, v in edges])),
+        shape=(a, b))
+    matched = csgraph.maximum_bipartite_matching(biadjacency, perm_type="column")
+    nu = int((matched >= 0).sum())
+    assert 0 < nu < a
+    assert matching_size_rank(n, edges) == nu
 
 
 def test_oracles_agree_on_generator_corpus():
