@@ -28,7 +28,13 @@ guards untouched, so the outcome is the same as visiting them all:
                  change only when the structure becomes modified or is
                  removed, so this set only shrinks during the read.  The
                  read retires an arc whose ends share a root blossom,
-                 whose tail or head is removed, or that is matched.
+                 whose tail or head is removed, or that is matched.  It
+                 ends once every structure it picked with live arcs has
+                 acted: each later arc could only be skipped or retired,
+                 and those arcs are neither visited nor retired by that
+                 read (a later read that meets one retires it).  A
+                 structure robbed by a case 2.2 steal before it acts never
+                 acts in the read, so the read runs on to its end.
 * collection   - per structure with a working node, in ``alpha`` order, a
                  worklist of the stream positions of the arcs not retired
                  whose tail is in the working node, smallest first.  Only
@@ -270,7 +276,12 @@ class PhaseEngine:
         return absorbed
 
     def _extend_pass(self) -> None:
-        """One stream pass; each live structure extends at most once."""
+        """One stream pass; each live structure extends at most once.
+
+        The read ends once every structure it picked with live arcs has
+        contracted, augmented or overtaken: acting marks a structure
+        modified (or removes it), so each later arc would only be skipped
+        or retired.  Those arcs are neither visited nor retired here."""
         forest = self.forest
         root_of = forest.root_of
         mate = self.matching.mate
@@ -279,10 +290,15 @@ class PhaseEngine:
         read = self.stream.read()
         arcs = read.arcs
         picked = array("q")
+        waiting = 0  # picked structures with arcs that have not acted yet
         for s in self.live:
             if s.working is not None and not (s.on_hold or s.modified):
-                picked.extend(self._arcs_at(read, s.working))
-        for p in sorted(picked):
+                own = self._arcs_at(read, s.working)
+                if own:
+                    waiting += 1
+                    picked.extend(own)
+        # A single node's list is in stream order already.
+        for p in picked if waiting == 1 else sorted(picked):
             u, v = arcs[p]
             bu = root_of[u]  # reached: in a working node when the read began
             bv = root_of[v]
@@ -300,12 +316,16 @@ class PhaseEngine:
                     self._contract(read, u, v)
                 else:
                     forest.record_augmentation(u, v)
-                continue
-            # bv is unvisited or inner, so v is matched and the matched
-            # arc with tail v is the one to (possibly) overtake.
-            distance = 0 if bu.parent is None else labels[bu.parent_arc[0]]
-            if distance + 1 < labels[v]:
+            else:
+                # bv is unvisited or inner, so v is matched and the matched
+                # arc with tail v is the one to (possibly) overtake.
+                distance = 0 if bu.parent is None else labels[bu.parent_arc[0]]
+                if distance + 1 >= labels[v]:
+                    continue
                 forest.overtake(u, v, distance + 1)
+            waiting -= 1
+            if not waiting:
+                break
         read.close()
 
     def _contract_and_augment(self) -> None:

@@ -143,6 +143,28 @@ def test_one_extension_per_structure_per_bundle():
     assert members(s0) == {0, 1, 2, 3, 4}
 
 
+def test_extension_read_stops_once_its_only_structure_has_acted():
+    # The free vertex 0 has an arc to each of the matched pairs 1=2, 3=4,
+    # ...  Its first arc, (0,1), takes 1=2; every later arc of the read
+    # could only be skipped, so the read visits none of them.
+    pairs = [(a, a + 1) for a in range(1, 40, 2)]
+    edges = [(0, a) for a, _ in pairs] + pairs
+    engine = engine_for(41, edges, pairs)
+    stream = engine.stream
+    stream.read()  # builds the tail index; never closed, so it counts no pass
+    visited = []
+
+    class Recording(list):
+        def __getitem__(self, p):
+            visited.append(p)
+            return list.__getitem__(self, p)
+
+    stream._arcs = Recording(stream._arcs)
+    engine._extend_pass()
+    assert visited == [0] and len(engine.arcs_at[0]) == 20
+    assert members(engine.forest.structures[0]) == {0, 1, 2}
+
+
 def test_matched_arcs_never_extend():
     engine = engine_for(3, [(0, 1), (1, 2)], [(0, 1)])
     # 2 is the only free vertex; its single incident edge (1,2) is
