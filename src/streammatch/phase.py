@@ -46,9 +46,19 @@ guards untouched, so the outcome is the same as visiting them all:
                  inner node that stays inner or is absorbed into the
                  working node.  So each contraction takes the first
                  qualifying arc in stream order, as a restart from the
-                 first arc would, and a contraction only adds the arcs of
-                 the vertices it absorbs.  The read retires an arc whose
-                 head is in the working node or removed.
+                 first arc would.  A contraction adds only the arcs of the
+                 subs that were inner, which it makes outer.  The other
+                 subs are the working node, whose untried arcs stay on the
+                 worklist, and outer nodes that were already outer at the
+                 last bundle boundary: every node that has become outer
+                 since lies in some structure's working node when the read
+                 begins.  At that boundary no edge joined two outer nodes
+                 (the checker's ``outer-independence``; a phase started
+                 from a matching that is not maximal breaks it only
+                 between free vertices, which never share a structure),
+                 so no arc of those subs can ever pass the test.  The
+                 read retires an arc whose head is in the working node or
+                 removed.
 * augmentation - each edge not retired at a ``Forest.dirty`` vertex once,
                  as its arc in stored orientation (the even position), in
                  stream order; the engine clears the list after the read.
@@ -77,15 +87,21 @@ Within a phase root blossoms only merge, removed vertices stay removed
 and the matching is fixed, so a retired arc never acts again in the
 phase; no arc is retired for a passing reason (a structure on hold or
 modified, a tail outside the working node, a head not yet reached).
-Retiring marks both arcs of the edge dead and the root blossoms of both
-ends stale.  The extension and collection reads take their positions from
-one list per root blossom, kept under its base (no other root blossom
-has that base): the positions of the live arcs whose tail is in the node,
-in stream order.  A trivial node's list starts as its vertex's slice of
-the stream's tail index, and a contraction sorts its subs' lists into the
-blossom's once and drops theirs.  A stale list is filtered by ``dead``
-once, on its next read.  An arc retired while its head is unreached marks
-that vertex stale, as the base of the trivial node it gets when reached.
+The extension and collection reads take their positions from one list
+per root blossom, kept under its base (no other root blossom has that
+base): the positions of the arcs whose tail is in the node, in stream
+order, both the live ones and those retired since the list was last
+compacted, with a count of the latter.  Retiring marks both arcs of the
+edge dead and counts one dead position in the list of each end's root
+blossom; an arc retired while its head is unreached counts against that
+vertex, as the base of the trivial node it gets when reached.  Both
+reads skip a dead position before they read its arc.  A trivial node's
+list starts as its vertex's slice of the stream's tail index.  A
+contraction copies its longest sub's list, splices the other subs'
+positions in at their ``bisect`` points, sums their counts and drops
+their lists, so each position moves only from a shorter list into a
+longer one.  A read that finds at least half of a list dead compacts it,
+so every list the reads take that is not empty holds a live arc.
 The augmentation read filters the tail index of each dirty vertex by
 ``dead``, with no list of its own.  The per-bundle loops
 (marking, extension tails, collection, backtracking) run over the
@@ -103,6 +119,7 @@ of performing them and ends the phase early with identical results.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
@@ -190,11 +207,11 @@ class PhaseEngine:
         # The structures that may still act, in alpha order.
         self.live = list(self.forest.structures.values())
         # Retired arcs; per root blossom, under its base, the positions of
-        # its live arcs (None: not cached), and whether retirements since
-        # they were cached leave dead positions in them.
+        # the arcs with a tail in it that were live when the list was last
+        # compacted (None: not cached), and how many of those are dead.
         self.dead = bytearray(2 * stream.edge_count)
         self.arcs_at: list[Optional[array]] = [None] * self.n
-        self.stale = bytearray(self.n)
+        self.dead_at = [0] * self.n
         self.checker = None
         if checked:
             self.checker = InvariantChecker(
@@ -245,35 +262,51 @@ class PhaseEngine:
     # -- bundle parts ---------------------------------------------------------
 
     def _arcs_at(self, read: StreamRead, node: Blossom) -> array:
-        """The positions of the live arcs whose tail is in the root blossom
-        ``node``, in stream order; a stale list is filtered once, here."""
+        """The positions of the arcs whose tail is in the root blossom
+        ``node``, in stream order: the live ones and those retired since
+        the list was last compacted, which happens here once they are at
+        least half of it.  So a list returned that is not empty holds a
+        live arc."""
         base = node.base
         own = self.arcs_at[base]
         if own is None:
             assert node.trivial
             own = read.tail_positions(base)
-        if self.stale[base]:
-            self.stale[base] = 0
+        count = self.dead_at[base]
+        if count and 2 * count >= len(own):
+            self.dead_at[base] = 0
             dead = self.dead
             own = array("q", [p for p in own if not dead[p]])
         self.arcs_at[base] = own
         return own
 
-    def _contract(self, read: StreamRead, u: int, v: int) -> array:
+    def _contract(self, read: StreamRead, u: int, v: int) -> list[array]:
         """Contract at the working node by the arc (u, v) and cache the new
-        blossom's list, its subs' lists merged.  Returns the live positions
-        at the subs other than the working node, sub after sub."""
-        arcs_at = self.arcs_at
-        working = self.forest.root_of[u]
-        blossom = self.forest.contract(u, v)
-        own = self._arcs_at(read, working)
-        absorbed = array("q")
+        blossom's list, its subs' lists spliced, with their dead counts
+        summed.  Returns the lists of the subs that were inner."""
+        forest = self.forest
+        arcs_at, dead_at = self.arcs_at, self.dead_at
+        mark = len(forest.dirty)
+        blossom = forest.contract(u, v)
+        # ``contract`` marks dirty the vertices of the inner subs, which it
+        # makes outer; an inner node is trivial, so each is a sub's base.
+        became_outer = forest.dirty[mark:]
+        lists, inner = [], []
+        count = 0
         for sub in blossom.subs:
-            if sub is not working:
-                absorbed.extend(self._arcs_at(read, sub))
-            arcs_at[sub.base] = None
-        arcs_at[blossom.base] = array("q", sorted(own + absorbed))
-        return absorbed
+            base = sub.base
+            own = arcs_at[base]
+            if own is None:
+                own = read.tail_positions(base)
+            lists.append(own)
+            if base in became_outer:
+                inner.append(own)
+            arcs_at[base] = None
+            count += dead_at[base]
+            dead_at[base] = 0
+        arcs_at[blossom.base] = _spliced(lists)
+        dead_at[blossom.base] = count
+        return inner
 
     def _extend_pass(self) -> None:
         """One stream pass; each live structure extends at most once.
@@ -286,7 +319,7 @@ class PhaseEngine:
         root_of = forest.root_of
         mate = self.matching.mate
         labels = forest.labels
-        dead, stale = self.dead, self.stale
+        dead, dead_at = self.dead, self.dead_at
         read = self.stream.read()
         arcs = read.arcs
         picked = array("q")
@@ -299,6 +332,8 @@ class PhaseEngine:
                     picked.extend(own)
         # A single node's list is in stream order already.
         for p in picked if waiting == 1 else sorted(picked):
+            if dead[p]:
+                continue
             u, v = arcs[p]
             bu = root_of[u]  # reached: in a working node when the read began
             bv = root_of[v]
@@ -307,7 +342,8 @@ class PhaseEngine:
                     or (bv is not None and bv.structure is None)):
                 dead[p] = dead[p ^ 1] = 1
                 # An unreached head will be the base of its trivial node.
-                stale[bu.base] = stale[v if bv is None else bv.base] = 1
+                dead_at[bu.base] += 1
+                dead_at[v if bv is None else bv.base] += 1
                 continue
             if structure.working is not bu or structure.modified or structure.on_hold:
                 continue
@@ -365,7 +401,7 @@ class PhaseEngine:
         closes a blossom, each time by the first such arc in stream order."""
         root_of = self.forest.root_of
         arcs = read.arcs
-        dead, stale = self.dead, self.stale
+        dead, dead_at = self.dead, self.dead_at
         working = structure.working
         # The positions of the arcs at the working node not yet tried.
         pending = self._arcs_at(read, working)
@@ -373,19 +409,21 @@ class PhaseEngine:
             untried = iter(pending)
             pending = []
             for p in untried:
+                if dead[p]:
+                    continue
                 u, v = arcs[p]
                 bv = root_of[v]
                 if bv is None:
                     continue
                 if bv is working or bv.structure is None:
                     dead[p] = dead[p ^ 1] = 1
-                    stale[working.base] = stale[bv.base] = 1
+                    dead_at[working.base] += 1
+                    dead_at[bv.base] += 1
                     continue
                 if bv.structure is not structure or not bv.outer:
                     continue
-                added = self._contract(read, u, v)
-                added.extend(untried)
-                pending = sorted(added)
+                inner = self._contract(read, u, v)
+                pending = _spliced([array("q", untried), *inner])
                 working = structure.working
                 break
 
@@ -396,3 +434,18 @@ class PhaseEngine:
             if structure.on_hold or structure.modified or structure.working is None:
                 continue
             forest.backtrack(structure)
+
+
+def _spliced(lists: list[array]) -> array:
+    """One stream-ordered list of the positions in ``lists``, which are
+    disjoint and each in stream order: a copy of the longest, with every
+    other position inserted at its ``bisect`` point."""
+    longest = max(lists, key=len)
+    merged = longest[:]
+    for own in lists:
+        if own is not longest:
+            lo = 0
+            for p in own:
+                lo = bisect_left(merged, p, lo)
+                merged.insert(lo, p)
+    return merged

@@ -447,17 +447,21 @@ def test_arc_into_another_structures_inner_node_overtakes_after_a_skipped_bundle
 
 
 @pytest.mark.parametrize("eps", [HALF, Fraction(1, 4)])
-def test_node_arc_lists_hold_exactly_the_live_arcs_at_every_boundary(monkeypatch, eps):
+def test_node_arc_lists_hold_the_live_arcs_and_count_the_dead_at_every_boundary(monkeypatch,
+                                                                                eps):
     # At each bundle boundary every root blossom has the list it would
     # read: the one cached under its base, or for a trivial node or a vertex
-    # no structure reached, the tail index slice of the vertex.  After its
-    # stale filter that list is the stream-ordered positions of the live
-    # arcs with a tail in the node.  A vertex that is not the base of its
-    # root blossom keeps no list (a contraction drops its subs' lists), and
-    # a composite root blossom always has one.  A merge or a stale mark
-    # that drops or keeps an arc fails here even where the outcome matches.
+    # no structure reached, the tail index slice of the vertex.  That list
+    # holds, in stream order, the arcs with a tail in the node that are
+    # live or were retired since it was last compacted, and the dead count
+    # under its base is the number of the latter.  A vertex that is not
+    # the base of its root blossom keeps no list and counts nothing (a
+    # contraction drops its subs' lists and sums their counts), and a
+    # composite root blossom always has a list.  A splice or a count that
+    # drops, keeps or miscounts an arc fails here even where the outcome
+    # matches.
     n, edges = build_edges(parse_graph_spec("gnm:150,450,seed=1"))
-    seen = {"composite": 0, "stale with dead": 0}
+    seen = {"composite": 0, "with dead": 0, "compacted": 0}
     backtrack = PhaseEngine._backtrack_stuck
 
     def backtrack_then_check(engine):
@@ -467,21 +471,49 @@ def test_node_arc_lists_hold_exactly_the_live_arcs_at_every_boundary(monkeypatch
         for x in range(n):
             node = root_of[x]
             own = engine.arcs_at[x]
+            count = engine.dead_at[x]
             if node is not None and node.base != x:
-                assert own is None
+                assert own is None and count == 0
                 continue
             if own is None:
                 assert node is None or node.trivial
                 own = read.tail_positions(x)
-            live = [p for p in own if not dead[p]]
-            if engine.stale[x]:
-                seen["stale with dead"] += len(live) < len(own)
-                own = live
             vertices = [x] if node is None else node.vertices
-            assert list(own) == sorted(p for y in vertices
-                                       for p in read.tail_positions(y) if not dead[p])
+            tails = sorted(p for y in vertices for p in read.tail_positions(y))
+            assert list(own) == sorted(set(own)) and set(own) <= set(tails)
+            assert [p for p in own if not dead[p]] == [p for p in tails if not dead[p]]
+            assert count == sum(dead[p] for p in own)
             seen["composite"] += node is not None and not node.trivial
+            seen["with dead"] += count > 0
+            seen["compacted"] += any(dead[p] for p in set(tails) - set(own))
 
     monkeypatch.setattr(PhaseEngine, "_backtrack_stuck", backtrack_then_check)
     driver.run(EdgeStream(n, edges), driver.RunConfig(epsilon=eps))
-    assert seen["composite"] > 0 and seen["stale with dead"] > 0
+    assert seen["composite"] > 0 and seen["with dead"] > 0 and seen["compacted"] > 0
+
+
+def test_collection_reads_no_arc_of_an_absorbed_outer_sub():
+    # The root 0 has an arc to each unreached matched pair 3=4, 5=6, ...
+    # Structure 0 has taken 1=2, and the collection read contracts the
+    # triangle 0-1=2 by its working node's arc (2,0).  Of the absorbed
+    # subs, only 1 was inner; the root 0 was outer, so none of its arcs
+    # can close a blossom in that fixpoint, and the read visits none.
+    pairs = [(1, 2)] + [(a, a + 1) for a in range(3, 43, 2)]
+    edges = [(0, 1), (1, 2), (2, 0)] + [(0, a) for a, _ in pairs[1:]] + pairs[1:]
+    engine = engine_for(43, edges, pairs)
+    forest = engine.forest
+    forest.overtake(0, 1, 1)
+    stream = engine.stream
+    read = stream.read()  # never closed, so it counts no pass
+    visited = []
+
+    class Recording(list):
+        def __getitem__(self, p):
+            visited.append(list.__getitem__(self, p))
+            return visited[-1]
+
+    read.arcs = Recording(read.arcs)
+    structure = forest.structures[0]
+    engine._contract_at_working(read, structure)
+    assert sorted(structure.working.vertices) == [0, 1, 2]
+    assert visited and all(u != 0 for u, _ in visited)
