@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streammatch import bench
+from streammatch import bench, oracle
 from streammatch.oracle import (_DEFAULT_SEED, _DEFAULT_TRIALS, _PRIME,
-                                RANK_LIMIT, _packed_rows, _rank_mod_p,
-                                _slot_bits, enumerate_short_augmenting_paths,
+                                AUTO_EXHAUSTIVE_LIMIT, RANK_LIMIT,
+                                _elimination_order, _fold_slots, _packed_rows,
+                                _rank_mod_p, _slot_bits,
+                                enumerate_short_augmenting_paths,
                                 exact_matching_exhaustive, matching_size_rank)
 from streammatch.stream import (GraphSpec, build_edges, complete_edges,
                                 cycle_edges, gnm_edges, open_stream,
@@ -131,21 +133,54 @@ def reference_rank_mod_p(rows, n):
     return rank
 
 
+def reference_order(n, edges):
+    """Greedy minimum degree with symbolic fill, one vertex set per
+    vertex: eliminating v joins its remaining neighbours into a clique;
+    ties go to the smaller id."""
+    adj = [set() for _ in range(n)]
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    remaining = set(range(n))
+    order = []
+    while remaining:
+        v = min(remaining, key=lambda x: (len(adj[x]), x))
+        remaining.remove(v)
+        order.append(v)
+        for u in adj[v]:
+            adj[u] |= adj[v]
+            adj[u] -= {u, v}
+        adj[v] = set()
+    return order
+
+
 def assert_packed_ranks_match_reference(n, edges):
-    """Every trial's packed rows hold the reference matrix, and the packed
-    elimination finds the reference rank; the oracle reports the best."""
+    """The oracle relabels the vertices in elimination order.  Every
+    trial's packed rows hold the reference matrix with rows and columns
+    permuted alike, and the packed elimination of the permuted rows finds
+    the rank of the unpermuted reference matrix; the oracle reports the
+    best trial."""
+    order = _elimination_order(n, edges)
+    assert sorted(order) == list(range(n))
+    label = [0] * n
+    for i, v in enumerate(order):
+        label[v] = i
+    relabelled = [(label[u], label[v]) for u, v in edges]
     size = _slot_bits(n) // 8
     packed_rng = random.Random(_DEFAULT_SEED)
     dense_rng = random.Random(_DEFAULT_SEED)
     ranks = []
     for trial in range(_DEFAULT_TRIALS):
-        packed = _packed_rows(n, edges, packed_rng)
+        packed = _packed_rows(n, relabelled, packed_rng)
         dense = reference_matrix(n, edges, dense_rng)
+        permuted = [[dense[u][v] for v in order] for u in order]
         assert packed == [int.from_bytes(b"".join(
             entry.to_bytes(size, "little") for entry in row), "little")
-            for row in dense], trial
+            for row in permuted], trial
+        masks = [sum(1 << c for c, entry in enumerate(row) if entry)
+                 for row in permuted]
         rank = reference_rank_mod_p(dense, n)
-        assert _rank_mod_p(packed, n) == rank, trial
+        assert _rank_mod_p(packed, masks, n) == rank, trial
         ranks.append(rank)
     assert matching_size_rank(n, edges) == max(ranks) // 2
 
@@ -172,9 +207,77 @@ def spec_param(spec):
     pytest.param(5, [(0, 1), (2, 3)], id="with-isolated-vertex"),
     spec_param("complete:30"),
     pytest.param(4, [(0, 1), (2, 3), (1, 0), (0, 1)], id="repeated-edge"),
+    pytest.param(3, [(0, 1), (1, 1), (1, 2)], id="self-loop"),
+    pytest.param(9, [(4, v) for v in range(9) if v != 4], id="star"),
+    pytest.param(12, [(1, 3), (3, 5), (5, 1), (7, 8), (8, 10), (10, 11)],
+                 id="components-and-isolated-vertices"),
+    pytest.param(20, [(v, v - 1) for v in range(19, 0, -1)],
+                 id="path-labelled-in-reverse"),
 ])
 def test_packed_rank_matches_reference(n, edges):
     assert_packed_ranks_match_reference(n, edges)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 24), st.data())
+def test_packed_rank_matches_reference_on_random_graphs(n, data):
+    m = data.draw(st.integers(0, n * (n - 1) // 2))
+    seed = data.draw(st.integers(0, 10**6))
+    label = data.draw(st.permutations(range(n)))
+    edges = [(label[u], label[v]) for u, v in gnm_edges(n, m, seed)] if n > 1 else []
+    assert_packed_ranks_match_reference(n, edges)
+
+
+def test_elimination_order_is_a_deterministic_permutation():
+    n, edges = build_edges(parse_graph_spec("gnm:300,900,seed=1"))
+    order = _elimination_order(n, edges)
+    assert sorted(order) == list(range(n))
+    assert _elimination_order(n, list(edges)) == order
+    assert order == reference_order(n, edges)
+
+
+def test_elimination_order_takes_leaves_first_and_ends_in_id_order():
+    # Leaves of degree 1 go in id order; once 0, 4 and 5 are a path, the
+    # leaf 4 goes; the last pair is a clique and follows in id order.
+    assert _elimination_order(6, [(0, v) for v in range(1, 6)]) == [1, 2, 3, 4, 0, 5]
+    assert _elimination_order(4, []) == [0, 1, 2, 3]
+    assert _elimination_order(5, complete_edges(5)) == [0, 1, 2, 3, 4]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 30), st.data())
+def test_elimination_order_matches_reference(n, data):
+    m = data.draw(st.integers(0, n * (n - 1) // 2))
+    edges = gnm_edges(n, m, data.draw(st.integers(0, 10**6))) if n > 1 else []
+    assert _elimination_order(n, edges) == reference_order(n, edges)
+
+
+def test_matching_size_cuts_over_at_the_named_limits(monkeypatch):
+    calls = []
+    monkeypatch.setattr(oracle, "exact_matching_exhaustive",
+                        lambda n, edges: calls.append(("dp", n)) or 0)
+    monkeypatch.setattr(oracle, "matching_size_rank",
+                        lambda n, edges: calls.append(("rank", n)) or 0)
+    sizes = [AUTO_EXHAUSTIVE_LIMIT, AUTO_EXHAUSTIVE_LIMIT + 1, RANK_LIMIT]
+    assert [oracle.matching_size(n, []) for n in sizes] == [0, 0, 0]
+    assert oracle.matching_size(RANK_LIMIT + 1, []) is None
+    assert calls == [("dp", AUTO_EXHAUSTIVE_LIMIT), ("rank", AUTO_EXHAUSTIVE_LIMIT + 1),
+                     ("rank", RANK_LIMIT)]
+
+
+@pytest.mark.parametrize("n", [1, 63, RANK_LIMIT])
+def test_fold_slots_reduces_every_slot_into_zero_to_prime(n):
+    width = _slot_bits(n)
+    rng = random.Random(n)
+    slots = [0, 1, _PRIME - 1, _PRIME, _PRIME + 1, 1 << 61, (1 << 62) - 1,
+             (1 << 61) + (1 << 15) - 1, (1 << 76) - 1, n * _PRIME ** 2 - 1,
+             (1 << width) - 1] + [rng.getrandbits(width) for _ in range(20)]
+    ones = sum(1 << i * width for i in range(len(slots)))
+    packed = sum(x << i * width for i, x in enumerate(slots))
+    folded = _fold_slots(packed, ones * _PRIME, ones * ((1 << (width - 61)) - 1))
+    out = [folded >> i * width & ((1 << width) - 1) for i in range(len(slots))]
+    assert folded >> len(slots) * width == 0
+    assert all(y <= _PRIME and y % _PRIME == x % _PRIME for x, y in zip(slots, out))
 
 
 def test_packed_slots_cannot_carry_at_rank_limit():
@@ -185,6 +288,7 @@ def test_packed_slots_cannot_carry_at_rank_limit():
 @pytest.mark.parametrize("spec, nu", [
     ("gnm:300,900,seed=1", 149),
     ("gnm:400,1200,seed=1", 199),
+    ("gnm:1000,3000,seed=1", 499),
 ])
 def test_rank_oracle_matches_networkx(spec, nu):
     nx = pytest.importorskip("networkx")
