@@ -9,10 +9,14 @@ its contraction; :func:`check_structure` after every operation, on the
 structures it changed; and at every pass-bundle boundary the O(n + m)
 scans of :func:`check_forest` and :func:`check_outer_independence`.
 
-Checking a blossom once is complete: its subs, cycle, base and vertices
-are written only when it is built, and the mate map changes only between
-phases.  The family is laminar because each blossom is the disjoint union
-of its subs and the root blossoms are pairwise disjoint.
+Checking a blossom once is complete: its record (subs, cycle, base and
+vertex count) never changes once it is built, and its vertices stay the
+prefix of its tree node's list, which only grows; the mate map changes
+only between phases.  A contraction may take over the node of its
+largest sub, changing that node, but the check of the new blossom reads
+the node as it then is.  The family is laminar because each blossom is
+the disjoint union of its subs and the root blossoms are pairwise
+disjoint.
 """
 
 from __future__ import annotations
@@ -117,10 +121,11 @@ def check_structure(forest: Forest, structure: Structure, limit: int,
                 flag("tree-representation", f"inner node {node!r} is composite")
             if len(node.kids) != 1:
                 flag("tree-representation", f"inner node {node!r} has {len(node.kids)} children")
-        overlap = seen_vertices.intersection(node.vertices)
+        vertices = node.vertices
+        overlap = seen_vertices.intersection(vertices)
         if overlap:
             flag("tree-representation", f"vertex reuse {sorted(overlap)} at {node!r}")
-        seen_vertices.update(node.vertices)
+        seen_vertices.update(vertices)
         if node.parent is not None:
             arc = node.parent_arc
             if arc is None:

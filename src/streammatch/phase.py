@@ -35,11 +35,12 @@ guards untouched, so the outcome is the same as visiting them all:
                  read (a later read that meets one retires it).  A
                  structure robbed by a case 2.2 steal before it acts never
                  acts in the read, so the read runs on to its end.
-* collection   - per structure with a working node, in ``alpha`` order, a
-                 worklist of the stream positions of the arcs not retired
-                 whose tail is in the working node, smallest first.  Only
-                 such an arc can contract, and only if its head lies in
-                 another outer node of the same structure.  The working
+* collection   - per structure modified in this bundle that has a
+                 working node, in ``alpha`` order, a worklist of the stream
+                 positions of the arcs not retired whose tail is in the
+                 working node, smallest first.  Only such an arc can
+                 contract, and only if its head lies in another outer
+                 node of the same structure.  The working
                  node only grows during the fixpoint, and an arc that fails
                  that test never passes it later in the fixpoint: its head
                  is outside the structure, or in the working node, or in an
@@ -58,7 +59,11 @@ guards untouched, so the outcome is the same as visiting them all:
                  between free vertices, which never share a structure),
                  so no arc of those subs can ever pass the test.  The
                  read retires an arc whose head is in the working node or
-                 removed.
+                 removed.  A structure not modified in this bundle is
+                 skipped: no operation has changed it since the last
+                 boundary, where ``outer-independence`` held, so no arc at
+                 its working node reaches another of its outer nodes, and
+                 its fixpoint could only retire arcs.
 * augmentation - each edge not retired at a ``Forest.dirty`` vertex once,
                  as its arc in stored orientation (the even position), in
                  stream order; the engine clears the list after the read.
@@ -371,7 +376,7 @@ class PhaseEngine:
 
         read = self.stream.read()
         for structure in self.live:
-            if structure.working is not None:
+            if structure.modified and structure.working is not None:
                 self._contract_at_working(read, structure)
         read.close()
 

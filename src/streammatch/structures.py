@@ -42,34 +42,44 @@ class Blossom:
     """A trivial blossom (the single vertex ``base``) or a contracted odd
     cycle of blossoms.
 
-    Composite blossoms keep their construction: the odd-length list of
-    sub-blossoms ``subs`` and the connecting arcs ``cycle``, where
-    ``cycle[i]`` runs from ``subs[i]`` to ``subs[(i+1) % len]`` and the
-    odd-indexed arcs are matched.  ``base`` is the unique vertex left
-    unmatched by the blossom's own edge set.  ``arcs`` counts the cycle
-    arcs of the blossom and of every blossom nested in it; cycles never
-    change after construction, so it is fixed then.
+    A composite blossom is a fixed record of its construction: the
+    odd-length list of sub-blossoms ``subs`` and the connecting arcs
+    ``cycle``, where ``cycle[i]`` runs from ``subs[i]`` to
+    ``subs[(i+1) % len]`` and the odd-indexed arcs are matched.  ``base``
+    is the unique vertex left unmatched by the blossom's own edge set.
+    ``arcs`` counts the cycle arcs of the blossom and of every blossom
+    nested in it.  ``count`` is the number of its vertices, and
+    ``vertices`` the first ``count`` entries of ``members``, a list it
+    shares with its tree node.  A record never changes once built.
 
-    While a blossom is a root blossom inside a structure it doubles as a
-    node of that structure's alternating tree (fields ``structure``,
-    ``parent``, ``parent_arc``, ``kids``, ``outer``).
+    A root blossom inside a structure is a node of that structure's
+    alternating tree (fields ``structure``, ``parent``, ``parent_arc``,
+    ``kids``, ``outer``), and ``record`` is the blossom it stands for.  A
+    trivial blossom is its own record and its own node.  A composite's
+    node mirrors its record's fields and holds exactly its vertices in
+    ``members``.  When a later blossom absorbs it as its largest sub, the
+    node survives as the new blossom's node: it takes the new record's
+    fields and appends the other subs' vertices to ``members``, so the
+    old record's vertices stay its prefix.
     """
 
-    __slots__ = ("subs", "cycle", "base", "vertices", "arcs",
+    __slots__ = ("subs", "cycle", "base", "members", "count", "arcs", "record",
                  "structure", "parent", "parent_arc", "kids", "outer")
 
     def __init__(self, base: int, subs: Optional[list["Blossom"]] = None,
-                 cycle: Optional[list[Arc]] = None):
+                 cycle: Optional[list[Arc]] = None,
+                 members: Optional[list[int]] = None):
         self.base = base
         self.subs = subs
         self.cycle = cycle
+        self.members = [base] if members is None else members
+        self.count = len(self.members)
         if subs is None:
-            self.vertices = [base]
             self.arcs = 0
         else:
             assert cycle is not None
-            self.vertices = [x for sub in subs for x in sub.vertices]
             self.arcs = len(cycle) + sum(sub.arcs for sub in subs)
+        self.record = self
         self.structure: Optional[Structure] = None
         self.parent: Optional[Blossom] = None
         self.parent_arc: Optional[Arc] = None
@@ -77,8 +87,23 @@ class Blossom:
         self.outer = False
 
     @property
+    def vertices(self) -> list[int]:
+        """The blossom's vertices: ``members`` itself while it holds just
+        them, as a node's list always does."""
+        members = self.members
+        return members if len(members) == self.count else members[:self.count]
+
+    @property
     def trivial(self) -> bool:
         return self.subs is None
+
+    def stand_for(self, record: "Blossom") -> None:
+        """Make this tree node the node of ``record``, whose vertices are
+        this node's ``members``."""
+        assert record.members is self.members
+        self.record = record
+        self.base, self.subs, self.cycle = record.base, record.subs, record.cycle
+        self.arcs, self.count = record.arcs, record.count
 
     def __repr__(self) -> str:
         if self.trivial:
@@ -98,7 +123,7 @@ class Structure:
         self.working: Optional[Blossom] = root
         self.on_hold = False
         self.modified = False
-        self.size = len(root.vertices)
+        self.size = root.count
 
     def __repr__(self) -> str:
         return f"S({self.alpha})"
@@ -146,6 +171,21 @@ def _climb(node: Blossom, top: Blossom) -> list[Blossom]:
         if cur is top:
             return out
     raise ValueError(f"{top!r} is not above {node!r}")
+
+
+def _lowest_common_ancestor(a: Blossom, b: Blossom) -> Blossom:
+    """The deepest tree node at or above both ``a`` and ``b``, found by
+    climbing from both in turn: it is the first node either climb meets
+    twice, so the search stops there and never walks the tree above it."""
+    seen: set[Blossom] = set()
+    while True:
+        for node in (a, b):
+            if node is not None:
+                if node in seen:
+                    return node
+                seen.add(node)
+        a = a.parent if a is not None else None
+        b = b.parent if b is not None else None
 
 
 def even_path_vertices(blossom: Blossom, x: int) -> list[int]:
@@ -316,7 +356,8 @@ class Forest:
     # -- operations -----------------------------------------------------------
 
     def contract(self, u: int, v: int) -> Blossom:
-        """Contract the unique blossom closed by the unmatched arc (u, v).
+        """Contract the unique blossom closed by the unmatched arc (u, v),
+        and return its record.
 
         Both endpoints resolve to distinct outer nodes of one structure and
         the tail side is its working node.  The tree path between them plus
@@ -325,50 +366,70 @@ class Forest:
         matched arcs inside it get label 0 in both directions.  Those
         inside its subs already have it, so only the matched cycle arcs
         are relabelled.
+
+        The node of the largest sub, if that is composite, becomes the new
+        blossom's node: it keeps its vertices, their ``root_of`` entries
+        and its kids, and only the other subs' vertices and off-cycle kids
+        move to it.  A vertex moves only into a node at least twice the
+        size of its old one, so it moves O(log n) times in a phase.  When
+        every sub is a single vertex a fresh node takes them all.
         """
-        bu, bv = self.root_of[u], self.root_of[v]
+        root_of = self.root_of
+        bu, bv = root_of[u], root_of[v]
         structure = bu.structure
         assert structure is not None and bv.structure is structure
         assert bu is not bv and bu.outer and bv.outer
         assert structure.working is bu
         assert self.mate[u] != v
 
-        above_u = set(ancestors(bu))
-        lca = next(node for node in ancestors(bv) if node in above_u)
+        lca = _lowest_common_ancestor(bu, bv)
         # The cycle runs from the LCA down to bv, across (v, u) and back up
         # from bu; the walk ends at the LCA it started from, so drop that.
         nodes, cycle = closed_walk(bv, bu, (v, u), lca, lca)
         subs = nodes[:-1]
-        blossom = Blossom(lca.base, subs, cycle)
-        blossom.structure = structure
-        blossom.outer = True
-        blossom.parent = lca.parent
-        blossom.parent_arc = lca.parent_arc
-        if blossom.parent is not None:
-            blossom.parent.kids.remove(lca)
-            blossom.parent.kids.append(blossom)
+        node = max(subs, key=lambda sub: sub.count)
+        if node.trivial:
+            node = Blossom(lca.base, members=[])
+            node.structure = structure
+            node.outer = True
         else:
-            structure.root = blossom
+            # Its kids on the cycle are its neighbours there, absorbed too.
+            i = subs.index(node)
+            for kid in (subs[i - 1], subs[i + 1 - len(subs)]):
+                if kid.parent is node:
+                    node.kids.remove(kid)
+        if node is not lca:
+            node.parent, node.parent_arc = lca.parent, lca.parent_arc
+            if node.parent is not None:
+                node.parent.kids.remove(lca)
+                node.parent.kids.append(node)
+            else:
+                structure.root = node
         on_path = set(subs)
-        for node in subs:
-            for kid in node.kids:
+        members = node.members
+        for sub in subs:
+            if sub is node:
+                continue
+            for kid in sub.kids:
                 if kid not in on_path:
-                    kid.parent = blossom
-                    blossom.kids.append(kid)
-        for node in subs:
-            if not node.outer:
-                self.dirty.extend(node.vertices)
-            node.structure = None
-            node.parent = None
-            node.parent_arc = None
-            node.kids = []
-            node.outer = False
-        for x in blossom.vertices:
-            self.root_of[x] = blossom
+                    kid.parent = node
+                    node.kids.append(kid)
+            if not sub.outer:
+                self.dirty.extend(sub.members)
+            for x in sub.members:
+                root_of[x] = node
+            members.extend(sub.members)
+            sub.structure = None
+            sub.parent = None
+            sub.parent_arc = None
+            sub.kids = []
+            sub.outer = False
+        blossom = Blossom(lca.base, [sub.record for sub in subs], cycle, members)
+        node.stand_for(blossom)
         for x, y in cycle[1::2]:
             self.relabel(x, y, 0)
             self.relabel(y, x, 0)
-        structure.working = blossom
+        structure.working = node
         structure.modified = True
         self.record("contract", structure, [u, v], case="blossom",
                     touched=(structure,))
@@ -434,7 +495,7 @@ class Forest:
         moved_size = 0
         for node in moved:
             node.structure = structure
-            moved_size += len(node.vertices)
+            moved_size += node.count
         structure.size += moved_size
         if owner is not None:
             owner.size -= moved_size

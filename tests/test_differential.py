@@ -56,9 +56,13 @@ def outer_subs_checked(counts):
             contract = forest.contract
 
             def checked_contract(u, v):
-                working = structure.working
-                outer = {node for node in subtree(structure.root) if node.outer}
+                # ``contract`` returns the blossom's record, and its subs
+                # are records too; the tree nodes are read off the forest.
+                working = structure.working.record
+                outer = {node.record for node in subtree(structure.root) if node.outer}
                 blossom = contract(u, v)
+                node = forest.root_of[u]
+                assert node.record is blossom and structure.working is node
                 for sub in blossom.subs:
                     if sub is working or sub not in outer:
                         continue
@@ -66,7 +70,7 @@ def outer_subs_checked(counts):
                     for x in sub.vertices:
                         for y in adjacent[x]:
                             by = forest.root_of[y]
-                            assert (by is None or by is blossom or by.structure is not structure
+                            assert (by is None or by is node or by.structure is not structure
                                     or not by.outer), (sub, x, y)
                 return blossom
 

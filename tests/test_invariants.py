@@ -289,6 +289,10 @@ def test_blossom_that_is_not_the_union_of_its_subs_is_flagged():
 
 def test_blossom_with_overlapping_subs_is_flagged():
     def share_a_vertex(blossom):
-        blossom.subs[1].vertices.append(blossom.subs[2].vertices[0])
+        # A blossom's vertices are the first ``count`` of its members, so
+        # the shared vertex counts only once the count grows with it.
+        sub = blossom.subs[1]
+        sub.members.append(blossom.subs[2].vertices[0])
+        sub.count += 1
 
     assert "laminarity" in names_raised_after_contract(share_a_vertex)

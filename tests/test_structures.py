@@ -57,10 +57,11 @@ def test_contract_triangle():
     assert sorted(blossom.vertices) == [0, 1, 2]
     assert blossom.base == 0
     structure = forest.structures[0]
-    assert structure.working is blossom
-    assert structure.root is blossom
+    node = structure.working
+    assert node.record is blossom and node.base == 0
+    assert structure.root is node
     for v in range(3):
-        assert forest.root_of[v] is blossom
+        assert forest.root_of[v] is node
     assert forest.labels[1] == forest.labels[2] == 0
     assert_clean(forest)
 
@@ -68,7 +69,7 @@ def test_contract_triangle():
 def test_contract_marks_modified_and_keeps_outer():
     forest, _, blossom = build_triangle_blossom()
     assert forest.structures[0].modified
-    assert blossom.outer
+    assert forest.root_of[0].record is blossom and forest.root_of[0].outer
 
 
 def test_contract_cycle5():
@@ -141,9 +142,15 @@ def test_nested_contraction_resolves_to_outermost():
     forest, _, inner, outer = build_nested_blossom()
     assert sorted(inner.vertices) == [2, 3, 4]
     assert sorted(outer.vertices) == list(range(7))
+    node = forest.root_of[0]
+    assert node.record is outer
     for v in range(7):
-        assert forest.root_of[v] is outer
+        assert forest.root_of[v] is node
     assert inner in outer.subs
+    # The inner blossom, the largest sub, lent its node to the outer one:
+    # the node's list grew, and the inner record still reads its prefix.
+    assert node.members is inner.members and inner.count == 3
+    assert node.members[:3] == inner.vertices and outer.count == 7
     assert_clean(forest)
 
 
@@ -177,8 +184,10 @@ def test_even_path_and_lift_through_1500_nested_blossoms():
     assert lifted == list(range(n))
     assert_alternating(lifted, forest.mate, start_matched=False)
 
+    stem_record = stem.record
     top = forest.contract(n - 1, 0)
-    assert top.subs[0] is stem and structure.size == n == len(top.vertices)
+    assert top.subs[0] is stem_record and structure.size == n == len(top.vertices)
+    assert structure.root is stem and stem.record is top
     for x in (0, 1, 2, 3, 1499, 1500, n - 2, n - 1):
         path = even_path_vertices(top, x)
         assert path[0] == 0 and path[-1] == x
@@ -189,6 +198,37 @@ def test_even_path_and_lift_through_1500_nested_blossoms():
     assert lift_contracted_path([top], []) == [0]
     with pytest.raises(ValueError):
         even_path_vertices(top, n)
+
+
+class CountingList(list):
+    """A list that counts the writes to its entries."""
+
+    writes = 0
+
+    def __setitem__(self, index, value):
+        self.writes += 1
+        super().__setitem__(index, value)
+
+
+def test_contract_moves_only_the_smaller_subs_through_1500_nested_blossoms():
+    # The chain above: each contraction absorbs the previous blossom, whose
+    # node survives, plus one matched pair, whose two vertices alone get
+    # new ``root_of`` entries.  Rewriting every vertex of each new blossom
+    # would take about depth ** 2 = 2.25 M writes.
+    depth = 1500
+    n = 2 * depth + 1
+    forest, _ = make_forest(n, [(2 * i - 1, 2 * i) for i in range(1, depth + 1)])
+    structure = forest.init_structure(0)
+    root_of = forest.root_of = CountingList(forest.root_of)
+    writes = []
+    for i in range(1, depth + 1):
+        forest.overtake(2 * i - 2, 2 * i - 1, 1)
+        before = root_of.writes
+        forest.contract(2 * i, 0)
+        writes.append(root_of.writes - before)
+    assert writes[0] == 3 and max(writes[1:]) == 2
+    node = structure.root
+    assert all(root_of[x] is node for x in range(n)) and node.count == n
 
 
 def test_lift_trivial_nodes_is_identity():
@@ -363,6 +403,19 @@ def contract_lca_above_both():
     return forest, (6, 4)
 
 
+def contract_lca_is_root_at_depths_2_and_12():
+    # Two branches below the root: 0 - 1 = 2, and 0 - 3 = 4 - ... = 14
+    # with six pairs, closed from the deep tip by (14, 2).
+    forest, _ = make_forest(15, [(x, x + 1) for x in range(1, 15, 2)])
+    structure = forest.init_structure(0)
+    forest.overtake(0, 1, 1)
+    forest.backtrack(structure)   # {2} -> {0}
+    for label, x in enumerate(range(3, 15, 2), start=1):
+        forest.overtake(x - 1 if x > 3 else 0, x, label)
+    assert len(list(ancestors(forest.root_of[14]))) == 13
+    return forest, (14, 2)
+
+
 @pytest.mark.parametrize("build, subs, cycle, base", [
     (contract_lca_is_bv, [0, 4, 3, 2, 1],
      [(0, 4), (4, 3), (3, 2), (2, 1), (1, 0)], 0),
@@ -370,23 +423,29 @@ def contract_lca_above_both():
      [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)], 0),
     (contract_lca_above_both, [2, 3, 4, 6, 5],
      [(2, 3), (3, 4), (4, 6), (6, 5), (5, 2)], 2),
-], ids=["lca-is-bv", "lca-is-bu", "lca-above-both"])
+    (contract_lca_is_root_at_depths_2_and_12,
+     [0, 1, 2, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3],
+     [(0, 1), (1, 2), (2, 14)] + [(x, x - 1) for x in range(14, 3, -1)] + [(3, 0)], 0),
+], ids=["lca-is-bv", "lca-is-bu", "lca-above-both", "lca-is-root-at-depths-2-and-12"])
 def test_contract_shapes(build, subs, cycle, base):
     # The cycle runs from the LCA down to the head's node, across the arc
-    # and back up from the working node.
+    # and back up from the working node.  Every sub is trivial, so the
+    # blossom gets a fresh node, which takes the LCA's place in the tree.
     forest, (u, v) = build()
     before = list(forest.root_of)
     lca = before[base]
     parent, parent_arc = lca.parent, lca.parent_arc
     blossom = forest.contract(u, v)
+    node = forest.root_of[base]
+    assert node.record is blossom and node not in before
     assert blossom.subs == [before[x] for x in subs]
     assert blossom.cycle == cycle and blossom.base == base
-    assert [x for x in range(forest.n) if forest.root_of[x] is blossom] == sorted(subs)
+    assert [x for x in range(forest.n) if forest.root_of[x] is node] == sorted(subs)
     assert all(forest.root_of[x] is before[x] for x in range(forest.n) if x not in subs)
-    assert (blossom.parent, blossom.parent_arc) == (parent, parent_arc)
-    assert parent is None or parent.kids == [blossom]
-    assert blossom.structure.working is blossom
-    assert check_blossom(forest, blossom) == []
+    assert (node.parent, node.parent_arc) == (parent, parent_arc)
+    assert parent is None or parent.kids == [node]
+    assert node.structure.working is node
+    assert check_blossom(forest, node) == []
     assert_clean(forest)
 
 
