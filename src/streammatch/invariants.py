@@ -6,8 +6,10 @@ offending structure, and a witness, so a red run names its defect.
 
 Checks run at three moments: :func:`check_blossom` once per blossom, at
 its contraction; :func:`check_structure` after every operation, on the
-structures it changed; and at every pass-bundle boundary the O(n + m)
-scans of :func:`check_forest` and :func:`check_outer_independence`.
+structures it changed; and at every pass-bundle boundary three O(n + m)
+passes: one walk of each tree by :func:`check_structure`, which tables
+each vertex's node for :func:`check_forest`'s one pass over the vertices,
+and :func:`check_outer_independence`'s one pass over the edges.
 
 Checking a blossom once is complete: its record (subs, cycle, base and
 vertex count) never changes once it is built, and its vertices stay the
@@ -26,7 +28,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .oracle import enumerate_short_augmenting_paths
-from .structures import Blossom, Forest, Structure, subtree
+from .structures import Blossom, Forest, Structure
 
 # Short-path coverage enumerates every short augmenting path at each bundle
 # boundary, so it is checked only on graphs with at most this many vertices.
@@ -91,9 +93,12 @@ def check_blossom(forest: Forest, blossom: Blossom) -> list[Violation]:
 
 
 def check_structure(forest: Forest, structure: Structure, limit: int,
-                    l_max: int, delta: int) -> list[Violation]:
+                    l_max: int, delta: int,
+                    node_of: Optional[list[Optional[Blossom]]] = None) -> list[Violation]:
     """Structure-local checks: tree shape, arc realization, label order
-    and size bounds."""
+    and size bounds, in one walk of the tree.  At a bundle boundary the walk
+    also enters each node in ``node_of``, the caller's per-vertex table,
+    flagging a vertex that a node of this tree or another already holds."""
     bad: list[Violation] = []
     alpha = structure.alpha
     mate = forest.mate
@@ -108,10 +113,11 @@ def check_structure(forest: Forest, structure: Structure, limit: int,
         flag("tree-representation", "root not owned by its structure")
 
     seen_vertices: set[int] = set()
-    outer_label_above: dict[int, int] = {id(root): 0}
-    stack: list[tuple[Blossom, int]] = [(root, 0)]
+    arc_count = -1  # each node's cycle arcs, and its parent arc if not the root
+    # Each entry carries its nearest outer ancestor's label, 0 at the root.
+    stack: list[tuple[Blossom, int, int]] = [(root, 0, 0)]
     while stack:
-        node, depth = stack.pop()
+        node, depth, above = stack.pop()
         if node.structure is not structure:
             flag("tree-representation", f"node {node!r} not owned")
         if node.outer != (depth % 2 == 0):
@@ -126,6 +132,12 @@ def check_structure(forest: Forest, structure: Structure, limit: int,
         if overlap:
             flag("tree-representation", f"vertex reuse {sorted(overlap)} at {node!r}")
         seen_vertices.update(vertices)
+        if node_of is not None:
+            for v in vertices:
+                if node_of[v] is not None:
+                    flag("disjointness", f"vertex {v} also in {node_of[v]!r}")
+                node_of[v] = node
+        arc_count += 1 + node.arcs
         if node.parent is not None:
             arc = node.parent_arc
             if arc is None:
@@ -138,20 +150,19 @@ def check_structure(forest: Forest, structure: Structure, limit: int,
                 if matched != node.outer:
                     flag("tree-representation",
                          f"arc {arc} matched={matched} entering outer={node.outer}")
-                if node.outer and y != node.base:
-                    flag("tree-representation",
-                         f"matched arc {arc} enters {node!r} away from its base")
                 if node.outer:
+                    if y != node.base:
+                        flag("tree-representation",
+                             f"matched arc {arc} enters {node!r} away from its base")
                     label = forest.labels[x]
-                    above = outer_label_above.get(id(node.parent.parent), 0)
                     if label <= above:
                         flag("increasing-labeling",
                              f"label {label} under label {above} at {node!r}")
-                    outer_label_above[id(node)] = label
+                    above = label
         for kid in node.kids:
             if kid.parent is not node:
                 flag("tree-representation", f"parent link broken at {kid!r}")
-            stack.append((kid, depth + 1))
+            stack.append((kid, depth + 1, above))
 
     size = structure.size
     if size != len(seen_vertices):
@@ -165,7 +176,6 @@ def check_structure(forest: Forest, structure: Structure, limit: int,
         flag("structure-size", f"{size} > limit*l_max = {limit * l_max}")
     if size > delta:
         flag("space-vertices", f"{size} > delta = {delta}")
-    arc_count = forest.structure_arc_count(structure)
     if arc_count > delta * delta:
         flag("space-arcs", f"{arc_count} > delta^2 = {delta * delta}")
     return bad
@@ -173,76 +183,66 @@ def check_structure(forest: Forest, structure: Structure, limit: int,
 
 def check_forest(forest: Forest, limit: int, l_max: int, delta: int) -> list[Violation]:
     """Global checks: per-structure validity, disjointness, label range,
-    resolution coherence."""
+    resolution coherence.  The structure checks walk each tree once and
+    fill ``node_of``; one pass over the vertices then checks the rest."""
     bad: list[Violation] = []
+
+    def flag(name: str, detail: str) -> None:
+        bad.append(Violation(name, None, detail))
+
     # Per vertex, the tree node that holds it, or None.
     node_of: list[Optional[Blossom]] = [None] * forest.n
-    for alpha, structure in forest.structures.items():
-        bad.extend(check_structure(forest, structure, limit, l_max, delta))
-        for node in subtree(structure.root):
-            for v in node.vertices:
-                if node_of[v] is not None:
-                    bad.append(Violation("disjointness", alpha,
-                                         f"vertex {v} also in {node_of[v]!r}"))
-                node_of[v] = node
+    for structure in forest.structures.values():
+        bad.extend(check_structure(forest, structure, limit, l_max, delta, node_of))
 
-    mate = forest.mate
-    labels = forest.labels
     fresh = l_max + 1
-    for v, label in enumerate(labels):
-        if not 0 <= label <= fresh:
-            bad.append(Violation("label-range", None,
-                                 f"label {label} out of range at tail {v}"))
-        elif mate[v] is None and label != fresh:
-            bad.append(Violation("label-range", None,
-                                 f"label {label} written on unmatched tail {v}"))
-
     # A vertex in no tree is unvisited (None) or removed: it resolves to a
     # node without a structure, and each such node is resolved to by
     # exactly its own vertices.
     resolvers: dict[Blossom, int] = {}
-    for v in range(forest.n):
-        node = forest.root_of[v]
-        home = node_of[v]
+    for v, (label, mate_v, node, home) in enumerate(
+            zip(forest.labels, forest.mate, forest.root_of, node_of)):
+        if label != fresh:
+            if not 0 <= label < fresh:
+                flag("label-range", f"label {label} out of range at tail {v}")
+            elif mate_v is None:
+                flag("label-range", f"label {label} written on unmatched tail {v}")
         if home is None:
             if node is None:
                 continue
             if node.structure is not None:
-                bad.append(Violation("resolution", None,
-                                     f"{v} is in no tree but resolves to {node!r}"))
+                flag("resolution", f"{v} is in no tree but resolves to {node!r}")
             else:
                 resolvers[node] = resolvers.get(node, 0) + 1
         elif node is not home:
-            bad.append(Violation("resolution", None,
-                                 f"root_of[{v}] is {node!r}, not its tree node {home!r}"))
+            flag("resolution", f"root_of[{v}] is {node!r}, not its tree node {home!r}")
         # Matched arcs wholly inside one root blossom carry label 0.
-        elif mate[v] is not None and node_of[mate[v]] is node and labels[v] != 0:
-            bad.append(Violation("blossom-arc-labels", None,
-                                 f"internal matched arc ({v}, {mate[v]}) has nonzero label"))
+        elif mate_v is not None and node_of[mate_v] is node and label != 0:
+            flag("blossom-arc-labels",
+                 f"internal matched arc ({v}, {mate_v}) has nonzero label")
     for node, count in resolvers.items():
         if (count != len(node.vertices)
                 or any(forest.root_of[x] is not node for x in node.vertices)):
-            bad.append(Violation("resolution", None,
-                                 f"removed {node!r} is not resolved to by exactly "
-                                 f"its own vertices"))
+            flag("resolution",
+                 f"removed {node!r} is not resolved to by exactly its own vertices")
     return bad
 
 
 def check_outer_independence(forest: Forest,
                              edges: Sequence[tuple[int, int]]) -> list[Violation]:
-    """At a pass-bundle boundary no edge may join two outer nodes."""
+    """At a pass-bundle boundary no edge may join two outer nodes.  One
+    pass over the vertices tables each one's root blossom if that is a live
+    outer node, so each edge costs two list reads."""
+    outer_at = [node if node is not None and node.structure is not None and node.outer
+                else None for node in forest.root_of]
     bad: list[Violation] = []
-    root_of = forest.root_of
     for u, v in edges:
-        bu, bv = root_of[u], root_of[v]
-        if bu is None or bv is None or bu is bv:
-            continue
-        if (bu.structure is not None and bu.outer
-                and bv.structure is not None and bv.outer):
-            bad.append(Violation(
-                "outer-independence",
-                bu.structure.alpha,
-                f"edge ({u}, {v}) joins outer nodes {bu!r} and {bv!r}"))
+        bu = outer_at[u]
+        if bu is not None:
+            bv = outer_at[v]
+            if bv is not None and bv is not bu:
+                bad.append(Violation("outer-independence", bu.structure.alpha,
+                                     f"edge ({u}, {v}) joins outer nodes {bu!r} and {bv!r}"))
     return bad
 
 
@@ -266,13 +266,9 @@ def check_short_path_coverage(forest: Forest, edges: Sequence[tuple[int, int]],
         removed=[v for v, node in enumerate(root_of)
                  if node is not None and node.structure is None])
     for path in paths:
-        covered = False
-        for i in range(len(path) - 1):
-            bx, by = root_of[path[i]], root_of[path[i + 1]]
-            if (bx is not None and by is not None and bx is not by
-                    and frozenset((bx, by)) in active_pairs):
-                covered = True
-                break
+        # A pair in ``active_pairs`` holds two distinct tree nodes.
+        covered = any(frozenset((root_of[x], root_of[y])) in active_pairs
+                      for x, y in zip(path, path[1:]))
         if not covered:
             start = forest.structures.get(path[0])
             end = forest.structures.get(path[-1])

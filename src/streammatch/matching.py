@@ -84,14 +84,17 @@ def augment_along(matching: Matching, path: list[int]) -> None:
 
 
 def validate_matching(matching: Matching, edges: Iterable[tuple[int, int]]) -> bool:
-    """True iff every matched pair is an edge and the mate map is symmetric."""
-    edge_set = {frozenset(e) for e in edges}
+    """True iff every matched pair is an edge and the mate map is symmetric.
+    An edge of ``edges``, on the vertices 0..n-1, is keyed by one int: the
+    rank of (min, max) in an n-by-n table."""
     mate = matching.mate
+    n = len(mate)
+    edge_keys = {u * n + v if u < v else v * n + u for u, v in edges}
     for u, v in enumerate(mate):
         if v is None:
             continue
-        if v == u or not (0 <= v < len(mate)) or mate[v] != u:
+        if v == u or not (0 <= v < n) or mate[v] != u:
             return False
-        if frozenset((u, v)) not in edge_set:
+        if (u * n + v if u < v else v * n + u) not in edge_keys:
             return False
     return True

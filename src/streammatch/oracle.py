@@ -89,13 +89,13 @@ def _packed_rows(n: int, edges: Iterable[tuple[int, int]],
         entry = rng.randrange(1, _PRIME)
         entries[u][v] = entry
         entries[v][u] = _PRIME - entry
-    size = _slot_bits(n) // 8
+    width = _slot_bits(n)
     rows = []
     for row in entries:
-        buf = bytearray(n * size)
+        packed = 0
         for col, entry in row.items():
-            buf[col * size:col * size + 8] = entry.to_bytes(8, "little")
-        rows.append(int.from_bytes(buf, "little"))
+            packed |= entry << col * width
+        rows.append(packed)
     return rows
 
 

@@ -93,6 +93,13 @@ class Blossom:
         members = self.members
         return members if len(members) == self.count else members[:self.count]
 
+    def holds(self, x: int) -> bool:
+        """Whether ``x`` is a vertex of the blossom, sought in place."""
+        try:
+            return self.members.index(x, 0, self.count) >= 0
+        except ValueError:
+            return False
+
     @property
     def trivial(self) -> bool:
         return self.subs is None
@@ -245,7 +252,7 @@ def _expand(pieces: list[Piece]) -> list[int]:
                 raise ValueError(f"vertex {target} not in {node!r}")
             out.append(target)
             continue
-        j = next((i for i, sub in enumerate(subs) if target in sub.vertices), None)
+        j = next((i for i, sub in enumerate(subs) if sub.holds(target)), None)
         if j is None:
             raise ValueError(f"vertex {target} not in {node!r}")
         if j % 2 == 0:
@@ -538,10 +545,3 @@ class Forest:
             structure.working = grand
             case = "step"
         self.record("backtrack", structure, case=case)
-
-    # -- bookkeeping ----------------------------------------------------------
-
-    def structure_arc_count(self, structure: Structure) -> int:
-        """Arcs stored by a structure: tree-realizing arcs plus the cycle
-        arcs of every composite blossom in its family."""
-        return sum(1 + node.arcs for node in subtree(structure.root)) - 1

@@ -1,5 +1,7 @@
-"""Builders and the full-scan reference engine shared by the test modules."""
+"""Builders, the full-scan reference engine and a checker probe shared by
+the test modules."""
 
+from streammatch.invariants import check_structure
 from streammatch.matching import Matching, augment_along
 from streammatch.phase import PhaseEngine
 
@@ -12,6 +14,14 @@ def matched(n, pairs):
         assert u != v and mate[u] is None and mate[v] is None
         augment_along(matching, [u, v])
     return matching
+
+
+def stored_arcs(forest, structure):
+    """The arcs ``structure`` stores, read off the checker's ``space-arcs``
+    check: with delta = 0 it fires on any arc, naming the count."""
+    details = [v.detail for v in check_structure(forest, structure, 0, 0, 0)
+               if v.name == "space-arcs"]
+    return int(details[0].split()[0]) if details else 0
 
 
 class FullScanEngine(PhaseEngine):

@@ -289,6 +289,18 @@ def test_nested_contractions(eps, checked):
     assert_same_as_full_scan(lambda: open_stream(spec), eps, checked)
 
 
+def test_checked_engine_at_n_10000():
+    # The checker at every operation and bundle boundary of a run that
+    # starts 1,560 structures over 278 bundles; the reference runs
+    # unchecked, so the run must also come out the same as without it.
+    spec = parse_graph_spec("gnm:10000,30000,seed=1")
+    with mock.patch.object(driver, "PhaseEngine", outer_subs_checked(Counter())):
+        checked = outcome(lambda: open_stream(spec), Fraction(1, 2), True)
+    with mock.patch.object(driver, "PhaseEngine", FullScanEngine):
+        reference = outcome(lambda: open_stream(spec), Fraction(1, 2), False)
+    assert checked == reference
+
+
 EPSILONS = st.sampled_from([Fraction(1, 2), Fraction(1, 4)])
 
 

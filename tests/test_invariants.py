@@ -141,6 +141,16 @@ def test_disjointness_violation_is_flagged():
     assert "disjointness" in names
 
 
+def test_node_shared_by_two_trees_is_flagged_whichever_structure_it_claims():
+    engine = mid_run_engine()
+    forest = engine.forest
+    shared = forest.root_of[1]            # inner node of S_0
+    forest.structures[3].root.kids.append(shared)
+    shared.structure = forest.structures[3]
+    names = {v.name for v in check_forest(forest, CFG.limit, CFG.l_max, CFG.delta)}
+    assert "disjointness" in names
+
+
 def test_size_mismatch_is_flagged():
     engine = mid_run_engine()
     forest = engine.forest

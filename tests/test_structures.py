@@ -2,7 +2,7 @@
 
 import pytest
 
-from helpers import matched
+from helpers import matched, stored_arcs
 from streammatch.invariants import check_blossom, check_forest
 from streammatch.structures import (Forest, ancestors, even_path_vertices,
                                     lift_contracted_path, subtree)
@@ -540,7 +540,16 @@ def test_structure_size_accounting():
 
 
 def test_structure_arc_count_includes_blossom_cycles():
+    forest, _ = make_forest(5, [(1, 2), (3, 4)])
+    structure = forest.init_structure(0)
+    assert stored_arcs(forest, structure) == 0
+    forest.overtake(0, 1, 1)
+    forest.overtake(2, 3, 2)
+    assert stored_arcs(forest, structure) == 4    # the tree path 0 .. 4
+    forest.contract(4, 0)
+    assert stored_arcs(forest, structure) == 5    # one node, its 5-cycle
+
     forest, _, inner, outer = build_nested_blossom()
     structure = forest.structures[0]
     # Single-node tree (everything contracted): 0 tree arcs, two cycles.
-    assert forest.structure_arc_count(structure) == len(outer.cycle) + len(inner.cycle)
+    assert stored_arcs(forest, structure) == len(outer.cycle) + len(inner.cycle)
