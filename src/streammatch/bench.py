@@ -24,11 +24,11 @@ def corpus() -> list[GraphSpec]:
                  (20, 50), (24, 70), (30, 100), (40, 150), (50, 220), (60, 400)]
     for seed in range(100):
         n, m = gnm_sizes[seed % len(gnm_sizes)]
-        specs.append(GraphSpec("random-gnm", (n, m), seed))
+        specs.append(GraphSpec("gnm", (n, m), seed))
     bip_sizes = [(5, 5, 12), (6, 8, 20), (10, 10, 35)]
     for seed in range(9):
         a, b, m = bip_sizes[seed % len(bip_sizes)]
-        specs.append(GraphSpec("random-bipartite", (a, b, m), seed))
+        specs.append(GraphSpec("bipartite", (a, b, m), seed))
     return specs
 
 

@@ -11,7 +11,6 @@ import argparse
 import json
 import sys
 from contextlib import nullcontext
-from dataclasses import replace
 from fractions import Fraction
 from typing import NoReturn, Optional
 
@@ -36,15 +35,6 @@ FAILURES: dict[type, tuple[int, str]] = {
 }
 
 
-def _resolve_spec(args) -> GraphSpec:
-    if args.gen is None:
-        return GraphSpec("edgelist-file", path=args.input)
-    spec = parse_graph_spec(args.gen)
-    if args.seed is not None and "seed=" not in args.gen:
-        spec = replace(spec, seed=args.seed)
-    return spec
-
-
 def _parse_epsilon(text: str) -> Fraction:
     try:
         return Fraction(text)
@@ -53,7 +43,9 @@ def _parse_epsilon(text: str) -> Fraction:
 
 
 def _open(args) -> EdgeStream:
-    return open_stream(_resolve_spec(args))
+    if args.gen is None:
+        return open_stream(GraphSpec("edgelist-file", path=args.input))
+    return open_stream(parse_graph_spec(args.gen))
 
 
 def _write_matching(report: driver.RunReport, path: str) -> None:
@@ -155,15 +147,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Multi-pass streaming approximate maximum matching")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, solve=True):
-        """``--gen`` and ``--seed``; a command that solves also takes
-        ``--input`` in place of ``--gen``, and ``--epsilon``."""
-        gen_help = "generator spec, e.g. path:4 or gnm:20,50,seed=7"
-        p.add_argument("--seed", type=int, default=None,
-                       help="seed for random generators without an explicit seed")
-        if not solve:
-            p.add_argument("--gen", required=True, help=gen_help)
-            return
+    gen_help = "generator spec, e.g. path:4 or gnm:20,50,seed=7"
+
+    def add_source(p):
+        """A graph from exactly one of ``--input`` and ``--gen``, and
+        ``--epsilon``: the arguments of a command that solves."""
         source = p.add_mutually_exclusive_group(required=True)
         source.add_argument("--input", help="edge-list file (first line 'n m')")
         source.add_argument("--gen", help=gen_help)
@@ -171,25 +159,25 @@ def build_parser() -> argparse.ArgumentParser:
                        help="approximation parameter in (0, 1]")
 
     p_run = sub.add_parser("run", help="compute a matching and print a JSON report")
-    add_common(p_run)
+    add_source(p_run)
     p_run.add_argument("--out", help="write the matching as 'u v' lines")
     p_run.add_argument("--trace", help="write JSONL engine events")
     p_run.add_argument("--check-invariants", action="store_true")
     p_run.set_defaults(func=cmd_run)
 
     p_verify = sub.add_parser("verify", help="run with checks and oracle comparison")
-    add_common(p_verify)
+    add_source(p_verify)
     p_verify.add_argument("--oracle", choices=["none", "exhaustive", "tutte", "auto"],
                           default="auto")
     p_verify.set_defaults(func=cmd_verify)
 
     p_gen = sub.add_parser("gen", help="write a generated graph as an edge list")
-    add_common(p_gen, solve=False)
+    p_gen.add_argument("--gen", required=True, help=gen_help)
     p_gen.add_argument("--out", help="output file (stdout if omitted)")
     p_gen.set_defaults(func=cmd_gen)
 
     p_trace = sub.add_parser("trace", help="run and write the JSONL event trace")
-    add_common(p_trace)
+    add_source(p_trace)
     p_trace.add_argument("--out", help="trace output file", required=True)
     p_trace.set_defaults(func=cmd_trace)
 

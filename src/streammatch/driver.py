@@ -144,7 +144,10 @@ def run(stream: EdgeStream, config: RunConfig) -> RunReport:
     scale_configs = [PhaseConfig.from_scale(h, eps) for h in scale_schedule(eps)]
 
     checked = config.check_invariants
-    edge_set = {frozenset(e) for e in stream.snapshot_edges()} if checked else None
+    n = stream.vertex_count
+    # The edges keyed by one int each, as is_alternating_augmenting reads them.
+    edge_keys = {u * n + v if u < v else v * n + u
+                 for u, v in stream.snapshot_edges()} if checked else None
 
     matching = greedy_maximal_matching(stream)
 
@@ -166,7 +169,7 @@ def run(stream: EdgeStream, config: RunConfig) -> RunReport:
             result = engine.run()
             executed += 1
             for path in result.paths:
-                if checked and not is_alternating_augmenting(path, matching, edge_set):
+                if checked and not is_alternating_augmenting(path, matching, edge_keys):
                     raise InvariantViolationError([Violation(
                         "augmenting-path", None, f"invalid augmenting path {path}")])
                 augment_along(matching, path)

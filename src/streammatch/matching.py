@@ -46,23 +46,27 @@ def greedy_maximal_matching(stream: EdgeStream) -> Matching:
 
 
 def is_alternating_augmenting(path: list[int], matching: Matching,
-                              edges: set[frozenset[int]]) -> bool:
+                              edges: set[int]) -> bool:
     """True iff ``path`` (a vertex sequence) is a valid augmenting path.
 
     Checks simplicity, free endpoints, strict alternation starting and
-    ending with unmatched edges, and that every step is an edge in
-    ``edges``.
+    ending with unmatched edges, and that every step is an edge of
+    ``edges``, where the edge {u, v} on the vertices 0..n-1 is keyed by
+    one int, the rank ``min * n + max`` of (min, max) in an n-by-n table.
     """
     if len(path) < 2 or len(path) % 2 != 0:
         return False
     if len(set(path)) != len(path):
         return False
     mate = matching.mate
+    n = len(mate)
+    if not all(0 <= v < n for v in path):
+        return False
     if mate[path[0]] is not None or mate[path[-1]] is not None:
         return False
     for i in range(len(path) - 1):
         u, v = path[i], path[i + 1]
-        if frozenset((u, v)) not in edges:
+        if (u * n + v if u < v else v * n + u) not in edges:
             return False
         matched = mate[u] == v
         if i % 2 == 0 and matched:

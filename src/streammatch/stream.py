@@ -34,8 +34,9 @@ class GraphSpec:
     """Description of a graph source: a file or a named generator.
 
     kind is one of ``edgelist-file``, ``path``, ``cycle``, ``complete``,
-    ``petersen``, ``random-gnm``, ``random-bipartite``.  ``params`` holds the
-    kind-specific sizes; random kinds consume ``seed``.
+    ``petersen``, ``gnm``, ``bipartite``.  ``params`` holds the
+    kind-specific sizes; random kinds consume ``seed``.  ``str(spec)`` of a
+    generator spec is the text :func:`parse_graph_spec` reads back.
     """
 
     kind: str
@@ -47,7 +48,7 @@ class GraphSpec:
         if self.kind == "edgelist-file":
             return f"file:{self.path}"
         body = ",".join(str(p) for p in self.params)
-        if self.kind in ("random-gnm", "random-bipartite"):
+        if self.kind in ("gnm", "bipartite"):
             body += f",seed={self.seed}"
         return f"{self.kind}:{body}" if body else self.kind
 
@@ -242,8 +243,8 @@ _GENERATORS: dict[str, tuple[int, Callable[..., tuple[int, list[tuple[int, int]]
     "cycle": (1, lambda seed, n: (n, cycle_edges(n))),
     "complete": (1, lambda seed, n: (n, complete_edges(n))),
     "petersen": (0, lambda seed: (10, petersen_edges())),
-    "random-gnm": (2, lambda seed, n, m: (n, gnm_edges(n, m, seed))),
-    "random-bipartite": (3, lambda seed, a, b, m: (a + b, bipartite_edges(a, b, m, seed))),
+    "gnm": (2, lambda seed, n, m: (n, gnm_edges(n, m, seed))),
+    "bipartite": (3, lambda seed, a, b, m: (a + b, bipartite_edges(a, b, m, seed))),
 }
 
 
@@ -283,8 +284,6 @@ def parse_graph_spec(text: str) -> GraphSpec:
     """Parse a ``kind:params`` spec string, e.g. ``gnm:100,300,seed=7``."""
     kind, _, rest = text.partition(":")
     kind = kind.strip()
-    alias = {"gnm": "random-gnm", "bipartite": "random-bipartite"}
-    kind = alias.get(kind, kind)
     params: list[int] = []
     seed = 0
     if rest:

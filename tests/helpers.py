@@ -16,6 +16,12 @@ def matched(n, pairs):
     return matching
 
 
+def edge_keys(n, edges):
+    """The edges on vertices 0..n-1 keyed as ``is_alternating_augmenting``
+    reads them: {u, v} is ``min * n + max``."""
+    return {min(u, v) * n + max(u, v) for u, v in edges}
+
+
 def stored_arcs(forest, structure):
     """The arcs ``structure`` stores, read off the checker's ``space-arcs``
     check: with delta = 0 it fires on any arc, naming the count."""

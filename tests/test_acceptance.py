@@ -100,7 +100,7 @@ def test_criterion_3_invariant_suite(corpus_rows, monkeypatch):
     monkeypatch.setattr(InvariantChecker, "at_boundary", counting_boundary)
     monkeypatch.setattr(InvariantChecker, "after_operation", counting_op)
     monkeypatch.setattr(InvariantChecker, "at_phase_end", counting_end)
-    stream = open_stream(GraphSpec("random-gnm", (24, 34), 7))
+    stream = open_stream(GraphSpec("gnm", (24, 34), 7))
     driver.run(stream, driver.RunConfig(
         epsilon=Fraction(1, 2), check_invariants=True))  # raises on any violation
     assert counts["boundary"] > 0 and counts["op"] > 0 and counts["phase_end"] > 0
@@ -121,7 +121,7 @@ def test_criterion_4_short_path_coverage(corpus_rows, monkeypatch):
 
     import streammatch.invariants as inv
     monkeypatch.setattr(inv, "check_short_path_coverage", counting)
-    stream = open_stream(GraphSpec("random-gnm", (12, 18), 1))
+    stream = open_stream(GraphSpec("gnm", (12, 18), 1))
     driver.run(stream, driver.RunConfig(epsilon=Fraction(1, 2),
                                         check_invariants=True))
     assert calls["n"] > 0

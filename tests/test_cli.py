@@ -132,6 +132,20 @@ def test_verify_oracle_limit_fails_before_the_checked_run(capsys, monkeypatch,
     assert_one_line_error(err, "error", limit)
 
 
+def test_verify_above_the_rank_limit_runs_checked_without_nu(capsys, monkeypatch):
+    configs = []
+
+    def recording_run(stream, config, run=driver.run):
+        configs.append(config)
+        return run(stream, config)
+    monkeypatch.setattr(driver, "run", recording_run)
+    code, out, err = run_cli(capsys, "verify", "--gen", "path:2001")
+    assert code == 0 and err == ""
+    assert json.loads(out) == {"ok": True, "matching_size": 1000, "nu": None,
+                               "passes": expected_pass_count(Fraction(1, 2))}
+    assert [c.check_invariants for c in configs] == [True]
+
+
 def assert_one_line_error(err, label, detail):
     assert "Traceback" not in err
     assert len(err.splitlines()) == 1
@@ -176,16 +190,19 @@ def test_usage_error_exit_1(capsys):
     assert code == 1
     assert "error" in err
     for command in ("run", "gen"):
-        for spec in ("gnm:5", "path:-3", "petersen:3", "gnm:5,x"):
+        for spec in ("gnm:5", "path:-3", "petersen:3", "gnm:5,x",
+                     "random-gnm:10,20", "random-bipartite:3,4,5"):
             code, _, err = run_cli(capsys, command, "--gen", spec)
             assert code == 1
             assert_one_line_error(err, "error", repr(spec))
     # argparse's own usage errors exit 1 too, not its default 2, which
     # would read as a guarantee violation; --help still exits 0.  A graph
     # comes from exactly one of --input and --gen (gen takes only --gen),
-    # and trace needs --out.
+    # and trace needs --out.  A random graph's seed is part of its spec:
+    # there is no --seed.
     for argv in (["run", "--gen", "path:4", "--bogus"], [],
-                 ["run", "--gen", "gnm:10,20", "--seed", "x"],
+                 ["run", "--gen", "gnm:10,20", "--seed", "3"],
+                 ["gen", "--gen", "gnm:10,20", "--seed", "3"],
                  ["trace", "--gen", "path:4"], ["gen"], ["gen", "--input", "g.txt"],
                  ["run"], ["run", "--input", "g.txt", "--gen", "path:4"]):
         with pytest.raises(SystemExit) as caught:
@@ -235,9 +252,9 @@ def test_gen_stdout_and_out_file_bytes_match(tmp_path, capsys):
 
 
 def test_gen_seed_flag_changes_random_output(capsys):
-    _, out_a, _ = run_cli(capsys, "gen", "--gen", "gnm:10,20", "--seed", "1")
-    _, out_b, _ = run_cli(capsys, "gen", "--gen", "gnm:10,20", "--seed", "2")
-    _, out_a2, _ = run_cli(capsys, "gen", "--gen", "gnm:10,20", "--seed", "1")
+    _, out_a, _ = run_cli(capsys, "gen", "--gen", "gnm:10,20,seed=1")
+    _, out_b, _ = run_cli(capsys, "gen", "--gen", "gnm:10,20,seed=2")
+    _, out_a2, _ = run_cli(capsys, "gen", "--gen", "gnm:10,20,seed=1")
     assert out_a != out_b
     assert out_a == out_a2
 
@@ -250,6 +267,10 @@ def test_trace_roundtrip_deterministic(tmp_path, capsys):
     run_cli(capsys, "trace", "--gen", "cycle:5", "--epsilon", "0.5",
             "--out", str(second))
     assert first.read_bytes() == second.read_bytes()
+    # run --trace writes the same file
+    third = tmp_path / "c.jsonl"
+    run_cli(capsys, "run", "--gen", "cycle:5", "--epsilon", "0.5", "--trace", str(third))
+    assert third.read_bytes() == first.read_bytes()
     events = [json.loads(line) for line in first.read_text().splitlines()]
     assert {e["op"] for e in events} <= {
         "contract", "augment", "overtake", "backtrack", "hold"}

@@ -99,7 +99,7 @@ def test_run_p4_reaches_maximum(eps):
 
 def test_run_counts_passes_exactly():
     for spec in [GraphSpec("cycle", (7,)), GraphSpec("petersen"),
-                 GraphSpec("random-gnm", (12, 20), 4)]:
+                 GraphSpec("gnm", (12, 20), 4)]:
         stream = open_stream(spec)
         report = run(stream, RunConfig(epsilon=HALF))
         assert report.passes == expected_pass_count(HALF)
@@ -117,7 +117,7 @@ def test_run_reports_both_epsilons_and_scales():
 
 
 def test_matching_size_monotone_across_scales():
-    stream = open_stream(GraphSpec("random-gnm", (20, 45), 8))
+    stream = open_stream(GraphSpec("gnm", (20, 45), 8))
     report = run(stream, RunConfig(epsilon=HALF))
     sizes = [row.matching_size for row in report.per_scale]
     assert sizes == sorted(sizes)
@@ -128,7 +128,7 @@ def test_scale_end_approximation_bound():
     # At the end of every scale the matching is within the per-scale
     # approximation bound of the true maximum.
     for seed in range(8):
-        stream = open_stream(GraphSpec("random-gnm", (14, 26), seed))
+        stream = open_stream(GraphSpec("gnm", (14, 26), seed))
         nu = exact_matching_exhaustive(14, stream.snapshot_edges())
         report = run(stream, RunConfig(epsilon=HALF))
         l_max = Fraction(3) / report.epsilon_effective
@@ -201,7 +201,7 @@ def test_matching_size_and_free_list_follow_every_change(monkeypatch, spec):
 
 def test_isolated_vertices_are_fine():
     # Path on 4 vertices plus three isolated ones.
-    stream = open_stream(GraphSpec("random-gnm", (7, 0), 0))
+    stream = open_stream(GraphSpec("gnm", (7, 0), 0))
     report = run(stream, RunConfig(epsilon=HALF, check_invariants=True))
     assert report.matching.size == 0
 
@@ -224,7 +224,7 @@ def test_guarantee_property_on_arbitrary_graphs(n, data):
     m = data.draw(st.integers(0, n * (n - 1) // 2))
     seed = data.draw(st.integers(0, 2**32))
     eps = data.draw(st.sampled_from([Fraction(1), HALF, Fraction(1, 4)]))
-    stream = open_stream(GraphSpec("random-gnm", (n, m), seed))
+    stream = open_stream(GraphSpec("gnm", (n, m), seed))
     report = run(stream, RunConfig(epsilon=eps, check_invariants=True))
     nu = exact_matching_exhaustive(n, stream.snapshot_edges())
     assert (1 + eps) * report.matching.size >= nu

@@ -73,7 +73,7 @@ def test_artificial_outer_outer_arc_is_flagged():
 
 
 def test_boundary_state_passes_outer_independence():
-    stream = open_stream(GraphSpec("random-gnm", (14, 24), 2))
+    stream = open_stream(GraphSpec("gnm", (14, 24), 2))
     matching = greedy_maximal_matching(stream)
     engine = PhaseEngine(stream, matching, CFG, checked=True)
     engine.run()  # raises on any boundary violation

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from helpers import matched
+from helpers import edge_keys, matched
 from streammatch.matching import (Matching, augment_along, greedy_maximal_matching,
                                   is_alternating_augmenting, validate_matching)
 from streammatch.oracle import exact_matching_exhaustive
@@ -13,7 +13,7 @@ from streammatch.structures import Forest
 
 # Every pair of 0..3 is an edge, so a path on them fails the augmenting
 # path check only for the reason a test names.
-K4 = {frozenset(e) for e in complete_edges(4)}
+K4 = edge_keys(4, complete_edges(4))
 
 
 def stream_of(n, edges):
@@ -39,7 +39,7 @@ def test_greedy_uses_exactly_one_pass():
 
 
 def test_greedy_is_maximal_no_free_edge():
-    stream = open_stream(GraphSpec("random-gnm", (20, 50), 5))
+    stream = open_stream(GraphSpec("gnm", (20, 50), 5))
     m = greedy_maximal_matching(stream)
     for u, v in stream.snapshot_edges():
         assert not (m.mate[u] is None and m.mate[v] is None)
@@ -95,15 +95,14 @@ def test_label_reductions_counted():
 def test_augment_along_p4():
     m = matched(4, [(1, 2)])
     path = [0, 1, 2, 3]
-    assert is_alternating_augmenting(path, m,
-                                     {frozenset(e) for e in [(0, 1), (1, 2), (2, 3)]})
+    assert is_alternating_augmenting(path, m, edge_keys(4, [(0, 1), (1, 2), (2, 3)]))
     augment_along(m, path)
     assert set(m.pairs()) == {(0, 1), (2, 3)}
 
 
 def test_augment_along_single_edge():
     m = Matching(2)
-    assert is_alternating_augmenting([0, 1], m, {frozenset((0, 1))})
+    assert is_alternating_augmenting([0, 1], m, edge_keys(2, [(0, 1)]))
     augment_along(m, [0, 1])
     assert m.pairs() == [(0, 1)]
 
@@ -121,6 +120,7 @@ def test_augment_disjoint_paths_grow_by_count():
     [0, 1, 2],          # even vertex count required
     [0, 1, 2, 0],       # repeated vertex
     [1, 2, 3, 0],       # endpoint not free
+    [0, 7, 1, 3],       # 7 is no vertex, though {0, 7} and {1, 7} key like {1, 3} and {2, 3}
 ])
 def test_augment_checked_rejects_bad_paths(path):
     m = matched(4, [(1, 2)])
@@ -133,7 +133,7 @@ def test_is_alternating_augmenting_rejects_wrong_parity():
     # second edge must be matched
     assert not is_alternating_augmenting([0, 3, 1, 2], m, K4)
     # non-edges are rejected too
-    p4 = {frozenset(e) for e in [(0, 1), (1, 2), (2, 3)]}
+    p4 = edge_keys(4, [(0, 1), (1, 2), (2, 3)])
     assert not is_alternating_augmenting([0, 2, 1, 3], m, p4)
 
 

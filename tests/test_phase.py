@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import FullScanEngine, matched
+from helpers import FullScanEngine, edge_keys, matched
 from streammatch import driver
 from streammatch.matching import Matching, is_alternating_augmenting
 from streammatch.phase import READS_PER_BUNDLE, PhaseConfig, PhaseEngine
@@ -66,7 +66,7 @@ def test_p4_phase_finds_the_augmenting_path():
     assert len(result.paths) == 1
     assert sorted(result.paths[0]) == [0, 1, 2, 3]
     assert is_alternating_augmenting(result.paths[0], matching,
-                                     {frozenset(e) for e in stream.snapshot_edges()})
+                                     edge_keys(4, stream.snapshot_edges()))
     # the matching itself is untouched during the phase
     assert matching.pairs() == [(1, 2)]
 
@@ -255,7 +255,7 @@ def test_trace_sequence_cycle5():
 
 
 def test_engine_is_deterministic():
-    spec = GraphSpec("random-gnm", (18, 40), 9)
+    spec = GraphSpec("gnm", (18, 40), 9)
 
     def trace_of():
         events = []
@@ -321,7 +321,7 @@ def test_label_reductions_bounded_per_arc(monkeypatch):
     monkeypatch.setattr(Forest, "relabel", recording_relabel)
     cfg = PhaseConfig.from_scale(HALF, HALF)
     for seed in range(20):
-        stream = open_stream(GraphSpec("random-gnm", (18, 30), seed))
+        stream = open_stream(GraphSpec("gnm", (18, 30), seed))
         matching = greedy_maximal_matching(stream)
         writes.clear()
         events = []
@@ -340,11 +340,11 @@ def test_label_reductions_bounded_per_arc(monkeypatch):
 def test_phase_paths_disjoint_and_valid_on_random_graphs():
     from streammatch.matching import greedy_maximal_matching
     for seed in range(25):
-        stream = open_stream(GraphSpec("random-gnm", (16, 26), seed))
+        stream = open_stream(GraphSpec("gnm", (16, 26), seed))
         matching = greedy_maximal_matching(stream)
         pairs_before = set(matching.pairs())
         _, result = run_phase(stream, matching, checked=True)
-        edge_set = {frozenset(e) for e in stream.snapshot_edges()}
+        edge_set = edge_keys(16, stream.snapshot_edges())
         used = set()
         for path in result.paths:
             assert is_alternating_augmenting(path, matching, edge_set)

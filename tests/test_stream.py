@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from streammatch import bench
 from streammatch.stream import (EdgeStream, GraphSpec, StreamFormatError,
                                 build_edges, gnm_edges, open_stream,
                                 parse_graph_spec, read_edgelist, write_edgelist)
@@ -56,7 +57,7 @@ def test_pass_counter_increments_per_traversal():
 
 
 def test_replay_determinism_and_arc_pairing():
-    stream = open_stream(GraphSpec("random-gnm", (12, 20), 3))
+    stream = open_stream(GraphSpec("gnm", (12, 20), 3))
     first = collect_arcs(stream)
     second = collect_arcs(stream)
     assert first == second
@@ -66,7 +67,7 @@ def test_replay_determinism_and_arc_pairing():
 
 
 def test_read_positions_pick_the_tails_arcs(monkeypatch):
-    stream = open_stream(GraphSpec("random-gnm", (12, 30), 5))
+    stream = open_stream(GraphSpec("gnm", (12, 30), 5))
     every = collect_arcs(stream)
     reads = []
     original = EdgeStream.iter_arcs_once
@@ -87,7 +88,7 @@ def test_read_positions_pick_the_tails_arcs(monkeypatch):
 def test_read_partner_positions_give_each_edges_other_arc():
     # The other arc of the edge at position p sits at p ^ 1, so the
     # partners of a tail's positions are the arcs with that head.
-    stream = open_stream(GraphSpec("random-gnm", (12, 30), 5))
+    stream = open_stream(GraphSpec("gnm", (12, 30), 5))
     every = collect_arcs(stream)
     read = stream.read()
     for x in range(12):
@@ -210,7 +211,7 @@ def test_gnm_simplicity_property(n, data):
 
 
 def test_bipartite_generator_sides():
-    n, edges = build_edges(GraphSpec("random-bipartite", (4, 6, 10), 1))
+    n, edges = build_edges(GraphSpec("bipartite", (4, 6, 10), 1))
     assert n == 10
     assert len(edges) == 10
     for u, v in edges:
@@ -252,7 +253,7 @@ def test_round_trip_write_is_idempotent(tmp_path):
 
 def test_round_trip_preserves_edge_set(tmp_path):
     target = tmp_path / "g.edgelist"
-    stream = open_stream(GraphSpec("random-gnm", (15, 30), 11))
+    stream = open_stream(GraphSpec("gnm", (15, 30), 11))
     write_to(stream, target)
     n, edges = read_edgelist(str(target))
     assert n == 15
@@ -291,16 +292,26 @@ def test_edge_stream_rejects_negative_vertex_count():
 
 def test_parse_graph_spec_forms():
     assert parse_graph_spec("path:4") == GraphSpec("path", (4,))
-    assert parse_graph_spec("gnm:100,300,seed=7") == GraphSpec("random-gnm", (100, 300), 7)
+    assert parse_graph_spec("gnm:100,300,seed=7") == GraphSpec("gnm", (100, 300), 7)
     assert parse_graph_spec("petersen") == GraphSpec("petersen")
     assert parse_graph_spec("bipartite:3,4,5,seed=2") == GraphSpec(
-        "random-bipartite", (3, 4, 5), 2)
+        "bipartite", (3, 4, 5), 2)
     assert parse_graph_spec("path:0") == GraphSpec("path", (0,))
     for text, message in [("torus:3", "unknown"), ("gnm:5", "takes 2"),
                           ("bipartite:3,4", "takes 3"), ("path", "takes 1"),
                           ("petersen:3", "takes 0"), ("path:-3", "negative"),
                           ("gnm:5,x", "non-integer value 'x'"),
-                          ("gnm:5,7,seed=y", "non-integer value 'y'")]:
+                          ("gnm:5,7,seed=y", "non-integer value 'y'"),
+                          ("random-gnm:10,20", "unknown"),
+                          ("random-bipartite:3,4,5", "unknown")]:
         with pytest.raises(ValueError, match=message) as info:
             parse_graph_spec(text)
         assert repr(text) in str(info.value)
+
+
+def test_spec_string_parses_back_to_the_spec():
+    specs = bench.corpus()
+    assert {spec.kind for spec in specs} == {
+        "path", "cycle", "complete", "petersen", "gnm", "bipartite"}
+    for spec in specs:
+        assert parse_graph_spec(str(spec)) == spec
