@@ -2,11 +2,8 @@
 
 from __future__ import annotations
 
-import os
 import time
 from fractions import Fraction
-from multiprocessing import Pool
-from typing import Optional
 
 from . import driver, oracle
 from .stream import GraphSpec, open_stream
@@ -56,11 +53,6 @@ def run_one(spec: GraphSpec, epsilon) -> dict:
     }
 
 
-def _run_one_task(args) -> dict:
-    spec, epsilon = args
-    return run_one(spec, epsilon)
-
-
 def acceptance_tasks() -> list[tuple[GraphSpec, Fraction]]:
     """The corpus crossed with epsilon in {1, 1/2, 1/4}; the tightest
     epsilon only runs on instances up to 40 vertices."""
@@ -74,17 +66,9 @@ def acceptance_tasks() -> list[tuple[GraphSpec, Fraction]]:
     return tasks
 
 
-def run_corpus(workers: Optional[int] = None) -> list[dict]:
-    """Run every acceptance task, in up to ``workers`` processes but never
-    more than this machine has CPUs."""
-    if workers is not None and workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
-    tasks = acceptance_tasks()
-    workers = min(workers or 1, os.cpu_count() or 1)
-    if workers == 1:
-        return [_run_one_task(t) for t in tasks]
-    with Pool(workers) as pool:
-        return pool.map(_run_one_task, tasks)
+def run_corpus() -> list[dict]:
+    """Run every acceptance task, in order."""
+    return [run_one(spec, epsilon) for spec, epsilon in acceptance_tasks()]
 
 
 def format_table(rows: list[dict]) -> str:

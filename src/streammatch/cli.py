@@ -1,4 +1,5 @@
-"""Command-line entry points: run, verify, gen, trace, bench.
+"""Command-line entry points: run, verify, gen, bench, and trace, which is
+``run --trace`` under its old name.
 
 Exit codes: 0 success, 1 usage or I/O failure, 2 approximation-guarantee
 violation, 3 invariant violation (or invalid matching or augmenting path),
@@ -16,7 +17,7 @@ from typing import NoReturn, Optional
 
 from . import bench, driver, oracle
 from .invariants import InvariantViolationError
-from .stream import (EdgeStream, GraphSpec, open_stream, parse_graph_spec,
+from .stream import (EdgeStream, open_stream, parse_graph_spec, read_edgelist,
                      write_edgelist)
 
 EXIT_OK = 0
@@ -37,14 +38,16 @@ FAILURES: dict[type, tuple[int, str]] = {
 
 def _parse_epsilon(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        eps = Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"epsilon {text!r} has a zero denominator") from None
+    driver.normalize_epsilon(eps)  # rejects eps outside (0, 1] before any work
+    return eps
 
 
 def _open(args) -> EdgeStream:
     if args.gen is None:
-        return open_stream(GraphSpec("edgelist-file", path=args.input))
+        return EdgeStream(*read_edgelist(args.input))
     return open_stream(parse_graph_spec(args.gen))
 
 
@@ -60,11 +63,9 @@ class _TraceFile:
 
     def __init__(self, path: str):
         self.fh = open(path, "w", encoding="ascii")
-        self.events = 0
 
     def __call__(self, event: dict) -> None:
         self.fh.write(json.dumps(event) + "\n")
-        self.events += 1
 
     def __enter__(self) -> "_TraceFile":
         return self
@@ -88,15 +89,12 @@ def cmd_run(args) -> int:
 
 def cmd_verify(args) -> int:
     stream = _open(args)
-    eps = driver.normalize_epsilon(_parse_epsilon(args.epsilon))
+    eps = _parse_epsilon(args.epsilon)
     # The oracle runs first, so a graph beyond its size limit fails at once
     # with the oracle's own error instead of after the whole checked run.
-    nu = None
-    if args.oracle != "none":
-        size = {"auto": oracle.matching_size,
-                "exhaustive": oracle.exact_matching_exhaustive,
-                "tutte": oracle.matching_size_rank}[args.oracle]
-        nu = size(stream.vertex_count, stream.snapshot_edges())
+    size = {"auto": oracle.matching_size,
+            "tutte": oracle.matching_size_rank}[args.oracle]
+    nu = size(stream.vertex_count, stream.snapshot_edges())
     # A checked run raises on an invalid matching or a pass-count mismatch.
     report = driver.run(stream, driver.RunConfig(epsilon=eps, check_invariants=True))
     failure = report.guarantee_failure(nu) if nu is not None else None
@@ -116,17 +114,8 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def cmd_trace(args) -> int:
-    stream = _open(args)
-    with _TraceFile(args.out) as trace:
-        driver.run(stream, driver.RunConfig(
-            epsilon=_parse_epsilon(args.epsilon), trace=trace))
-    print(f"wrote {trace.events} events to {args.out}")
-    return EXIT_OK
-
-
 def cmd_bench(args) -> int:
-    rows = bench.run_corpus(workers=args.workers)
+    rows = bench.run_corpus()
     print(bench.format_table(rows))
     bad = [r for r in rows if not r.get("guarantee_ok", True)]
     return EXIT_OK if not bad else EXIT_GUARANTEE
@@ -167,8 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run with checks and oracle comparison")
     add_source(p_verify)
-    p_verify.add_argument("--oracle", choices=["none", "exhaustive", "tutte", "auto"],
-                          default="auto")
+    p_verify.add_argument("--oracle", choices=["auto", "tutte"], default="auto")
     p_verify.set_defaults(func=cmd_verify)
 
     p_gen = sub.add_parser("gen", help="write a generated graph as an edge list")
@@ -176,13 +164,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--out", help="output file (stdout if omitted)")
     p_gen.set_defaults(func=cmd_gen)
 
-    p_trace = sub.add_parser("trace", help="run and write the JSONL event trace")
+    p_trace = sub.add_parser("trace", help="run, writing the JSONL engine events")
     add_source(p_trace)
-    p_trace.add_argument("--out", help="trace output file", required=True)
-    p_trace.set_defaults(func=cmd_trace)
+    p_trace.add_argument("--out", dest="trace", required=True,
+                         help="write JSONL engine events")
+    p_trace.set_defaults(func=cmd_run, out=None, check_invariants=False)
 
     p_bench = sub.add_parser("bench", help="run the built-in corpus and print a table")
-    p_bench.add_argument("--workers", type=int, default=None)
     p_bench.set_defaults(func=cmd_bench)
     return parser
 

@@ -31,22 +31,19 @@ class StreamFormatError(ValueError):
 
 @dataclass(frozen=True)
 class GraphSpec:
-    """Description of a graph source: a file or a named generator.
+    """Description of a generated graph.
 
-    kind is one of ``edgelist-file``, ``path``, ``cycle``, ``complete``,
-    ``petersen``, ``gnm``, ``bipartite``.  ``params`` holds the
-    kind-specific sizes; random kinds consume ``seed``.  ``str(spec)`` of a
-    generator spec is the text :func:`parse_graph_spec` reads back.
+    kind is one of ``path``, ``cycle``, ``complete``, ``petersen``, ``gnm``,
+    ``bipartite``.  ``params`` holds the kind-specific sizes; random kinds
+    consume ``seed``.  ``str(spec)`` is the text :func:`parse_graph_spec`
+    reads back.
     """
 
     kind: str
     params: tuple[int, ...] = ()
     seed: int = 0
-    path: Optional[str] = None
 
     def __str__(self) -> str:
-        if self.kind == "edgelist-file":
-            return f"file:{self.path}"
         body = ",".join(str(p) for p in self.params)
         if self.kind in ("gnm", "bipartite"):
             body += f",seed={self.seed}"
@@ -263,19 +260,12 @@ def _check_params(kind: str, params: tuple[int, ...], name: str) -> None:
 
 def build_edges(spec: GraphSpec) -> tuple[int, list[tuple[int, int]]]:
     """Materialize the (vertex_count, edges) of a generator spec."""
-    if spec.kind == "edgelist-file":
-        assert spec.path is not None
-        return read_edgelist(spec.path)
     _check_params(spec.kind, spec.params, str(spec))
     return _GENERATORS[spec.kind][1](spec.seed, *spec.params)
 
 
 def open_stream(spec: GraphSpec) -> EdgeStream:
-    """Open a fresh stream (passes_used == 0) for the given source.
-
-    File input is validated: header consistency, vertex range, no
-    self-loops, no duplicate edges.
-    """
+    """Open a fresh stream (passes_used == 0) on the generated graph."""
     n, edges = build_edges(spec)
     return EdgeStream(n, edges, source=str(spec))
 
@@ -320,6 +310,10 @@ def write_edgelist(stream: EdgeStream, fh: TextIO) -> None:
 
 
 def read_edgelist(path: str) -> tuple[int, list[tuple[int, int]]]:
+    """Read the (vertex_count, edges) of an edge-list file, checking its
+    format only: the header, the line shapes, integers, ``0 <= u < v < n``
+    and the edge count.  :class:`EdgeStream` checks the graph itself, so
+    open a file as ``EdgeStream(*read_edgelist(path))``."""
     with open(path, "r", encoding="ascii") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines:
@@ -346,5 +340,4 @@ def read_edgelist(path: str) -> tuple[int, list[tuple[int, int]]]:
         if not (0 <= u < v < n):
             raise StreamFormatError(f"{path}: edge line {ln!r} violates 0 <= u < v < n")
         edges.append((u, v))
-    _validate_simple(n, edges)  # duplicate detection
     return n, edges

@@ -180,21 +180,6 @@ def _climb(node: Blossom, top: Blossom) -> list[Blossom]:
     raise ValueError(f"{top!r} is not above {node!r}")
 
 
-def _lowest_common_ancestor(a: Blossom, b: Blossom) -> Blossom:
-    """The deepest tree node at or above both ``a`` and ``b``, found by
-    climbing from both in turn: it is the first node either climb meets
-    twice, so the search stops there and never walks the tree above it."""
-    seen: set[Blossom] = set()
-    while True:
-        for node in (a, b):
-            if node is not None:
-                if node in seen:
-                    return node
-                seen.add(node)
-        a = a.parent if a is not None else None
-        b = b.parent if b is not None else None
-
-
 def even_path_vertices(blossom: Blossom, x: int) -> list[int]:
     """Even-length alternating path inside the blossom's own edge set.
 
@@ -389,7 +374,11 @@ class Forest:
         assert structure.working is bu
         assert self.mate[u] != v
 
-        lca = _lowest_common_ancestor(bu, bv)
+        # The LCA is the first node above bv that is also above bu.  Matched
+        # tree arcs' labels rise strictly within 1..l_max down a root path,
+        # so a tree is at most 2 l_max deep and both walks are short.
+        above = set(ancestors(bu))
+        lca = next(node for node in ancestors(bv) if node in above)
         # The cycle runs from the LCA down to bv, across (v, u) and back up
         # from bu; the walk ends at the LCA it started from, so drop that.
         nodes, cycle = closed_walk(bv, bu, (v, u), lca, lca)

@@ -1,9 +1,12 @@
-"""Builders, the full-scan reference engine and a checker probe shared by
-the test modules."""
+"""Builders, the full-scan reference engine, the full-replay reference
+driver and a checker probe shared by the test modules."""
 
+import json
+
+from streammatch.driver import ScaleReport, normalize_epsilon, scale_schedule
 from streammatch.invariants import check_structure
-from streammatch.matching import Matching, augment_along
-from streammatch.phase import PhaseEngine
+from streammatch.matching import Matching, augment_along, greedy_maximal_matching
+from streammatch.phase import PhaseConfig, PhaseEngine
 
 
 def matched(n, pairs):
@@ -105,3 +108,31 @@ class FullScanEngine(PhaseEngine):
                 assert mate[u] != v
                 forest.record_augmentation(u, v)
         forest.dirty.clear()
+
+
+def full_replay_run(stream, epsilon):
+    """Reference driver: ``driver.run`` without its two shortcuts.  It runs
+    every phase of every scale, so no phase or scale is charged unread;
+    a phase may still freeze by the phase-level rule.
+
+    Returns the matching, the per-scale rows, the pass count and each
+    phase's trace: ``traces[s][t]`` is the JSONL text of phase t + 1 of
+    scale s, as ``streammatch run --trace`` writes it.
+    """
+    eps = normalize_epsilon(epsilon)
+    matching = greedy_maximal_matching(stream)
+    rows, traces = [], []
+    for h in scale_schedule(eps):
+        cfg = PhaseConfig.from_scale(h, eps)
+        augmentations = 0
+        phases = []
+        for _ in range(cfg.t_max):
+            events = []
+            result = PhaseEngine(stream, matching, cfg, trace=events.append).run()
+            for path in result.paths:
+                augment_along(matching, path)
+            augmentations += len(result.paths)
+            phases.append("".join(json.dumps(event) + "\n" for event in events))
+        rows.append(ScaleReport(h, cfg.t_max, cfg.t_max, augmentations, matching.size))
+        traces.append(phases)
+    return matching, rows, stream.pass_count(), traces

@@ -28,7 +28,7 @@ FIXTURE_DIR = Path(__file__).parent / "fixtures"
 def corpus_rows():
     """Every corpus instance at eps in {1, 1/2} plus eps = 1/4 up to 40
     vertices, all with invariant checking and oracle comparison."""
-    return bench.run_corpus(workers=2)
+    return bench.run_corpus()
 
 
 def test_criterion_1_approximation_guarantee(corpus_rows):

@@ -12,7 +12,9 @@ import pytest
 from streammatch import bench, cli, driver
 from streammatch.driver import expected_pass_count
 from streammatch.invariants import InvariantChecker, InvariantViolationError, Violation
-from streammatch.stream import GraphSpec
+from streammatch.stream import GraphSpec, _validate_simple
+
+P4 = Path(__file__).parent / "fixtures" / "p4.edgelist"
 
 
 def run_cli(capsys, *argv):
@@ -119,7 +121,6 @@ def test_verify_pass_mismatch_exit_4(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("oracle, spec, limit", [
-    ("exhaustive", "path:23", "n <= 22"),
     ("tutte", "path:2001", "n <= 2000"),
 ])
 def test_verify_oracle_limit_fails_before_the_checked_run(capsys, monkeypatch,
@@ -130,6 +131,15 @@ def test_verify_oracle_limit_fails_before_the_checked_run(capsys, monkeypatch,
     code, out, err = run_cli(capsys, "verify", "--gen", spec, "--oracle", oracle)
     assert code == 1 and out == ""
     assert_one_line_error(err, "error", limit)
+
+
+def test_verify_epsilon_out_of_range_fails_before_the_oracle(capsys, monkeypatch):
+    def unexpected_oracle(n, edges):
+        raise AssertionError("oracle called before epsilon was checked")
+    monkeypatch.setattr(cli.oracle, "matching_size", unexpected_oracle)
+    code, out, err = run_cli(capsys, "verify", "--gen", "path:4", "--epsilon", "2")
+    assert code == 1 and out == ""
+    assert_one_line_error(err, "error", "epsilon must be in (0, 1], got 2")
 
 
 def test_verify_above_the_rank_limit_runs_checked_without_nu(capsys, monkeypatch):
@@ -199,10 +209,13 @@ def test_usage_error_exit_1(capsys):
     # would read as a guarantee violation; --help still exits 0.  A graph
     # comes from exactly one of --input and --gen (gen takes only --gen),
     # and trace needs --out.  A random graph's seed is part of its spec:
-    # there is no --seed.
+    # there is no --seed.  bench takes no flags, and verify's oracle is
+    # auto or tutte.
     for argv in (["run", "--gen", "path:4", "--bogus"], [],
                  ["run", "--gen", "gnm:10,20", "--seed", "3"],
                  ["gen", "--gen", "gnm:10,20", "--seed", "3"],
+                 ["bench", "--workers", "2"],
+                 ["verify", "--gen", "path:4", "--oracle", "none"],
                  ["trace", "--gen", "path:4"], ["gen"], ["gen", "--input", "g.txt"],
                  ["run"], ["run", "--input", "g.txt", "--gen", "path:4"]):
         with pytest.raises(SystemExit) as caught:
@@ -262,15 +275,19 @@ def test_gen_seed_flag_changes_random_output(capsys):
 def test_trace_roundtrip_deterministic(tmp_path, capsys):
     first = tmp_path / "a.jsonl"
     second = tmp_path / "b.jsonl"
-    run_cli(capsys, "trace", "--gen", "cycle:5", "--epsilon", "0.5",
-            "--out", str(first))
+    code, traced, _ = run_cli(capsys, "trace", "--gen", "cycle:5", "--epsilon", "0.5",
+                              "--out", str(first))
+    assert code == 0
     run_cli(capsys, "trace", "--gen", "cycle:5", "--epsilon", "0.5",
             "--out", str(second))
     assert first.read_bytes() == second.read_bytes()
-    # run --trace writes the same file
+    # trace is run --trace: the same file and the same JSON report
     third = tmp_path / "c.jsonl"
-    run_cli(capsys, "run", "--gen", "cycle:5", "--epsilon", "0.5", "--trace", str(third))
+    code, report, _ = run_cli(capsys, "run", "--gen", "cycle:5", "--epsilon", "0.5",
+                              "--trace", str(third))
+    assert code == 0
     assert third.read_bytes() == first.read_bytes()
+    assert traced == report and json.loads(report)["matching_size"] == 2
     events = [json.loads(line) for line in first.read_text().splitlines()]
     assert {e["op"] for e in events} <= {
         "contract", "augment", "overtake", "backtrack", "hold"}
@@ -280,7 +297,7 @@ def test_bench_table(monkeypatch, capsys):
     rows = [{"spec": "path:4", "n": 4, "m": 3, "epsilon": "1/2",
              "matching_size": 2, "nu": 2, "guarantee_ok": True,
              "passes": 7, "seconds": 0.01}]
-    monkeypatch.setattr(cli.bench, "run_corpus", lambda workers=None: rows)
+    monkeypatch.setattr(cli.bench, "run_corpus", lambda: rows)
     code, out, _ = run_cli(capsys, "bench")
     assert code == 0
     assert "path:4" in out and "matching_size" in out
@@ -295,37 +312,34 @@ def test_bench_row_checks_the_scale_end_bound(monkeypatch):
     assert row["guarantee_ok"] is False
 
 
-def test_bench_workers_checked_and_capped(monkeypatch, capsys):
-    sizes = []
+def test_bench_prints_the_table_without_a_pool(monkeypatch, capsys):
+    import multiprocessing
+    import multiprocessing.pool
 
-    class RecordingPool:
-        def __init__(self, size):
-            sizes.append(size)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return None
-
-        def map(self, fn, tasks):
-            return [fn(task) for task in tasks]
-
-    monkeypatch.setattr(bench, "Pool", RecordingPool)
-    monkeypatch.setattr(bench.os, "cpu_count", lambda: 3)
+    def no_pool(*args, **kwargs):
+        raise AssertionError("bench started a process pool")
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    monkeypatch.setattr(multiprocessing.pool, "Pool", no_pool)
     monkeypatch.setattr(bench, "acceptance_tasks",
-                        lambda: [(GraphSpec("path", (4,)), Fraction(1))])
-    code, out, _ = run_cli(capsys, "bench", "--workers", "10000")
-    assert code == 0 and "path:4" in out
-    assert sizes == [3]
-    code, out, _ = run_cli(capsys, "bench", "--workers", "1")
-    assert code == 0 and "path:4" in out
-    assert sizes == [3]
-    for workers in ("0", "-1"):
-        code, out, err = run_cli(capsys, "bench", "--workers", workers)
-        assert code == 1 and out == ""
-        assert_one_line_error(err, "error", f"got {workers}")
-    assert sizes == [3]
+                        lambda: [(GraphSpec("path", (4,)), Fraction(1)),
+                                 (GraphSpec("cycle", (5,)), Fraction(1, 2))])
+    code, out, _ = run_cli(capsys, "bench")
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 3 and lines[0].startswith("spec")
+    assert lines[1].startswith("path:4") and lines[2].startswith("cycle:5")
+
+
+def test_file_input_is_validated_once(monkeypatch, capsys):
+    calls = []
+
+    def counting(n, edges):
+        calls.append(n)
+        _validate_simple(n, edges)
+    monkeypatch.setattr("streammatch.stream._validate_simple", counting)
+    code, out, _ = run_cli(capsys, "run", "--input", str(P4))
+    assert code == 0 and json.loads(out)["matching_size"] == 2
+    assert calls == [4]
 
 
 def test_run_with_check_invariants(capsys):

@@ -1,11 +1,13 @@
 """Scale driver: schedule, parameter formulas, pass accounting, end-to-end runs."""
 
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import full_replay_run
 from streammatch import driver
 from streammatch.driver import (RunConfig, expected_pass_count,
                                 normalize_epsilon, run, scale_schedule)
@@ -239,3 +241,42 @@ def test_report_dict_is_json_ready():
     assert payload["matching_size"] == 2
     assert payload["epsilon_effective"] == "1/2"
     assert payload["n"] == 5 and payload["m"] == 4
+
+
+# Phases executed per scale at eps = 1.  In the first nine graphs a phase
+# of the first scale banks no path and freezes without a hold, so every
+# later scale is charged unread.  In cycle:13 that phase holds the
+# 13-vertex structure, so the scale skip does not fire there and the next
+# scale runs a phase too.
+REPLAY_CASES = {
+    "path:2": [1, 0, 0, 0, 0, 0],
+    "path:4": [1, 0, 0, 0, 0, 0],
+    "cycle:4": [1, 0, 0, 0, 0, 0],
+    "complete:4": [1, 0, 0, 0, 0, 0],
+    "petersen": [1, 0, 0, 0, 0, 0],
+    "gnm:8,12,seed=0": [2, 0, 0, 0, 0, 0],
+    "gnm:30,100,seed=8": [2, 0, 0, 0, 0, 0],
+    "gnm:60,400,seed=11": [2, 0, 0, 0, 0, 0],
+    "bipartite:10,10,35,seed=2": [2, 0, 0, 0, 0, 0],
+    "cycle:13": [1, 1, 0, 0, 0, 0],
+}
+
+
+@pytest.mark.parametrize("text", list(REPLAY_CASES))
+def test_run_matches_the_full_replay_reference(text):
+    spec = parse_graph_spec(text)
+    events = []
+    report = run(open_stream(spec), RunConfig(epsilon=1, trace=events.append))
+    assert [row.phases_executed for row in report.per_scale] == REPLAY_CASES[text]
+    matching, rows, passes, traces = full_replay_run(open_stream(spec), 1)
+    assert report.matching.mate == matching.mate
+    assert ([(r.h, r.phases_total, r.augmentations, r.matching_size) for r in report.per_scale]
+            == [(r.h, r.phases_total, r.augmentations, r.matching_size) for r in rows])
+    assert report.passes == passes == expected_pass_count(1)
+    # The run's trace is the replay's executed phases in order, and every
+    # phase it skipped repeats the last phase it executed.
+    ran = []
+    for row, phases in zip(report.per_scale, traces):
+        ran.extend(phases[:row.phases_executed])
+        assert all(phase == ran[-1] for phase in phases[row.phases_executed:])
+    assert "".join(json.dumps(event) + "\n" for event in events) == "".join(ran)

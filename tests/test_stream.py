@@ -239,7 +239,7 @@ def test_round_trip_path_identical_arcs(tmp_path):
     target = tmp_path / "p5.edgelist"
     original = open_stream(GraphSpec("path", (5,)))
     write_to(original, target)
-    reopened = open_stream(GraphSpec("edgelist-file", path=str(target)))
+    reopened = EdgeStream(*read_edgelist(str(target)))
     assert collect_arcs(reopened) == collect_arcs(original)
 
 
@@ -247,7 +247,7 @@ def test_round_trip_write_is_idempotent(tmp_path):
     first = tmp_path / "a.edgelist"
     second = tmp_path / "b.edgelist"
     write_to(open_stream(GraphSpec("cycle", (5,))), first)
-    write_to(open_stream(GraphSpec("edgelist-file", path=str(first))), second)
+    write_to(EdgeStream(*read_edgelist(str(first))), second)
     assert first.read_text() == second.read_text()
 
 
@@ -263,7 +263,7 @@ def test_round_trip_preserves_edge_set(tmp_path):
 def test_file_order_is_stream_order(tmp_path):
     target = tmp_path / "ordered.edgelist"
     target.write_text("4 3\n1 2\n0 1\n2 3\n")
-    stream = open_stream(GraphSpec("edgelist-file", path=str(target)))
+    stream = EdgeStream(*read_edgelist(str(target)))
     assert stream.snapshot_edges() == [(1, 2), (0, 1), (2, 3)]
 
 
@@ -279,10 +279,12 @@ def test_file_order_is_stream_order(tmp_path):
     ("-3 0\n", "negative vertex count -3"),
 ])
 def test_malformed_files_rejected(tmp_path, content, message):
+    # read_edgelist checks the format; the duplicate and the negative
+    # vertex count are left to EdgeStream, which checks every graph.
     target = tmp_path / "bad.edgelist"
     target.write_text(content)
     with pytest.raises(StreamFormatError, match=message):
-        read_edgelist(str(target))
+        EdgeStream(*read_edgelist(str(target)))
 
 
 def test_edge_stream_rejects_negative_vertex_count():
