@@ -57,26 +57,12 @@ def _write_matching(report: driver.RunReport, path: str) -> None:
             fh.write(f"{u} {v}\n")
 
 
-class _TraceFile:
-    """Trace callback that writes each event to a file as one JSON line,
-    as the event arrives."""
-
-    def __init__(self, path: str):
-        self.fh = open(path, "w", encoding="ascii")
-
-    def __call__(self, event: dict) -> None:
-        self.fh.write(json.dumps(event) + "\n")
-
-    def __enter__(self) -> "_TraceFile":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.fh.close()
-
-
 def cmd_run(args) -> int:
     stream = _open(args)
-    with (_TraceFile(args.trace) if args.trace else nullcontext()) as trace:
+    with (open(args.trace, "w", encoding="ascii") if args.trace
+          else nullcontext()) as fh:
+        # Each event is written as one JSON line as it arrives.
+        trace = None if fh is None else lambda event: fh.write(json.dumps(event) + "\n")
         report = driver.run(stream, driver.RunConfig(
             epsilon=_parse_epsilon(args.epsilon),
             check_invariants=args.check_invariants,

@@ -25,9 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
-from .oracle import enumerate_short_augmenting_paths
 from .structures import Blossom, Forest, Structure
 
 # Short-path coverage enumerates every short augmenting path at each bundle
@@ -278,6 +277,58 @@ def check_short_path_coverage(forest: Forest, edges: Sequence[tuple[int, int]],
             bad.append(Violation("short-path-coverage", path[0],
                                  f"uncovered augmenting path {path}"))
     return bad
+
+
+def enumerate_short_augmenting_paths(
+        n: int, edges: Sequence[tuple[int, int]],
+        mate: Sequence[Optional[int]], max_matched: int,
+        removed: Iterable[int] = ()) -> list[tuple[int, ...]]:
+    """All simple augmenting paths with at most ``max_matched`` matched
+    edges avoiding ``removed`` vertices, one canonical orientation each
+    (smaller endpoint first), sorted.  A direct search of the graph that
+    shares no code with the engine, for :func:`check_short_path_coverage`."""
+    if n > COVERAGE_LIMIT:
+        raise ValueError(f"path enumeration limited to n <= {COVERAGE_LIMIT}, got {n}")
+    banned = set(removed)
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    found: set[tuple[int, ...]] = set()
+    path: list[int] = []
+    on_path = [False] * n
+
+    def explore(v: int, matched_used: int) -> None:
+        # v was reached by an unmatched edge (or is the start).
+        path.append(v)
+        on_path[v] = True
+        if mate[v] is None:
+            if len(path) > 1 and path[0] < path[-1]:
+                found.add(tuple(path))
+        else:
+            w = mate[v]
+            if matched_used < max_matched and not on_path[w] and w not in banned:
+                path.append(w)
+                on_path[w] = True
+                for x in adj[w]:
+                    if not on_path[x] and x not in banned and mate[w] != x:
+                        explore(x, matched_used + 1)
+                on_path[w] = False
+                path.pop()
+        on_path[v] = False
+        path.pop()
+
+    for alpha in range(n):
+        if mate[alpha] is None and alpha not in banned:
+            path.clear()
+            path.append(alpha)
+            on_path[alpha] = True
+            for x in adj[alpha]:
+                if not on_path[x] and x not in banned:
+                    explore(x, 0)
+            on_path[alpha] = False
+            path.clear()
+    return sorted(found)
 
 
 def check_active_bound(active: int, h: Fraction, matching_size_start: int) -> list[Violation]:

@@ -2,8 +2,8 @@
 
 Nothing here shares code with the streaming engine: matching sizes come
 from subset dynamic programming or from the rank of a randomized
-skew-symmetric matrix, and augmenting paths from direct enumeration.
-These are the second route of every dual-route check in the test suite.
+skew-symmetric matrix.  These are the second route of every dual-route
+check in the test suite.
 
 The rank oracle relabels the vertices in a fill-reducing order (greedy
 minimum degree) and eliminates the matrix mod a 61-bit prime, touching at
@@ -23,24 +23,15 @@ RANK_LIMIT = 2000
 # ``matching_size`` takes the exact subset DP up to this many vertices and
 # the rank oracle above it.
 AUTO_EXHAUSTIVE_LIMIT = 14
-ENUMERATION_LIMIT = 16
 
 # Fixed 61-bit Mersenne prime field for the rank oracle.  A single trial
 # under-reports with probability at most n / _PRIME; trials are independent.
 _PRIME = (1 << 61) - 1
-_DEFAULT_TRIALS = 3
-_DEFAULT_SEED = 0x5EED
+_TRIALS = 3
+_SEED = 0x5EED
 # Eliminated columns a packed row may keep in its low slots before the
 # rank oracle shifts them out.
 _LAG = 8
-
-
-def adjacency(n: int, edges: Iterable[tuple[int, int]]) -> list[list[int]]:
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    return adj
 
 
 def exact_matching_exhaustive(n: int, edges: Sequence[tuple[int, int]]) -> int:
@@ -254,14 +245,13 @@ def _rank_mod_p(rows: list[int], masks: list[int], n: int) -> int:
     return rank
 
 
-def matching_size_rank(n: int, edges: Sequence[tuple[int, int]],
-                       trials: int = _DEFAULT_TRIALS,
-                       seed: int = _DEFAULT_SEED) -> int:
+def matching_size_rank(n: int, edges: Sequence[tuple[int, int]]) -> int:
     """Maximum matching size as half the rank of a random skew-symmetric
-    matrix over a large prime field; one-sided Monte Carlo (never above
-    the true value, below it with probability <= (n/p)^trials).  The
-    vertices are relabelled in ``_elimination_order`` first, which permutes
-    the matrix's rows and columns alike and so keeps its rank."""
+    matrix over a large prime field, the best of ``_TRIALS`` draws from a
+    fixed seed; one-sided Monte Carlo (never above the true value, below
+    it with probability <= (n/p)^_TRIALS).  The vertices are relabelled in
+    ``_elimination_order`` first, which permutes the matrix's rows and
+    columns alike and so keeps its rank."""
     if n > RANK_LIMIT:
         raise ValueError(f"rank oracle limited to n <= {RANK_LIMIT}, got {n}")
     if n == 0 or not edges:
@@ -273,12 +263,12 @@ def matching_size_rank(n: int, edges: Sequence[tuple[int, int]],
     for u, v in edges:
         masks[label[u]] |= 1 << label[v]
         masks[label[v]] |= 1 << label[u]
-    rng = random.Random(seed)
+    rng = random.Random(_SEED)
     # Each trial relabels the edges as it draws them, so that no relabelled
     # copy of a dense edge list stays alive.
     return max(_rank_mod_p(_packed_rows(
         n, ((label[u], label[v]) for u, v in edges), rng), list(masks), n) // 2
-               for _ in range(trials))
+               for _ in range(_TRIALS))
 
 
 def matching_size(n: int, edges: Sequence[tuple[int, int]]) -> Optional[int]:
@@ -290,52 +280,3 @@ def matching_size(n: int, edges: Sequence[tuple[int, int]]) -> Optional[int]:
     if n <= RANK_LIMIT:
         return matching_size_rank(n, edges)
     return None
-
-
-def enumerate_short_augmenting_paths(
-        n: int, edges: Sequence[tuple[int, int]],
-        mate: Sequence[Optional[int]], max_matched: int,
-        removed: Iterable[int] = ()) -> list[tuple[int, ...]]:
-    """All simple augmenting paths with at most ``max_matched`` matched
-    edges avoiding ``removed`` vertices, one canonical orientation each
-    (smaller endpoint first), sorted."""
-    if n > ENUMERATION_LIMIT:
-        raise ValueError(f"path enumeration limited to n <= {ENUMERATION_LIMIT}, got {n}")
-    banned = set(removed)
-    adj = adjacency(n, edges)
-    found: set[tuple[int, ...]] = set()
-    path: list[int] = []
-    on_path = [False] * n
-
-    def explore(v: int, matched_used: int) -> None:
-        # v was reached by an unmatched edge (or is the start).
-        path.append(v)
-        on_path[v] = True
-        if mate[v] is None:
-            if len(path) > 1 and path[0] < path[-1]:
-                found.add(tuple(path))
-        else:
-            w = mate[v]
-            if matched_used < max_matched and not on_path[w] and w not in banned:
-                path.append(w)
-                on_path[w] = True
-                for x in adj[w]:
-                    if not on_path[x] and x not in banned and mate[w] != x:
-                        explore(x, matched_used + 1)
-                on_path[w] = False
-                path.pop()
-        on_path[v] = False
-        path.pop()
-
-    for alpha in range(n):
-        if mate[alpha] is None and alpha not in banned:
-            path.clear()
-            path.append(alpha)
-            on_path[alpha] = True
-            for x in adj[alpha]:
-                if not on_path[x] and x not in banned:
-                    explore(x, 0)
-            on_path[alpha] = False
-            path.clear()
-    return sorted(found)
-

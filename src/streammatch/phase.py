@@ -7,8 +7,8 @@ performs one step of a parallel depth-first search:
 1. marking     - structures at or above the size threshold go on hold,
                  and every structure's modified flag is cleared;
 2. extension   - one pass over the stream; each not-on-hold structure
-                 performs at most one of contract / augment / overtake,
-                 driven by arcs whose tail resolves to its working node;
+                 performs at most one augment or overtake, driven by arcs
+                 whose tail resolves to its working node;
 3. cleanup     - two more passes: the arcs at each working node
                  contract to a fixpoint around it, then arcs joining
                  outer nodes of two different structures trigger augment
@@ -16,34 +16,54 @@ performs one step of a parallel depth-first search:
 4. backtrack   - structures that are neither on hold nor modified retreat
                  their working node two levels (or deactivate at the root).
 
+At every bundle boundary no edge joins two outer nodes: the checker's
+``outer-independence``, verified at each boundary of a checked run (a
+phase started from a matching that is not maximal breaks it only between
+free vertices, which never share a structure and are all dirty in the
+first bundle).  Within a bundle a structure's tree changes only when the
+structure becomes modified (it acts or is robbed) or is removed, and an
+outer vertex stays outer.  So the engine meets none of these states:
+
+* an arc from an unmodified structure's working node to another of its
+  outer nodes.  The extension read has no contraction branch, though the
+  paper's rule has one, so ``Forest.contract`` is reached only from the
+  collection fixpoint, and the collection read skips every structure not
+  modified in the bundle: its fixpoint could only retire arcs;
+* an arc from an outer node that was outer at the last boundary to
+  another outer node of its structure.  After a contraction the
+  collection read adds only the arcs of the subs it made outer;
+* an edge joining outer nodes of two structures with neither end newly
+  outer since the last boundary, even where a case 2.2 steal moved one
+  end.  ``Forest`` marks dirty only the vertices that become outer.
+
 A bundle therefore consumes exactly 3 stream reads.  Each read is one full
 pass (an :meth:`EdgeStream.read`), but the engine's code visits only the
 arcs that can act in it; every other arc would fall through the read's
 guards untouched, so the outcome is the same as visiting them all:
 
 * extension    - the arcs not retired whose tail is in the working node of
-                 a structure that is neither on hold nor modified, in
-                 stream order.  A structure acts at most once per read and
-                 only from its working node; that node and its vertices
-                 change only when the structure becomes modified or is
-                 removed, so this set only shrinks during the read.  The
-                 read retires an arc whose ends share a root blossom,
-                 whose tail or head is removed, or that is matched.  It
-                 ends once every structure it picked with live arcs has
-                 acted: each later arc could only be skipped or retired,
-                 and those arcs are neither visited nor retired by that
-                 read (a later read that meets one retires it).  A
-                 structure robbed by a case 2.2 steal before it acts never
-                 acts in the read, so the read runs on to its end.
+                 a structure not on hold, in stream order.  A structure
+                 acts at most once per read and only from its working
+                 node, so the read skips the arcs of a modified structure,
+                 and this set only shrinks during the read.  An arc whose
+                 head is in an outer node augments.  The read retires an
+                 arc whose ends share a root blossom, whose tail or head
+                 is removed, or that is matched.  It ends once every
+                 structure it picked with live arcs has acted: each later
+                 arc could only be skipped or retired, and those arcs are
+                 neither visited nor retired by that read (a later read
+                 that meets one retires it).  A structure robbed by a case
+                 2.2 steal before it acts never acts in the read, so the
+                 read runs on to its end.
 * collection   - per structure modified in this bundle that has a
                  working node, in ``alpha`` order, a worklist of the stream
                  positions of the arcs not retired whose tail is in the
                  working node, smallest first.  Only such an arc can
                  contract, and only if its head lies in another outer
-                 node of the same structure.  The working
-                 node only grows during the fixpoint, and an arc that fails
-                 that test never passes it later in the fixpoint: its head
-                 is outside the structure, or in the working node, or in an
+                 node of the same structure.  The working node only grows
+                 during the fixpoint, and an arc that fails that test
+                 never passes it later in the fixpoint: its head is
+                 outside the structure, or in the working node, or in an
                  inner node that stays inner or is absorbed into the
                  working node.  So each contraction takes the first
                  qualifying arc in stream order, as a restart from the
@@ -53,17 +73,8 @@ guards untouched, so the outcome is the same as visiting them all:
                  worklist, and outer nodes that were already outer at the
                  last bundle boundary: every node that has become outer
                  since lies in some structure's working node when the read
-                 begins.  At that boundary no edge joined two outer nodes
-                 (the checker's ``outer-independence``; a phase started
-                 from a matching that is not maximal breaks it only
-                 between free vertices, which never share a structure),
-                 so no arc of those subs can ever pass the test.  The
-                 read retires an arc whose head is in the working node or
-                 removed.  A structure not modified in this bundle is
-                 skipped: no operation has changed it since the last
-                 boundary, where ``outer-independence`` held, so no arc at
-                 its working node reaches another of its outer nodes, and
-                 its fixpoint could only retire arcs.
+                 begins.  The read retires an arc whose head is in the
+                 working node or removed.
 * augmentation - each edge not retired at a ``Forest.dirty`` vertex once,
                  as its arc in stored orientation (the even position), in
                  stream order; the engine clears the list after the read.
@@ -71,16 +82,10 @@ guards untouched, so the outcome is the same as visiting them all:
                  removes both structures, so the reverse arc, next in
                  stream order, could never act.  A retired arc has its ends
                  in one root blossom, has an end removed, or is matched,
-                 and the guards skip all three kinds.
-                 After each augmentation read no edge joins outer nodes of
-                 two live structures (the read would have banked it, and
-                 banking only removes structures).  Within a bundle, such an
-                 edge can appear only by one of its ends becoming outer or
-                 moving to another structure as part of an outer node, and
-                 those are the vertices ``Forest`` marks dirty.  The free
-                 vertex of each new structure is marked too, so the first
-                 bundle reads every edge at a free vertex, whether or not
-                 the phase starts from a maximal matching.
+                 and the guards skip all three kinds.  After each
+                 augmentation read no edge joins outer nodes of two live
+                 structures (the read would have banked it, and banking
+                 only removes structures).
 
 Each read takes its guards from ``Forest.root_of`` alone.  A vertex no
 structure has reached resolves to None: an arc with such a tail is
@@ -211,6 +216,7 @@ class PhaseEngine:
             self.forest.init_structure(alpha)
         # The structures that may still act, in alpha order.
         self.live = list(self.forest.structures.values())
+        self.ever_on_hold = False
         # Retired arcs; per root blossom, under its base, the positions of
         # the arcs with a tail in it that were live when the list was last
         # compacted (None: not cached), and how many of those are dead.
@@ -226,30 +232,11 @@ class PhaseEngine:
 
     def run(self) -> PhaseResult:
         cfg = self.config
-        forest = self.forest
-        ever_on_hold = False
         froze = False
         if self.checker is not None:
             self.checker.at_boundary()
         for tau in range(1, cfg.tau_max + 1):
-            forest.bundle = tau
-            self.live = [s for s in self.live if s.working is not None]
-            for structure in self.live:
-                hold = structure.size >= cfg.limit
-                if hold:
-                    ever_on_hold = True
-                    if not structure.on_hold:
-                        forest.record("hold", structure)
-                structure.on_hold = hold
-                structure.modified = False
-            # Taken after marking: a hold alone does not keep a phase going.
-            before = forest.mutations
-            self._extend_pass()
-            self._contract_and_augment()
-            self._backtrack_stuck()
-            if self.checker is not None:
-                self.checker.at_boundary()
-            if forest.mutations == before:
+            if not self._bundle(tau):
                 # Fixpoint: the remaining bundles of this phase would read
                 # the stream without effect.  Charge their passes.
                 froze = True
@@ -258,11 +245,35 @@ class PhaseEngine:
         if self.checker is not None:
             self.checker.at_phase_end(sum(1 for s in self.live if s.working is not None))
         return PhaseResult(
-            paths=list(forest.paths),
-            stats=dict(forest.stats),
+            paths=list(self.forest.paths),
+            stats=dict(self.forest.stats),
             froze=froze,
-            ever_on_hold=ever_on_hold,
+            ever_on_hold=self.ever_on_hold,
         )
+
+    def _bundle(self, tau: int) -> bool:
+        """Run pass bundle ``tau``: marking, the three reads, backtracking
+        and the boundary check.  Returns whether it changed anything; a
+        hold alone does not count."""
+        forest = self.forest
+        forest.bundle = tau
+        self.live = [s for s in self.live if s.working is not None]
+        limit = self.config.limit
+        for structure in self.live:
+            hold = structure.size >= limit
+            if hold:
+                self.ever_on_hold = True
+                if not structure.on_hold:
+                    forest.record("hold", structure)
+            structure.on_hold = hold
+            structure.modified = False
+        before = forest.mutations
+        self._extend_pass()
+        self._contract_and_augment()
+        self._backtrack_stuck()
+        if self.checker is not None:
+            self.checker.at_boundary()
+        return forest.mutations != before
 
     # -- bundle parts ---------------------------------------------------------
 
@@ -317,9 +328,9 @@ class PhaseEngine:
         """One stream pass; each live structure extends at most once.
 
         The read ends once every structure it picked with live arcs has
-        contracted, augmented or overtaken: acting marks a structure
-        modified (or removes it), so each later arc would only be skipped
-        or retired.  Those arcs are neither visited nor retired here."""
+        augmented or overtaken: acting marks a structure modified (or
+        removes it), so each later arc would only be skipped or retired.
+        Those arcs are neither visited nor retired here."""
         forest = self.forest
         root_of = forest.root_of
         mate = self.matching.mate
@@ -330,7 +341,7 @@ class PhaseEngine:
         picked = array("q")
         waiting = 0  # picked structures with arcs that have not acted yet
         for s in self.live:
-            if s.working is not None and not (s.on_hold or s.modified):
+            if not s.on_hold:
                 own = self._arcs_at(read, s.working)
                 if own:
                     waiting += 1
@@ -350,13 +361,11 @@ class PhaseEngine:
                 dead_at[bu.base] += 1
                 dead_at[v if bv is None else bv.base] += 1
                 continue
-            if structure.working is not bu or structure.modified or structure.on_hold:
+            if structure.modified:  # it acted or was robbed
                 continue
             if bv is not None and bv.outer:
-                if bv.structure is structure:
-                    self._contract(read, u, v)
-                else:
-                    forest.record_augmentation(u, v)
+                # In another structure, by outer-independence.
+                forest.record_augmentation(u, v)
             else:
                 # bv is unvisited or inner, so v is matched and the matched
                 # arc with tail v is the one to (possibly) overtake.

@@ -180,17 +180,6 @@ def _climb(node: Blossom, top: Blossom) -> list[Blossom]:
     raise ValueError(f"{top!r} is not above {node!r}")
 
 
-def even_path_vertices(blossom: Blossom, x: int) -> list[int]:
-    """Even-length alternating path inside the blossom's own edge set.
-
-    Returns the vertex sequence from ``base`` to ``x``.  The first edge is
-    unmatched and the last is matched (empty sequence of edges when
-    ``x`` is the base), so the path splices cleanly between an external
-    matched arc at the base and an external unmatched arc at ``x``.
-    """
-    return _expand([(blossom, x, False)])
-
-
 def lift_contracted_path(nodes: list[Blossom], arcs: list[Arc]) -> list[int]:
     """Expand a path over root blossoms into a vertex path of the graph.
 
@@ -273,12 +262,14 @@ class Forest:
     never change anything again within the phase), counts the operation
     in ``stats``, writes the trace event and calls the ``on_op`` hook.
 
-    ``dirty`` lists the vertices that became outer, or moved to another
-    structure as part of an outer node, since the engine last cleared it:
-    a new structure's free vertex, the inner vertices a contraction
-    absorbs, the new outer vertex of an overtake of an unvisited arc, and
-    the outer vertices of a stolen subtree.  Only an edge with an end in
-    ``dirty`` can have come to join outer nodes of two structures.
+    ``dirty`` lists the vertices that became outer since the engine last
+    cleared it, from three sources: a new structure's free vertex, the
+    inner vertices a contraction absorbs, and the new outer vertex of an
+    overtake of an unvisited arc.  A vertex stays outer once it is, and at
+    a bundle boundary no edge joins two outer nodes, so only an edge with
+    an end in ``dirty`` can have come to join outer nodes of two
+    structures since the last boundary, a subtree stolen in case 2.2
+    included.
     """
 
     def __init__(self, n: int, mate: list[Optional[int]], l_max: int,
@@ -478,9 +469,6 @@ class Forest:
                 # working node if that lies inside; the owner then resumes
                 # at the node the subtree was cut from.
                 case, moved = "2.2", list(subtree(bv))
-                for node in moved:
-                    if node.outer:
-                        self.dirty.extend(node.vertices)
                 if owner.working in moved:
                     working, owner.working = owner.working, old_parent
             old_parent.kids.remove(bv)

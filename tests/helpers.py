@@ -34,7 +34,9 @@ def stored_arcs(forest, structure):
 
 
 class FullScanEngine(PhaseEngine):
-    """Reference engine: each read visits every arc of the pass."""
+    """Reference engine: each read visits every arc of the pass, and the
+    paper's rules are kept as written, the extension read's contraction
+    branch included."""
 
     def _extend_pass(self):
         forest = self.forest

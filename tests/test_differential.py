@@ -16,6 +16,7 @@ each contraction of the collection fixpoint the fact that lets the
 fixpoint read only the subs that were inner.
 """
 
+import random
 from collections import Counter
 from fractions import Fraction
 from itertools import count
@@ -267,6 +268,56 @@ def test_absorbed_outer_subs_reach_no_outer_node_of_their_structure_outside():
         for spec in [*bench.corpus(), parse_graph_spec("gnm:150,450,seed=1")]:
             driver.run(open_stream(spec), driver.RunConfig(epsilon=Fraction(1, 2)))
     assert counts["outer subs"] > 100
+
+
+def full_scan_counts(make_streams):
+    """Run :class:`FullScanEngine` on each ``(stream, eps)`` and count its
+    contractions by the read that made them, and its case 2.2 overtakes."""
+    counts = Counter()
+
+    class Counting(FullScanEngine):
+        def _extend_pass(self):
+            before = self.forest.stats["contracts"]
+            super()._extend_pass()
+            counts["extension"] += self.forest.stats["contracts"] - before
+
+        def _contract_and_augment(self):
+            before = self.forest.stats["contracts"]
+            super()._contract_and_augment()
+            counts["collection"] += self.forest.stats["contracts"] - before
+
+    def on_event(event):
+        counts["steals"] += event["op"] == "overtake" and event["case"] == "2.2"
+
+    with mock.patch.object(driver, "PhaseEngine", Counting):
+        for stream, eps in make_streams():
+            driver.run(stream, driver.RunConfig(epsilon=eps, trace=on_event))
+    return counts
+
+
+def test_full_scan_contracts_only_in_the_collection_read():
+    # The reference keeps the paper's rule that lets the extension read
+    # contract; the engine drops it, since outer-independence at each
+    # boundary leaves an unmodified structure's working node no arc to
+    # another of its outer nodes.  Over the corpus at eps = 1/2 and graphs
+    # drawn as test_random_gnm_graphs draws them, that rule never fires
+    # while the collection read does contract.  The inputs also steal in
+    # case 2.2, so the comparisons above cover the outer vertices a steal
+    # moves, which the engine does not mark dirty.
+    rng = random.Random(7)
+
+    def streams():
+        for spec in bench.corpus():
+            yield open_stream(spec), Fraction(1, 2)
+        for i in range(100):
+            n = rng.randint(2, 40)
+            m = rng.randint(0, min(n * (n - 1) // 2, 3 * n))
+            edges = gnm_edges(n, m, rng.randrange(2**32))
+            yield EdgeStream(n, edges), [Fraction(1, 2), Fraction(1, 4)][i % 2]
+
+    counts = full_scan_counts(streams)
+    assert counts["extension"] == 0
+    assert counts["collection"] > 0 and counts["steals"] > 0
 
 
 @pytest.mark.parametrize("eps", [Fraction(1), Fraction(1, 2)])

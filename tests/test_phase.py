@@ -32,13 +32,7 @@ def members(structure):
 
 
 def run_bundle(engine, tau):
-    engine.forest.bundle = tau
-    for s in engine.forest.structures.values():
-        s.on_hold = s.size >= engine.config.limit
-        s.modified = False
-    engine._extend_pass()
-    engine._contract_and_augment()
-    engine._backtrack_stuck()
+    engine._bundle(tau)
 
 
 def test_phase_config_exact_values():
@@ -366,11 +360,12 @@ def test_phase_from_a_non_maximal_matching_augments_in_the_first_bundle():
     assert [(e["bundle"], e["arc"]) for e in augments] == [(1, [0, 3])]
 
 
-# Each test below builds a forest by hand at a bundle boundary (the dirty
-# list cleared, no edge joining outer nodes of two structures), applies
-# one operation that makes a vertex outer in a new structure, and runs
-# the cleanup reads: the only edge that augments is at that vertex, so
-# without its dirty mark the augmentation read would miss it.
+# Each test below that calls ``cleanup_after`` builds a forest by hand at
+# a bundle boundary (the dirty list cleared, no edge joining outer nodes
+# of two structures), applies one operation that makes a vertex outer in
+# a new structure, and runs the cleanup reads: the only edge that augments
+# is at that vertex, so without its dirty mark the augmentation read would
+# miss it.
 
 def cleanup_after(engine, operation):
     forest = engine.forest
@@ -398,15 +393,18 @@ def test_dirty_overtake_case_1_marks_the_new_outer_vertex():
     assert cleanup_after(engine, lambda f: f.overtake(0, 1, 1)) == [[0, 1, 2, 3]]
 
 
-def test_dirty_overtake_case_2_2_marks_the_outer_vertices_it_moves():
-    # Structure 5 holds 5-6=7-3=4 with an uncontracted edge 4-5 between
-    # its outer nodes.  Structure 0 steals the subtree 3=4 through the
-    # shorter arc 0-3, and 4, outer in structure 0 now, is adjacent to 5.
-    edges = [(0, 3), (5, 6), (6, 7), (7, 3), (3, 4), (4, 5)]
+def test_dirty_overtake_case_2_2_marks_nothing():
+    # Structure 5 holds 5-6=7-3=4, and structure 0 steals the subtree 3=4
+    # through the shorter arc 0-3.  The stolen 4 was outer and stays
+    # outer: the steal makes no vertex outer, so it marks none dirty.
+    edges = [(0, 3), (5, 6), (6, 7), (7, 3), (3, 4)]
     engine = engine_for(8, edges, [(6, 7), (3, 4)])
-    engine.forest.overtake(5, 6, 1)
-    engine.forest.overtake(7, 3, 2)
-    assert cleanup_after(engine, lambda f: f.overtake(0, 3, 1)) == [[0, 3, 4, 5]]
+    forest = engine.forest
+    forest.overtake(5, 6, 1)
+    forest.overtake(7, 3, 2)
+    dirty = list(forest.dirty)
+    assert forest.overtake(0, 3, 1) == "2.2"
+    assert forest.dirty == dirty
 
 
 def phase_events(engine_class, n, edges, pairs):

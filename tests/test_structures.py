@@ -4,8 +4,8 @@ import pytest
 
 from helpers import matched, stored_arcs
 from streammatch.invariants import check_blossom, check_forest
-from streammatch.structures import (Forest, ancestors, even_path_vertices,
-                                    lift_contracted_path, subtree)
+from streammatch.structures import (Forest, _expand, ancestors, lift_contracted_path,
+                                    subtree)
 
 L_MAX = 6  # eps = 1/2
 
@@ -30,6 +30,12 @@ def assert_clean(forest, limit=100, delta=10_000):
 
 def members(structure):
     return {x for node in subtree(structure.root) for x in node.vertices}
+
+
+def even_path_vertices(blossom, x):
+    """The even alternating path inside ``blossom`` from its base to ``x``:
+    first edge unmatched, last matched, no edge when ``x`` is the base."""
+    return _expand([(blossom, x, False)])
 
 
 def test_resolve_before_contraction_is_trivial():
