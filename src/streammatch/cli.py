@@ -76,14 +76,12 @@ def cmd_run(args) -> int:
 def cmd_verify(args) -> int:
     stream = _open(args)
     eps = _parse_epsilon(args.epsilon)
-    # The oracle runs first, so a graph beyond its size limit fails at once
-    # with the oracle's own error instead of after the whole checked run.
     size = {"auto": oracle.matching_size,
             "tutte": oracle.matching_size_rank}[args.oracle]
     nu = size(stream.vertex_count, stream.snapshot_edges())
     # A checked run raises on an invalid matching or a pass-count mismatch.
     report = driver.run(stream, driver.RunConfig(epsilon=eps, check_invariants=True))
-    failure = report.guarantee_failure(nu) if nu is not None else None
+    failure = report.guarantee_failure(nu)
     if failure is not None:
         print(failure, file=sys.stderr)
         return EXIT_GUARANTEE

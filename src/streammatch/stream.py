@@ -313,31 +313,32 @@ def read_edgelist(path: str) -> tuple[int, list[tuple[int, int]]]:
     """Read the (vertex_count, edges) of an edge-list file, checking its
     format only: the header, the line shapes, integers, ``0 <= u < v < n``
     and the edge count.  :class:`EdgeStream` checks the graph itself, so
-    open a file as ``EdgeStream(*read_edgelist(path))``."""
+    open a file as ``EdgeStream(*read_edgelist(path))``.  Each line is
+    parsed as it is read, so the file's text is never held whole."""
     with open(path, "r", encoding="ascii") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines:
-        raise StreamFormatError(f"{path}: empty file")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise StreamFormatError(f"{path}: header must be 'n m'")
-    try:
-        n, m = int(head[0]), int(head[1])
-    except ValueError as exc:
-        raise StreamFormatError(f"{path}: non-integer header") from exc
-    body = lines[1:]
-    if len(body) != m:
-        raise StreamFormatError(f"{path}: header claims {m} edges, found {len(body)}")
-    edges: list[tuple[int, int]] = []
-    for ln in body:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise StreamFormatError(f"{path}: bad edge line {ln!r}")
+        lines = (ln for ln in map(str.strip, fh) if ln)
+        header = next(lines, None)
+        if header is None:
+            raise StreamFormatError(f"{path}: empty file")
+        head = header.split()
+        if len(head) != 2:
+            raise StreamFormatError(f"{path}: header must be 'n m'")
         try:
-            u, v = int(parts[0]), int(parts[1])
+            n, m = int(head[0]), int(head[1])
         except ValueError as exc:
-            raise StreamFormatError(f"{path}: non-integer edge {ln!r}") from exc
-        if not (0 <= u < v < n):
-            raise StreamFormatError(f"{path}: edge line {ln!r} violates 0 <= u < v < n")
-        edges.append((u, v))
+            raise StreamFormatError(f"{path}: non-integer header") from exc
+        edges: list[tuple[int, int]] = []
+        for ln in lines:
+            parts = ln.split()
+            if len(parts) != 2:
+                raise StreamFormatError(f"{path}: bad edge line {ln!r}")
+            try:
+                u, v = int(parts[0]), int(parts[1])
+            except ValueError as exc:
+                raise StreamFormatError(f"{path}: non-integer edge {ln!r}") from exc
+            if not (0 <= u < v < n):
+                raise StreamFormatError(f"{path}: edge line {ln!r} violates 0 <= u < v < n")
+            edges.append((u, v))
+    if len(edges) != m:
+        raise StreamFormatError(f"{path}: header claims {m} edges, found {len(edges)}")
     return n, edges

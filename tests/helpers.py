@@ -1,7 +1,9 @@
-"""Builders, the full-scan reference engine, the full-replay reference
-driver and a checker probe shared by the test modules."""
+"""Builders, the subset DP, the full-scan reference engine, the
+full-replay reference driver and a checker probe shared by the test
+modules."""
 
 import json
+from typing import Sequence
 
 from streammatch.driver import ScaleReport, normalize_epsilon, scale_schedule
 from streammatch.invariants import check_structure
@@ -23,6 +25,37 @@ def edge_keys(n, edges):
     """The edges on vertices 0..n-1 keyed as ``is_alternating_augmenting``
     reads them: {u, v} is ``min * n + max``."""
     return {min(u, v) * n + max(u, v) for u, v in edges}
+
+
+EXHAUSTIVE_LIMIT = 22
+
+
+def exact_matching_exhaustive(n: int, edges: Sequence[tuple[int, int]]) -> int:
+    """Maximum matching size by dynamic programming over vertex subsets."""
+    if n > EXHAUSTIVE_LIMIT:
+        raise ValueError(f"exhaustive oracle limited to n <= {EXHAUSTIVE_LIMIT}, got {n}")
+    adj_mask = [0] * n
+    for u, v in edges:
+        adj_mask[u] |= 1 << v
+        adj_mask[v] |= 1 << u
+    memo: dict[int, int] = {0: 0}
+
+    def solve(mask: int) -> int:
+        cached = memo.get(mask)
+        if cached is not None:
+            return cached
+        low = (mask & -mask).bit_length() - 1
+        rest = mask & ~(1 << low)
+        best = solve(rest)  # leave `low` unmatched
+        candidates = adj_mask[low] & rest
+        while candidates:
+            bit = candidates & -candidates
+            best = max(best, 1 + solve(rest & ~bit))
+            candidates &= candidates - 1
+        memo[mask] = best
+        return best
+
+    return solve((1 << n) - 1)
 
 
 def stored_arcs(forest, structure):

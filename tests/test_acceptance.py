@@ -12,11 +12,10 @@ from pathlib import Path
 
 import pytest
 
-from helpers import matched, stored_arcs
-from streammatch import bench, driver
+from helpers import exact_matching_exhaustive, matched, stored_arcs
+from streammatch import bench, driver, oracle
 from streammatch.driver import expected_pass_count, scale_schedule
 from streammatch.invariants import InvariantChecker, check_short_path_coverage
-from streammatch.oracle import exact_matching_exhaustive, matching_size_rank
 from streammatch.phase import READS_PER_BUNDLE, PhaseConfig
 from streammatch.stream import GraphSpec, open_stream
 
@@ -138,13 +137,13 @@ def test_criterion_5_oracle_cross_validation(corpus_rows):
             continue
         edges = stream.snapshot_edges()
         assert exact_matching_exhaustive(stream.vertex_count, edges) == \
-            matching_size_rank(stream.vertex_count, edges), str(spec)
+            oracle.matching_size(stream.vertex_count, edges), str(spec)
         checked += 1
     petersen = open_stream(GraphSpec("petersen"))
-    assert matching_size_rank(10, petersen.snapshot_edges()) == 5
+    assert oracle.matching_size(10, petersen.snapshot_edges()) == 5
     assert checked >= 40
-    print(f"\n[criterion 5] PASS: exhaustive and rank oracles agree on "
-          f"{checked} corpus graphs with n <= 12; rank oracle gives 5 on Petersen")
+    print(f"\n[criterion 5] PASS: the subset DP and the certified oracle agree on "
+          f"{checked} corpus graphs with n <= 12; the oracle gives 5 on Petersen")
 
 
 @pytest.mark.parametrize("name,args,facts", [

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from streammatch import bench, cli, driver
+from streammatch import bench, cli, driver, oracle
 from streammatch.driver import expected_pass_count
 from streammatch.invariants import InvariantChecker, InvariantViolationError, Violation
 from streammatch.stream import GraphSpec, _validate_simple
@@ -120,19 +120,6 @@ def test_verify_pass_mismatch_exit_4(capsys, monkeypatch):
     assert "pass-count" in err
 
 
-@pytest.mark.parametrize("oracle, spec, limit", [
-    ("tutte", "path:2001", "n <= 2000"),
-])
-def test_verify_oracle_limit_fails_before_the_checked_run(capsys, monkeypatch,
-                                                         oracle, spec, limit):
-    def unexpected_run(stream, config):
-        raise AssertionError("driver.run called before the oracle's size check")
-    monkeypatch.setattr(driver, "run", unexpected_run)
-    code, out, err = run_cli(capsys, "verify", "--gen", spec, "--oracle", oracle)
-    assert code == 1 and out == ""
-    assert_one_line_error(err, "error", limit)
-
-
 def test_verify_epsilon_out_of_range_fails_before_the_oracle(capsys, monkeypatch):
     def unexpected_oracle(n, edges):
         raise AssertionError("oracle called before epsilon was checked")
@@ -142,7 +129,7 @@ def test_verify_epsilon_out_of_range_fails_before_the_oracle(capsys, monkeypatch
     assert_one_line_error(err, "error", "epsilon must be in (0, 1], got 2")
 
 
-def test_verify_above_the_rank_limit_runs_checked_without_nu(capsys, monkeypatch):
+def test_verify_checks_a_certified_nu_at_any_size(capsys, monkeypatch):
     configs = []
 
     def recording_run(stream, config, run=driver.run):
@@ -151,9 +138,23 @@ def test_verify_above_the_rank_limit_runs_checked_without_nu(capsys, monkeypatch
     monkeypatch.setattr(driver, "run", recording_run)
     code, out, err = run_cli(capsys, "verify", "--gen", "path:2001")
     assert code == 0 and err == ""
-    assert json.loads(out) == {"ok": True, "matching_size": 1000, "nu": None,
+    assert json.loads(out) == {"ok": True, "matching_size": 1000, "nu": 1000,
                                "passes": expected_pass_count(Fraction(1, 2))}
     assert [c.check_invariants for c in configs] == [True]
+
+
+def test_verify_witness_failure_exit_1(capsys, monkeypatch):
+    # A search whose matching falls one pair short of its witness: the
+    # check inside the oracle refuses it, and verify exits 1.
+    def short_search(n, edges, mate, search=oracle._search):
+        witness = search(n, edges, mate)
+        u = next(v for v in range(n) if mate[v] is not None)
+        mate[mate[u]] = mate[u] = None
+        return witness
+    monkeypatch.setattr(oracle, "_search", short_search)
+    code, out, err = run_cli(capsys, "verify", "--gen", "path:4")
+    assert code == 1 and out == ""
+    assert_one_line_error(err, "error", "witness does not certify")
 
 
 def assert_one_line_error(err, label, detail):

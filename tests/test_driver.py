@@ -1,20 +1,20 @@
 """Scale driver: schedule, parameter formulas, pass accounting, end-to-end runs."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import full_replay_run
-from streammatch import driver
+from helpers import exact_matching_exhaustive, full_replay_run
+from streammatch import driver, oracle
 from streammatch.driver import (RunConfig, expected_pass_count,
                                 normalize_epsilon, run, scale_schedule)
 from streammatch.matching import validate_matching
 from streammatch.phase import PhaseConfig, PhaseEngine
-from streammatch.oracle import exact_matching_exhaustive
-from streammatch.stream import GraphSpec, open_stream, parse_graph_spec
+from streammatch.stream import EdgeStream, GraphSpec, open_stream, parse_graph_spec
 from streammatch.structures import Forest
 
 HALF = Fraction(1, 2)
@@ -280,3 +280,36 @@ def test_run_matches_the_full_replay_reference(text):
         ran.extend(phases[:row.phases_executed])
         assert all(phase == ran[-1] for phase in phases[row.phases_executed:])
     assert "".join(json.dumps(event) + "\n" for event in events) == "".join(ran)
+
+
+def long_path_gadget(k, copies, seed):
+    """``copies`` disjoint paths of 2k + 2 vertices, ids shuffled by
+    ``seed``.  Each path's k odd-position edges are streamed first, so the
+    greedy pass takes them and the one augmenting path of each copy runs
+    end to end through k matched edges."""
+    size = 2 * k + 2
+    label = list(range(copies * size))
+    random.Random(seed).shuffle(label)
+    first, rest = [], []
+    for c in range(copies):
+        path = label[c * size:(c + 1) * size]
+        for i in range(2 * k + 1):
+            u, v = sorted(path[i:i + 2])
+            (first if i % 2 else rest).append((u, v))
+    return copies * size, first + rest
+
+
+@pytest.mark.parametrize("copies", [1, 3], ids=["copies=1", "copies=3"])
+@pytest.mark.parametrize("eps", [HALF, Fraction(1, 4)], ids=["eps=1/2", "eps=1/4"])
+def test_reach_on_the_long_path_gadget_is_two_l_max(eps, copies):
+    # One tree of depth l_max grows from each end of a path, so the engine
+    # finds a path of up to 2 l_max matched edges and misses longer ones;
+    # the guarantee still holds either way.
+    l_max = int(3 / eps)
+    for k in range(1, 2 * l_max + 4):
+        n, edges = long_path_gadget(k, copies, seed=k)
+        nu = copies * (k + 1)
+        assert oracle.matching_size(n, edges) == nu
+        report = run(EdgeStream(n, edges), RunConfig(epsilon=eps))
+        assert report.matching.size == (nu if k <= 2 * l_max else nu - copies), k
+        assert report.guarantee_failure(nu) is None

@@ -4,10 +4,9 @@ import itertools
 
 import pytest
 
-from helpers import edge_keys, matched
+from helpers import edge_keys, exact_matching_exhaustive, matched
 from streammatch.matching import (Matching, augment_along, greedy_maximal_matching,
                                   is_alternating_augmenting, validate_matching)
-from streammatch.oracle import exact_matching_exhaustive
 from streammatch.stream import EdgeStream, GraphSpec, complete_edges, open_stream
 from streammatch.structures import Forest
 

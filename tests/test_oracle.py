@@ -1,5 +1,6 @@
-"""Oracles: exhaustive DP, rank-based size, and the checker's path
-enumeration."""
+"""Oracles: the certified maximum matching size, its witness check, the
+references it is checked against (subset DP, Tutte matrix rank, networkx,
+scipy), and the checker's path enumeration."""
 
 import itertools
 import random
@@ -8,12 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streammatch import bench, oracle
+from helpers import EXHAUSTIVE_LIMIT, exact_matching_exhaustive
+from streammatch import oracle
 from streammatch.invariants import enumerate_short_augmenting_paths
-from streammatch.oracle import (_PRIME, _SEED, _TRIALS, AUTO_EXHAUSTIVE_LIMIT,
-                                RANK_LIMIT, _elimination_order, _fold_slots,
-                                _packed_rows, _rank_mod_p, _slot_bits,
-                                exact_matching_exhaustive, matching_size_rank)
+from streammatch.oracle import _certify, _search, matching_size
 from streammatch.stream import (GraphSpec, build_edges, complete_edges,
                                 cycle_edges, gnm_edges, open_stream,
                                 parse_graph_spec, path_edges, petersen_edges)
@@ -81,35 +80,116 @@ def test_exhaustive_small_values():
 
 def test_exhaustive_rejects_large_n():
     with pytest.raises(ValueError):
-        exact_matching_exhaustive(23, [])
+        exact_matching_exhaustive(EXHAUSTIVE_LIMIT + 1, [])
 
 
 def test_rank_oracle_small_values():
-    assert matching_size_rank(10, petersen_edges()) == 5
-    assert matching_size_rank(5, cycle_edges(5)) == 2
-    assert matching_size_rank(6, []) == 0
-    assert matching_size_rank(4, path_edges(4)) == 2
+    # perfbench calls the oracle by its old name, matching_size_rank.
+    assert oracle.matching_size_rank is matching_size
+    assert matching_size(10, petersen_edges()) == 5
+    assert matching_size(5, cycle_edges(5)) == 2
+    assert matching_size(6, []) == 0
+    assert matching_size(0, []) == 0
+    assert matching_size(4, path_edges(4)) == 2
+    assert matching_size(4, [(0, 1), (2, 3), (1, 0), (0, 1)]) == 2
+    assert matching_size(3, [(0, 1), (1, 1), (1, 2)]) == 1
 
 
-def test_rank_oracle_is_deterministic_per_seed():
-    edges = gnm_edges(20, 40, seed=5)
-    assert matching_size_rank(20, edges) == matching_size_rank(20, edges)
+def certified(n, edges):
+    """Search from the empty matching and return the matching, the
+    witness and the size the check certifies."""
+    mate = [None] * n
+    witness = _search(n, edges, mate)
+    return mate, witness, _certify(n, edges, mate, witness)
+
+
+# Three triangles hang off vertex 0, a Tutte barrier: U = {0} leaves three
+# odd components, so nu = (10 + 1 - 3) / 2 = 4.
+TRIANGLES = [(0, 1), (0, 4), (0, 7), (1, 2), (2, 3), (1, 3),
+             (4, 5), (5, 6), (4, 6), (7, 8), (8, 9), (7, 9)]
+
+
+def test_witness_check_rejects_a_matching_short_of_its_witness():
+    mate, witness, size = certified(10, TRIANGLES)
+    assert (size, witness) == (4, [0])
+    u = next(v for v in range(10) if mate[v] is not None)
+    mate[mate[u]] = mate[u] = None
+    with pytest.raises(ValueError, match="does not certify"):
+        _certify(10, TRIANGLES, mate, witness)
+
+
+def test_witness_check_rejects_a_witness_short_of_one_vertex():
+    mate, witness, size = certified(10, TRIANGLES)
+    assert witness == [0]
+    with pytest.raises(ValueError, match="does not certify"):
+        _certify(10, TRIANGLES, mate, [])
+    # On a star the centre is the witness; without it the bound is 2.
+    star = [(0, v) for v in range(1, 5)]
+    mate, witness, size = certified(5, star)
+    assert (size, witness) == (1, [0])
+    with pytest.raises(ValueError, match="does not certify"):
+        _certify(5, star, mate, [])
+
+
+def test_witness_check_rejects_a_mate_pair_that_is_not_an_edge():
+    # 0-1-2-3-4-5 is matched perfectly; rematching the end pairs across
+    # keeps the size and the (empty) witness, so only the edge check fails.
+    edges = path_edges(6)
+    mate, witness, size = certified(6, edges)
+    assert (size, witness) == (3, [])
+    mate[0], mate[4], mate[1], mate[5] = 4, 0, 5, 1
+    with pytest.raises(ValueError, match="not an edge"):
+        _certify(6, edges, mate, witness)
+
+
+def test_witness_check_rejects_an_asymmetric_mate_map():
+    edges = path_edges(6)
+    mate, witness, _ = certified(6, edges)
+    mate[0] = 2
+    with pytest.raises(ValueError, match="not symmetric at vertex 0"):
+        _certify(6, edges, mate, witness)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 14), st.data())
+def test_matching_size_matches_the_dp(n, data):
+    m = data.draw(st.integers(0, n * (n - 1) // 2))
+    edges = gnm_edges(n, m, data.draw(st.integers(0, 10**6)))
+    assert matching_size(n, edges) == exact_matching_exhaustive(n, edges)
+
+
+def test_every_witness_passes_the_check_from_an_empty_start():
+    rng = random.Random(24)
+    for _ in range(500):
+        n = rng.randint(1, 40)
+        pairs = n * (n - 1) // 2
+        m = rng.randint(0, pairs if rng.random() < 0.3 else min(pairs, 2 * n))
+        edges = gnm_edges(n, m, rng.randrange(10**6))
+        _, _, size = certified(n, edges)
+        assert size == matching_size(n, edges)
+
+
+# The dense Tutte matrix, rank by plain elimination over a 61-bit prime
+# field: a one-sided Monte Carlo reference (never above nu, below it with
+# probability at most n / PRIME per trial), best of TRIALS seeded draws.
+PRIME = (1 << 61) - 1
+TRIALS = 3
 
 
 def reference_matrix(n, edges, rng):
-    """The random skew-symmetric matrix as a dense list of lists, drawn
-    edge by edge like the oracle's; a repeated edge keeps its last draw."""
+    """A random skew-symmetric matrix as a dense list of lists, drawn edge
+    by edge; a repeated edge keeps its last draw."""
     rows = [[0] * n for _ in range(n)]
     for u, v in edges:
-        entry = rng.randrange(1, _PRIME)
+        entry = rng.randrange(1, PRIME)
         rows[u][v] = entry
-        rows[v][u] = _PRIME - entry
+        rows[v][u] = PRIME - entry
     return rows
 
 
 def reference_rank_mod_p(rows, n):
     """Reference elimination: one Python step per matrix entry, every
-    entry reduced mod _PRIME as it is written."""
+    entry reduced mod PRIME as it is written."""
     rank = 0
     for col in range(n):
         pivot = None
@@ -120,169 +200,29 @@ def reference_rank_mod_p(rows, n):
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = pow(rows[rank][col], _PRIME - 2, _PRIME)
+        inv = pow(rows[rank][col], PRIME - 2, PRIME)
         base = rows[rank]
         for r in range(rank + 1, n):
             factor = rows[r][col]
             if factor:
-                scale = factor * inv % _PRIME
+                scale = factor * inv % PRIME
                 row = rows[r]
                 for c in range(col, n):
-                    row[c] = (row[c] - scale * base[c]) % _PRIME
+                    row[c] = (row[c] - scale * base[c]) % PRIME
         rank += 1
     return rank
 
 
-def reference_order(n, edges):
-    """Greedy minimum degree with symbolic fill, one vertex set per
-    vertex: eliminating v joins its remaining neighbours into a clique;
-    ties go to the smaller id."""
-    adj = [set() for _ in range(n)]
-    for u, v in edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    remaining = set(range(n))
-    order = []
-    while remaining:
-        v = min(remaining, key=lambda x: (len(adj[x]), x))
-        remaining.remove(v)
-        order.append(v)
-        for u in adj[v]:
-            adj[u] |= adj[v]
-            adj[u] -= {u, v}
-        adj[v] = set()
-    return order
-
-
-def assert_packed_ranks_match_reference(n, edges):
-    """The oracle relabels the vertices in elimination order.  Every
-    trial's packed rows hold the reference matrix with rows and columns
-    permuted alike, and the packed elimination of the permuted rows finds
-    the rank of the unpermuted reference matrix; the oracle reports the
-    best trial."""
-    order = _elimination_order(n, edges)
-    assert sorted(order) == list(range(n))
-    label = [0] * n
-    for i, v in enumerate(order):
-        label[v] = i
-    relabelled = [(label[u], label[v]) for u, v in edges]
-    size = _slot_bits(n) // 8
-    packed_rng = random.Random(_SEED)
-    dense_rng = random.Random(_SEED)
-    ranks = []
-    for trial in range(_TRIALS):
-        packed = _packed_rows(n, relabelled, packed_rng)
-        dense = reference_matrix(n, edges, dense_rng)
-        permuted = [[dense[u][v] for v in order] for u in order]
-        assert packed == [int.from_bytes(b"".join(
-            entry.to_bytes(size, "little") for entry in row), "little")
-            for row in permuted], trial
-        masks = [sum(1 << c for c, entry in enumerate(row) if entry)
-                 for row in permuted]
-        rank = reference_rank_mod_p(dense, n)
-        assert _rank_mod_p(packed, masks, n) == rank, trial
-        ranks.append(rank)
-    assert matching_size_rank(n, edges) == max(ranks) // 2
-
-
-def test_packed_rank_matches_reference_on_bench_corpus():
-    for spec in bench.corpus():
-        n, edges = build_edges(spec)
-        if n > 12:
-            assert_packed_ranks_match_reference(n, edges)
-
-
-def spec_param(spec):
-    return pytest.param(*build_edges(parse_graph_spec(spec)), id=spec)
-
-
-@pytest.mark.parametrize("n, edges", [
-    spec_param("gnm:13,20,seed=3"), spec_param("gnm:64,150,seed=2"),
-    spec_param("gnm:151,400,seed=5"), spec_param("gnm:300,900,seed=1"),
-    spec_param("bipartite:20,21,80,seed=1"),
-    spec_param("bipartite:100,100,300,seed=2"),
-    spec_param("bipartite:149,150,450,seed=3"),
-    pytest.param(0, [], id="empty"),
-    pytest.param(1, [], id="isolated-vertex"),
-    pytest.param(5, [(0, 1), (2, 3)], id="with-isolated-vertex"),
-    spec_param("complete:30"),
-    pytest.param(4, [(0, 1), (2, 3), (1, 0), (0, 1)], id="repeated-edge"),
-    pytest.param(3, [(0, 1), (1, 1), (1, 2)], id="self-loop"),
-    pytest.param(9, [(4, v) for v in range(9) if v != 4], id="star"),
-    pytest.param(12, [(1, 3), (3, 5), (5, 1), (7, 8), (8, 10), (10, 11)],
-                 id="components-and-isolated-vertices"),
-    pytest.param(20, [(v, v - 1) for v in range(19, 0, -1)],
-                 id="path-labelled-in-reverse"),
-])
-def test_packed_rank_matches_reference(n, edges):
-    assert_packed_ranks_match_reference(n, edges)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(1, 24), st.data())
-def test_packed_rank_matches_reference_on_random_graphs(n, data):
-    m = data.draw(st.integers(0, n * (n - 1) // 2))
-    seed = data.draw(st.integers(0, 10**6))
-    label = data.draw(st.permutations(range(n)))
-    edges = [(label[u], label[v]) for u, v in gnm_edges(n, m, seed)] if n > 1 else []
-    assert_packed_ranks_match_reference(n, edges)
-
-
-def test_elimination_order_is_a_deterministic_permutation():
-    n, edges = build_edges(parse_graph_spec("gnm:300,900,seed=1"))
-    order = _elimination_order(n, edges)
-    assert sorted(order) == list(range(n))
-    assert _elimination_order(n, list(edges)) == order
-    assert order == reference_order(n, edges)
-
-
-def test_elimination_order_takes_leaves_first_and_ends_in_id_order():
-    # Leaves of degree 1 go in id order; once 0, 4 and 5 are a path, the
-    # leaf 4 goes; the last pair is a clique and follows in id order.
-    assert _elimination_order(6, [(0, v) for v in range(1, 6)]) == [1, 2, 3, 4, 0, 5]
-    assert _elimination_order(4, []) == [0, 1, 2, 3]
-    assert _elimination_order(5, complete_edges(5)) == [0, 1, 2, 3, 4]
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(1, 30), st.data())
-def test_elimination_order_matches_reference(n, data):
-    m = data.draw(st.integers(0, n * (n - 1) // 2))
-    edges = gnm_edges(n, m, data.draw(st.integers(0, 10**6))) if n > 1 else []
-    assert _elimination_order(n, edges) == reference_order(n, edges)
-
-
-def test_matching_size_cuts_over_at_the_named_limits(monkeypatch):
-    calls = []
-    monkeypatch.setattr(oracle, "exact_matching_exhaustive",
-                        lambda n, edges: calls.append(("dp", n)) or 0)
-    monkeypatch.setattr(oracle, "matching_size_rank",
-                        lambda n, edges: calls.append(("rank", n)) or 0)
-    sizes = [AUTO_EXHAUSTIVE_LIMIT, AUTO_EXHAUSTIVE_LIMIT + 1, RANK_LIMIT]
-    assert [oracle.matching_size(n, []) for n in sizes] == [0, 0, 0]
-    assert oracle.matching_size(RANK_LIMIT + 1, []) is None
-    assert calls == [("dp", AUTO_EXHAUSTIVE_LIMIT), ("rank", AUTO_EXHAUSTIVE_LIMIT + 1),
-                     ("rank", RANK_LIMIT)]
-
-
-@pytest.mark.parametrize("n", [1, 63, RANK_LIMIT])
-def test_fold_slots_reduces_every_slot_into_zero_to_prime(n):
-    width = _slot_bits(n)
-    rng = random.Random(n)
-    slots = [0, 1, _PRIME - 1, _PRIME, _PRIME + 1, 1 << 61, (1 << 62) - 1,
-             (1 << 61) + (1 << 15) - 1, (1 << 76) - 1, n * _PRIME ** 2 - 1,
-             (1 << width) - 1] + [rng.getrandbits(width) for _ in range(20)]
-    ones = sum(1 << i * width for i in range(len(slots)))
-    packed = sum(x << i * width for i, x in enumerate(slots))
-    folded = _fold_slots(packed, ones * _PRIME, ones * ((1 << (width - 61)) - 1))
-    out = [folded >> i * width & ((1 << width) - 1) for i in range(len(slots))]
-    assert folded >> len(slots) * width == 0
-    assert all(y <= _PRIME and y % _PRIME == x % _PRIME for x, y in zip(slots, out))
-
-
-def test_packed_slots_cannot_carry_at_rank_limit():
-    # A slot starts below p and gains at most n - 1 products below p**2.
-    assert RANK_LIMIT * (_PRIME - 1) ** 2 + _PRIME < 1 << _slot_bits(RANK_LIMIT)
+@pytest.mark.parametrize("density", ["sparse", "light", "half", "complete"])
+@pytest.mark.parametrize("n", [15, 24, 40, 64])
+def test_tutte_matrix_reference_matches_the_oracle(n, density):
+    m = {"sparse": n, "light": 3 * n // 2, "half": n * (n - 1) // 4,
+         "complete": n * (n - 1) // 2}[density]
+    edges = gnm_edges(n, m, seed=n + m)
+    rng = random.Random(0x5EED)
+    nu = max(reference_rank_mod_p(reference_matrix(n, edges, rng), n)
+             for _ in range(TRIALS)) // 2
+    assert matching_size(n, edges) == nu
 
 
 @pytest.mark.parametrize("spec, nu", [
@@ -290,17 +230,17 @@ def test_packed_slots_cannot_carry_at_rank_limit():
     ("gnm:400,1200,seed=1", 199),
     ("gnm:1000,3000,seed=1", 499),
 ])
-def test_rank_oracle_matches_networkx(spec, nu):
+def test_oracle_matches_networkx(spec, nu):
     nx = pytest.importorskip("networkx")
     n, edges = build_edges(parse_graph_spec(spec))
     graph = nx.Graph()
     graph.add_nodes_from(range(n))
     graph.add_edges_from(edges)
     assert len(nx.max_weight_matching(graph, maxcardinality=True)) == nu
-    assert matching_size_rank(n, edges) == nu
+    assert matching_size(n, edges) == nu
 
 
-def test_rank_oracle_matches_scipy_on_bipartite_graph():
+def test_oracle_matches_scipy_on_bipartite_graph():
     sparse = pytest.importorskip("scipy.sparse")
     csgraph = pytest.importorskip("scipy.sparse.csgraph")
     a, b = 200, 200
@@ -311,7 +251,7 @@ def test_rank_oracle_matches_scipy_on_bipartite_graph():
     matched = csgraph.maximum_bipartite_matching(biadjacency, perm_type="column")
     nu = int((matched >= 0).sum())
     assert 0 < nu < a
-    assert matching_size_rank(n, edges) == nu
+    assert matching_size(n, edges) == nu
 
 
 def test_oracles_agree_on_generator_corpus():
@@ -327,7 +267,7 @@ def test_oracles_agree_on_generator_corpus():
         m = min(n * (n - 1) // 2, 2 * n // 2 + seed % 7)
         cases.append((n, gnm_edges(n, m, seed)))
     for n, edges in cases:
-        assert exact_matching_exhaustive(n, edges) == matching_size_rank(n, edges)
+        assert exact_matching_exhaustive(n, edges) == matching_size(n, edges)
 
 
 @settings(max_examples=40, deadline=None)
@@ -409,5 +349,5 @@ def test_enumeration_output_is_sound():
 
 def test_petersen_from_stream_snapshot():
     stream = open_stream(GraphSpec("petersen"))
-    assert matching_size_rank(10, stream.snapshot_edges()) == 5
+    assert matching_size(10, stream.snapshot_edges()) == 5
     assert exact_matching_exhaustive(10, stream.snapshot_edges()) == 5

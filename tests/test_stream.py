@@ -1,6 +1,7 @@
 """Stream layer: generators, arc expansion, pass accounting, edge-list I/O."""
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -285,6 +286,23 @@ def test_malformed_files_rejected(tmp_path, content, message):
     target.write_text(content)
     with pytest.raises(StreamFormatError, match=message):
         EdgeStream(*read_edgelist(str(target)))
+
+
+def test_read_edgelist_parses_each_line_as_it_reads_it(tmp_path):
+    # The file's lines and the edge list are never alive at once, so the
+    # peak is hardly above what the result holds (1.65 times it when every
+    # line was held before any was parsed).
+    target = tmp_path / "g.edgelist"
+    write_to(open_stream(GraphSpec("gnm", (10000, 20000), 1)), target)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        n, edges = read_edgelist(str(target))
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (n, len(edges)) == (10000, 20000)
+    assert peak <= 1.2 * held
 
 
 def test_edge_stream_rejects_negative_vertex_count():
