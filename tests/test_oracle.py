@@ -230,17 +230,18 @@ def test_tutte_matrix_reference_matches_the_oracle(n, density):
     ("gnm:400,1200,seed=1", 199),
     ("gnm:1000,3000,seed=1", 499),
 ])
-def test_oracle_matches_networkx(spec, nu):
+def test_rank_oracle_matches_networkx(spec, nu):
+    # matching_size_rank is the name `verify --oracle tutte` and perfbench call.
     nx = pytest.importorskip("networkx")
     n, edges = build_edges(parse_graph_spec(spec))
     graph = nx.Graph()
     graph.add_nodes_from(range(n))
     graph.add_edges_from(edges)
     assert len(nx.max_weight_matching(graph, maxcardinality=True)) == nu
-    assert matching_size(n, edges) == nu
+    assert oracle.matching_size_rank(n, edges) == nu
 
 
-def test_oracle_matches_scipy_on_bipartite_graph():
+def test_rank_oracle_matches_scipy_on_bipartite_graph():
     sparse = pytest.importorskip("scipy.sparse")
     csgraph = pytest.importorskip("scipy.sparse.csgraph")
     a, b = 200, 200
@@ -251,7 +252,7 @@ def test_oracle_matches_scipy_on_bipartite_graph():
     matched = csgraph.maximum_bipartite_matching(biadjacency, perm_type="column")
     nu = int((matched >= 0).sum())
     assert 0 < nu < a
-    assert matching_size(n, edges) == nu
+    assert oracle.matching_size_rank(n, edges) == nu
 
 
 def test_oracles_agree_on_generator_corpus():
