@@ -75,17 +75,21 @@ guards untouched, so the outcome is the same as visiting them all:
                  since lies in some structure's working node when the read
                  begins.  The read retires an arc whose head is in the
                  working node or removed.
-* augmentation - each edge not retired at a ``Forest.dirty`` vertex once,
-                 as its arc in stored orientation (the even position), in
-                 stream order; the engine clears the list after the read.
-                 The guards treat both arcs of an edge alike and banking
-                 removes both structures, so the reverse arc, next in
-                 stream order, could never act.  A retired arc has its ends
-                 in one root blossom, has an end removed, or is matched,
-                 and the guards skip all three kinds.  After each
-                 augmentation read no edge joins outer nodes of two live
-                 structures (the read would have banked it, and banking
-                 only removes structures).
+* augmentation - the edges that can bank, gathered first: each arc not
+                 retired at a ``Forest.dirty`` vertex of a live structure
+                 whose head is in an outer node of another live structure
+                 gives its edge's even position (stored orientation); the
+                 test treats both arcs of an edge alike.  The read then
+                 banks them in stream order, each once (an edge with both
+                 ends dirty is found twice), while both ends' structures
+                 are live; the engine clears the list after the read.
+                 Banking only removes structures, so an edge that fails
+                 the test when the read begins fails it at its turn too.
+                 A retired arc has its ends in one root blossom, has an
+                 end removed, or is matched, and the test rejects all
+                 three kinds.  After each augmentation read no edge joins
+                 outer nodes of two live structures (the read would have
+                 banked it, and banking only removes structures).
 
 Each read takes its guards from ``Forest.root_of`` alone.  A vertex no
 structure has reached resolves to None: an arc with such a tail is
@@ -112,8 +116,8 @@ positions in at their ``bisect`` points, sums their counts and drops
 their lists, so each position moves only from a shorter list into a
 longer one.  A read that finds at least half of a list dead compacts it,
 so every list the reads take that is not empty holds a live arc.
-The augmentation read filters the tail index of each dirty vertex by
-``dead``, with no list of its own.  The per-bundle loops
+The augmentation read walks the tail index of each dirty vertex,
+skipping dead positions, and keeps no list of its own.  The per-bundle loops
 (marking, extension tails, collection, backtracking) run over the
 phase's live structures in ``alpha`` order, from which each bundle first
 drops those that lost their working node by deactivation or removal:
@@ -379,7 +383,10 @@ class PhaseEngine:
         read.close()
 
     def _contract_and_augment(self) -> None:
-        """Two passes: contract to a fixpoint, then augment across structures."""
+        """Two passes: contract to a fixpoint, then augment across
+        structures.  The second gathers the edges at dirty vertices that
+        join outer nodes of two live structures, then banks them in stream
+        order while both their structures are live."""
         forest = self.forest
         root_of = forest.root_of
 
@@ -389,23 +396,34 @@ class PhaseEngine:
                 self._contract_at_working(read, structure)
         read.close()
 
-        mate = self.matching.mate
         dead = self.dead
         read = self.stream.read()
         arcs, tail_positions = read.arcs, read.tail_positions
-        for p in sorted({p & ~1 for x in forest.dirty for p in tail_positions(x)
-                         if not dead[p]}):
+        # The even positions of the live edges joining a dirty vertex's
+        # node (outer, as a vertex stays outer) to an outer node of
+        # another live structure.  Banking only removes structures, so an
+        # edge that fails this test now fails it at its turn too.
+        candidates = []
+        for x in forest.dirty:
+            owner = root_of[x].structure
+            if owner is None:
+                continue
+            for p in tail_positions(x):
+                if dead[p]:
+                    continue
+                bv = root_of[arcs[p][1]]
+                if bv is not None and bv.outer:
+                    target = bv.structure
+                    if target is not None and target is not owner:
+                        candidates.append(p & ~1)
+        candidates.sort()
+        last = -1
+        for p in candidates:
+            if p == last:  # an edge with both ends dirty
+                continue
+            last = p
             u, v = arcs[p]
-            bu = root_of[u]
-            bv = root_of[v]
-            if bu is None or bv is None or bu is bv:
-                continue
-            owner = bu.structure
-            target = bv.structure
-            if owner is None or target is None or owner is target:
-                continue
-            if bu.outer and bv.outer:
-                assert mate[u] != v
+            if root_of[u].structure is not None and root_of[v].structure is not None:
                 forest.record_augmentation(u, v)
         read.close()
         forest.dirty.clear()

@@ -196,12 +196,15 @@ def test_arc_visits_per_read_kind_stay_pinned():
     # made outer, and before a list kept its dead positions until half of
     # it was dead, collection visited 55,305 arcs and augmentation 2,728.
     # Fewer retirements leave more edges at dirty vertices live, so the
-    # augmentation read now visits slightly more.
+    # augmentation read visited 2,961.  It now visits every live arc at a
+    # dirty vertex to filter it, so an edge with both ends dirty is
+    # visited from both, and each edge that passes the filter once more
+    # when its turn comes; before, it visited each such edge once.
     n, edges = build_edges(parse_graph_spec("gnm:300,900,seed=1"))
     visits = arcs_visited_per_read_kind(PhaseEngine, n, edges)
     assert visits["extension"] <= 2500
     assert visits["collection"] <= 6000
-    assert abs(visits["augmentation"] - 2961) <= 30
+    assert abs(visits["augmentation"] - 3006) <= 30
 
 
 def steals_before_acting(n, edges, eps):
@@ -338,6 +341,20 @@ def test_nested_contractions(eps, checked):
     # retired arcs of a working node pile up over many contractions.
     spec = parse_graph_spec("gnm:150,450,seed=1")
     assert_same_as_full_scan(lambda: open_stream(spec), eps, checked)
+
+
+@pytest.mark.parametrize("eps", [Fraction(1, 2), Fraction(1, 4)])
+@pytest.mark.parametrize("spec", ["bipartite:200,200,800,seed=9",
+                                  "bipartite:300,300,1200,seed=12"])
+def test_steal_heavy_graphs(spec, eps):
+    # The corpus reaches a single case 2.2 steal, yet the augmentation
+    # read relies on a steal marking no vertex dirty: the outer vertices
+    # it moves were outer at the last boundary.  These graphs steal
+    # hundreds of times per run (201 to 741).
+    graph = parse_graph_spec(spec)
+    assert full_scan_counts(lambda: [(open_stream(graph), eps)])["steals"] >= 100
+    for checked in (False, True):
+        assert_same_as_full_scan(lambda: open_stream(graph), eps, checked)
 
 
 def test_checked_engine_at_n_10000():

@@ -407,6 +407,70 @@ def test_dirty_overtake_case_2_2_marks_nothing():
     assert forest.dirty == dirty
 
 
+# The augmentation read collects the edges that can bank from every dirty
+# vertex first, then banks them in stream order.  The tests below build
+# its input by hand with ``cleanup_after``.
+
+def test_augmentation_banks_in_stream_order_not_dirty_order():
+    # 0 takes 1=2 and then 3 takes 4=5, so the dirty list is [2, 5].  Both
+    # (2,6) and (6,5) join the root 6 to a new outer tip; only one can
+    # bank.  (6,5), found from the later dirty vertex 5, comes first in
+    # the stream, so it banks and (2,6) finds structure 6 removed.
+    edges = [(6, 5), (0, 1), (1, 2), (3, 4), (4, 5), (2, 6)]
+    engine = engine_for(7, edges, [(1, 2), (4, 5)])
+
+    def take_both(forest):
+        forest.overtake(0, 1, 1)
+        forest.overtake(3, 4, 1)
+        assert forest.dirty == [2, 5]
+
+    assert cleanup_after(engine, take_both) == [[6, 5, 4, 3]]
+    assert sorted(engine.forest.structures) == [0]
+
+
+def test_augmentation_banks_an_edge_with_both_ends_dirty_once(monkeypatch):
+    # 0 takes 1=2 and 3 takes 4=5, so both ends of (2,5) are dirty and the
+    # read finds the edge from each.  It reads the edge once from each end
+    # and once more to bank it, and banks it once.
+    edges = [(0, 1), (1, 2), (3, 4), (4, 5), (2, 5)]
+    engine = engine_for(6, edges, [(1, 2), (4, 5)])
+    reads = []
+    open_read = engine.stream.read
+
+    def recording_read():
+        read = open_read()
+        visited = []
+        reads.append(visited)
+
+        class Recording(list):
+            def __getitem__(self, p):
+                visited.append(list.__getitem__(self, p))
+                return visited[-1]
+
+        read.arcs = Recording(read.arcs)
+        return read
+
+    monkeypatch.setattr(engine.stream, "read", recording_read)
+
+    def take_both(forest):
+        forest.overtake(0, 1, 1)
+        forest.overtake(3, 4, 1)
+
+    assert cleanup_after(engine, take_both) == [[0, 1, 2, 5, 4, 3]]
+    collection, augmentation = reads
+    assert sorted(map(tuple, augmentation)) == [(2, 1), (2, 5), (2, 5), (5, 2), (5, 4)]
+
+
+def test_augmentation_skips_an_edge_whose_structure_banked_earlier_in_the_read():
+    # 0 takes 1=2, and its new tip 2 is adjacent to the roots 3 and 4.
+    # (2,3) comes first and banks, which removes structure 0; the other
+    # candidate, (2,4), is then skipped and structure 4 stays.
+    edges = [(0, 1), (1, 2), (2, 3), (2, 4)]
+    engine = engine_for(5, edges, [(1, 2)])
+    assert cleanup_after(engine, lambda f: f.overtake(0, 1, 1)) == [[0, 1, 2, 3]]
+    assert sorted(engine.forest.structures) == [4]
+
+
 def phase_events(engine_class, n, edges, pairs):
     events = []
     engine_class(EdgeStream(n, edges), matched(n, pairs),
