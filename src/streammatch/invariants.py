@@ -13,12 +13,12 @@ and :func:`check_outer_independence`'s one pass over the edges.
 
 Checking a blossom once is complete: its record (subs, cycle, base and
 vertex count) never changes once it is built, and its vertices stay the
-prefix of its tree node's list, which only grows; the mate map changes
-only between phases.  A contraction may take over the node of its
-largest sub, changing that node, but the check of the new blossom reads
-the node as it then is.  The family is laminar because each blossom is
-the disjoint union of its subs and the root blossoms are pairwise
-disjoint.
+prefix of the vertex list of the tree node it was built for, which only
+grows; the mate map changes only between phases.  Each contraction takes
+over the node of its largest sub, giving the node a new record, so the
+check of the new blossom reads the node as it then is.  The family is
+laminar because each blossom is the disjoint union of its subs and the
+root blossoms are pairwise disjoint.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .structures import Blossom, Forest, Structure
+from .structures import Forest, Node, Structure
 
 # Short-path coverage enumerates every short augmenting path at each bundle
 # boundary, so it is checked only on graphs with at most this many vertices.
@@ -51,16 +51,19 @@ class InvariantViolationError(AssertionError):
         self.violations = violations
 
 
-def check_blossom(forest: Forest, blossom: Blossom) -> list[Violation]:
-    """Checks of a composite blossom, run once, when it is contracted: an
-    odd cycle of subs joined by alternating arcs, with only its base
-    matched outside it, whose vertices are the disjoint union of its subs'."""
-    alpha = blossom.structure.alpha if blossom.structure is not None else None
+def check_blossom(forest: Forest, node: Node) -> list[Violation]:
+    """Checks of the composite blossom of the tree node ``node``, run once,
+    when it is contracted: an odd cycle of subs joined by alternating arcs,
+    with only its base matched outside it, whose vertices are the disjoint
+    union of its subs'."""
+    alpha = node.structure.alpha if node.structure is not None else None
     bad: list[Violation] = []
 
     def flag(name: str, detail: str) -> None:
         bad.append(Violation(name, alpha, detail))
 
+    blossom = node.blossom
+    assert blossom is not None
     subs, cycle = blossom.subs, blossom.cycle
     assert subs is not None and cycle is not None
     members = set(blossom.vertices)
@@ -93,7 +96,7 @@ def check_blossom(forest: Forest, blossom: Blossom) -> list[Violation]:
 
 def check_structure(forest: Forest, structure: Structure, limit: int,
                     l_max: int, delta: int,
-                    node_of: Optional[list[Optional[Blossom]]] = None) -> list[Violation]:
+                    node_of: Optional[list[Optional[Node]]] = None) -> list[Violation]:
     """Structure-local checks: tree shape, arc realization, label order
     and size bounds, in one walk of the tree.  At a bundle boundary the walk
     also enters each node in ``node_of``, the caller's per-vertex table,
@@ -114,15 +117,16 @@ def check_structure(forest: Forest, structure: Structure, limit: int,
     seen_vertices: set[int] = set()
     arc_count = -1  # each node's cycle arcs, and its parent arc if not the root
     # Each entry carries its nearest outer ancestor's label, 0 at the root.
-    stack: list[tuple[Blossom, int, int]] = [(root, 0, 0)]
+    stack: list[tuple[Node, int, int]] = [(root, 0, 0)]
     while stack:
         node, depth, above = stack.pop()
         if node.structure is not structure:
             flag("tree-representation", f"node {node!r} not owned")
         if node.outer != (depth % 2 == 0):
             flag("tree-representation", f"parity mismatch at {node!r} depth {depth}")
+        blossom = node.blossom
         if not node.outer:
-            if not node.trivial:
+            if blossom is not None:
                 flag("tree-representation", f"inner node {node!r} is composite")
             if len(node.kids) != 1:
                 flag("tree-representation", f"inner node {node!r} has {len(node.kids)} children")
@@ -136,7 +140,7 @@ def check_structure(forest: Forest, structure: Structure, limit: int,
                 if node_of[v] is not None:
                     flag("disjointness", f"vertex {v} also in {node_of[v]!r}")
                 node_of[v] = node
-        arc_count += 1 + node.arcs
+        arc_count += 1 if blossom is None else 1 + blossom.arcs
         if node.parent is not None:
             arc = node.parent_arc
             if arc is None:
@@ -190,7 +194,7 @@ def check_forest(forest: Forest, limit: int, l_max: int, delta: int) -> list[Vio
         bad.append(Violation(name, None, detail))
 
     # Per vertex, the tree node that holds it, or None.
-    node_of: list[Optional[Blossom]] = [None] * forest.n
+    node_of: list[Optional[Node]] = [None] * forest.n
     for structure in forest.structures.values():
         bad.extend(check_structure(forest, structure, limit, l_max, delta, node_of))
 
@@ -198,7 +202,7 @@ def check_forest(forest: Forest, limit: int, l_max: int, delta: int) -> list[Vio
     # A vertex in no tree is unvisited (None) or removed: it resolves to a
     # node without a structure, and each such node is resolved to by
     # exactly its own vertices.
-    resolvers: dict[Blossom, int] = {}
+    resolvers: dict[Node, int] = {}
     for v, (label, mate_v, node, home) in enumerate(
             zip(forest.labels, forest.mate, forest.root_of, node_of)):
         if label != fresh:
@@ -252,7 +256,7 @@ def check_short_path_coverage(forest: Forest, edges: Sequence[tuple[int, int]],
     an active path, or (taken from either end) starts at an active
     structure's free vertex."""
     bad: list[Violation] = []
-    active_pairs: set[frozenset[Blossom]] = set()
+    active_pairs: set[frozenset[Node]] = set()
     for structure in forest.structures.values():
         node = structure.working
         while node is not None and node.parent is not None:

@@ -141,7 +141,7 @@ from typing import Callable, Optional
 from .invariants import InvariantChecker
 from .matching import Matching
 from .stream import EdgeStream, StreamRead
-from .structures import Blossom, Forest, Structure
+from .structures import Forest, Node, Structure
 
 READS_PER_BUNDLE = 3
 
@@ -281,7 +281,7 @@ class PhaseEngine:
 
     # -- bundle parts ---------------------------------------------------------
 
-    def _arcs_at(self, read: StreamRead, node: Blossom) -> array:
+    def _arcs_at(self, read: StreamRead, node: Node) -> array:
         """The positions of the arcs whose tail is in the root blossom
         ``node``, in stream order: the live ones and those retired since
         the list was last compacted, which happens here once they are at
@@ -290,7 +290,7 @@ class PhaseEngine:
         base = node.base
         own = self.arcs_at[base]
         if own is None:
-            assert node.trivial
+            assert node.blossom is None
             own = read.tail_positions(base)
         count = self.dead_at[base]
         if count and 2 * count >= len(own):

@@ -45,7 +45,7 @@ class GraphSpec:
 
     def __str__(self) -> str:
         body = ",".join(str(p) for p in self.params)
-        if self.kind in ("gnm", "bipartite"):
+        if self.kind in _SEEDED:
             body += f",seed={self.seed}"
         return f"{self.kind}:{body}" if body else self.kind
 
@@ -243,11 +243,13 @@ _GENERATORS: dict[str, tuple[int, Callable[..., tuple[int, list[tuple[int, int]]
     "gnm": (2, lambda seed, n, m: (n, gnm_edges(n, m, seed))),
     "bipartite": (3, lambda seed, a, b, m: (a + b, bipartite_edges(a, b, m, seed))),
 }
+_SEEDED = ("gnm", "bipartite")  # the kinds whose builder reads the seed
 
 
-def _check_params(kind: str, params: tuple[int, ...], name: str) -> None:
-    """Reject an unknown generator kind, a wrong parameter count or a
-    negative size, naming the spec ``name`` in the message."""
+def _check_params(kind: str, params: tuple[int, ...], seed: int, name: str) -> None:
+    """Reject an unknown generator kind, a wrong parameter count, a
+    negative size or a seed on a kind that reads none (its ``str`` would
+    drop the seed), naming the spec ``name`` in the message."""
     if kind not in _GENERATORS:
         raise ValueError(f"unknown generator spec {name!r}")
     count = _GENERATORS[kind][0]
@@ -256,11 +258,13 @@ def _check_params(kind: str, params: tuple[int, ...], name: str) -> None:
                          f"parameter(s), got {len(params)}")
     if any(p < 0 for p in params):
         raise ValueError(f"generator spec {name!r} has a negative size")
+    if seed and kind not in _SEEDED:
+        raise ValueError(f"generator spec {name!r} takes no seed")
 
 
 def build_edges(spec: GraphSpec) -> tuple[int, list[tuple[int, int]]]:
     """Materialize the (vertex_count, edges) of a generator spec."""
-    _check_params(spec.kind, spec.params, str(spec))
+    _check_params(spec.kind, spec.params, spec.seed, str(spec))
     return _GENERATORS[spec.kind][1](spec.seed, *spec.params)
 
 
@@ -283,7 +287,7 @@ def parse_graph_spec(text: str) -> GraphSpec:
                 seed = _spec_int(token[5:], text)
             elif token:
                 params.append(_spec_int(token, text))
-    _check_params(kind, tuple(params), text)
+    _check_params(kind, tuple(params), seed, text)
     return GraphSpec(kind, tuple(params), seed)
 
 

@@ -1,12 +1,12 @@
 """Blossoms, per-free-vertex search structures, and their mutation operations.
 
 Each free vertex owns a structure: a subgraph whose contraction by its
-blossom family is an alternating tree rooted at the free vertex.  The tree
-is stored explicitly; its nodes are the root blossoms.  Inner nodes (odd
-depth) are always single vertices, outer nodes (even depth) may be
-contracted blossoms.  Every non-root node records the unique arc of the
-underlying graph realizing the tree edge to its parent, so contracted
-paths can be lifted back to the graph exactly.
+blossom family is an alternating tree rooted at the free vertex.  A
+:class:`Node` of the tree is a root blossom, and a :class:`Blossom` is the
+fixed record of one blossom.  Inner nodes (odd depth) are single vertices,
+outer nodes (even depth) may be contracted blossoms.  Every non-root node
+records the unique arc realizing the tree edge to its parent, so
+contracted paths can be lifted back to the graph, from records alone.
 
 The three mutating operations mirror the search steps:
 
@@ -39,32 +39,20 @@ Piece = tuple["Blossom", int, bool]  # (blossom, target, backward); see _pieces
 
 
 class Blossom:
-    """A trivial blossom (the single vertex ``base``) or a contracted odd
-    cycle of blossoms.
+    """The fixed record of a blossom: the single vertex ``base`` (trivial,
+    ``subs`` is None) or a contracted odd cycle of blossoms.
 
-    A composite blossom is a fixed record of its construction: the
-    odd-length list of sub-blossoms ``subs`` and the connecting arcs
-    ``cycle``, where ``cycle[i]`` runs from ``subs[i]`` to
-    ``subs[(i+1) % len]`` and the odd-indexed arcs are matched.  ``base``
-    is the unique vertex left unmatched by the blossom's own edge set.
-    ``arcs`` counts the cycle arcs of the blossom and of every blossom
-    nested in it.  ``count`` is the number of its vertices, and
-    ``vertices`` the first ``count`` entries of ``members``, a list it
-    shares with its tree node.  A record never changes once built.
-
-    A root blossom inside a structure is a node of that structure's
-    alternating tree (fields ``structure``, ``parent``, ``parent_arc``,
-    ``kids``, ``outer``), and ``record`` is the blossom it stands for.  A
-    trivial blossom is its own record and its own node.  A composite's
-    node mirrors its record's fields and holds exactly its vertices in
-    ``members``.  When a later blossom absorbs it as its largest sub, the
-    node survives as the new blossom's node: it takes the new record's
-    fields and appends the other subs' vertices to ``members``, so the
-    old record's vertices stay its prefix.
+    A composite's ``subs`` is the odd-length list of its sub-blossoms'
+    records and ``cycle`` the connecting arcs, where ``cycle[i]`` runs from
+    ``subs[i]`` to ``subs[(i+1) % len]`` and the odd-indexed arcs are
+    matched.  ``base`` is the unique vertex left unmatched by the
+    blossom's own edge set.  ``arcs`` counts the cycle arcs of the blossom
+    and of every blossom nested in it.  Its ``vertices`` are the first
+    ``count`` entries of ``members``, for a composite its tree node's
+    vertex list, which only grows.  A record never changes once built.
     """
 
-    __slots__ = ("subs", "cycle", "base", "members", "count", "arcs", "record",
-                 "structure", "parent", "parent_arc", "kids", "outer")
+    __slots__ = ("base", "subs", "cycle", "arcs", "count", "members")
 
     def __init__(self, base: int, subs: Optional[list["Blossom"]] = None,
                  cycle: Optional[list[Arc]] = None,
@@ -79,17 +67,10 @@ class Blossom:
         else:
             assert cycle is not None
             self.arcs = len(cycle) + sum(sub.arcs for sub in subs)
-        self.record = self
-        self.structure: Optional[Structure] = None
-        self.parent: Optional[Blossom] = None
-        self.parent_arc: Optional[Arc] = None
-        self.kids: list[Blossom] = []
-        self.outer = False
 
     @property
     def vertices(self) -> list[int]:
-        """The blossom's vertices: ``members`` itself while it holds just
-        them, as a node's list always does."""
+        """``members`` itself while it holds just the blossom's vertices."""
         members = self.members
         return members if len(members) == self.count else members[:self.count]
 
@@ -100,22 +81,37 @@ class Blossom:
         except ValueError:
             return False
 
-    @property
-    def trivial(self) -> bool:
-        return self.subs is None
-
-    def stand_for(self, record: "Blossom") -> None:
-        """Make this tree node the node of ``record``, whose vertices are
-        this node's ``members``."""
-        assert record.members is self.members
-        self.record = record
-        self.base, self.subs, self.cycle = record.base, record.subs, record.cycle
-        self.arcs, self.count = record.arcs, record.count
-
     def __repr__(self) -> str:
-        if self.trivial:
+        if self.subs is None:
             return f"B({self.base})"
         return f"B{sorted(self.vertices)}"
+
+
+class Node:
+    """A tree node: a root blossom, with its composite record ``blossom``
+    (None while the node is the single vertex ``base``) and exactly its
+    ``vertices``.  ``parent_arc`` realizes the tree edge to ``parent``,
+    ``outer`` marks even depth, and ``structure`` is None once the node's
+    structure is removed.  A contraction takes over its largest sub's node,
+    which gets the new record and base and appends the other subs'
+    vertices, so each earlier record's vertices stay a prefix.
+    """
+
+    __slots__ = ("base", "blossom", "vertices", "structure", "parent",
+                 "parent_arc", "kids", "outer")
+
+    def __init__(self, base: int):
+        self.base = base
+        self.blossom: Optional[Blossom] = None
+        self.vertices = [base]
+        self.structure: Optional[Structure] = None
+        self.parent: Optional[Node] = None
+        self.parent_arc: Optional[Arc] = None
+        self.kids: list[Node] = []
+        self.outer = False
+
+    def __repr__(self) -> str:
+        return f"B({self.base})" if self.blossom is None else repr(self.blossom)
 
 
 class Structure:
@@ -124,26 +120,26 @@ class Structure:
 
     __slots__ = ("alpha", "root", "working", "on_hold", "modified", "size")
 
-    def __init__(self, alpha: int, root: Blossom):
+    def __init__(self, alpha: int, root: Node):
         self.alpha = alpha
         self.root = root
-        self.working: Optional[Blossom] = root
+        self.working: Optional[Node] = root
         self.on_hold = False
         self.modified = False
-        self.size = root.count
+        self.size = len(root.vertices)
 
     def __repr__(self) -> str:
         return f"S({self.alpha})"
 
 
-def ancestors(node: Optional[Blossom]) -> Iterator[Blossom]:
+def ancestors(node: Optional[Node]) -> Iterator[Node]:
     """``node``, its parent, its grandparent, ... up to its tree's root."""
     while node is not None:
         yield node
         node = node.parent
 
 
-def subtree(node: Blossom) -> Iterator[Blossom]:
+def subtree(node: Node) -> Iterator[Node]:
     """``node`` and every tree node below it, depth first."""
     stack = [node]
     while stack:
@@ -152,8 +148,8 @@ def subtree(node: Blossom) -> Iterator[Blossom]:
         stack.extend(node.kids)
 
 
-def closed_walk(a: Blossom, b: Blossom, arc: Arc, top_a: Blossom,
-                top_b: Blossom) -> tuple[list[Blossom], list[Arc]]:
+def closed_walk(a: Node, b: Node, arc: Arc, top_a: Node,
+                top_b: Node) -> tuple[list[Node], list[Arc]]:
     """The walk from ``top_a`` down to ``a``, across ``arc`` (tail in ``a``,
     head in ``b``), then up from ``b`` to ``top_b``.  ``top_a`` is ``a`` or
     one of its ancestors, and ``top_b`` likewise for ``b``.
@@ -170,7 +166,7 @@ def closed_walk(a: Blossom, b: Blossom, arc: Arc, top_a: Blossom,
     return down + up, arcs
 
 
-def _climb(node: Blossom, top: Blossom) -> list[Blossom]:
+def _climb(node: Node, top: Node) -> list[Node]:
     """Tree nodes from ``node`` up to ``top``, both included."""
     out = []
     for cur in ancestors(node):
@@ -180,33 +176,34 @@ def _climb(node: Blossom, top: Blossom) -> list[Blossom]:
     raise ValueError(f"{top!r} is not above {node!r}")
 
 
-def lift_contracted_path(nodes: list[Blossom], arcs: list[Arc]) -> list[int]:
-    """Expand a path over root blossoms into a vertex path of the graph.
+def lift_contracted_path(nodes: list[Node], arcs: list[Arc]) -> list[int]:
+    """Expand a path over tree nodes into a vertex path of the graph.
 
     ``arcs[i]`` runs from ``nodes[i]`` to ``nodes[i+1]``, and the arcs at
     odd positions are matched, as on a tree path read from its root or on
     an augmenting path between two roots.
     """
-    return _expand(_pieces(nodes, arcs, nodes[-1].base))
+    blossoms = [node.blossom or Blossom(node.base) for node in nodes]
+    return _expand(_pieces(blossoms, arcs, nodes[-1].base))
 
 
-def _pieces(nodes: list[Blossom], arcs: list[Arc], end: int) -> list[Piece]:
-    """The walk through ``nodes`` along ``arcs``, whose odd positions are
-    matched, as pieces ``(node, target, backward)``: the even path of
-    ``node`` from its base to ``target``, read backward if ``backward``.
-    A node at an even position is entered at its base and left where its
-    next arc starts, or at ``end`` if it is the last; a node at an odd
-    position is entered where its arc ends and left through its base."""
-    last = len(nodes) - 1
+def _pieces(blossoms: list[Blossom], arcs: list[Arc], end: int) -> list[Piece]:
+    """The walk through ``blossoms`` along ``arcs``, whose odd positions
+    are matched, as pieces ``(blossom, target, backward)``: the even path
+    of ``blossom`` from its base to ``target``, read backward if
+    ``backward``.  One at an even position is entered at its base and left
+    where its next arc starts, or at ``end`` if it is the last; one at an
+    odd position is entered where its arc ends and left through its base."""
+    last = len(blossoms) - 1
     assert len(arcs) == last
     pieces = []
-    for i, node in enumerate(nodes):
+    for i, blossom in enumerate(blossoms):
         if i % 2:
-            assert i == last or arcs[i][0] == node.base
-            pieces.append((node, arcs[i - 1][1], True))
+            assert i == last or arcs[i][0] == blossom.base
+            pieces.append((blossom, arcs[i - 1][1], True))
         else:
-            assert i == 0 or arcs[i - 1][1] == node.base
-            pieces.append((node, arcs[i][0] if i < last else end, False))
+            assert i == 0 or arcs[i - 1][1] == blossom.base
+            pieces.append((blossom, arcs[i][0] if i < last else end, False))
     return pieces
 
 
@@ -219,16 +216,16 @@ def _expand(pieces: list[Piece]) -> list[int]:
     out: list[int] = []
     stack = pieces[::-1]
     while stack:
-        node, target, backward = stack.pop()
-        subs, cycle = node.subs, node.cycle
+        blossom, target, backward = stack.pop()
+        subs, cycle = blossom.subs, blossom.cycle
         if subs is None or cycle is None:
-            if target != node.base:
-                raise ValueError(f"vertex {target} not in {node!r}")
+            if target != blossom.base:
+                raise ValueError(f"vertex {target} not in {blossom!r}")
             out.append(target)
             continue
         j = next((i for i, sub in enumerate(subs) if sub.holds(target)), None)
         if j is None:
-            raise ValueError(f"vertex {target} not in {node!r}")
+            raise ValueError(f"vertex {target} not in {blossom!r}")
         if j % 2 == 0:
             route, arcs = subs[:j + 1], cycle[:j]
         else:
@@ -243,14 +240,13 @@ def _expand(pieces: list[Piece]) -> list[int]:
 
 
 class Forest:
-    """All structures of one phase plus vertex-to-root-blossom resolution.
+    """All structures of one phase plus vertex-to-tree-node resolution.
 
-    The blossom family is laminar: the trivial blossoms of the vertices
-    the search has reached, plus every contracted composite.  A vertex
-    gets its trivial blossom when it joins a structure, as a free root or
-    in a matched pair by an overtake; ``root_of[v]`` is None until then
-    and kept eagerly up to date after, so resolution is a single array
-    read.  A vertex whose node has no ``structure`` was removed with its
+    The blossom family is laminar: the single vertices the search has
+    reached, plus every contracted composite.  A vertex gets its own node
+    when it joins a structure, as a free root or in a matched pair by an
+    overtake; ``root_of[v]`` is None until then and kept eagerly up to
+    date after, so resolution is a single array read.  A vertex whose node has no ``structure`` was removed with its
     structure for the rest of the phase.
 
     ``labels[v]`` is the label of the matched arc with tail ``v``, the arc
@@ -281,7 +277,7 @@ class Forest:
         self.on_op: Optional[Callable[[str, tuple], None]] = None
         self.bundle = 0
         self.mutations = 0
-        self.root_of: list[Optional[Blossom]] = [None] * n
+        self.root_of: list[Optional[Node]] = [None] * n
         self.structures: dict[int, Structure] = {}
         self.dirty: list[int] = []
         self.paths: list[list[int]] = []
@@ -292,7 +288,7 @@ class Forest:
 
     def init_structure(self, alpha: int) -> Structure:
         assert self.mate[alpha] is None and self.root_of[alpha] is None
-        node = self.root_of[alpha] = Blossom(alpha)
+        node = self.root_of[alpha] = Node(alpha)
         structure = Structure(alpha, node)
         node.structure = structure
         node.outer = True
@@ -350,12 +346,13 @@ class Forest:
         inside its subs already have it, so only the matched cycle arcs
         are relabelled.
 
-        The node of the largest sub, if that is composite, becomes the new
-        blossom's node: it keeps its vertices, their ``root_of`` entries
-        and its kids, and only the other subs' vertices and off-cycle kids
-        move to it.  A vertex moves only into a node at least twice the
-        size of its old one, so it moves O(log n) times in a phase.  When
-        every sub is a single vertex a fresh node takes them all.
+        The node of the largest sub becomes the new blossom's node: it
+        keeps its vertices, their ``root_of`` entries and its kids, and
+        only the other subs' vertices and off-cycle kids move to it.  A
+        vertex moves only into a node at least twice the size of its old
+        one, so it moves O(log n) times in a phase.  When every sub is a
+        single vertex that node is the LCA's, the first on the cycle.
+        Nothing refers to the other subs' nodes afterwards.
         """
         root_of = self.root_of
         bu, bv = root_of[u], root_of[v]
@@ -374,17 +371,13 @@ class Forest:
         # from bu; the walk ends at the LCA it started from, so drop that.
         nodes, cycle = closed_walk(bv, bu, (v, u), lca, lca)
         subs = nodes[:-1]
-        node = max(subs, key=lambda sub: sub.count)
-        if node.trivial:
-            node = Blossom(lca.base, members=[])
-            node.structure = structure
-            node.outer = True
-        else:
-            # Its kids on the cycle are its neighbours there, absorbed too.
-            i = subs.index(node)
-            for kid in (subs[i - 1], subs[i + 1 - len(subs)]):
-                if kid.parent is node:
-                    node.kids.remove(kid)
+        records = [sub.blossom or Blossom(sub.base) for sub in subs]
+        node = max(subs, key=lambda sub: len(sub.vertices))
+        # Its kids on the cycle are its neighbours there, absorbed too.
+        i = subs.index(node)
+        for kid in (subs[i - 1], subs[i + 1 - len(subs)]):
+            if kid.parent is node:
+                node.kids.remove(kid)
         if node is not lca:
             node.parent, node.parent_arc = lca.parent, lca.parent_arc
             if node.parent is not None:
@@ -393,7 +386,7 @@ class Forest:
             else:
                 structure.root = node
         on_path = set(subs)
-        members = node.members
+        vertices = node.vertices
         for sub in subs:
             if sub is node:
                 continue
@@ -402,17 +395,12 @@ class Forest:
                     kid.parent = node
                     node.kids.append(kid)
             if not sub.outer:
-                self.dirty.extend(sub.members)
-            for x in sub.members:
+                self.dirty.extend(sub.vertices)
+            for x in sub.vertices:
                 root_of[x] = node
-            members.extend(sub.members)
-            sub.structure = None
-            sub.parent = None
-            sub.parent_arc = None
-            sub.kids = []
-            sub.outer = False
-        blossom = Blossom(lca.base, [sub.record for sub in subs], cycle, members)
-        node.stand_for(blossom)
+            vertices.extend(sub.vertices)
+        blossom = node.blossom = Blossom(lca.base, records, cycle, vertices)
+        node.base = lca.base
         for x, y in cycle[1::2]:
             self.relabel(x, y, 0)
             self.relabel(y, x, 0)
@@ -444,10 +432,10 @@ class Forest:
         # working node goes; ``owner`` is the structure bv leaves, if any.
         if bv is None:
             # Case 1: the unvisited pair v = t joins as an inner node and
-            # its outer kid, each getting its trivial blossom.
+            # its outer kid, each getting its own node.
             assert self.root_of[t] is None
-            bv = self.root_of[v] = Blossom(v)
-            bt = self.root_of[t] = Blossom(t)
+            bv = self.root_of[v] = Node(v)
+            bt = self.root_of[t] = Node(t)
             bv.kids = [bt]
             bt.parent, bt.parent_arc = bv, (v, t)
             bt.outer = True
@@ -456,7 +444,7 @@ class Forest:
         else:
             owner = bv.structure
             assert owner is not None and bv is not bu
-            assert not bv.outer and bv.trivial and len(bv.kids) == 1
+            assert not bv.outer and bv.blossom is None and len(bv.kids) == 1
             old_parent = bv.parent
             assert old_parent is not None
             working = bv.kids[0]
@@ -479,7 +467,7 @@ class Forest:
         moved_size = 0
         for node in moved:
             node.structure = structure
-            moved_size += node.count
+            moved_size += len(node.vertices)
         structure.size += moved_size
         if owner is not None:
             owner.size -= moved_size

@@ -58,14 +58,14 @@ def outer_subs_checked(counts):
 
             def checked_contract(u, v):
                 # ``contract`` returns the blossom's record, and its subs
-                # are records too; the tree nodes are read off the forest.
-                working = structure.working.record
-                outer = {node.record for node in subtree(structure.root) if node.outer}
+                # are records too, known by base as the tree nodes they were.
+                working = structure.working.base
+                outer = {node.base for node in subtree(structure.root) if node.outer}
                 blossom = contract(u, v)
                 node = forest.root_of[u]
-                assert node.record is blossom and structure.working is node
+                assert node.blossom is blossom and structure.working is node
                 for sub in blossom.subs:
-                    if sub is working or sub not in outer:
+                    if sub.base == working or sub.base not in outer:
                         continue
                     counts["outer subs"] += 1
                     for x in sub.vertices:

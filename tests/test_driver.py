@@ -12,6 +12,7 @@ from helpers import exact_matching_exhaustive, full_replay_run
 from streammatch import driver, oracle
 from streammatch.driver import (RunConfig, expected_pass_count,
                                 normalize_epsilon, run, scale_schedule)
+from streammatch.invariants import InvariantViolationError
 from streammatch.matching import validate_matching
 from streammatch.phase import PhaseConfig, PhaseEngine
 from streammatch.stream import EdgeStream, GraphSpec, open_stream, parse_graph_spec
@@ -313,3 +314,39 @@ def test_reach_on_the_long_path_gadget_is_two_l_max(eps, copies):
         report = run(EdgeStream(n, edges), RunConfig(epsilon=eps))
         assert report.matching.size == (nu if k <= 2 * l_max else nu - copies), k
         assert report.guarantee_failure(nu) is None
+
+
+def test_checked_run_names_a_banked_path_that_is_not_augmenting(monkeypatch):
+    # Greedy takes the middle edge of 0 - 1 - 2 - 3, so the phase banks the
+    # path through all four; dropping its last vertex leaves a path that
+    # ends at a matched vertex.
+    class Truncating(PhaseEngine):
+        def run(self):
+            result = super().run()
+            assert result.paths
+            result.paths[0] = result.paths[0][:-1]
+            return result
+
+    monkeypatch.setattr(driver, "PhaseEngine", Truncating)
+    with pytest.raises(InvariantViolationError) as caught:
+        run(EdgeStream(4, [(1, 2), (0, 1), (2, 3)]),
+            RunConfig(epsilon=HALF, check_invariants=True))
+    assert [v.name for v in caught.value.violations] == ["augmenting-path"]
+
+
+def test_checked_run_names_a_matched_pair_that_is_not_an_edge(monkeypatch):
+    # The isolated vertices 4 and 5 start matched to each other, which no
+    # phase reads or changes, so only the final check can see it.
+    greedy = driver.greedy_maximal_matching
+
+    def greedy_with_a_non_edge(stream):
+        matching = greedy(stream)
+        matching.mate[4], matching.mate[5] = 5, 4
+        matching.size += 1
+        return matching
+
+    monkeypatch.setattr(driver, "greedy_maximal_matching", greedy_with_a_non_edge)
+    with pytest.raises(InvariantViolationError) as caught:
+        run(EdgeStream(6, [(1, 2), (0, 1), (2, 3)]),
+            RunConfig(epsilon=HALF, check_invariants=True))
+    assert [v.name for v in caught.value.violations] == ["valid-matching"]

@@ -1,9 +1,12 @@
 """Invariant checker: clean states pass, injected faults are named."""
 
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import streammatch
 from helpers import matched
 from streammatch.invariants import (InvariantChecker, InvariantViolationError,
                                     check_active_bound, check_blossom, check_forest,
@@ -177,7 +180,7 @@ def nested_blossom_forest(corrupt=None):
     """S_0 over 7 vertices: blossom {2, 3, 4} inside a blossom of all seven.
 
     With ``corrupt``, the checker runs after every operation, and each new
-    blossom passes through ``corrupt`` before the checker sees it.
+    blossom's record passes through ``corrupt`` before the checker sees it.
     """
     matching = matched(7, [(1, 2), (3, 4), (5, 6)])
     forest = Forest(7, matching.mate, CFG.l_max)
@@ -187,7 +190,7 @@ def nested_blossom_forest(corrupt=None):
 
         def on_op(op, touched):
             if op == "contract":
-                corrupt(touched[0].working)
+                corrupt(touched[0].working.blossom)
             checker.after_operation(op, touched)
 
         forest.on_op = on_op
@@ -213,16 +216,16 @@ def forest_names(forest):
 def test_laminarity_check_on_nested_blossoms():
     forest = nested_blossom_forest(corrupt=lambda blossom: None)
     assert check_forest(forest, CFG.limit, CFG.l_max, CFG.delta) == []
+    root = forest.structures[0].root
     composites = []
-    stack = [forest.structures[0].root]
+    stack = [root.blossom]
     while stack:
         blossom = stack.pop()
-        if not blossom.trivial:
+        if blossom.subs is not None:
             composites.append(blossom)
             stack.extend(blossom.subs)
     assert sorted(len(b.vertices) for b in composites) == [3, 7]
-    for blossom in composites:
-        assert check_blossom(forest, blossom) == []
+    assert check_blossom(forest, root) == []
 
 
 def test_out_of_range_label_is_flagged():
@@ -306,3 +309,45 @@ def test_blossom_with_overlapping_subs_is_flagged():
         sub.count += 1
 
     assert "laminarity" in names_raised_after_contract(share_a_vertex)
+
+
+# Each violation name in ``src/streammatch``, and the test that injects a
+# fault and expects that name.  A new name needs a row here.
+FAULT_TESTS = {
+    "active-structures": "test_invariants.py::test_active_bound",
+    "augmenting-path":
+        "test_driver.py::test_checked_run_names_a_banked_path_that_is_not_augmenting",
+    "blossom-arc-labels": "test_invariants.py::test_nonzero_label_inside_blossom_is_flagged",
+    "blossom-shape":
+        "test_invariants.py::test_misconnected_blossom_cycle_is_flagged_at_contraction",
+    "disjointness": "test_invariants.py::test_disjointness_violation_is_flagged",
+    "increasing-labeling": "test_invariants.py::test_corrupted_label_order_is_flagged",
+    "label-range": "test_invariants.py::test_out_of_range_label_is_flagged",
+    "laminarity":
+        "test_invariants.py::test_blossom_that_is_not_the_union_of_its_subs_is_flagged",
+    "outer-independence": "test_invariants.py::test_artificial_outer_outer_arc_is_flagged",
+    "resolution": "test_invariants.py::test_stale_resolution_is_flagged",
+    "short-path-coverage":
+        "test_invariants.py::test_short_path_coverage_flags_ignored_path",
+    "space-arcs": "test_invariants.py::test_space_arcs_violation_is_flagged",
+    "space-vertices": "test_invariants.py::test_space_proxy_violation_is_flagged",
+    "structure-size": "test_invariants.py::test_size_bound_violation_is_flagged",
+    "tree-representation": "test_invariants.py::test_broken_tree_parity_is_flagged",
+    "unique-arc": "test_invariants.py::test_missing_realizing_arc_is_flagged",
+    "valid-matching":
+        "test_driver.py::test_checked_run_names_a_matched_pair_that_is_not_an_edge",
+}
+
+
+def test_every_violation_name_has_a_fault_injection_test():
+    package = Path(streammatch.__file__).parent
+    names = {name for path in package.glob("*.py") for name in
+             re.findall(r'\b(?:flag|Violation)\(\s*"([^"]+)"', path.read_text())}
+    assert names == FAULT_TESTS.keys()
+    tests = Path(__file__).parent
+    for name, test in FAULT_TESTS.items():
+        module, _, function = test.partition("::")
+        # The test's body runs to the next line that starts at column 0.
+        body = re.search(rf"^def {function}\(.*?(?=^\S|\Z)",
+                         (tests / module).read_text(), re.M | re.S)
+        assert body is not None and f'"{name}"' in body.group(), (name, test)

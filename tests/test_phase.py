@@ -197,7 +197,8 @@ def test_distance_zero_at_contracted_root():
     forest = engine.forest
     forest.overtake(0, 1, 1)
     blossom = forest.contract(2, 0)
-    assert blossom.parent is None and blossom.parent_arc is None
+    node = forest.root_of[0]
+    assert node.blossom is blossom and node.parent is None and node.parent_arc is None
 
 
 def test_overtake_skipped_toward_ancestor():
@@ -538,14 +539,14 @@ def test_node_arc_lists_hold_the_live_arcs_and_count_the_dead_at_every_boundary(
                 assert own is None and count == 0
                 continue
             if own is None:
-                assert node is None or node.trivial
+                assert node is None or node.blossom is None
                 own = read.tail_positions(x)
             vertices = [x] if node is None else node.vertices
             tails = sorted(p for y in vertices for p in read.tail_positions(y))
             assert list(own) == sorted(set(own)) and set(own) <= set(tails)
             assert [p for p in own if not dead[p]] == [p for p in tails if not dead[p]]
             assert count == sum(dead[p] for p in own)
-            seen["composite"] += node is not None and not node.trivial
+            seen["composite"] += node is not None and node.blossom is not None
             seen["with dead"] += count > 0
             seen["compacted"] += any(dead[p] for p in set(tails) - set(own))
 

@@ -323,7 +323,8 @@ def test_parse_graph_spec_forms():
                           ("gnm:5,x", "non-integer value 'x'"),
                           ("gnm:5,7,seed=y", "non-integer value 'y'"),
                           ("random-gnm:10,20", "unknown"),
-                          ("random-bipartite:3,4,5", "unknown")]:
+                          ("random-bipartite:3,4,5", "unknown"),
+                          ("path:4,seed=3", "seed"), ("petersen:seed=1", "seed")]:
         with pytest.raises(ValueError, match=message) as info:
             parse_graph_spec(text)
         assert repr(text) in str(info.value)

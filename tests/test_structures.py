@@ -4,8 +4,8 @@ import pytest
 
 from helpers import matched, stored_arcs
 from streammatch.invariants import check_blossom, check_forest
-from streammatch.structures import (Forest, _expand, ancestors, lift_contracted_path,
-                                    subtree)
+from streammatch.structures import (Blossom, Forest, _expand, ancestors,
+                                    lift_contracted_path, subtree)
 
 L_MAX = 6  # eps = 1/2
 
@@ -45,7 +45,7 @@ def test_resolve_before_contraction_is_trivial():
     forest.overtake(0, 1, 1)
     for v in range(3):
         node = forest.root_of[v]
-        assert node.trivial and node.base == v and node.vertices == [v]
+        assert node.blossom is None and node.base == v and node.vertices == [v]
         assert node.structure is forest.structures[0]
 
 
@@ -59,23 +59,49 @@ def build_triangle_blossom():
 
 
 def test_contract_triangle():
-    forest, matching, blossom = build_triangle_blossom()
+    forest, _ = make_forest(3, [(1, 2)])
+    structure = forest.init_structure(0)
+    lca = structure.root
+    forest.overtake(0, 1, 1)
+    blossom = forest.contract(2, 0)
     assert sorted(blossom.vertices) == [0, 1, 2]
     assert blossom.base == 0
-    structure = forest.structures[0]
+    # Every sub is a single vertex, so the LCA's node, first on the cycle,
+    # becomes the blossom's node, and each sub is a trivial record.
     node = structure.working
-    assert node.record is blossom and node.base == 0
+    assert node is lca and node.blossom is blossom and node.base == 0
     assert structure.root is node
+    assert [(sub.base, sub.subs, sub.vertices) for sub in blossom.subs] == \
+        [(0, None, [0]), (2, None, [2]), (1, None, [1])]
     for v in range(3):
         assert forest.root_of[v] is node
     assert forest.labels[1] == forest.labels[2] == 0
     assert_clean(forest)
 
 
+def test_a_record_is_unchanged_when_a_later_contraction_takes_over_its_node():
+    # The triangle {0, 1, 2} hangs the pair 3 = 4 off its base; closing the
+    # pentagon 0 .. 4 takes over the triangle's node, the largest sub.
+    forest, _ = make_forest(5, [(1, 2), (3, 4)])
+    structure = forest.init_structure(0)
+    forest.overtake(0, 1, 1)
+    triangle = forest.contract(2, 0)
+    node = structure.working
+    fields = (triangle.base, list(triangle.subs), list(triangle.cycle),
+              triangle.count, list(triangle.vertices))
+    forest.overtake(0, 3, 1)
+    pentagon = forest.contract(4, 0)
+    assert structure.working is node and node.blossom is pentagon
+    assert pentagon.subs[0] is triangle and node.vertices == [0, 2, 1, 4, 3]
+    assert (triangle.base, triangle.subs, triangle.cycle, triangle.count,
+            triangle.vertices) == fields
+    assert_clean(forest)
+
+
 def test_contract_marks_modified_and_keeps_outer():
     forest, _, blossom = build_triangle_blossom()
     assert forest.structures[0].modified
-    assert forest.root_of[0].record is blossom and forest.root_of[0].outer
+    assert forest.root_of[0].blossom is blossom and forest.root_of[0].outer
 
 
 def test_contract_cycle5():
@@ -93,12 +119,10 @@ def test_contract_cycle5():
 
 
 def test_even_path_trivial_blossom():
-    forest, _ = make_forest(1, [])
-    forest.init_structure(0)
-    node = forest.root_of[0]
-    assert even_path_vertices(node, 0) == [0]
+    blossom = Blossom(0)
+    assert even_path_vertices(blossom, 0) == [0]
     with pytest.raises(ValueError):
-        even_path_vertices(node, 1)
+        even_path_vertices(blossom, 1)
 
 
 def test_even_path_triangle():
@@ -149,14 +173,14 @@ def test_nested_contraction_resolves_to_outermost():
     assert sorted(inner.vertices) == [2, 3, 4]
     assert sorted(outer.vertices) == list(range(7))
     node = forest.root_of[0]
-    assert node.record is outer
+    assert node.blossom is outer
     for v in range(7):
         assert forest.root_of[v] is node
     assert inner in outer.subs
     # The inner blossom, the largest sub, lent its node to the outer one:
     # the node's list grew, and the inner record still reads its prefix.
-    assert node.members is inner.members and inner.count == 3
-    assert node.members[:3] == inner.vertices and outer.count == 7
+    assert inner.members is node.vertices is outer.members and inner.count == 3
+    assert node.vertices[:3] == inner.vertices and outer.count == 7
     assert_clean(forest)
 
 
@@ -190,10 +214,10 @@ def test_even_path_and_lift_through_1500_nested_blossoms():
     assert lifted == list(range(n))
     assert_alternating(lifted, forest.mate, start_matched=False)
 
-    stem_record = stem.record
+    stem_blossom = stem.blossom
     top = forest.contract(n - 1, 0)
-    assert top.subs[0] is stem_record and structure.size == n == len(top.vertices)
-    assert structure.root is stem and stem.record is top
+    assert top.subs[0] is stem_blossom and structure.size == n == len(top.vertices)
+    assert structure.root is stem and stem.blossom is top
     for x in (0, 1, 2, 3, 1499, 1500, n - 2, n - 1):
         path = even_path_vertices(top, x)
         assert path[0] == 0 and path[-1] == x
@@ -201,7 +225,7 @@ def test_even_path_and_lift_through_1500_nested_blossoms():
         assert_alternating(path, forest.mate, start_matched=False)
     assert even_path_vertices(top, n - 1) == list(range(n))
     assert even_path_vertices(top, n - 2) == [0, n - 1, n - 2]
-    assert lift_contracted_path([top], []) == [0]
+    assert lift_contracted_path([stem], []) == [0]
     with pytest.raises(ValueError):
         even_path_vertices(top, n)
 
@@ -232,9 +256,9 @@ def test_contract_moves_only_the_smaller_subs_through_1500_nested_blossoms():
         before = root_of.writes
         forest.contract(2 * i, 0)
         writes.append(root_of.writes - before)
-    assert writes[0] == 3 and max(writes[1:]) == 2
+    assert writes[0] == 2 and max(writes[1:]) == 2
     node = structure.root
-    assert all(root_of[x] is node for x in range(n)) and node.count == n
+    assert all(root_of[x] is node for x in range(n)) and len(node.vertices) == n
 
 
 def test_lift_trivial_nodes_is_identity():
@@ -435,16 +459,16 @@ def contract_lca_is_root_at_depths_2_and_12():
 ], ids=["lca-is-bv", "lca-is-bu", "lca-above-both", "lca-is-root-at-depths-2-and-12"])
 def test_contract_shapes(build, subs, cycle, base):
     # The cycle runs from the LCA down to the head's node, across the arc
-    # and back up from the working node.  Every sub is trivial, so the
-    # blossom gets a fresh node, which takes the LCA's place in the tree.
+    # and back up from the working node.  Every sub is a single vertex, so
+    # the LCA's node becomes the blossom's node and keeps its place.
     forest, (u, v) = build()
     before = list(forest.root_of)
     lca = before[base]
     parent, parent_arc = lca.parent, lca.parent_arc
     blossom = forest.contract(u, v)
     node = forest.root_of[base]
-    assert node.record is blossom and node not in before
-    assert blossom.subs == [before[x] for x in subs]
+    assert node is lca and node.blossom is blossom
+    assert [(sub.base, sub.subs) for sub in blossom.subs] == [(x, None) for x in subs]
     assert blossom.cycle == cycle and blossom.base == base
     assert [x for x in range(forest.n) if forest.root_of[x] is node] == sorted(subs)
     assert all(forest.root_of[x] is before[x] for x in range(forest.n) if x not in subs)
