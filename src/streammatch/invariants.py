@@ -14,11 +14,11 @@ and :func:`check_outer_independence`'s one pass over the edges.
 Checking a blossom once is complete: its record (subs, cycle, base and
 vertex count) never changes once it is built, and its vertices stay the
 prefix of the vertex list of the tree node it was built for, which only
-grows; the mate map changes only between phases.  Each contraction takes
-over the node of its largest sub, giving the node a new record, so the
-check of the new blossom reads the node as it then is.  The family is
-laminar because each blossom is the disjoint union of its subs and the
-root blossoms are pairwise disjoint.
+grows; the mate map changes only between phases.  A later contraction
+that takes over that node gives it a new record and appends to its list,
+which leaves every earlier record as it was.  The family is laminar
+because each blossom is the disjoint union of its subs and the root
+blossoms are pairwise disjoint.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .structures import Forest, Node, Structure
+from .structures import Blossom, Forest, Node, Structure
 
 # Short-path coverage enumerates every short augmenting path at each bundle
 # boundary, so it is checked only on graphs with at most this many vertices.
@@ -51,19 +51,17 @@ class InvariantViolationError(AssertionError):
         self.violations = violations
 
 
-def check_blossom(forest: Forest, node: Node) -> list[Violation]:
-    """Checks of the composite blossom of the tree node ``node``, run once,
-    when it is contracted: an odd cycle of subs joined by alternating arcs,
-    with only its base matched outside it, whose vertices are the disjoint
-    union of its subs'."""
-    alpha = node.structure.alpha if node.structure is not None else None
+def check_blossom(forest: Forest, blossom: Blossom,
+                  alpha: Optional[int]) -> list[Violation]:
+    """Checks of a composite blossom of structure ``alpha``, run once, when
+    it is contracted: an odd cycle of subs joined by alternating arcs, with
+    only its base matched outside it, whose vertices are the disjoint union
+    of its subs'."""
     bad: list[Violation] = []
 
     def flag(name: str, detail: str) -> None:
         bad.append(Violation(name, alpha, detail))
 
-    blossom = node.blossom
-    assert blossom is not None
     subs, cycle = blossom.subs, blossom.cycle
     assert subs is not None and cycle is not None
     members = set(blossom.vertices)
@@ -363,7 +361,9 @@ class InvariantChecker:
         cfg = self.config
         bad: list[Violation] = []
         if op == "contract":
-            bad.extend(check_blossom(self.forest, touched[0].working))
+            structure = touched[0]
+            bad.extend(check_blossom(self.forest, structure.working.blossom,
+                                     structure.alpha))
         for structure in touched:
             bad.extend(check_structure(self.forest, structure, cfg.limit,
                                        cfg.l_max, cfg.delta))

@@ -246,8 +246,9 @@ class Forest:
     reached, plus every contracted composite.  A vertex gets its own node
     when it joins a structure, as a free root or in a matched pair by an
     overtake; ``root_of[v]`` is None until then and kept eagerly up to
-    date after, so resolution is a single array read.  A vertex whose node has no ``structure`` was removed with its
-    structure for the rest of the phase.
+    date after, so resolution is a single array read.  A vertex whose node
+    has no ``structure`` was removed with its structure for the rest of the
+    phase.
 
     ``labels[v]`` is the label of the matched arc with tail ``v``, the arc
     (v, mate(v)).  Every entry starts at l_max + 1, and only
@@ -352,7 +353,7 @@ class Forest:
         vertex moves only into a node at least twice the size of its old
         one, so it moves O(log n) times in a phase.  When every sub is a
         single vertex that node is the LCA's, the first on the cycle.
-        Nothing refers to the other subs' nodes afterwards.
+        Nothing live refers to the other subs' nodes afterwards.
         """
         root_of = self.root_of
         bu, bv = root_of[u], root_of[v]
@@ -390,6 +391,7 @@ class Forest:
         for sub in subs:
             if sub is node:
                 continue
+            sub.parent = None  # so absorbed nodes form no reference cycle
             for kid in sub.kids:
                 if kid not in on_path:
                     kid.parent = node

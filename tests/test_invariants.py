@@ -216,16 +216,16 @@ def forest_names(forest):
 def test_laminarity_check_on_nested_blossoms():
     forest = nested_blossom_forest(corrupt=lambda blossom: None)
     assert check_forest(forest, CFG.limit, CFG.l_max, CFG.delta) == []
-    root = forest.structures[0].root
     composites = []
-    stack = [root.blossom]
+    stack = [forest.structures[0].root.blossom]
     while stack:
         blossom = stack.pop()
         if blossom.subs is not None:
             composites.append(blossom)
             stack.extend(blossom.subs)
     assert sorted(len(b.vertices) for b in composites) == [3, 7]
-    assert check_blossom(forest, root) == []
+    for blossom in composites:
+        assert check_blossom(forest, blossom, 0) == []
 
 
 def test_out_of_range_label_is_flagged():

@@ -95,6 +95,7 @@ def test_a_record_is_unchanged_when_a_later_contraction_takes_over_its_node():
     assert pentagon.subs[0] is triangle and node.vertices == [0, 2, 1, 4, 3]
     assert (triangle.base, triangle.subs, triangle.cycle, triangle.count,
             triangle.vertices) == fields
+    assert check_blossom(forest, triangle, 0) == []
     assert_clean(forest)
 
 
@@ -474,8 +475,10 @@ def test_contract_shapes(build, subs, cycle, base):
     assert all(forest.root_of[x] is before[x] for x in range(forest.n) if x not in subs)
     assert (node.parent, node.parent_arc) == (parent, parent_arc)
     assert parent is None or parent.kids == [node]
+    # Absorbed nodes keep no parent link, so they form no reference cycle.
+    assert all(before[x].parent is None for x in subs if before[x] is not node)
     assert node.structure.working is node
-    assert check_blossom(forest, node) == []
+    assert check_blossom(forest, blossom, node.structure.alpha) == []
     assert_clean(forest)
 
 
