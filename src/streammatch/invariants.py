@@ -16,9 +16,10 @@ vertex count) never changes once it is built, and its vertices stay the
 prefix of the vertex list of the tree node it was built for, which only
 grows; the mate map changes only between phases.  A later contraction
 that takes over that node gives it a new record and appends to its list,
-which leaves every earlier record as it was.  The family is laminar
-because each blossom is the disjoint union of its subs and the root
-blossoms are pairwise disjoint.
+which leaves every earlier record as it was.  A sub that is a single
+vertex is that vertex's int.  The family is laminar because each blossom
+is the disjoint union of its subs and the root blossoms are pairwise
+disjoint.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .structures import Blossom, Forest, Node, Structure
+from .structures import Blossom, Forest, Node, Structure, base_of
 
 # Short-path coverage enumerates every short augmenting path at each bundle
 # boundary, so it is checked only on graphs with at most this many vertices.
@@ -63,19 +64,19 @@ def check_blossom(forest: Forest, blossom: Blossom,
         bad.append(Violation(name, alpha, detail))
 
     subs, cycle = blossom.subs, blossom.cycle
-    assert subs is not None and cycle is not None
     members = set(blossom.vertices)
-    sub_of = {x: i for i, sub in enumerate(subs) for x in sub.vertices}
-    if (len(sub_of) != sum(len(sub.vertices) for sub in subs)
-            or len(members) != len(blossom.vertices) or members != sub_of.keys()):
+    parts = [[sub] if type(sub) is int else sub.vertices for sub in subs]
+    sub_of = {x: i for i, part in enumerate(parts) for x in part}
+    if (len(sub_of) != sum(map(len, parts))
+            or len(members) != blossom.count or members != sub_of.keys()):
         flag("laminarity", f"{blossom!r} is not the disjoint union of its subs")
     if len(subs) < 3 or len(subs) % 2 == 0:
         flag("blossom-shape", f"{blossom!r} has {len(subs)} subs")
-    if len(blossom.vertices) % 2 == 0:
+    if blossom.count % 2 == 0:
         flag("blossom-shape", f"{blossom!r} has even vertex count")
     if len(cycle) != len(subs):
         flag("blossom-shape", f"{blossom!r} cycle/subs length mismatch")
-    if blossom.base != subs[0].base:
+    if blossom.base != base_of(subs[0]):
         flag("blossom-shape", f"{blossom!r} base not the stem sub's base")
     mate = forest.mate
     for i, (x, y) in enumerate(cycle):
@@ -96,8 +97,10 @@ def check_structure(forest: Forest, structure: Structure, limit: int,
                     l_max: int, delta: int,
                     node_of: Optional[list[Optional[Node]]] = None) -> list[Violation]:
     """Structure-local checks: tree shape, arc realization, label order
-    and size bounds, in one walk of the tree.  At a bundle boundary the walk
-    also enters each node in ``node_of``, the caller's per-vertex table,
+    and size bounds, in one walk of the tree, which reads at most n + 1
+    kids of a node and stops below a node whose vertices it met already,
+    so no corrupt link loops it.  At a bundle boundary the walk also
+    enters each node in ``node_of``, the caller's per-vertex table,
     flagging a vertex that a node of this tree or another already holds."""
     bad: list[Violation] = []
     alpha = structure.alpha
@@ -107,10 +110,8 @@ def check_structure(forest: Forest, structure: Structure, limit: int,
     def flag(name: str, detail: str) -> None:
         bad.append(Violation(name, alpha, detail))
 
-    if root.parent is not None or not root.outer or root.base != alpha:
+    if root.parent is not None or root.base != alpha:  # the walk checks the rest
         flag("tree-representation", f"bad root {root!r}")
-    if root.structure is not structure:
-        flag("tree-representation", "root not owned by its structure")
 
     seen_vertices: set[int] = set()
     arc_count = -1  # each node's cycle arcs, and its parent arc if not the root
@@ -118,52 +119,50 @@ def check_structure(forest: Forest, structure: Structure, limit: int,
     stack: list[tuple[Node, int, int]] = [(root, 0, 0)]
     while stack:
         node, depth, above = stack.pop()
-        if node.structure is not structure:
-            flag("tree-representation", f"node {node!r} not owned")
-        if node.outer != (depth % 2 == 0):
-            flag("tree-representation", f"parity mismatch at {node!r} depth {depth}")
         blossom = node.blossom
-        if not node.outer:
-            if blossom is not None:
-                flag("tree-representation", f"inner node {node!r} is composite")
-            if len(node.kids) != 1:
-                flag("tree-representation", f"inner node {node!r} has {len(node.kids)} children")
-        vertices = node.vertices
+        vertices = (node.base,) if blossom is None else blossom.vertices
         overlap = seen_vertices.intersection(vertices)
         if overlap:
             flag("tree-representation", f"vertex reuse {sorted(overlap)} at {node!r}")
+            continue
         seen_vertices.update(vertices)
         if node_of is not None:
             for v in vertices:
                 if node_of[v] is not None:
                     flag("disjointness", f"vertex {v} also in {node_of[v]!r}")
                 node_of[v] = node
+        if node.structure is not structure:
+            flag("tree-representation", f"node {node!r} not owned")
+        if node.outer != (depth % 2 == 0):
+            flag("tree-representation", f"parity mismatch at {node!r} depth {depth}")
         arc_count += 1 if blossom is None else 1 + blossom.arcs
-        if node.parent is not None:
-            arc = node.parent_arc
-            if arc is None:
-                flag("unique-arc", f"missing realizing arc at {node!r}")
-            else:
-                x, y = arc
-                if forest.root_of[x] is not node.parent or forest.root_of[y] is not node:
-                    flag("unique-arc", f"arc {arc} does not realize edge to {node!r}")
-                matched = mate[x] == y
-                if matched != node.outer:
-                    flag("tree-representation",
-                         f"arc {arc} matched={matched} entering outer={node.outer}")
-                if node.outer:
-                    if y != node.base:
-                        flag("tree-representation",
-                             f"matched arc {arc} enters {node!r} away from its base")
-                    label = forest.labels[x]
-                    if label <= above:
-                        flag("increasing-labeling",
-                             f"label {label} under label {above} at {node!r}")
-                    above = label
-        for kid in node.kids:
+        x, y = node.parent_tail, node.base
+        if node.parent is not None and x is None:
+            flag("unique-arc", f"missing realizing arc at {node!r}")
+        elif node.parent is not None:
+            if forest.root_of[x] is not node.parent or forest.root_of[y] is not node:
+                flag("unique-arc", f"arc {(x, y)} does not realize edge to {node!r}")
+            matched = mate[x] == y
+            if matched != node.outer:
+                flag("tree-representation",
+                     f"arc {(x, y)} matched={matched} entering outer={node.outer}")
+            if node.outer:
+                label = forest.labels[x]
+                if label <= above:
+                    flag("increasing-labeling", f"label {label} under label {above} at {node!r}")
+                above = label
+        kids, kid = 0, node.kid
+        while kid is not None and kids <= forest.n:  # a longer chain repeats a kid
+            kids += 1
             if kid.parent is not node:
                 flag("tree-representation", f"parent link broken at {kid!r}")
             stack.append((kid, depth + 1, above))
+            kid = kid.sibling
+        if not node.outer:
+            if blossom is not None:
+                flag("tree-representation", f"inner node {node!r} is composite")
+            if kids != 1:
+                flag("tree-representation", f"inner node {node!r} has {kids} children")
 
     size = structure.size
     if size != len(seen_vertices):

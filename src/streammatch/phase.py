@@ -133,15 +133,16 @@ of performing them and ends the phase early with identical results.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Callable, Optional
 
 from .invariants import InvariantChecker
 from .matching import Matching
 from .stream import EdgeStream, StreamRead
-from .structures import Forest, Node, Structure
+from .structures import Forest, Node, Structure, base_of
 
 READS_PER_BUNDLE = 3
 
@@ -314,7 +315,7 @@ class PhaseEngine:
         lists, inner = [], []
         count = 0
         for sub in blossom.subs:
-            base = sub.base
+            base = base_of(sub)
             own = arcs_at[base]
             if own is None:
                 own = read.tail_positions(base)
@@ -342,16 +343,15 @@ class PhaseEngine:
         dead, dead_at = self.dead, self.dead_at
         read = self.stream.read()
         arcs = read.arcs
-        picked = array("q")
-        waiting = 0  # picked structures with arcs that have not acted yet
+        picked = []
         for s in self.live:
             if not s.on_hold:
                 own = self._arcs_at(read, s.working)
                 if own:
-                    waiting += 1
-                    picked.extend(own)
-        # A single node's list is in stream order already.
-        for p in picked if waiting == 1 else sorted(picked):
+                    picked.append(own)
+        # One list is in stream order already, and no extension read changes it.
+        waiting = len(picked)  # picked structures that have not acted yet
+        for p in picked[0] if waiting == 1 else sorted(chain.from_iterable(picked)):
             if dead[p]:
                 continue
             u, v = arcs[p]
@@ -373,7 +373,7 @@ class PhaseEngine:
             else:
                 # bv is unvisited or inner, so v is matched and the matched
                 # arc with tail v is the one to (possibly) overtake.
-                distance = 0 if bu.parent is None else labels[bu.parent_arc[0]]
+                distance = 0 if bu.parent is None else labels[bu.parent_tail]
                 if distance + 1 >= labels[v]:
                     continue
                 forest.overtake(u, v, distance + 1)
@@ -438,8 +438,7 @@ class PhaseEngine:
         # The positions of the arcs at the working node not yet tried.
         pending = self._arcs_at(read, working)
         while pending:
-            untried = iter(pending)
-            pending = []
+            untried, pending = pending, None
             for p in untried:
                 if dead[p]:
                     continue
@@ -454,8 +453,8 @@ class PhaseEngine:
                     continue
                 if bv.structure is not structure or not bv.outer:
                     continue
-                inner = self._contract(read, u, v)
-                pending = _spliced([array("q", untried), *inner])
+                rest = untried[bisect_right(untried, p):]
+                pending = _spliced([rest, *self._contract(read, u, v)])
                 working = structure.working
                 break
 

@@ -102,13 +102,13 @@ class EdgeStream:
         """Open one full pass that visits only the arcs its reader picks;
         the pass counts when the read closes (see :class:`StreamRead`)."""
         if self._offsets is None:
-            arcs = self._arcs
+            tails = [u for u, _ in self._arcs]
             counts = [0] * (self.vertex_count + 1)
-            for u, _ in arcs:
+            for u in tails:
                 counts[u + 1] += 1
             self._offsets = array("q", accumulate(counts))
             # A stable sort by tail keeps each tail's positions in stream order.
-            self._positions = array("q", sorted(range(len(arcs)), key=lambda p: arcs[p][0]))
+            self._positions = array("q", sorted(range(len(tails)), key=tails.__getitem__))
         self._opening = True
         try:
             counted = self.iter_arcs_once()

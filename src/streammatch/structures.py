@@ -2,11 +2,12 @@
 
 Each free vertex owns a structure: a subgraph whose contraction by its
 blossom family is an alternating tree rooted at the free vertex.  A
-:class:`Node` of the tree is a root blossom, and a :class:`Blossom` is the
-fixed record of one blossom.  Inner nodes (odd depth) are single vertices,
-outer nodes (even depth) may be contracted blossoms.  Every non-root node
-records the unique arc realizing the tree edge to its parent, so
-contracted paths can be lifted back to the graph, from records alone.
+:class:`Node` of the tree is a root blossom, a :class:`Blossom` the fixed
+record of a contracted one, and a single vertex its own int.  Inner nodes
+(odd depth) are single vertices, outer nodes (even depth) may be
+contracted blossoms.  Every non-root node records the tail of the unique
+arc realizing the tree edge to its parent (its head is the node's base),
+so contracted paths can be lifted back to the graph, from records alone.
 
 The three mutating operations mirror the search steps:
 
@@ -22,51 +23,43 @@ The three mutating operations mirror the search steps:
   path, which is lifted to the graph and banked, and both structures are
   removed for the rest of the phase.
 
-The operations share three tree walks: ``ancestors`` (a node's parent
-chain), ``subtree`` (a node and everything below it), and ``closed_walk``
-(down from one ancestor to a node, across an arc, and up from the other
-end to another ancestor).  ``contract`` reads its cycle off the closed walk
-whose two tops are the LCA, and ``record_augmentation`` its path off the
-closed walk whose tops are the two roots.
+The operations share two tree walks: ``subtree`` (a node and everything
+below it) and ``root_path`` (the nodes from the root down to a node).
+``contract`` takes its cycle from the root paths of its arc's ends, and
+``record_augmentation`` its path.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, Optional, Union
 
 Arc = tuple[int, int]
-Piece = tuple["Blossom", int, bool]  # (blossom, target, backward); see _pieces
+Sub = Union[int, "Blossom"]  # a single vertex, or a composite's record
+Piece = tuple[Sub, int, bool]  # (blossom, target, backward); see _pieces
 
 
 class Blossom:
-    """The fixed record of a blossom: the single vertex ``base`` (trivial,
-    ``subs`` is None) or a contracted odd cycle of blossoms.
+    """The fixed record of a contracted odd cycle of blossoms.
 
-    A composite's ``subs`` is the odd-length list of its sub-blossoms'
-    records and ``cycle`` the connecting arcs, where ``cycle[i]`` runs from
-    ``subs[i]`` to ``subs[(i+1) % len]`` and the odd-indexed arcs are
-    matched.  ``base`` is the unique vertex left unmatched by the
-    blossom's own edge set.  ``arcs`` counts the cycle arcs of the blossom
-    and of every blossom nested in it.  Its ``vertices`` are the first
-    ``count`` entries of ``members``, for a composite its tree node's
-    vertex list, which only grows.  A record never changes once built.
+    ``subs`` is the odd-length list of its sub-blossoms, each an int for a
+    single vertex or a record, and ``cycle`` the connecting arcs, where
+    ``cycle[i]`` runs from ``subs[i]`` to ``subs[(i+1) % len]`` and the
+    odd-indexed arcs are matched.  ``base`` is the unique vertex left
+    unmatched by the blossom's own edge set.  ``arcs`` counts the cycle
+    arcs of the blossom and of every blossom nested in it.  Its
+    ``vertices`` are the first ``count`` entries of ``members``, its tree
+    node's vertex list, which only grows.  It never changes once built.
     """
 
     __slots__ = ("base", "subs", "cycle", "arcs", "count", "members")
 
-    def __init__(self, base: int, subs: Optional[list["Blossom"]] = None,
-                 cycle: Optional[list[Arc]] = None,
-                 members: Optional[list[int]] = None):
+    def __init__(self, base: int, subs: list[Sub], cycle: list[Arc], members: list[int]):
         self.base = base
         self.subs = subs
         self.cycle = cycle
-        self.members = [base] if members is None else members
-        self.count = len(self.members)
-        if subs is None:
-            self.arcs = 0
-        else:
-            assert cycle is not None
-            self.arcs = len(cycle) + sum(sub.arcs for sub in subs)
+        self.members = members
+        self.count = len(members)
+        self.arcs = len(cycle) + sum(sub.arcs for sub in subs if type(sub) is not int)
 
     @property
     def vertices(self) -> list[int]:
@@ -82,36 +75,48 @@ class Blossom:
             return False
 
     def __repr__(self) -> str:
-        if self.subs is None:
-            return f"B({self.base})"
         return f"B{sorted(self.vertices)}"
 
 
-class Node:
-    """A tree node: a root blossom, with its composite record ``blossom``
-    (None while the node is the single vertex ``base``) and exactly its
-    ``vertices``.  ``parent_arc`` realizes the tree edge to ``parent``,
-    ``outer`` marks even depth, and ``structure`` is None once the node's
-    structure is removed.  A contraction takes over its largest sub's node,
-    which gets the new record and base and appends the other subs'
-    vertices, so each earlier record's vertices stay a prefix.
-    """
+def base_of(sub: Sub) -> int:
+    """The base of a sub-blossom: a single vertex is its own."""
+    return sub if type(sub) is int else sub.base
 
-    __slots__ = ("base", "blossom", "vertices", "structure", "parent",
-                 "parent_arc", "kids", "outer")
+
+class Node:
+    """A tree node: a root blossom, with its record ``blossom`` (None while
+    the node is the single vertex ``base``).  The arc (``parent_tail``,
+    ``base``) realizes the tree edge to ``parent``; ``kid`` is the first
+    kid, ``sibling`` the parent's next one, ``outer`` marks even depth, and
+    ``structure`` is None once the node's structure is removed.  A
+    contraction takes over its largest sub's node: it gets the new record
+    and base and appends the other subs' vertices to its list."""
+
+    __slots__ = ("base", "blossom", "structure", "parent", "parent_tail",
+                 "kid", "sibling", "outer")
 
     def __init__(self, base: int):
         self.base = base
         self.blossom: Optional[Blossom] = None
-        self.vertices = [base]
         self.structure: Optional[Structure] = None
         self.parent: Optional[Node] = None
-        self.parent_arc: Optional[Arc] = None
-        self.kids: list[Node] = []
+        self.parent_tail: Optional[int] = None
+        self.kid: Optional[Node] = None
+        self.sibling: Optional[Node] = None
         self.outer = False
+
+    @property
+    def vertices(self) -> list[int]:
+        """The node's vertices: its record's ``members`` if it has one."""
+        return [self.base] if self.blossom is None else self.blossom.members
 
     def __repr__(self) -> str:
         return f"B({self.base})" if self.blossom is None else repr(self.blossom)
+
+
+def _size(node: Node) -> int:
+    """How many vertices ``node`` holds."""
+    return 1 if node.blossom is None else node.blossom.count
 
 
 class Structure:
@@ -126,17 +131,10 @@ class Structure:
         self.working: Optional[Node] = root
         self.on_hold = False
         self.modified = False
-        self.size = len(root.vertices)
+        self.size = _size(root)
 
     def __repr__(self) -> str:
         return f"S({self.alpha})"
-
-
-def ancestors(node: Optional[Node]) -> Iterator[Node]:
-    """``node``, its parent, its grandparent, ... up to its tree's root."""
-    while node is not None:
-        yield node
-        node = node.parent
 
 
 def subtree(node: Node) -> Iterator[Node]:
@@ -145,35 +143,30 @@ def subtree(node: Node) -> Iterator[Node]:
     while stack:
         node = stack.pop()
         yield node
-        stack.extend(node.kids)
+        kid = node.kid
+        while kid is not None:
+            stack.append(kid)
+            kid = kid.sibling
 
 
-def closed_walk(a: Node, b: Node, arc: Arc, top_a: Node,
-                top_b: Node) -> tuple[list[Node], list[Arc]]:
-    """The walk from ``top_a`` down to ``a``, across ``arc`` (tail in ``a``,
-    head in ``b``), then up from ``b`` to ``top_b``.  ``top_a`` is ``a`` or
-    one of its ancestors, and ``top_b`` likewise for ``b``.
-
-    Returns the walk's nodes and its arcs, where ``arcs[i]`` runs from
-    ``nodes[i]`` to ``nodes[i + 1]``: tree arcs are read parent to child on
-    the way down and child to parent on the way up.
-    """
-    down = _climb(a, top_a)[::-1]
-    up = _climb(b, top_b)
-    arcs: list[Arc] = [node.parent_arc for node in down[1:]]  # type: ignore[misc]
-    arcs.append(arc)
-    arcs.extend((y, x) for x, y in (node.parent_arc for node in up[:-1]))  # type: ignore[misc]
-    return down + up, arcs
+def _unlink(parent: Node, kid: Node) -> None:
+    """Take ``kid`` out of ``parent``'s kid links."""
+    if parent.kid is kid:
+        parent.kid = kid.sibling
+        return
+    prev = parent.kid
+    while prev.sibling is not kid:
+        prev = prev.sibling
+    prev.sibling = kid.sibling
 
 
-def _climb(node: Node, top: Node) -> list[Node]:
-    """Tree nodes from ``node`` up to ``top``, both included."""
-    out = []
-    for cur in ancestors(node):
-        out.append(cur)
-        if cur is top:
-            return out
-    raise ValueError(f"{top!r} is not above {node!r}")
+def root_path(node: Node) -> list[Node]:
+    """The tree nodes from the root down to ``node``."""
+    nodes = [node]
+    while node.parent is not None:
+        node = node.parent
+        nodes.append(node)
+    return nodes[::-1]
 
 
 def lift_contracted_path(nodes: list[Node], arcs: list[Arc]) -> list[int]:
@@ -183,11 +176,11 @@ def lift_contracted_path(nodes: list[Node], arcs: list[Arc]) -> list[int]:
     odd positions are matched, as on a tree path read from its root or on
     an augmenting path between two roots.
     """
-    blossoms = [node.blossom or Blossom(node.base) for node in nodes]
-    return _expand(_pieces(blossoms, arcs, nodes[-1].base))
+    subs = [node.base if node.blossom is None else node.blossom for node in nodes]
+    return _expand(_pieces(subs, arcs, nodes[-1].base))
 
 
-def _pieces(blossoms: list[Blossom], arcs: list[Arc], end: int) -> list[Piece]:
+def _pieces(blossoms: list[Sub], arcs: list[Arc], end: int) -> list[Piece]:
     """The walk through ``blossoms`` along ``arcs``, whose odd positions
     are matched, as pieces ``(blossom, target, backward)``: the even path
     of ``blossom`` from its base to ``target``, read backward if
@@ -199,10 +192,10 @@ def _pieces(blossoms: list[Blossom], arcs: list[Arc], end: int) -> list[Piece]:
     pieces = []
     for i, blossom in enumerate(blossoms):
         if i % 2:
-            assert i == last or arcs[i][0] == blossom.base
+            assert i == last or arcs[i][0] == base_of(blossom)
             pieces.append((blossom, arcs[i - 1][1], True))
         else:
-            assert i == 0 or arcs[i - 1][1] == blossom.base
+            assert i == 0 or arcs[i - 1][1] == base_of(blossom)
             pieces.append((blossom, arcs[i][0] if i < last else end, False))
     return pieces
 
@@ -217,13 +210,14 @@ def _expand(pieces: list[Piece]) -> list[int]:
     stack = pieces[::-1]
     while stack:
         blossom, target, backward = stack.pop()
-        subs, cycle = blossom.subs, blossom.cycle
-        if subs is None or cycle is None:
-            if target != blossom.base:
-                raise ValueError(f"vertex {target} not in {blossom!r}")
+        if type(blossom) is int:
+            if target != blossom:
+                raise ValueError(f"vertex {target} not in B({blossom})")
             out.append(target)
             continue
-        j = next((i for i, sub in enumerate(subs) if sub.holds(target)), None)
+        subs, cycle = blossom.subs, blossom.cycle
+        j = next((i for i, sub in enumerate(subs)
+                  if (sub == target if type(sub) is int else sub.holds(target))), None)
         if j is None:
             raise ValueError(f"vertex {target} not in {blossom!r}")
         if j % 2 == 0:
@@ -348,8 +342,8 @@ class Forest:
         are relabelled.
 
         The node of the largest sub becomes the new blossom's node: it
-        keeps its vertices, their ``root_of`` entries and its kids, and
-        only the other subs' vertices and off-cycle kids move to it.  A
+        keeps its vertices, their ``root_of`` entries and its off-cycle
+        kids, and only the other subs' vertices and such kids move to it.  A
         vertex moves only into a node at least twice the size of its old
         one, so it moves O(log n) times in a phase.  When every sub is a
         single vertex that node is the LCA's, the first on the cycle.
@@ -363,44 +357,50 @@ class Forest:
         assert structure.working is bu
         assert self.mate[u] != v
 
-        # The LCA is the first node above bv that is also above bu.  Matched
-        # tree arcs' labels rise strictly within 1..l_max down a root path,
-        # so a tree is at most 2 l_max deep and both walks are short.
-        above = set(ancestors(bu))
-        lca = next(node for node in ancestors(bv) if node in above)
+        # The LCA is the last node the root paths of bv and bu share.
+        # Matched tree arcs' labels rise strictly within 1..l_max down a
+        # root path, so a tree is at most 2 l_max deep and both are short.
+        down, up = root_path(bv), root_path(bu)
+        k = 0
+        while k + 1 < min(len(down), len(up)) and down[k + 1] is up[k + 1]:
+            k += 1
+        lca = down[k]
         # The cycle runs from the LCA down to bv, across (v, u) and back up
-        # from bu; the walk ends at the LCA it started from, so drop that.
-        nodes, cycle = closed_walk(bv, bu, (v, u), lca, lca)
-        subs = nodes[:-1]
-        records = [sub.blossom or Blossom(sub.base) for sub in subs]
-        node = max(subs, key=lambda sub: len(sub.vertices))
-        # Its kids on the cycle are its neighbours there, absorbed too.
-        i = subs.index(node)
-        for kid in (subs[i - 1], subs[i + 1 - len(subs)]):
-            if kid.parent is node:
-                node.kids.remove(kid)
-        if node is not lca:
-            node.parent, node.parent_arc = lca.parent, lca.parent_arc
-            if node.parent is not None:
-                node.parent.kids.remove(lca)
-                node.parent.kids.append(node)
-            else:
-                structure.root = node
+        # from bu to the LCA.
+        subs = down[k:] + up[:k:-1]
+        cycle = [(sub.parent_tail, sub.base) for sub in down[k + 1:]] + [(v, u)]
+        cycle += [(sub.base, sub.parent_tail) for sub in up[:k:-1]]
+        records = [sub.base if sub.blossom is None else sub.blossom for sub in subs]
+        node = max(subs, key=_size)
+        parent, tail = lca.parent, lca.parent_tail
         on_path = set(subs)
         vertices = node.vertices
+        kids = None  # every sub's kids off the cycle, the node's own included
         for sub in subs:
+            kid = sub.kid
+            while kid is not None:
+                after = kid.sibling
+                if kid not in on_path:
+                    kid.parent, kid.sibling, kids = node, kids, kid
+                kid = after
             if sub is node:
                 continue
             sub.parent = None  # so absorbed nodes form no reference cycle
-            for kid in sub.kids:
-                if kid not in on_path:
-                    kid.parent = node
-                    node.kids.append(kid)
+            moved = sub.vertices
             if not sub.outer:
-                self.dirty.extend(sub.vertices)
-            for x in sub.vertices:
+                self.dirty.extend(moved)
+            for x in moved:
                 root_of[x] = node
-            vertices.extend(sub.vertices)
+            vertices.extend(moved)
+        node.kid = kids
+        if node is not lca:
+            node.parent, node.parent_tail = parent, tail
+            if parent is not None:
+                _unlink(parent, lca)
+                node.sibling, parent.kid = parent.kid, node
+            else:
+                node.sibling = None
+                structure.root = node
         blossom = node.blossom = Blossom(lca.base, records, cycle, vertices)
         node.base = lca.base
         for x, y in cycle[1::2]:
@@ -430,30 +430,31 @@ class Forest:
         assert t is not None and self.mate[u] != v
         assert 0 < k < self.labels[v]
 
-        # Each case only decides which nodes change structure and where the
-        # working node goes; ``owner`` is the structure bv leaves, if any.
+        # Each case moves the nodes that change structure, counts their
+        # vertices and picks the working node; ``owner`` is the one bv leaves.
         if bv is None:
             # Case 1: the unvisited pair v = t joins as an inner node and
             # its outer kid, each getting its own node.
             assert self.root_of[t] is None
             bv = self.root_of[v] = Node(v)
             bt = self.root_of[t] = Node(t)
-            bv.kids = [bt]
-            bt.parent, bt.parent_arc = bv, (v, t)
+            bv.kid = bt
+            bt.parent, bt.parent_tail = bv, v
             bt.outer = True
+            bv.structure = bt.structure = structure
             self.dirty.append(t)
-            owner, case, moved, working = None, "1", [bv, bt], bt
+            owner, case, moved_size, working = None, "1", 2, bt
         else:
             owner = bv.structure
             assert owner is not None and bv is not bu
-            assert not bv.outer and bv.blossom is None and len(bv.kids) == 1
+            assert not bv.outer and bv.blossom is None and bv.kid.sibling is None
             old_parent = bv.parent
             assert old_parent is not None
-            working = bv.kids[0]
+            working = bv.kid
             if owner is structure:
                 # Case 2.1: the subtree moves within its own tree.
-                assert bv not in ancestors(bu)
-                case, moved = "2.1", []
+                assert bv not in root_path(bu)
+                case, moved_size = "2.1", 0
             else:
                 # Case 2.2: the subtree is stolen, and with it the owner's
                 # working node if that lies inside; the owner then resumes
@@ -461,15 +462,14 @@ class Forest:
                 case, moved = "2.2", list(subtree(bv))
                 if owner.working in moved:
                     working, owner.working = owner.working, old_parent
-            old_parent.kids.remove(bv)
+                for node in moved:
+                    node.structure = structure
+                moved_size = sum(map(_size, moved))
+            _unlink(old_parent, bv)
             owner.modified = True
 
-        bv.parent, bv.parent_arc = bu, (u, v)
-        bu.kids.append(bv)
-        moved_size = 0
-        for node in moved:
-            node.structure = structure
-            moved_size += len(node.vertices)
+        bv.parent, bv.parent_tail = bu, u
+        bv.sibling, bu.kid = bu.kid, bv
         structure.size += moved_size
         if owner is not None:
             owner.size -= moved_size
@@ -491,8 +491,10 @@ class Forest:
         assert side_u is not None and side_v is not None and side_u is not side_v
         assert bu.outer and bv.outer and self.mate[u] != v
 
-        nodes, arcs = closed_walk(bu, bv, (u, v), side_u.root, side_v.root)
-        path = lift_contracted_path(nodes, arcs)
+        down, up = root_path(bu), root_path(bv)[::-1]
+        arcs = [(node.parent_tail, node.base) for node in down[1:]] + [(u, v)]
+        arcs += [(node.base, node.parent_tail) for node in up[:-1]]
+        path = lift_contracted_path(down + up, arcs)
         assert path[0] == side_u.alpha and path[-1] == side_v.alpha
         self.paths.append(path)
         self.record("augment", side_u, [u, v])

@@ -96,7 +96,7 @@ class FullScanEngine(PhaseEngine):
                     else:
                         forest.record_augmentation(u, v)
                     continue
-            distance = 0 if bu.parent is None else labels[bu.parent_arc[0]]
+            distance = 0 if bu.parent is None else labels[bu.parent_tail]
             if distance + 1 < labels[v]:
                 forest.overtake(u, v, distance + 1)
 

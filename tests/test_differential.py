@@ -31,7 +31,7 @@ from streammatch import bench, driver
 from streammatch.phase import PhaseEngine
 from streammatch.stream import (EdgeStream, bipartite_edges, build_edges, gnm_edges,
                                 open_stream, parse_graph_spec)
-from streammatch.structures import subtree
+from streammatch.structures import base_of, subtree
 
 
 def outer_subs_checked(counts):
@@ -58,17 +58,18 @@ def outer_subs_checked(counts):
 
             def checked_contract(u, v):
                 # ``contract`` returns the blossom's record, and its subs
-                # are records too, known by base as the tree nodes they were.
+                # are records or single vertices, known by base as the tree
+                # nodes they were.
                 working = structure.working.base
                 outer = {node.base for node in subtree(structure.root) if node.outer}
                 blossom = contract(u, v)
                 node = forest.root_of[u]
                 assert node.blossom is blossom and structure.working is node
                 for sub in blossom.subs:
-                    if sub.base == working or sub.base not in outer:
+                    if base_of(sub) == working or base_of(sub) not in outer:
                         continue
                     counts["outer subs"] += 1
-                    for x in sub.vertices:
+                    for x in [sub] if isinstance(sub, int) else sub.vertices:
                         for y in adjacent[x]:
                             by = forest.root_of[y]
                             assert (by is None or by is node or by.structure is not structure

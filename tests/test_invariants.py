@@ -15,7 +15,7 @@ from streammatch.invariants import (InvariantChecker, InvariantViolationError,
 from streammatch.matching import Matching, greedy_maximal_matching
 from streammatch.phase import PhaseConfig, PhaseEngine
 from streammatch.stream import EdgeStream, GraphSpec, open_stream
-from streammatch.structures import Forest
+from streammatch.structures import Blossom, Forest
 
 HALF = Fraction(1, 2)
 CFG = PhaseConfig.from_scale(HALF, HALF)
@@ -139,7 +139,7 @@ def test_broken_tree_parity_is_flagged():
 def test_disjointness_violation_is_flagged():
     engine = mid_run_engine()
     forest = engine.forest
-    forest.structures[3].root.kids.append(forest.root_of[1])  # {1} already in S_0
+    forest.structures[3].root.kid = forest.root_of[1]  # {1} already in S_0
     names = {v.name for v in check_forest(forest, CFG.limit, CFG.l_max, CFG.delta)}
     assert "disjointness" in names
 
@@ -148,7 +148,7 @@ def test_node_shared_by_two_trees_is_flagged_whichever_structure_it_claims():
     engine = mid_run_engine()
     forest = engine.forest
     shared = forest.root_of[1]            # inner node of S_0
-    forest.structures[3].root.kids.append(shared)
+    forest.structures[3].root.kid = shared
     shared.structure = forest.structures[3]
     names = {v.name for v in check_forest(forest, CFG.limit, CFG.l_max, CFG.delta)}
     assert "disjointness" in names
@@ -220,7 +220,7 @@ def test_laminarity_check_on_nested_blossoms():
     stack = [forest.structures[0].root.blossom]
     while stack:
         blossom = stack.pop()
-        if blossom.subs is not None:
+        if isinstance(blossom, Blossom):
             composites.append(blossom)
             stack.extend(blossom.subs)
     assert sorted(len(b.vertices) for b in composites) == [3, 7]
@@ -273,10 +273,40 @@ def test_unvisited_vertex_resolving_to_removed_node_is_flagged():
 def test_missing_realizing_arc_is_flagged():
     engine = mid_run_engine()
     forest = engine.forest
-    forest.root_of[1].parent_arc = None
+    forest.root_of[1].parent_tail = None
     names = {v.name for v in check_structure(forest, forest.structures[0],
                                              CFG.limit, CFG.l_max, CFG.delta)}
     assert names == {"unique-arc"}
+
+
+def test_wrong_parent_tail_is_flagged():
+    engine = mid_run_engine()
+    forest = engine.forest
+    # 3 resolves to the root of S_3, not to {0}, the parent of {1}.
+    forest.root_of[1].parent_tail = 3
+    names = {v.name for v in check_structure(forest, forest.structures[0],
+                                             CFG.limit, CFG.l_max, CFG.delta)}
+    assert names == {"unique-arc"}
+
+
+def test_broken_sibling_link_is_flagged():
+    # The root of S_0 has the two inner kids {1} and {3}.  Dropping the
+    # second from the first's sibling link loses a branch; pointing the
+    # link back at the first loops it, and the walk must still end.
+    for broken in ("dropped", "looped"):
+        matching = matched(5, [(1, 2), (3, 4)])
+        forest = Forest(5, matching.mate, CFG.l_max)
+        structure = forest.init_structure(0)
+        forest.overtake(0, 1, 1)
+        forest.backtrack(structure)
+        forest.overtake(0, 3, 1)
+        assert check_structure(forest, structure, CFG.limit, CFG.l_max, CFG.delta) == []
+        first = structure.root.kid
+        assert first.sibling is not None
+        first.sibling = None if broken == "dropped" else first
+        names = {v.name for v in check_structure(forest, structure,
+                                                 CFG.limit, CFG.l_max, CFG.delta)}
+        assert names == {"tree-representation"}, broken
 
 
 def test_space_arcs_violation_is_flagged():
@@ -302,11 +332,9 @@ def test_blossom_that_is_not_the_union_of_its_subs_is_flagged():
 
 def test_blossom_with_overlapping_subs_is_flagged():
     def share_a_vertex(blossom):
-        # A blossom's vertices are the first ``count`` of its members, so
-        # the shared vertex counts only once the count grows with it.
-        sub = blossom.subs[1]
-        sub.members.append(blossom.subs[2].vertices[0])
-        sub.count += 1
+        # The triangle's subs are single vertices: listing one of them
+        # twice shares its vertex between two subs.
+        blossom.subs[1] = blossom.subs[2]
 
     assert "laminarity" in names_raised_after_contract(share_a_vertex)
 

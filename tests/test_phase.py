@@ -176,8 +176,8 @@ def test_distance_values():
     assert forest.root_of[0].parent is None
     forest.overtake(0, 1, 1)
     working = forest.structures[0].working
-    assert working.parent_arc == (1, 2)
-    assert forest.labels[working.parent_arc[0]] == 1
+    assert (working.parent_tail, working.base) == (1, 2)
+    assert forest.labels[working.parent_tail] == 1
 
 
 def test_phase_builds_no_blossom_for_unreached_vertices():
@@ -198,7 +198,7 @@ def test_distance_zero_at_contracted_root():
     forest.overtake(0, 1, 1)
     blossom = forest.contract(2, 0)
     node = forest.root_of[0]
-    assert node.blossom is blossom and node.parent is None and node.parent_arc is None
+    assert node.blossom is blossom and node.parent is None and node.parent_tail is None
 
 
 def test_overtake_skipped_toward_ancestor():
@@ -211,10 +211,10 @@ def test_overtake_skipped_toward_ancestor():
     forest = engine.forest
     assert members(forest.structures[0]) == {0, 1, 2, 3, 4}
     label_before = forest.labels[1]
-    tree_before = {v: forest.root_of[v].parent_arc for v in range(5)}
+    tree_before = {v: forest.root_of[v].parent_tail for v in range(5)}
     run_bundle(engine, 3)   # (4,1) is read and must not overtake
     assert forest.labels[1] == label_before == 1
-    assert {v: forest.root_of[v].parent_arc for v in range(5)} == tree_before
+    assert {v: forest.root_of[v].parent_tail for v in range(5)} == tree_before
     assert members(forest.structures[0]) == {0, 1, 2, 3, 4}
 
 

@@ -4,8 +4,8 @@ import pytest
 
 from helpers import matched, stored_arcs
 from streammatch.invariants import check_blossom, check_forest
-from streammatch.structures import (Blossom, Forest, _expand, ancestors,
-                                    lift_contracted_path, subtree)
+from streammatch.structures import (Forest, _expand, lift_contracted_path,
+                                    root_path, subtree)
 
 L_MAX = 6  # eps = 1/2
 
@@ -30,6 +30,15 @@ def assert_clean(forest, limit=100, delta=10_000):
 
 def members(structure):
     return {x for node in subtree(structure.root) for x in node.vertices}
+
+
+def kids(node):
+    """``node``'s kids, read along its first-kid and next-sibling links."""
+    out, kid = [], node.kid
+    while kid is not None:
+        out.append(kid)
+        kid = kid.sibling
+    return out
 
 
 def even_path_vertices(blossom, x):
@@ -67,12 +76,11 @@ def test_contract_triangle():
     assert sorted(blossom.vertices) == [0, 1, 2]
     assert blossom.base == 0
     # Every sub is a single vertex, so the LCA's node, first on the cycle,
-    # becomes the blossom's node, and each sub is a trivial record.
+    # becomes the blossom's node, and each sub is its vertex's int.
     node = structure.working
     assert node is lca and node.blossom is blossom and node.base == 0
     assert structure.root is node
-    assert [(sub.base, sub.subs, sub.vertices) for sub in blossom.subs] == \
-        [(0, None, [0]), (2, None, [2]), (1, None, [1])]
+    assert blossom.subs == [0, 2, 1]
     for v in range(3):
         assert forest.root_of[v] is node
     assert forest.labels[1] == forest.labels[2] == 0
@@ -120,10 +128,10 @@ def test_contract_cycle5():
 
 
 def test_even_path_trivial_blossom():
-    blossom = Blossom(0)
-    assert even_path_vertices(blossom, 0) == [0]
+    # A single vertex is its own blossom: an int.
+    assert even_path_vertices(0, 0) == [0]
     with pytest.raises(ValueError):
-        even_path_vertices(blossom, 1)
+        even_path_vertices(0, 1)
 
 
 def test_even_path_triangle():
@@ -349,8 +357,8 @@ def test_overtake_case21_reparents_within_structure():
     case = forest.overtake(2, 7, 2)
     assert case == "2.1"
     assert node7.parent is forest.root_of[2]
-    assert node7.parent_arc == (2, 7)
-    assert node7 not in old_parent.kids
+    assert (node7.parent_tail, node7.base) == (2, 7)
+    assert node7 not in kids(old_parent) and kids(node7.parent) == [node7]
     assert forest.labels[7] == 2
     assert structure.working is forest.root_of[8]
     assert_clean(forest)
@@ -380,7 +388,7 @@ def test_overtake_case22_moves_subtree_with_working_handoff():
     assert s0.working is forest.root_of[3]      # stolen working node
     assert s7.working is forest.root_of[5]      # retreats to the cut parent
     assert forest.root_of[4].parent is forest.root_of[0]
-    assert forest.root_of[4].parent_arc == (0, 4)
+    assert forest.root_of[4].parent_tail == 0
     assert forest.labels[4] == 1
     assert s0.modified and s7.modified
     assert_clean(forest)
@@ -443,7 +451,7 @@ def contract_lca_is_root_at_depths_2_and_12():
     forest.backtrack(structure)   # {2} -> {0}
     for label, x in enumerate(range(3, 15, 2), start=1):
         forest.overtake(x - 1 if x > 3 else 0, x, label)
-    assert len(list(ancestors(forest.root_of[14]))) == 13
+    assert len(root_path(forest.root_of[14])) == 13
     return forest, (14, 2)
 
 
@@ -465,16 +473,16 @@ def test_contract_shapes(build, subs, cycle, base):
     forest, (u, v) = build()
     before = list(forest.root_of)
     lca = before[base]
-    parent, parent_arc = lca.parent, lca.parent_arc
+    parent, tail = lca.parent, lca.parent_tail
     blossom = forest.contract(u, v)
     node = forest.root_of[base]
     assert node is lca and node.blossom is blossom
-    assert [(sub.base, sub.subs) for sub in blossom.subs] == [(x, None) for x in subs]
+    assert blossom.subs == subs
     assert blossom.cycle == cycle and blossom.base == base
     assert [x for x in range(forest.n) if forest.root_of[x] is node] == sorted(subs)
     assert all(forest.root_of[x] is before[x] for x in range(forest.n) if x not in subs)
-    assert (node.parent, node.parent_arc) == (parent, parent_arc)
-    assert parent is None or parent.kids == [node]
+    assert (node.parent, node.parent_tail) == (parent, tail)
+    assert parent is None or kids(parent) == [node]
     # Absorbed nodes keep no parent link, so they form no reference cycle.
     assert all(before[x].parent is None for x in subs if before[x] is not node)
     assert node.structure.working is node
@@ -543,9 +551,8 @@ def test_is_ancestor_along_branch():
     forest.overtake(2, 3, 2)
     root = forest.root_of[0]
     tip = forest.root_of[4]
-    assert list(ancestors(tip)) == [forest.root_of[x] for x in (4, 3, 2, 1, 0)]
-    assert root in ancestors(tip)
-    assert tip not in ancestors(root)
+    assert root_path(tip) == [forest.root_of[x] for x in (0, 1, 2, 3, 4)]
+    assert root in root_path(tip) and tip not in root_path(root)
 
 
 def test_backtrack_steps_and_deactivates():
