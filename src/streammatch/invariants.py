@@ -6,10 +6,26 @@ offending structure, and a witness, so a red run names its defect.
 
 Checks run at three moments: :func:`check_blossom` once per blossom, at
 its contraction; :func:`check_structure` after every operation, on the
-structures it changed; and at every pass-bundle boundary three O(n + m)
-passes: one walk of each tree by :func:`check_structure`, which tables
-each vertex's node for :func:`check_forest`'s one pass over the vertices,
-and :func:`check_outer_independence`'s one pass over the edges.
+structures it changed; and :func:`check_forest` at every pass-bundle
+boundary, in Python time proportional to the live forest, plus C-level
+scans of the per-vertex lists:
+
+* one walk of each tree, which also checks that each tree vertex
+  resolves to its node and that a composite node's internal matched arcs
+  carry label 0, and tables each tree vertex's node;
+* the set of the labels (a Python scan only when a value is out of
+  range) and the phase's unmatched tails, which keep the fresh label;
+* the reached vertices in no tree, which must be removed, each removed
+  node resolved to by exactly its own vertices.  ``root_of.count(None)``
+  tells whether there are any, and ``itertools.compress`` over
+  ``root_of`` lists them then;
+* the edges at live outer vertices, from the checker's own adjacency
+  that stores each edge once, under its smaller end: an edge joining two
+  outer nodes is found from its smaller end, which is outer.
+
+None of these reads the engine's candidate sets (``Forest.dirty``, the
+arc lists, the retired arcs) or the stream's tail index, so a wrong
+candidate set cannot hide a violation.
 
 Checking a blossom once is complete: its record (subs, cycle, base and
 vertex count) never changes once it is built, and its vertices stay the
@@ -26,6 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Iterable, Optional, Sequence
 
 from .structures import Blossom, Forest, Node, Structure, base_of
@@ -95,16 +112,20 @@ def check_blossom(forest: Forest, blossom: Blossom,
 
 def check_structure(forest: Forest, structure: Structure, limit: int,
                     l_max: int, delta: int,
-                    node_of: Optional[list[Optional[Node]]] = None) -> list[Violation]:
+                    node_of: Optional[dict[int, Node]] = None) -> list[Violation]:
     """Structure-local checks: tree shape, arc realization, label order
     and size bounds, in one walk of the tree, which reads at most n + 1
     kids of a node and stops below a node whose vertices it met already,
     so no corrupt link loops it.  At a bundle boundary the walk also
-    enters each node in ``node_of``, the caller's per-vertex table,
-    flagging a vertex that a node of this tree or another already holds."""
+    enters each node in ``node_of``, the caller's table from tree vertex
+    to node, flagging a vertex that a node of this tree or another
+    already holds, a vertex that does not resolve to its node, and a
+    nonzero label on a matched arc inside a composite node."""
     bad: list[Violation] = []
     alpha = structure.alpha
     mate = forest.mate
+    root_of = forest.root_of
+    labels = forest.labels
     root = structure.root
 
     def flag(name: str, detail: str) -> None:
@@ -128,9 +149,18 @@ def check_structure(forest: Forest, structure: Structure, limit: int,
         seen_vertices.update(vertices)
         if node_of is not None:
             for v in vertices:
-                if node_of[v] is not None:
+                if v in node_of:
                     flag("disjointness", f"vertex {v} also in {node_of[v]!r}")
                 node_of[v] = node
+                if root_of[v] is not node:
+                    flag("resolution",
+                         f"root_of[{v}] is {root_of[v]!r}, not its tree node {node!r}")
+            if blossom is not None:
+                for v in vertices:
+                    w = mate[v]
+                    if w is not None and node_of.get(w) is node and labels[v] != 0:
+                        flag("blossom-arc-labels",
+                             f"internal matched arc ({v}, {w}) has nonzero label")
         if node.structure is not structure:
             flag("tree-representation", f"node {node!r} not owned")
         if node.outer != (depth % 2 == 0):
@@ -140,14 +170,14 @@ def check_structure(forest: Forest, structure: Structure, limit: int,
         if node.parent is not None and x is None:
             flag("unique-arc", f"missing realizing arc at {node!r}")
         elif node.parent is not None:
-            if forest.root_of[x] is not node.parent or forest.root_of[y] is not node:
+            if root_of[x] is not node.parent or root_of[y] is not node:
                 flag("unique-arc", f"arc {(x, y)} does not realize edge to {node!r}")
             matched = mate[x] == y
             if matched != node.outer:
                 flag("tree-representation",
                      f"arc {(x, y)} matched={matched} entering outer={node.outer}")
             if node.outer:
-                label = forest.labels[x]
+                label = labels[x]
                 if label <= above:
                     flag("increasing-labeling", f"label {label} under label {above} at {node!r}")
                 above = label
@@ -181,68 +211,97 @@ def check_structure(forest: Forest, structure: Structure, limit: int,
     return bad
 
 
-def check_forest(forest: Forest, limit: int, l_max: int, delta: int) -> list[Violation]:
-    """Global checks: per-structure validity, disjointness, label range,
-    resolution coherence.  The structure checks walk each tree once and
-    fill ``node_of``; one pass over the vertices then checks the rest."""
+def edges_above(n: int, edges: Iterable[tuple[int, int]]) -> list[list[int]]:
+    """Per vertex, the other ends of the edges stored under it: each edge
+    once, under its smaller end."""
+    above: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        if u <= v:
+            above[u].append(v)
+        else:
+            above[v].append(u)
+    return above
+
+
+def check_forest(forest: Forest, limit: int, l_max: int, delta: int,
+                 unmatched: Iterable[int],
+                 above: Sequence[Sequence[int]]) -> list[Violation]:
+    """Every check of a pass-bundle boundary but short-path coverage:
+    per-structure validity, disjointness, label range, resolution
+    coherence and outer independence.  ``unmatched`` lists the phase's
+    unmatched tails and ``above`` is :func:`edges_above` of the graph;
+    both are fixed within a phase.  The structure checks walk each tree
+    once and table each tree vertex's node; the rest reads only the tree
+    vertices, the unmatched tails, the reached vertices outside the trees
+    and the edges at outer vertices, apart from C-level scans of the
+    per-vertex lists: the set of the labels, the unreached count, and
+    the reached vertices when some lie outside the trees."""
     bad: list[Violation] = []
 
     def flag(name: str, detail: str) -> None:
         bad.append(Violation(name, None, detail))
 
-    # Per vertex, the tree node that holds it, or None.
-    node_of: list[Optional[Node]] = [None] * forest.n
+    node_of: dict[int, Node] = {}
     for structure in forest.structures.values():
         bad.extend(check_structure(forest, structure, limit, l_max, delta, node_of))
 
+    # Every label lies in 0..l_max + 1, and an unmatched tail keeps l_max + 1.
+    labels = forest.labels
     fresh = l_max + 1
-    # A vertex in no tree is unvisited (None) or removed: it resolves to a
-    # node without a structure, and each such node is resolved to by
-    # exactly its own vertices.
-    resolvers: dict[Node, int] = {}
-    for v, (label, mate_v, node, home) in enumerate(
-            zip(forest.labels, forest.mate, forest.root_of, node_of)):
-        if label != fresh:
-            if not 0 <= label < fresh:
+    values = set(labels)  # one C-level pass, and a handful of values
+    if min(values) < 0 or max(values) > fresh:
+        for v, label in enumerate(labels):
+            if not 0 <= label <= fresh:
                 flag("label-range", f"label {label} out of range at tail {v}")
-            elif mate_v is None:
-                flag("label-range", f"label {label} written on unmatched tail {v}")
-        if home is None:
-            if node is None:
-                continue
-            if node.structure is not None:
-                flag("resolution", f"{v} is in no tree but resolves to {node!r}")
-            else:
-                resolvers[node] = resolvers.get(node, 0) + 1
-        elif node is not home:
-            flag("resolution", f"root_of[{v}] is {node!r}, not its tree node {home!r}")
-        # Matched arcs wholly inside one root blossom carry label 0.
-        elif mate_v is not None and node_of[mate_v] is node and label != 0:
-            flag("blossom-arc-labels",
-                 f"internal matched arc ({v}, {mate_v}) has nonzero label")
+    for v in unmatched:
+        label = labels[v]
+        if 0 <= label < fresh:
+            flag("label-range", f"label {label} written on unmatched tail {v}")
+
+    # A reached vertex in no tree was removed: it resolves to a node
+    # without a structure, and each such node is resolved to by exactly
+    # its own vertices.  A node is always true, so ``compress`` yields
+    # the reached vertices.  There are none outside the trees when as
+    # many vertices are reached as the trees hold, since each tree vertex
+    # is reached unless the walk flagged its resolution already.
+    root_of = forest.root_of
+    resolvers: dict[Node, int] = {}
+    reached = compress(range(forest.n), root_of)
+    if root_of.count(None) + len(node_of) == forest.n:
+        reached = ()
+    for v in reached:
+        if v in node_of:
+            continue
+        node = root_of[v]
+        if node.structure is not None:
+            flag("resolution", f"{v} is in no tree but resolves to {node!r}")
+        else:
+            resolvers[node] = resolvers.get(node, 0) + 1
     for node, count in resolvers.items():
         if (count != len(node.vertices)
-                or any(forest.root_of[x] is not node for x in node.vertices)):
+                or any(root_of[x] is not node for x in node.vertices)):
             flag("resolution",
                  f"removed {node!r} is not resolved to by exactly its own vertices")
+
+    bad.extend(check_outer_independence(forest, node_of, above))
     return bad
 
 
-def check_outer_independence(forest: Forest,
-                             edges: Sequence[tuple[int, int]]) -> list[Violation]:
-    """At a pass-bundle boundary no edge may join two outer nodes.  One
-    pass over the vertices tables each one's root blossom if that is a live
-    outer node, so each edge costs two list reads."""
-    outer_at = [node if node is not None and node.structure is not None and node.outer
-                else None for node in forest.root_of]
+def check_outer_independence(forest: Forest, node_of: dict[int, Node],
+                             above: Sequence[Sequence[int]]) -> list[Violation]:
+    """At a pass-bundle boundary no edge may join two outer nodes.  Each
+    edge is stored under its smaller end, so such an edge is found from
+    the edges at the outer vertices, which ``node_of`` maps to their tree
+    nodes; the other end's node is the one it resolves to."""
+    root_of = forest.root_of
     bad: list[Violation] = []
-    for u, v in edges:
-        bu = outer_at[u]
-        if bu is not None:
-            bv = outer_at[v]
-            if bv is not None and bv is not bu:
-                bad.append(Violation("outer-independence", bu.structure.alpha,
-                                     f"edge ({u}, {v}) joins outer nodes {bu!r} and {bv!r}"))
+    for u, bu in node_of.items():
+        if bu.outer and bu.structure is not None:
+            for v in above[u]:
+                bv = root_of[v]
+                if bv is not None and bv.outer and bv is not bu and bv.structure is not None:
+                    bad.append(Violation("outer-independence", bu.structure.alpha,
+                                         f"edge ({u}, {v}) joins outer nodes {bu!r} and {bv!r}"))
     return bad
 
 
@@ -351,6 +410,9 @@ class InvariantChecker:
         self.config = config
         self.forest = forest
         self.matching_size_start = matching_size_start
+        # Both fixed within the phase, as the graph and the mate map are.
+        self.above = edges_above(forest.n, edges)
+        self.unmatched = [v for v, w in enumerate(forest.mate) if w is None]
 
     def _raise_if(self, violations: list[Violation]) -> None:
         if violations:
@@ -370,8 +432,8 @@ class InvariantChecker:
 
     def at_boundary(self) -> None:
         cfg = self.config
-        bad = check_forest(self.forest, cfg.limit, cfg.l_max, cfg.delta)
-        bad.extend(check_outer_independence(self.forest, self.edges))
+        bad = check_forest(self.forest, cfg.limit, cfg.l_max, cfg.delta,
+                           self.unmatched, self.above)
         if self.forest.n <= COVERAGE_LIMIT:
             bad.extend(check_short_path_coverage(self.forest, self.edges, cfg.l_max))
         self._raise_if(bad)

@@ -1,12 +1,12 @@
 """Builders, the subset DP, the full-scan reference engine, the
-full-replay reference driver and a checker probe shared by the test
-modules."""
+full-replay reference driver, the full-scan boundary check and a checker
+probe shared by the test modules."""
 
 import json
 from typing import Sequence
 
 from streammatch.driver import ScaleReport, normalize_epsilon, scale_schedule
-from streammatch.invariants import check_structure
+from streammatch.invariants import Violation, check_forest, check_structure, edges_above
 from streammatch.matching import Matching, augment_along, greedy_maximal_matching
 from streammatch.phase import PhaseConfig, PhaseEngine
 
@@ -64,6 +64,71 @@ def stored_arcs(forest, structure):
     details = [v.detail for v in check_structure(forest, structure, 0, 0, 0)
                if v.name == "space-arcs"]
     return int(details[0].split()[0]) if details else 0
+
+
+def boundary_violations(forest, limit, l_max, delta, edges=()):
+    """``check_forest`` as a checker of ``forest``'s phase over ``edges``
+    runs it, with the unmatched tails read off the mate map."""
+    unmatched = [v for v, w in enumerate(forest.mate) if w is None]
+    return check_forest(forest, limit, l_max, delta, unmatched,
+                        edges_above(forest.n, edges))
+
+
+def full_scan_boundary_violations(forest, limit, l_max, delta, edges):
+    """Reference for ``check_forest``: the tree walks' structure-local
+    checks, then one pass over every vertex for labels and resolution
+    and one over every edge for outer independence, against a per-vertex
+    table of live outer nodes.  It takes only disjointness from the
+    walks' vertex table, and checks resolution and the labels inside a
+    blossom in its own vertex pass."""
+    bad = []
+
+    def flag(name, detail):
+        bad.append(Violation(name, None, detail))
+
+    node_of = {}
+    for structure in forest.structures.values():
+        bad.extend(v for v in check_structure(forest, structure, limit, l_max, delta, node_of)
+                   if v.name not in ("resolution", "blossom-arc-labels"))
+
+    fresh = l_max + 1
+    resolvers = {}
+    for v, (label, mate_v, node) in enumerate(
+            zip(forest.labels, forest.mate, forest.root_of)):
+        home = node_of.get(v)
+        if label != fresh:
+            if not 0 <= label < fresh:
+                flag("label-range", f"label {label} out of range at tail {v}")
+            elif mate_v is None:
+                flag("label-range", f"label {label} written on unmatched tail {v}")
+        if home is None:
+            if node is None:
+                continue
+            if node.structure is not None:
+                flag("resolution", f"{v} is in no tree but resolves to {node!r}")
+            else:
+                resolvers[node] = resolvers.get(node, 0) + 1
+        elif node is not home:
+            flag("resolution", f"root_of[{v}] is {node!r}, not its tree node {home!r}")
+        elif mate_v is not None and node_of.get(mate_v) is node and label != 0:
+            flag("blossom-arc-labels",
+                 f"internal matched arc ({v}, {mate_v}) has nonzero label")
+    for node, count in resolvers.items():
+        if (count != len(node.vertices)
+                or any(forest.root_of[x] is not node for x in node.vertices)):
+            flag("resolution",
+                 f"removed {node!r} is not resolved to by exactly its own vertices")
+
+    outer_at = [node if node is not None and node.structure is not None and node.outer
+                else None for node in forest.root_of]
+    for u, v in edges:
+        bu = outer_at[u]
+        if bu is not None:
+            bv = outer_at[v]
+            if bv is not None and bv is not bu:
+                bad.append(Violation("outer-independence", bu.structure.alpha,
+                                     f"edge ({u}, {v}) joins outer nodes {bu!r} and {bv!r}"))
+    return bad
 
 
 class FullScanEngine(PhaseEngine):

@@ -3,18 +3,19 @@
 import re
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 import streammatch
-from helpers import matched
+from helpers import boundary_violations, full_scan_boundary_violations, matched
+from streammatch import driver
 from streammatch.invariants import (InvariantChecker, InvariantViolationError,
                                     check_active_bound, check_blossom, check_forest,
-                                    check_outer_independence,
                                     check_short_path_coverage, check_structure)
 from streammatch.matching import Matching, greedy_maximal_matching
 from streammatch.phase import PhaseConfig, PhaseEngine
-from streammatch.stream import EdgeStream, GraphSpec, open_stream
+from streammatch.stream import EdgeStream, GraphSpec, open_stream, parse_graph_spec
 from streammatch.structures import Blossom, Forest
 
 HALF = Fraction(1, 2)
@@ -71,7 +72,8 @@ def test_artificial_outer_outer_arc_is_flagged():
     # Two singleton structures joined by an edge: both roots are outer.
     stream = EdgeStream(2, [(0, 1)])
     engine = PhaseEngine(stream, Matching(2), CFG)
-    violations = check_outer_independence(engine.forest, stream.snapshot_edges())
+    violations = boundary_violations(engine.forest, CFG.limit, CFG.l_max, CFG.delta,
+                                     stream.snapshot_edges())
     assert [v.name for v in violations] == ["outer-independence"]
 
 
@@ -80,6 +82,36 @@ def test_boundary_state_passes_outer_independence():
     matching = greedy_maximal_matching(stream)
     engine = PhaseEngine(stream, matching, CFG, checked=True)
     engine.run()  # raises on any boundary violation
+
+
+@pytest.mark.parametrize("spec, eps, count", [
+    ("gnm:300,900,seed=1", Fraction(1, 2), 391),
+    # 741 case 2.2 steals, each moving a subtree between structures.
+    ("bipartite:300,300,1200,seed=12", Fraction(1, 4), 805),
+    # Blossoms nested 479 deep.
+    ("gnm:3000,9000,seed=4", Fraction(1, 2), 2330),
+], ids=["gnm-300", "bipartite-300-steals", "gnm-3000-nested"])
+def test_boundary_check_agrees_with_the_full_scan_reference(spec, eps, count):
+    # At every bundle boundary of a checked run, the check the checker
+    # runs and the full-scan reference flag the same names.
+    original = InvariantChecker.at_boundary
+    boundaries = 0
+
+    def compared(checker):
+        nonlocal boundaries
+        boundaries += 1
+        forest, cfg = checker.forest, checker.config
+        names = {v.name for v in check_forest(forest, cfg.limit, cfg.l_max, cfg.delta,
+                                              checker.unmatched, checker.above)}
+        reference = full_scan_boundary_violations(forest, cfg.limit, cfg.l_max,
+                                                  cfg.delta, checker.edges)
+        assert names == {v.name for v in reference}
+        original(checker)
+
+    with mock.patch.object(InvariantChecker, "at_boundary", compared):
+        driver.run(open_stream(parse_graph_spec(spec)),
+                   driver.RunConfig(epsilon=eps, check_invariants=True))
+    assert boundaries == count
 
 
 def test_size_bound_violation_is_flagged():
@@ -140,7 +172,7 @@ def test_disjointness_violation_is_flagged():
     engine = mid_run_engine()
     forest = engine.forest
     forest.structures[3].root.kid = forest.root_of[1]  # {1} already in S_0
-    names = {v.name for v in check_forest(forest, CFG.limit, CFG.l_max, CFG.delta)}
+    names = forest_names(forest, engine.stream.snapshot_edges())
     assert "disjointness" in names
 
 
@@ -150,7 +182,7 @@ def test_node_shared_by_two_trees_is_flagged_whichever_structure_it_claims():
     shared = forest.root_of[1]            # inner node of S_0
     forest.structures[3].root.kid = shared
     shared.structure = forest.structures[3]
-    names = {v.name for v in check_forest(forest, CFG.limit, CFG.l_max, CFG.delta)}
+    names = forest_names(forest, engine.stream.snapshot_edges())
     assert "disjointness" in names
 
 
@@ -209,13 +241,28 @@ def names_raised_after_contract(corrupt):
     return {v.name for v in caught.value.violations}
 
 
-def forest_names(forest):
-    return {v.name for v in check_forest(forest, CFG.limit, CFG.l_max, CFG.delta)}
+def boundary_names(forest, edges):
+    """The names the boundary check flags at ``forest`` over ``edges``,
+    after asserting that the full-scan reference flags the same."""
+    names = {v.name for v in boundary_violations(forest, CFG.limit, CFG.l_max,
+                                                 CFG.delta, edges)}
+    reference = full_scan_boundary_violations(forest, CFG.limit, CFG.l_max,
+                                              CFG.delta, edges)
+    assert names == {v.name for v in reference}
+    return names
+
+
+def forest_names(forest, edges=()):
+    """The names the boundary check flags at ``forest`` without outer
+    independence, which reads the edges; with ``edges`` too, the full
+    boundary check must agree with the reference."""
+    boundary_names(forest, edges)
+    return boundary_names(forest, ())
 
 
 def test_laminarity_check_on_nested_blossoms():
     forest = nested_blossom_forest(corrupt=lambda blossom: None)
-    assert check_forest(forest, CFG.limit, CFG.l_max, CFG.delta) == []
+    assert forest_names(forest, NESTED_EDGES) == set()
     composites = []
     stack = [forest.structures[0].root.blossom]
     while stack:
@@ -232,42 +279,86 @@ def test_out_of_range_label_is_flagged():
     for label in (-1, CFG.l_max + 2):
         engine = mid_run_engine()
         engine.forest.labels[2] = label   # (2, 1) is matched, outside any blossom
-        assert forest_names(engine.forest) == {"label-range"}
+        assert forest_names(engine.forest, engine.stream.snapshot_edges()) == {"label-range"}
 
 
 def test_label_on_unmatched_tail_is_flagged():
     engine = mid_run_engine()
     engine.forest.labels[0] = 1           # 0 is free, so it must keep l_max + 1
-    assert forest_names(engine.forest) == {"label-range"}
+    assert forest_names(engine.forest, engine.stream.snapshot_edges()) == {"label-range"}
 
 
 def test_nonzero_label_inside_blossom_is_flagged():
     forest = nested_blossom_forest()
     forest.labels[3] = 1                  # contraction set it to 0
-    assert forest_names(forest) == {"blossom-arc-labels"}
+    assert forest_names(forest, NESTED_EDGES) == {"blossom-arc-labels"}
 
 
 def test_stale_resolution_is_flagged():
     engine = mid_run_engine()
     forest = engine.forest
     forest.root_of[3] = forest.root_of[0]  # 3 is the root of S_3
-    assert forest_names(forest) == {"resolution"}
+    assert forest_names(forest, engine.stream.snapshot_edges()) == {"resolution"}
 
 
 def test_unvisited_vertex_resolving_to_removed_node_is_flagged():
     # 0 - 1 augments and removes both structures; the pair 2 = 3 is never
     # reached.  Pointing 2 at the removed node {0} makes that node
     # resolved to by a vertex it does not hold.
+    edges = [(0, 1), (2, 3)]
     matching = matched(4, [(2, 3)])
     forest = Forest(4, matching.mate, CFG.l_max)
     forest.init_structure(0)
     forest.init_structure(1)
     forest.record_augmentation(0, 1)
-    assert forest_names(forest) == set()
+    assert forest_names(forest, edges) == set()
     forest.root_of[2] = forest.root_of[0]
-    assert forest_names(forest) == {"resolution"}
+    assert forest_names(forest, edges) == {"resolution"}
     forest.root_of[0] = None              # {0} is resolved to by 2 alone
-    assert forest_names(forest) == {"resolution"}
+    assert forest_names(forest, edges) == {"resolution"}
+
+
+def test_tree_vertex_resolving_to_nothing_is_flagged():
+    # The root of S_3 and a non-base vertex of a blossom: no arc of
+    # their trees ends at either, so only the tree walk reads their
+    # entries.
+    engine = mid_run_engine()
+    engine.forest.root_of[3] = None
+    assert forest_names(engine.forest, engine.stream.snapshot_edges()) == {"resolution"}
+    forest = nested_blossom_forest()
+    forest.root_of[3] = None
+    assert forest_names(forest, NESTED_EDGES) == {"resolution"}
+
+
+def test_out_of_range_label_on_an_unreached_vertex_is_flagged():
+    # P6 after one overtake: the matched pair 3 = 4 is unreached.
+    edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]
+    for label in (-1, CFG.l_max + 2):
+        engine = PhaseEngine(EdgeStream(6, edges), matched(6, [(1, 2), (3, 4)]), CFG)
+        engine.forest.overtake(0, 1, 1)
+        assert engine.forest.root_of[3] is None
+        engine.forest.labels[3] = label
+        assert forest_names(engine.forest, edges) == {"label-range"}
+
+
+def test_outer_outer_edge_stored_larger_end_first_is_flagged():
+    stream = EdgeStream(2, [(1, 0)])
+    engine = PhaseEngine(stream, Matching(2), CFG)
+    assert boundary_names(engine.forest, stream.snapshot_edges()) == {"outer-independence"}
+
+
+def test_edge_between_composite_outer_nodes_of_two_structures_is_flagged():
+    # Two triangles, each contracted into the root blossom of its
+    # structure, and an edge between their non-base vertices 1 and 4.
+    edges = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (1, 4)]
+    forest = Forest(6, matched(6, [(1, 2), (4, 5)]).mate, CFG.l_max)
+    for alpha in (0, 3):
+        forest.init_structure(alpha)
+        forest.overtake(alpha, alpha + 1, 1)
+        forest.contract(alpha + 2, alpha)
+    assert {len(s.root.vertices) for s in forest.structures.values()} == {3}
+    assert boundary_names(forest, edges[:-1]) == set()
+    assert boundary_names(forest, edges) == {"outer-independence"}
 
 
 def test_missing_realizing_arc_is_flagged():

@@ -2,8 +2,8 @@
 
 import pytest
 
-from helpers import matched, stored_arcs
-from streammatch.invariants import check_blossom, check_forest
+from helpers import boundary_violations, matched, stored_arcs
+from streammatch.invariants import check_blossom
 from streammatch.structures import (Forest, _expand, lift_contracted_path,
                                     root_path, subtree)
 
@@ -24,7 +24,7 @@ def assert_alternating(path, mate, start_matched):
 
 
 def assert_clean(forest, limit=100, delta=10_000):
-    violations = check_forest(forest, limit, L_MAX, delta)
+    violations = boundary_violations(forest, limit, L_MAX, delta)
     assert not violations, violations
 
 
