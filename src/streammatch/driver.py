@@ -24,9 +24,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .invariants import InvariantViolationError, Violation
-from .matching import (Matching, augment_along, greedy_maximal_matching,
-                       is_alternating_augmenting, validate_matching)
+from .invariants import InvariantChecker
+from .matching import Matching, augment_along, greedy_maximal_matching
 from .phase import READS_PER_BUNDLE, PhaseConfig, PhaseEngine
 from .stream import EdgeStream
 
@@ -143,11 +142,8 @@ def run(stream: EdgeStream, config: RunConfig) -> RunReport:
     eps = normalize_epsilon(requested)
     scale_configs = [PhaseConfig.from_scale(h, eps) for h in scale_schedule(eps)]
 
-    checked = config.check_invariants
-    n = stream.vertex_count
-    # The edges keyed by one int each, as is_alternating_augmenting reads them.
-    edge_keys = {u * n + v if u < v else v * n + u
-                 for u, v in stream.snapshot_edges()} if checked else None
+    checker = (InvariantChecker(stream.vertex_count, stream.snapshot_edges())
+               if config.check_invariants else None)
 
     matching = greedy_maximal_matching(stream)
 
@@ -165,13 +161,12 @@ def run(stream: EdgeStream, config: RunConfig) -> RunReport:
         t = 1
         while t <= cfg.t_max:
             engine = PhaseEngine(stream, matching, cfg, trace=config.trace,
-                                 checked=checked)
+                                 checker=checker)
             result = engine.run()
             executed += 1
             for path in result.paths:
-                if checked and not is_alternating_augmenting(path, matching, edge_keys):
-                    raise InvariantViolationError([Violation(
-                        "augmenting-path", None, f"invalid augmenting path {path}")])
+                if checker is not None:
+                    checker.check_path(path, matching)
                 augment_along(matching, path)
             augmentations += len(result.paths)
             for key, count in result.stats.items():
@@ -191,9 +186,8 @@ def run(stream: EdgeStream, config: RunConfig) -> RunReport:
     expected = expected_pass_count(eps)
     if passes != expected:
         raise PassCountMismatch(f"counted {passes} passes, formula gives {expected}")
-    if checked and not validate_matching(matching, stream.snapshot_edges()):
-        raise InvariantViolationError([Violation(
-            "valid-matching", None, "final matching is not a valid matching of the input")])
+    if checker is not None:
+        checker.at_run_end(matching)
     return RunReport(
         n=stream.vertex_count, m=stream.edge_count,
         epsilon_requested=requested, epsilon_effective=eps,

@@ -1,14 +1,16 @@
 """Runtime verification of the engine's structural invariants.
 
-The checker inspects phase state between stream passes (it never mutates
-and never consumes passes).  Violations carry the invariant name, the
-offending structure, and a witness, so a red run names its defect.
+One :class:`InvariantChecker` per checked run inspects phase state
+between stream passes (it never mutates and never consumes passes).
+Violations carry the invariant name, the offending structure, and a
+witness, so a red run names its defect.
 
-Checks run at three moments: :func:`check_blossom` once per blossom, at
+Checks run at six moments: :func:`check_blossom` once per blossom, at
 its contraction; :func:`check_structure` after every operation, on the
-structures it changed; and :func:`check_forest` at every pass-bundle
-boundary, in Python time proportional to the live forest, plus C-level
-scans of the per-vertex lists:
+structures it changed; the active bound at each phase's end; each banked
+path and the final matching, against the graph; and :func:`check_forest`
+at every pass-bundle boundary, in Python time proportional to the live
+forest, plus C-level scans of the per-vertex lists:
 
 * one walk of each tree, which also checks that each tree vertex
   resolves to its node and that a composite node's internal matched arcs
@@ -41,10 +43,10 @@ disjoint.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import compress
 from typing import Iterable, Optional, Sequence
 
+from .matching import Matching, is_alternating_augmenting, validate_matching
 from .structures import Blossom, Forest, Node, Structure, base_of
 
 # Short-path coverage enumerates every short augmenting path at each bundle
@@ -228,14 +230,9 @@ def check_forest(forest: Forest, limit: int, l_max: int, delta: int,
                  above: Sequence[Sequence[int]]) -> list[Violation]:
     """Every check of a pass-bundle boundary but short-path coverage:
     per-structure validity, disjointness, label range, resolution
-    coherence and outer independence.  ``unmatched`` lists the phase's
-    unmatched tails and ``above`` is :func:`edges_above` of the graph;
-    both are fixed within a phase.  The structure checks walk each tree
-    once and table each tree vertex's node; the rest reads only the tree
-    vertices, the unmatched tails, the reached vertices outside the trees
-    and the edges at outer vertices, apart from C-level scans of the
-    per-vertex lists: the set of the labels, the unreached count, and
-    the reached vertices when some lie outside the trees."""
+    coherence and outer independence, with the reads the module
+    docstring lists.  ``unmatched`` lists the phase's unmatched tails
+    and ``above`` is :func:`edges_above` of the graph."""
     bad: list[Violation] = []
 
     def flag(name: str, detail: str) -> None:
@@ -249,7 +246,7 @@ def check_forest(forest: Forest, limit: int, l_max: int, delta: int,
     labels = forest.labels
     fresh = l_max + 1
     values = set(labels)  # one C-level pass, and a handful of values
-    if min(values) < 0 or max(values) > fresh:
+    if not values.issubset(range(fresh + 1)):
         for v, label in enumerate(labels):
             if not 0 <= label <= fresh:
                 flag("label-range", f"label {label} out of range at tail {v}")
@@ -391,32 +388,22 @@ def enumerate_short_augmenting_paths(
     return sorted(found)
 
 
-def check_active_bound(active: int, h: Fraction, matching_size_start: int) -> list[Violation]:
-    if active > h * matching_size_start:
-        return [Violation("active-structures", None,
-                          f"{active} active > h*|M| = {h} * {matching_size_start}")]
-    return []
-
-
 class InvariantChecker:
-    """Hooks the engine's operations and bundle boundaries; raises on the
-    first violation so failures stop at their cause.  A contraction also
-    checks its new blossom, and boundaries check short-path coverage when
-    the graph has at most ``COVERAGE_LIMIT`` vertices."""
+    """The checks of one checked run, over the view of the graph it builds
+    once: the edges, their int keys and :func:`edges_above`.  Each check
+    raises on the first violation, so failures stop at their cause."""
 
-    def __init__(self, edges: Sequence[tuple[int, int]], config,
-                 forest: Forest, *, matching_size_start: int):
+    def __init__(self, n: int, edges: Sequence[tuple[int, int]]):
         self.edges = edges
-        self.config = config
-        self.forest = forest
-        self.matching_size_start = matching_size_start
-        # Both fixed within the phase, as the graph and the mate map are.
-        self.above = edges_above(forest.n, edges)
-        self.unmatched = [v for v, w in enumerate(forest.mate) if w is None]
+        self.keys = {u * n + v if u < v else v * n + u for u, v in edges}
+        self.above = edges_above(n, edges)
 
-    def _raise_if(self, violations: list[Violation]) -> None:
-        if violations:
-            raise InvariantViolationError(violations)
+    def start_phase(self, forest: Forest, config) -> None:
+        """Hook the phase's operations, and list its unmatched tails once:
+        the mate map is fixed within a phase."""
+        self.forest, self.config = forest, config
+        self.unmatched = [v for v, w in enumerate(forest.mate) if w is None]
+        forest.on_op = self.after_operation
 
     def after_operation(self, op: str, touched: tuple) -> None:
         cfg = self.config
@@ -428,7 +415,8 @@ class InvariantChecker:
         for structure in touched:
             bad.extend(check_structure(self.forest, structure, cfg.limit,
                                        cfg.l_max, cfg.delta))
-        self._raise_if(bad)
+        if bad:
+            raise InvariantViolationError(bad)
 
     def at_boundary(self) -> None:
         cfg = self.config
@@ -436,8 +424,26 @@ class InvariantChecker:
                            self.unmatched, self.above)
         if self.forest.n <= COVERAGE_LIMIT:
             bad.extend(check_short_path_coverage(self.forest, self.edges, cfg.l_max))
-        self._raise_if(bad)
+        if bad:
+            raise InvariantViolationError(bad)
 
-    def at_phase_end(self, active: int) -> None:
-        self._raise_if(check_active_bound(active, self.config.h,
-                                          self.matching_size_start))
+    def at_phase_end(self) -> None:
+        """At most h|M| structures are still active."""
+        forest, h = self.forest, self.config.h
+        active = sum(1 for s in forest.structures.values() if s.working is not None)
+        size = (forest.n - forest.mate.count(None)) // 2
+        if active > h * size:
+            raise InvariantViolationError([Violation(
+                "active-structures", None, f"{active} active > h*|M| = {h} * {size}")])
+
+    def check_path(self, path: list[int], matching: Matching) -> None:
+        """A banked path is an augmenting path of the graph for ``matching``."""
+        if not is_alternating_augmenting(path, matching, self.keys):
+            raise InvariantViolationError([Violation(
+                "augmenting-path", None, f"invalid augmenting path {path}")])
+
+    def at_run_end(self, matching: Matching) -> None:
+        """The final matching is a matching of the graph."""
+        if not validate_matching(matching, self.keys):
+            raise InvariantViolationError([Violation(
+                "valid-matching", None, "final matching is not a valid matching of the input")])

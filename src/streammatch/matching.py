@@ -87,13 +87,14 @@ def augment_along(matching: Matching, path: list[int]) -> None:
     matching.size += 1
 
 
-def validate_matching(matching: Matching, edges: Iterable[tuple[int, int]]) -> bool:
+def validate_matching(matching: Matching, edges: Iterable[tuple[int, int]] | set[int]) -> bool:
     """True iff every matched pair is an edge and the mate map is symmetric.
     An edge of ``edges``, on the vertices 0..n-1, is keyed by one int: the
-    rank of (min, max) in an n-by-n table."""
+    rank of (min, max) in an n-by-n table; ``edges`` may be those keys."""
     mate = matching.mate
     n = len(mate)
-    edge_keys = {u * n + v if u < v else v * n + u for u, v in edges}
+    edge_keys = edges if isinstance(edges, set) else {
+        u * n + v if u < v else v * n + u for u, v in edges}
     for u, v in enumerate(mate):
         if v is None:
             continue

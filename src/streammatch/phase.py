@@ -211,7 +211,7 @@ class PhaseEngine:
 
     def __init__(self, stream: EdgeStream, matching: Matching, config: PhaseConfig,
                  *, trace: Optional[Callable[[dict], None]] = None,
-                 checked: bool = False):
+                 checker: Optional[InvariantChecker] = None):
         self.stream = stream
         self.matching = matching
         self.config = config
@@ -228,12 +228,9 @@ class PhaseEngine:
         self.dead = bytearray(2 * stream.edge_count)
         self.arcs_at: list[Optional[array]] = [None] * self.n
         self.dead_at = [0] * self.n
-        self.checker = None
-        if checked:
-            self.checker = InvariantChecker(
-                stream.snapshot_edges(), config, self.forest,
-                matching_size_start=matching.size)
-            self.forest.on_op = self.checker.after_operation
+        self.checker = checker
+        if checker is not None:
+            checker.start_phase(self.forest, config)
 
     def run(self) -> PhaseResult:
         cfg = self.config
@@ -248,7 +245,7 @@ class PhaseEngine:
                 self.stream.charge_passes(READS_PER_BUNDLE * (cfg.tau_max - tau))
                 break
         if self.checker is not None:
-            self.checker.at_phase_end(sum(1 for s in self.live if s.working is not None))
+            self.checker.at_phase_end()
         return PhaseResult(
             paths=list(self.forest.paths),
             stats=dict(self.forest.stats),

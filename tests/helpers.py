@@ -6,7 +6,8 @@ import json
 from typing import Sequence
 
 from streammatch.driver import ScaleReport, normalize_epsilon, scale_schedule
-from streammatch.invariants import Violation, check_forest, check_structure, edges_above
+from streammatch.invariants import (InvariantChecker, Violation, check_forest, check_structure,
+                                    edges_above)
 from streammatch.matching import Matching, augment_along, greedy_maximal_matching
 from streammatch.phase import PhaseConfig, PhaseEngine
 
@@ -25,6 +26,11 @@ def edge_keys(n, edges):
     """The edges on vertices 0..n-1 keyed as ``is_alternating_augmenting``
     reads them: {u, v} is ``min * n + max``."""
     return {min(u, v) * n + max(u, v) for u, v in edges}
+
+
+def checker_for(stream):
+    """The checker that a checked ``driver.run`` of ``stream`` builds."""
+    return InvariantChecker(stream.vertex_count, stream.snapshot_edges())
 
 
 EXHAUSTIVE_LIMIT = 22

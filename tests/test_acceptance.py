@@ -92,9 +92,9 @@ def test_criterion_3_invariant_suite(corpus_rows, monkeypatch):
         counts["op"] += 1
         return original_op(self, op, touched)
 
-    def counting_end(self, active):
+    def counting_end(self):
         counts["phase_end"] += 1
-        return original_end(self, active)
+        return original_end(self)
 
     monkeypatch.setattr(InvariantChecker, "at_boundary", counting_boundary)
     monkeypatch.setattr(InvariantChecker, "after_operation", counting_op)
@@ -192,7 +192,8 @@ def test_criterion_7_space_proxy(corpus_rows):
     edges = [(i, i + 1) for i in range(n - 1)]
     matching = matched(n, [(i, i + 1) for i in range(1, n - 1, 2)])
     cfg = PhaseConfig.from_scale(Fraction(1, 2), Fraction(1, 2))
-    engine = PhaseEngine(EdgeStream(n, edges), matching, cfg, checked=True)
+    engine = PhaseEngine(EdgeStream(n, edges), matching, cfg,
+                         checker=InvariantChecker(n, edges))
     result = engine.run()
     structure = engine.forest.structures[0]
     assert structure.size <= cfg.delta

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from streammatch import bench, cli, driver, oracle
+from streammatch import bench, cli, driver, invariants, oracle
 from streammatch.driver import expected_pass_count
 from streammatch.invariants import InvariantChecker, InvariantViolationError, Violation
 from streammatch.stream import GraphSpec, _validate_simple
@@ -74,6 +74,15 @@ def test_verify_c5_epsilon_one(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["matching_size"] == 2 and payload["nu"] == 2
+
+
+@pytest.mark.parametrize("spec", ["path:0", "gnm:0,0"])
+def test_verify_empty_graph(capsys, spec):
+    # The checked run's boundary check reads the labels of no vertex.
+    code, out, _ = run_cli(capsys, "verify", "--gen", spec)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["matching_size"] == 0 and payload["nu"] == 0
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -181,14 +190,14 @@ def test_run_pass_mismatch_exit_4(capsys, monkeypatch):
 
 
 def test_verify_invalid_final_matching_exit_3(capsys, monkeypatch):
-    monkeypatch.setattr(driver, "validate_matching", lambda m, edges: False)
+    monkeypatch.setattr(invariants, "validate_matching", lambda m, edges: False)
     code, out, err = run_cli(capsys, "verify", "--gen", "path:4", "--epsilon", "0.5")
     assert code == 3 and out == ""
     assert_one_line_error(err, "invariant violation", "valid-matching")
 
 
 def test_verify_invalid_augmenting_path_exit_3(capsys, monkeypatch):
-    monkeypatch.setattr(driver, "is_alternating_augmenting",
+    monkeypatch.setattr(invariants, "is_alternating_augmenting",
                         lambda path, m, edges=None: False)
     code, out, err = run_cli(capsys, "verify", "--gen", "gnm:40,120,seed=0",
                              "--epsilon", "0.5")

@@ -8,10 +8,10 @@ from unittest import mock
 import pytest
 
 import streammatch
-from helpers import boundary_violations, full_scan_boundary_violations, matched
-from streammatch import driver
+from helpers import boundary_violations, checker_for, full_scan_boundary_violations, matched
+from streammatch import driver, invariants
 from streammatch.invariants import (InvariantChecker, InvariantViolationError,
-                                    check_active_bound, check_blossom, check_forest,
+                                    check_blossom, check_forest,
                                     check_short_path_coverage, check_structure)
 from streammatch.matching import Matching, greedy_maximal_matching
 from streammatch.phase import PhaseConfig, PhaseEngine
@@ -41,8 +41,8 @@ def test_healthy_boundary_state_has_no_violations():
     engine._extend_pass()
     engine._contract_and_augment()
     engine._backtrack_stuck()
-    checker = InvariantChecker(stream.snapshot_edges(), CFG, engine.forest,
-                               matching_size_start=matching.size)
+    checker = checker_for(stream)
+    checker.start_phase(engine.forest, CFG)
     checker.at_boundary()  # raises on any violation; n <= 14 adds coverage
 
 
@@ -80,7 +80,7 @@ def test_artificial_outer_outer_arc_is_flagged():
 def test_boundary_state_passes_outer_independence():
     stream = open_stream(GraphSpec("gnm", (14, 24), 2))
     matching = greedy_maximal_matching(stream)
-    engine = PhaseEngine(stream, matching, CFG, checked=True)
+    engine = PhaseEngine(stream, matching, CFG, checker=checker_for(stream))
     engine.run()  # raises on any boundary violation
 
 
@@ -114,6 +114,27 @@ def test_boundary_check_agrees_with_the_full_scan_reference(spec, eps, count):
     assert boundaries == count
 
 
+def test_a_checked_run_builds_one_view_of_the_graph(monkeypatch):
+    # The checker's snapshot and adjacency are built once per run, not
+    # once per phase: this run executes 7 phases.
+    stream = open_stream(parse_graph_spec("gnm:300,900,seed=1"))
+    calls = {"snapshot_edges": 0, "edges_above": 0}
+
+    def counted(name, original):
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        return wrapper
+
+    monkeypatch.setattr(EdgeStream, "snapshot_edges",
+                        counted("snapshot_edges", EdgeStream.snapshot_edges))
+    monkeypatch.setattr(invariants, "edges_above",
+                        counted("edges_above", invariants.edges_above))
+    report = driver.run(stream, driver.RunConfig(epsilon=HALF, check_invariants=True))
+    assert sum(row.phases_executed for row in report.per_scale) == 7
+    assert calls == {"snapshot_edges": 1, "edges_above": 1}
+
+
 def test_size_bound_violation_is_flagged():
     engine = mid_run_engine()
     forest = engine.forest
@@ -133,8 +154,24 @@ def test_space_proxy_violation_is_flagged():
 
 
 def test_active_bound():
-    assert check_active_bound(2, HALF, 4) == []
-    assert [v.name for v in check_active_bound(3, HALF, 4)] == ["active-structures"]
+    # Three free vertices and two matched pairs: h * |M| = 1/2 * 2 allows
+    # one active structure at the phase's end.
+    forest = Forest(7, matched(7, [(1, 2), (3, 4)]).mate, CFG.l_max)
+    for alpha in (0, 5, 6):
+        forest.init_structure(alpha)
+    checker = InvariantChecker(7, [])
+    checker.start_phase(forest, CFG)
+
+    def names():
+        with pytest.raises(InvariantViolationError) as caught:
+            checker.at_phase_end()
+        return [v.name for v in caught.value.violations]
+
+    assert names() == ["active-structures"]   # three active
+    forest.structures[0].working = None
+    assert names() == ["active-structures"]   # two active
+    forest.structures[5].working = None
+    checker.at_phase_end()                    # one active
 
 
 def test_short_path_coverage_flags_ignored_path():
@@ -199,7 +236,7 @@ def test_size_mismatch_is_flagged():
 def test_checker_raises_through_engine():
     stream = EdgeStream(4, [(0, 1), (1, 2), (2, 3)])
     matching = matched(4, [(1, 2)])
-    engine = PhaseEngine(stream, matching, CFG, checked=True)
+    engine = PhaseEngine(stream, matching, CFG, checker=checker_for(stream))
     engine.forest.structures[0].root.outer = False   # root must be outer
     with pytest.raises(InvariantViolationError):
         engine.run()
@@ -217,8 +254,8 @@ def nested_blossom_forest(corrupt=None):
     matching = matched(7, [(1, 2), (3, 4), (5, 6)])
     forest = Forest(7, matching.mate, CFG.l_max)
     if corrupt is not None:
-        checker = InvariantChecker(NESTED_EDGES, CFG, forest,
-                                   matching_size_start=matching.size)
+        checker = InvariantChecker(7, NESTED_EDGES)
+        checker.start_phase(forest, CFG)
 
         def on_op(op, touched):
             if op == "contract":

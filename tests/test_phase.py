@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import FullScanEngine, edge_keys, matched
+from helpers import FullScanEngine, checker_for, edge_keys, matched
 from streammatch import driver
+from streammatch.invariants import InvariantChecker
 from streammatch.matching import Matching, is_alternating_augmenting
 from streammatch.phase import READS_PER_BUNDLE, PhaseConfig, PhaseEngine
 from streammatch.stream import (EdgeStream, GraphSpec, build_edges, open_stream,
@@ -56,7 +57,7 @@ def test_phase_config_rejects_bad_parameters():
 def test_p4_phase_finds_the_augmenting_path():
     stream = open_stream(GraphSpec("path", (4,)))
     matching = matched(4, [(1, 2)])
-    _, result = run_phase(stream, matching, checked=True)
+    _, result = run_phase(stream, matching, checker=checker_for(stream))
     assert len(result.paths) == 1
     assert sorted(result.paths[0]) == [0, 1, 2, 3]
     assert is_alternating_augmenting(result.paths[0], matching,
@@ -74,7 +75,7 @@ def test_p4_path_found_in_first_bundle():
 def test_triangle_phase_contracts_and_finds_nothing():
     stream = open_stream(GraphSpec("cycle", (3,)))
     events = []
-    engine, result = run_phase(stream, matched(3, [(1, 2)]), checked=True,
+    engine, result = run_phase(stream, matched(3, [(1, 2)]), checker=checker_for(stream),
                                trace=events.append)
     assert result.paths == []
     contracts = [e for e in events if e["op"] == "contract"]
@@ -184,7 +185,8 @@ def test_phase_builds_no_blossom_for_unreached_vertices():
     # 0 - 1 = 2 - 3 augments; the perfectly matched path 4 = 5 - 6 = 7
     # holds no free vertex, so no structure ever reaches it.
     edges = [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7)]
-    engine = engine_for(8, edges, [(1, 2), (4, 5), (6, 7)], checked=True)
+    engine = engine_for(8, edges, [(1, 2), (4, 5), (6, 7)],
+                        checker=InvariantChecker(8, edges))
     result = engine.run()
     root_of = engine.forest.root_of
     assert result.paths == [[3, 2, 1, 0]]
@@ -225,7 +227,7 @@ def test_on_hold_at_size_limit_freezes_structure():
     edges = [(i, i + 1) for i in range(n - 1)]
     pairs = [(i, i + 1) for i in range(1, n - 1, 2)]
     stream = EdgeStream(n, edges)
-    engine, result = run_phase(stream, matched(n, pairs), checked=True)
+    engine, result = run_phase(stream, matched(n, pairs), checker=checker_for(stream))
     assert result.ever_on_hold
     assert result.stats["holds"] == 1
     assert result.paths == []
@@ -280,7 +282,7 @@ def test_checked_phase_requires_maximal_start():
     from streammatch.invariants import InvariantViolationError
     stream = EdgeStream(2, [(0, 1)])
     with pytest.raises(InvariantViolationError, match="outer-independence"):
-        run_phase(stream, Matching(2), checked=True)
+        run_phase(stream, Matching(2), checker=checker_for(stream))
 
 
 def test_cleanup_pass_augments_modified_structures():
@@ -338,7 +340,7 @@ def test_phase_paths_disjoint_and_valid_on_random_graphs():
         stream = open_stream(GraphSpec("gnm", (16, 26), seed))
         matching = greedy_maximal_matching(stream)
         pairs_before = set(matching.pairs())
-        _, result = run_phase(stream, matching, checked=True)
+        _, result = run_phase(stream, matching, checker=checker_for(stream))
         edge_set = edge_keys(16, stream.snapshot_edges())
         used = set()
         for path in result.paths:
