@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from streammatch import driver
+from streammatch import cli, driver
 from streammatch.stream import open_stream, parse_graph_spec
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -45,6 +45,19 @@ def test_workload_pins(name, checked):
     assert hashlib.sha256(trace.encode()).hexdigest() == pins["trace_sha256"]
     assert report.passes == pins["passes"]
     assert report.matching_size == pins["matching_size"]
+
+
+@pytest.mark.parametrize("graph, digest", [
+    ("gnm:1000,3000,seed=1",
+     "0202e81a48aefa710a585d724af965d7ed03921d273523f543559d17dd6741a4"),
+    ("gnm:300,900,seed=1",
+     "5e749d194859649be6a562445d6ec0d2980e7cc2d01ca9589257c66db6d91483"),
+], ids=["gnm-1000", "gnm-300"])
+def test_quarter_epsilon_trace_pins(tmp_path, capsys, graph, digest):
+    out = tmp_path / "trace.jsonl"
+    assert cli.main(["run", "--gen", graph, "--epsilon", "0.25", "--trace", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_trace_is_identical_across_processes_and_hash_seeds(tmp_path):
