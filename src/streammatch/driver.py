@@ -6,7 +6,7 @@ stream reads.  The total pass count is therefore a closed form in eps
 (:func:`expected_pass_count`) and the driver asserts the run matches it.
 
 Phases are deterministic functions of the matching, the stream content,
-and (eps, h).  Two consequences keep desk-scale runs fast without
+and (eps, h).  Three consequences keep desk-scale runs fast without
 changing any output:
 
 * a phase that banks no augmenting path leaves the matching untouched, so
@@ -15,7 +15,13 @@ changing any output:
 * such a phase that also never put a structure on hold and reached its
   fixpoint before running out of bundles would replay identically at
   every smaller scale too (smaller scales only raise the hold threshold
-  and the bundle budget), so the remaining scales are charged wholesale.
+  and the bundle budget), so the remaining scales are charged wholesale;
+* such a phase that reached its fixpoint at the very bundle B where it
+  first put a structure on hold changed nothing in B but hold flags, so
+  the next scale's first phase, on the same matching, would repeat its
+  bundles 1 .. B - 1; that phase resumes from the engine instead
+  (:meth:`PhaseEngine.resume`), with those bundles' reads counted and
+  their events written to the trace again.
 """
 
 from __future__ import annotations
@@ -150,6 +156,8 @@ def run(stream: EdgeStream, config: RunConfig) -> RunReport:
     totals: dict[str, int] = {}
     per_scale: list[ScaleReport] = []
     skip_remaining_scales = False
+    # An engine whose state is the next scale's first phase's at some bundle.
+    resumable: Optional[PhaseEngine] = None
 
     for cfg in scale_configs:
         if skip_remaining_scales:
@@ -160,8 +168,12 @@ def run(stream: EdgeStream, config: RunConfig) -> RunReport:
         augmentations = 0
         t = 1
         while t <= cfg.t_max:
-            engine = PhaseEngine(stream, matching, cfg, trace=config.trace,
-                                 checker=checker)
+            if resumable is not None:
+                engine, resumable = resumable, None
+                engine.resume(cfg)
+            else:
+                engine = PhaseEngine(stream, matching, cfg, trace=config.trace,
+                                     checker=checker)
             result = engine.run()
             executed += 1
             for path in result.paths:
@@ -175,8 +187,12 @@ def run(stream: EdgeStream, config: RunConfig) -> RunReport:
                 # The matching did not change, so phases t+1 .. t_max of
                 # this scale would repeat this one verbatim.
                 stream.charge_passes(READS_PER_BUNDLE * cfg.tau_max * (cfg.t_max - t))
-                if not result.ever_on_hold and result.froze:
+                if result.froze and result.first_hold is None:
                     skip_remaining_scales = True
+                elif result.froze and result.first_hold == engine.forest.bundle:
+                    # It changed nothing after its first hold, so the next
+                    # scale's first phase runs as it did up to that bundle.
+                    resumable = engine
                 break
             t += 1
         per_scale.append(ScaleReport(cfg.h, cfg.t_max, executed,

@@ -29,6 +29,15 @@ None of these reads the engine's candidate sets (``Forest.dirty``, the
 arc lists, the retired arcs) or the stream's tail index, so a wrong
 candidate set cannot hide a violation.
 
+A phase resumed from the previous scale's (see :mod:`streammatch.phase`)
+is checked from its resume bundle on: :meth:`InvariantChecker.start_phase`
+hooks it again, and its first boundary checks the state it carries over.
+The bundles it replays are not checked again.  Their states are those of
+the phase before, which were checked already, against that scale's
+``limit * l_max`` and ``delta`` bounds, which were at least as strict;
+and :meth:`InvariantChecker.at_phase_end` still checks the active bound
+with the new h.
+
 Checking a blossom once is complete: its record (subs, cycle, base and
 vertex count) never changes once it is built, and its vertices stay the
 prefix of the vertex list of the tree node it was built for, which only

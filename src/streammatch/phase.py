@@ -128,6 +128,20 @@ Once a bundle changes nothing, no later bundle of the phase can change
 anything either (the loop body is a deterministic function of the phase
 state), so the engine charges the remaining reads to the stream instead
 of performing them and ends the phase early with identical results.
+
+A phase depends on its scale h only through the hold threshold ``limit``
+and the bundle budget ``tau_max``, which only grow as h halves.  So when
+a phase banks no path and reaches its fixpoint at the bundle B where it
+first puts a structure on hold, the first phase of the next scale, on
+the same matching, would run bundles 1 .. B - 1 as it did.
+:meth:`PhaseEngine.resume` turns the engine into that phase at the start
+of B, and :meth:`PhaseEngine.run` carries on from there.  The reads of
+bundles 1 .. B - 1 count as passes that visit no arc, and a traced
+engine, which logs its events, writes theirs again.  Once the hold flags
+and count are reset, the engine's state differs from the new phase's at
+that point only in the arcs that B retired and the lists it compacted,
+and a read skips a retired arc as it would retire it, so the outcome is
+the same.
 """
 
 from __future__ import annotations
@@ -203,7 +217,7 @@ class PhaseResult:
     paths: list[list[int]]
     stats: dict
     froze: bool                  # reached a fixpoint before tau_max bundles
-    ever_on_hold: bool
+    first_hold: Optional[int]    # the first bundle that put a structure on hold
 
 
 class PhaseEngine:
@@ -216,12 +230,16 @@ class PhaseEngine:
         self.matching = matching
         self.config = config
         self.n = stream.vertex_count
-        self.forest = Forest(self.n, matching.mate, config.l_max, trace=trace)
+        # A traced phase logs its events, to write them again if it resumes.
+        self.trace = trace
+        self.events: Optional[list[dict]] = None if trace is None else []
+        self.forest = Forest(self.n, matching.mate, config.l_max,
+                             trace=None if trace is None else self._log)
         for alpha in matching.free_vertices():
             self.forest.init_structure(alpha)
         # The structures that may still act, in alpha order.
         self.live = list(self.forest.structures.values())
-        self.ever_on_hold = False
+        self.first_hold: Optional[int] = None
         # Retired arcs; per root blossom, under its base, the positions of
         # the arcs with a tail in it that were live when the list was last
         # compacted (None: not cached), and how many of those are dead.
@@ -232,12 +250,18 @@ class PhaseEngine:
         if checker is not None:
             checker.start_phase(self.forest, config)
 
+    def _log(self, event: dict) -> None:
+        self.events.append(event)
+        self.trace(event)
+
     def run(self) -> PhaseResult:
+        """Run the bundles after ``forest.bundle``, the first from 1, the
+        first of a resumed phase from the bundle where it resumes."""
         cfg = self.config
         froze = False
         if self.checker is not None:
             self.checker.at_boundary()
-        for tau in range(1, cfg.tau_max + 1):
+        for tau in range(self.forest.bundle + 1, cfg.tau_max + 1):
             if not self._bundle(tau):
                 # Fixpoint: the remaining bundles of this phase would read
                 # the stream without effect.  Charge their passes.
@@ -250,8 +274,39 @@ class PhaseEngine:
             paths=list(self.forest.paths),
             stats=dict(self.forest.stats),
             froze=froze,
-            ever_on_hold=self.ever_on_hold,
+            first_hold=self.first_hold,
         )
+
+    def resume(self, config: PhaseConfig) -> None:
+        """Become the phase at ``config``'s smaller scale on the same
+        matching, so that :meth:`run` continues it from bundle B, where
+        this phase first put a structure on hold and froze without banking
+        a path.  Bundle B changed nothing but hold flags, so the state is
+        the new phase's at the start of B: a smaller scale only raises the
+        hold threshold and the bundle budget, so the new phase holds
+        nothing before B and runs bundles 1 .. B - 1 as this one did.
+        B > 1, as every structure starts with one vertex, so ``dirty`` is
+        empty then, as here.  The reads of those bundles count as passes
+        that visit no arc, and their logged events go to the trace again."""
+        forest = self.forest
+        start = self.first_hold
+        assert start == forest.bundle > 1 and not forest.paths
+        assert config.limit > self.config.limit and config.l_max == self.config.l_max
+        self.config = config
+        self.first_hold = None
+        forest.bundle = start - 1
+        forest.stats["holds"] = 0
+        for structure in self.live:
+            structure.on_hold = False
+        for _ in range(READS_PER_BUNDLE * (start - 1)):
+            self.stream.read().close()
+        if self.events is not None:
+            # Bundle B logged only holds, and no bundle before it did.
+            self.events = [event for event in self.events if event["op"] != "hold"]
+            for event in self.events:
+                self.trace(event)
+        if self.checker is not None:
+            self.checker.start_phase(forest, config)
 
     def _bundle(self, tau: int) -> bool:
         """Run pass bundle ``tau``: marking, the three reads, backtracking
@@ -263,10 +318,10 @@ class PhaseEngine:
         limit = self.config.limit
         for structure in self.live:
             hold = structure.size >= limit
-            if hold:
-                self.ever_on_hold = True
-                if not structure.on_hold:
-                    forest.record("hold", structure)
+            if hold and not structure.on_hold:
+                forest.record("hold", structure)
+                if self.first_hold is None:
+                    self.first_hold = tau
             structure.on_hold = hold
             structure.modified = False
         before = forest.mutations

@@ -228,12 +228,50 @@ def test_on_hold_at_size_limit_freezes_structure():
     pairs = [(i, i + 1) for i in range(1, n - 1, 2)]
     stream = EdgeStream(n, edges)
     engine, result = run_phase(stream, matched(n, pairs), checker=checker_for(stream))
-    assert result.ever_on_hold
+    assert result.first_hold == engine.forest.bundle == 7
     assert result.stats["holds"] == 1
     assert result.paths == []
     assert result.froze
     live = engine.forest.structures.values()
     assert sum(1 for s in live if s.working is not None) == 1
+
+
+def test_only_a_traced_phase_logs_its_events():
+    edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]
+    untraced = engine_for(5, edges, [(0, 1), (2, 3)])
+    untraced.run()
+    assert untraced.events is None
+    events = []
+    traced = engine_for(5, edges, [(0, 1), (2, 3)], trace=events.append)
+    traced.run()
+    assert traced.events == events and events
+
+
+def test_a_resumed_phase_starts_from_a_fresh_phase_state():
+    # The chain above holds its structure at bundle 7 at h = 1/2 (limit
+    # 13) and freezes there.  Resumed at h = 1/4 (limit 25), the engine
+    # must hold what a fresh phase at h = 1/4 holds after bundle 6, hold
+    # flags and counts included, and then run as that phase does.
+    n = 15
+    edges = [(i, i + 1) for i in range(n - 1)]
+    pairs = [(i, i + 1) for i in range(1, n - 1, 2)]
+    stream = EdgeStream(n, edges)
+    engine, result = run_phase(stream, matched(n, pairs), checker=checker_for(stream))
+    assert result.first_hold == engine.forest.bundle == 7 and result.froze
+    quarter = PhaseConfig.from_scale(Fraction(1, 4), HALF)
+    engine.resume(quarter)
+    fresh = PhaseEngine(EdgeStream(n, edges), matched(n, pairs), quarter)
+    for tau in range(1, 7):
+        run_bundle(fresh, tau)
+
+    def state(engine):
+        forest = engine.forest
+        return (forest.bundle, forest.labels, forest.stats, forest.dirty,
+                [(s.alpha, s.size, s.on_hold, s.working.base)
+                 for s in forest.structures.values()])
+
+    assert state(engine) == state(fresh)
+    assert engine.run() == fresh.run()
 
 
 def test_trace_sequence_cycle5():
