@@ -136,8 +136,8 @@ first puts a structure on hold, the first phase of the next scale, on
 the same matching, would run bundles 1 .. B - 1 as it did.
 :meth:`PhaseEngine.resume` turns the engine into that phase at the start
 of B, and :meth:`PhaseEngine.run` carries on from there.  The reads of
-bundles 1 .. B - 1 count as passes that visit no arc, and a traced
-engine, which logs its events, writes theirs again.  Once the hold flags
+bundles 1 .. B - 1 count as passes that visit no arc, and their events,
+which a traced forest keeps, are written to the trace again.  Once the hold flags
 and count are reset, the engine's state differs from the new phase's at
 that point only in the arcs that B retired and the lists it compacted,
 and a read skips a retired arc as it would retire it, so the outcome is
@@ -230,11 +230,7 @@ class PhaseEngine:
         self.matching = matching
         self.config = config
         self.n = stream.vertex_count
-        # A traced phase logs its events, to write them again if it resumes.
-        self.trace = trace
-        self.events: Optional[list[dict]] = None if trace is None else []
-        self.forest = Forest(self.n, matching.mate, config.l_max,
-                             trace=None if trace is None else self._log)
+        self.forest = Forest(self.n, matching.mate, config.l_max, trace=trace)
         for alpha in matching.free_vertices():
             self.forest.init_structure(alpha)
         # The structures that may still act, in alpha order.
@@ -249,10 +245,6 @@ class PhaseEngine:
         self.checker = checker
         if checker is not None:
             checker.start_phase(self.forest, config)
-
-    def _log(self, event: dict) -> None:
-        self.events.append(event)
-        self.trace(event)
 
     def run(self) -> PhaseResult:
         """Run the bundles after ``forest.bundle``, the first from 1, the
@@ -281,13 +273,9 @@ class PhaseEngine:
         """Become the phase at ``config``'s smaller scale on the same
         matching, so that :meth:`run` continues it from bundle B, where
         this phase first put a structure on hold and froze without banking
-        a path.  Bundle B changed nothing but hold flags, so the state is
-        the new phase's at the start of B: a smaller scale only raises the
-        hold threshold and the bundle budget, so the new phase holds
-        nothing before B and runs bundles 1 .. B - 1 as this one did.
-        B > 1, as every structure starts with one vertex, so ``dirty`` is
-        empty then, as here.  The reads of those bundles count as passes
-        that visit no arc, and their logged events go to the trace again."""
+        a path (see the module docstring).  B > 1, as every structure
+        starts with one vertex, so ``dirty`` is empty at the start of B in
+        the new phase, as it is here."""
         forest = self.forest
         start = self.first_hold
         assert start == forest.bundle > 1 and not forest.paths
@@ -300,11 +288,11 @@ class PhaseEngine:
             structure.on_hold = False
         for _ in range(READS_PER_BUNDLE * (start - 1)):
             self.stream.read().close()
-        if self.events is not None:
+        if forest.trace is not None:
             # Bundle B logged only holds, and no bundle before it did.
-            self.events = [event for event in self.events if event["op"] != "hold"]
-            for event in self.events:
-                self.trace(event)
+            forest.events = [event for event in forest.events if event["op"] != "hold"]
+            for event in forest.events:
+                forest.trace(event)
         if self.checker is not None:
             self.checker.start_phase(forest, config)
 

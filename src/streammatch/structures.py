@@ -251,7 +251,8 @@ class Forest:
     Every operation reports itself once, through :meth:`record`, which
     bumps ``mutations`` (a full pass bundle that leaves it untouched can
     never change anything again within the phase), counts the operation
-    in ``stats``, writes the trace event and calls the ``on_op`` hook.
+    in ``stats``, writes the trace event, which a traced forest also
+    keeps in ``events``, and calls the ``on_op`` hook.
 
     ``dirty`` lists the vertices that became outer since the engine last
     cleared it, from three sources: a new structure's free vertex, the
@@ -269,6 +270,8 @@ class Forest:
         self.mate = mate
         self.labels = [l_max + 1] * n
         self.trace = trace
+        # A traced phase logs its events, to write them again if it resumes.
+        self.events: Optional[list[dict]] = None if trace is None else []
         self.on_op: Optional[Callable[[str, tuple], None]] = None
         self.bundle = 0
         self.mutations = 0
@@ -311,10 +314,11 @@ class Forest:
         self.mutations += 1
         self.stats[op + "s"] += 1
         if self.trace is not None:
-            self.trace({"bundle": self.bundle, "op": op,
-                        "structure": structure.alpha, "arc": arc,
-                        "label_old": label_old, "label_new": label_new,
-                        "case": case})
+            event = {"bundle": self.bundle, "op": op, "structure": structure.alpha,
+                     "arc": arc, "label_old": label_old, "label_new": label_new,
+                     "case": case}
+            self.events.append(event)
+            self.trace(event)
         if touched and self.on_op is not None:
             self.on_op(op, touched)
 

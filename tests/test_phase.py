@@ -240,11 +240,11 @@ def test_only_a_traced_phase_logs_its_events():
     edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]
     untraced = engine_for(5, edges, [(0, 1), (2, 3)])
     untraced.run()
-    assert untraced.events is None
+    assert untraced.forest.events is None
     events = []
     traced = engine_for(5, edges, [(0, 1), (2, 3)], trace=events.append)
     traced.run()
-    assert traced.events == events and events
+    assert traced.forest.events == events and events
 
 
 def test_a_resumed_phase_starts_from_a_fresh_phase_state():
@@ -328,9 +328,8 @@ def test_cleanup_pass_augments_modified_structures():
     # new outer tips is skipped during extension (modified marks) and the
     # augment happens in the cleanup passes instead.
     edges = [(0, 1), (3, 4), (1, 2), (4, 5), (2, 5)]
-    engine = engine_for(6, edges, [(1, 2), (4, 5)])
     events = []
-    engine.forest.trace = events.append
+    engine = engine_for(6, edges, [(1, 2), (4, 5)], trace=events.append)
     run_bundle(engine, 1)
     assert engine.forest.paths == [[0, 1, 2, 5, 4, 3]]
     augments = [e for e in events if e["op"] == "augment"]
