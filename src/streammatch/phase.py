@@ -247,8 +247,8 @@ class PhaseEngine:
             checker.start_phase(self.forest, config)
 
     def run(self) -> PhaseResult:
-        """Run the bundles after ``forest.bundle``, the first from 1, the
-        first of a resumed phase from the bundle where it resumes."""
+        """Run the phase's bundles from ``forest.bundle + 1``: from 1, or
+        from the bundle where a resumed phase continues."""
         cfg = self.config
         froze = False
         if self.checker is not None:

@@ -217,9 +217,10 @@ class FullScanEngine(PhaseEngine):
 
 
 def full_replay_run(stream, epsilon):
-    """Reference driver: ``driver.run`` without its two shortcuts.  It runs
-    every phase of every scale, so no phase or scale is charged unread;
-    a phase may still freeze by the phase-level rule.
+    """Reference driver: ``driver.run`` without its three shortcuts.  It
+    runs every phase of every scale from a new engine, so no phase or
+    scale is charged unread and none resumes from the phase before; a
+    phase may still freeze by the phase-level rule.
 
     Returns the matching, the per-scale rows, the pass count and each
     phase's trace: ``traces[s][t]`` is the JSONL text of phase t + 1 of
