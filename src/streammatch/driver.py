@@ -17,7 +17,8 @@ changing any output:
   every smaller scale too (smaller scales only raise the hold threshold
   and the bundle budget), so the remaining scales are charged wholesale;
 * such a phase that reached its fixpoint at the very bundle B where it
-  first put a structure on hold changed nothing in B but hold flags, so
+  first put a structure on hold held every live structure in B and so
+  changed nothing in B but hold flags, so
   the next scale's first phase, on the same matching, would repeat its
   bundles 1 .. B - 1; that phase resumes from the engine instead
   (:meth:`PhaseEngine.resume`), with those bundles' reads counted and
@@ -174,22 +175,22 @@ def run(stream: EdgeStream, config: RunConfig) -> RunReport:
             else:
                 engine = PhaseEngine(stream, matching, cfg, trace=config.trace,
                                      checker=checker)
-            result = engine.run()
+            paths = engine.run()
             executed += 1
-            for path in result.paths:
+            for path in paths:
                 if checker is not None:
                     checker.check_path(path, matching)
                 augment_along(matching, path)
-            augmentations += len(result.paths)
-            for key, count in result.stats.items():
+            augmentations += len(paths)
+            for key, count in engine.forest.stats.items():
                 totals[key] = totals.get(key, 0) + count
-            if not result.paths:
+            if not paths:
                 # The matching did not change, so phases t+1 .. t_max of
                 # this scale would repeat this one verbatim.
                 stream.charge_passes(READS_PER_BUNDLE * cfg.tau_max * (cfg.t_max - t))
-                if result.froze and result.first_hold is None:
+                if engine.froze and engine.first_hold is None:
                     skip_remaining_scales = True
-                elif result.froze and result.first_hold == engine.forest.bundle:
+                elif engine.froze and engine.first_hold == engine.forest.bundle:
                     # It changed nothing after its first hold, so the next
                     # scale's first phase runs as it did up to that bundle.
                     resumable = engine

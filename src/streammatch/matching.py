@@ -14,7 +14,6 @@ class Matching:
     vertex is ever free again."""
 
     def __init__(self, n: int):
-        self.n = n
         self.mate: list[Optional[int]] = [None] * n
         self.size = 0
         self._free = list(range(n))

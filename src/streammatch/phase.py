@@ -124,7 +124,14 @@ drops those that lost their working node by deactivation or removal:
 they never act again, and a deactivated one only shrinks, so it never
 goes on hold.
 
-Once a bundle changes nothing, no later bundle of the phase can change
+A bundle changes the phase iff its marking leaves a live structure off
+hold.  Such a structure records an operation in the bundle: it acts, it
+is robbed or removed by another structure's operation, or it backtracks.
+With every live structure held, the extension read picks no arc, the
+collection read no structure, ``dirty`` is empty (the augmentation read
+clears it, and only bundle 1 starts with it filled, when no structure
+is on hold), and nothing backtracks: the three reads visit no arc.  Once
+a bundle changes nothing, no later bundle of the phase can change
 anything either (the loop body is a deterministic function of the phase
 state), so the engine charges the remaining reads to the stream instead
 of performing them and ends the phase early with identical results.
@@ -137,11 +144,9 @@ the same matching, would run bundles 1 .. B - 1 as it did.
 :meth:`PhaseEngine.resume` turns the engine into that phase at the start
 of B, and :meth:`PhaseEngine.run` carries on from there.  The reads of
 bundles 1 .. B - 1 count as passes that visit no arc, and their events,
-which a traced forest keeps, are written to the trace again.  Once the hold flags
-and count are reset, the engine's state differs from the new phase's at
-that point only in the arcs that B retired and the lists it compacted,
-and a read skips a retired arc as it would retire it, so the outcome is
-the same.
+which a traced forest keeps, are written to the trace again.  B visits
+no arc, so the engine at the start of B is the new phase's, except for
+the hold flags and count, which :meth:`PhaseEngine.resume` resets.
 """
 
 from __future__ import annotations
@@ -171,7 +176,6 @@ class PhaseConfig:
     """
 
     h: Fraction
-    eps: Fraction
     l_max: int
     limit: int
     tau_max: int
@@ -207,17 +211,7 @@ class PhaseConfig:
         if bound > ints["delta"]:
             raise ValueError(f"size bound {bound} exceeds space budget {ints['delta']} "
                              f"at h={h}, eps={eps}")
-        return PhaseConfig(h=h, eps=eps, **ints)
-
-
-@dataclass
-class PhaseResult:
-    """Outcome of one phase: banked augmenting paths plus operation counts."""
-
-    paths: list[list[int]]
-    stats: dict
-    froze: bool                  # reached a fixpoint before tau_max bundles
-    first_hold: Optional[int]    # the first bundle that put a structure on hold
+        return PhaseConfig(h=h, **ints)
 
 
 class PhaseEngine:
@@ -235,6 +229,9 @@ class PhaseEngine:
             self.forest.init_structure(alpha)
         # The structures that may still act, in alpha order.
         self.live = list(self.forest.structures.values())
+        # Whether the phase reached a fixpoint before tau_max bundles, and
+        # the first bundle that put a structure on hold.
+        self.froze = False
         self.first_hold: Optional[int] = None
         # Retired arcs; per root blossom, under its base, the positions of
         # the arcs with a tail in it that were live when the list was last
@@ -246,28 +243,23 @@ class PhaseEngine:
         if checker is not None:
             checker.start_phase(self.forest, config)
 
-    def run(self) -> PhaseResult:
+    def run(self) -> list[list[int]]:
         """Run the phase's bundles from ``forest.bundle + 1``: from 1, or
-        from the bundle where a resumed phase continues."""
+        from the bundle where a resumed phase continues.  Returns the
+        banked augmenting paths, ``forest.paths``."""
         cfg = self.config
-        froze = False
         if self.checker is not None:
             self.checker.at_boundary()
         for tau in range(self.forest.bundle + 1, cfg.tau_max + 1):
             if not self._bundle(tau):
                 # Fixpoint: the remaining bundles of this phase would read
                 # the stream without effect.  Charge their passes.
-                froze = True
+                self.froze = True
                 self.stream.charge_passes(READS_PER_BUNDLE * (cfg.tau_max - tau))
                 break
         if self.checker is not None:
             self.checker.at_phase_end()
-        return PhaseResult(
-            paths=list(self.forest.paths),
-            stats=dict(self.forest.stats),
-            froze=froze,
-            first_hold=self.first_hold,
-        )
+        return self.forest.paths
 
     def resume(self, config: PhaseConfig) -> None:
         """Become the phase at ``config``'s smaller scale on the same
@@ -281,6 +273,7 @@ class PhaseEngine:
         assert start == forest.bundle > 1 and not forest.paths
         assert config.limit > self.config.limit and config.l_max == self.config.l_max
         self.config = config
+        self.froze = False
         self.first_hold = None
         forest.bundle = start - 1
         forest.stats["holds"] = 0
@@ -298,12 +291,13 @@ class PhaseEngine:
 
     def _bundle(self, tau: int) -> bool:
         """Run pass bundle ``tau``: marking, the three reads, backtracking
-        and the boundary check.  Returns whether it changed anything; a
-        hold alone does not count."""
+        and the boundary check.  Returns whether it changed anything:
+        whether marking left a live structure off hold."""
         forest = self.forest
         forest.bundle = tau
         self.live = [s for s in self.live if s.working is not None]
         limit = self.config.limit
+        changes = False
         for structure in self.live:
             hold = structure.size >= limit
             if hold and not structure.on_hold:
@@ -312,13 +306,13 @@ class PhaseEngine:
                     self.first_hold = tau
             structure.on_hold = hold
             structure.modified = False
-        before = forest.mutations
+            changes = changes or not hold
         self._extend_pass()
         self._contract_and_augment()
         self._backtrack_stuck()
         if self.checker is not None:
             self.checker.at_boundary()
-        return forest.mutations != before
+        return changes
 
     # -- bundle parts ---------------------------------------------------------
 

@@ -249,10 +249,8 @@ class Forest:
     :meth:`relabel` changes one, so an unmatched tail keeps it.
 
     Every operation reports itself once, through :meth:`record`, which
-    bumps ``mutations`` (a full pass bundle that leaves it untouched can
-    never change anything again within the phase), counts the operation
-    in ``stats``, writes the trace event, which a traced forest also
-    keeps in ``events``, and calls the ``on_op`` hook.
+    counts the operation in ``stats``, writes the trace event, which a
+    traced forest also keeps in ``events``, and calls the ``on_op`` hook.
 
     ``dirty`` lists the vertices that became outer since the engine last
     cleared it, from three sources: a new structure's free vertex, the
@@ -274,7 +272,6 @@ class Forest:
         self.events: Optional[list[dict]] = None if trace is None else []
         self.on_op: Optional[Callable[[str, tuple], None]] = None
         self.bundle = 0
-        self.mutations = 0
         self.root_of: list[Optional[Node]] = [None] * n
         self.structures: dict[int, Structure] = {}
         self.dirty: list[int] = []
@@ -311,7 +308,6 @@ class Forest:
         """Report one operation of kind ``op`` (``contract``, ``overtake``,
         ``augment``, ``backtrack`` or ``hold``) on ``structure``; ``touched``
         names the structures whose shape it changed, for ``on_op``."""
-        self.mutations += 1
         self.stats[op + "s"] += 1
         if self.trace is not None:
             event = {"bundle": self.bundle, "op": op, "structure": structure.alpha,

@@ -235,10 +235,10 @@ def full_replay_run(stream, epsilon):
         phases = []
         for _ in range(cfg.t_max):
             events = []
-            result = PhaseEngine(stream, matching, cfg, trace=events.append).run()
-            for path in result.paths:
+            paths = PhaseEngine(stream, matching, cfg, trace=events.append).run()
+            for path in paths:
                 augment_along(matching, path)
-            augmentations += len(result.paths)
+            augmentations += len(paths)
             phases.append("".join(json.dumps(event) + "\n" for event in events))
         rows.append(ScaleReport(h, cfg.t_max, cfg.t_max, augmentations, matching.size))
         traces.append(phases)

@@ -194,12 +194,12 @@ def test_criterion_7_space_proxy(corpus_rows):
     cfg = PhaseConfig.from_scale(Fraction(1, 2), Fraction(1, 2))
     engine = PhaseEngine(EdgeStream(n, edges), matching, cfg,
                          checker=InvariantChecker(n, edges))
-    result = engine.run()
+    engine.run()
     structure = engine.forest.structures[0]
     assert structure.size <= cfg.delta
     assert 0 < stored_arcs(engine.forest, structure) <= cfg.delta ** 2
     assert not check_structure(engine.forest, structure, cfg.limit,
                                cfg.l_max, cfg.delta)
-    assert result.first_hold is not None  # the bound was actually approached
+    assert engine.first_hold is not None  # the bound was actually approached
     print(f"\n[criterion 7] PASS: per-structure vertices <= {cfg.delta} and "
           f"arcs <= {cfg.delta ** 2} held throughout every checked corpus run")

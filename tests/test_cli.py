@@ -215,6 +215,12 @@ def test_usage_error_exit_1(capsys):
             code, _, err = run_cli(capsys, command, "--gen", spec)
             assert code == 1
             assert_one_line_error(err, "error", repr(spec))
+        # Specs that parse but that their generator rejects.
+        for spec, message in (("cycle:2", "cycle needs n >= 3"),
+                              ("bipartite:2,2,5", "m=5 exceeds the 4 possible edges")):
+            code, out, err = run_cli(capsys, command, "--gen", spec)
+            assert code == 1 and out == ""
+            assert_one_line_error(err, "error", message)
     # argparse's own usage errors exit 1 too, not its default 2, which
     # would read as a guarantee violation; --help still exits 0.  A graph
     # comes from exactly one of --input and --gen (gen takes only --gen),

@@ -104,16 +104,18 @@ def assert_same_as_full_scan(make_stream, eps, checked=False):
 READ_KINDS = ("extension", "collection", "augmentation")
 
 
-def arcs_visited_per_read_kind(engine_class, n, edges):
-    """Arcs each read kind hands to the engine over one run: the arcs a
-    full pass yields plus those a read picks by position.  Reads come in
-    a fixed order, the greedy pass and then three per bundle.
+def arcs_visited_per_read_kind(engine_class, n, edges, visits=None, checked=False):
+    """Arcs each read kind hands to the engine over one run at eps = 1/2,
+    checked or not: the arcs a full pass yields plus those a read picks by
+    position.  Reads come in a fixed order, the greedy pass and then three
+    per bundle.  The counts go to ``visits`` when given, so that the
+    engine can read them during the run.
 
     Under the key ``"dead again"`` it also counts the visits to an arc
     position that an extension or collection read already visited in the
     same phase while the arc was dead (its ends in one root blossom, or an
     end removed): visits by any later bundle read of the phase."""
-    visits = Counter()
+    visits = Counter() if visits is None else visits
     reads = count()
     kind = [None]
     full_pass = EdgeStream.iter_arcs_once
@@ -161,7 +163,7 @@ def arcs_visited_per_read_kind(engine_class, n, edges):
     stream._arcs = CountingArcs(stream._arcs)
     with mock.patch.object(EdgeStream, "iter_arcs_once", open_pass), \
             mock.patch.object(driver, "PhaseEngine", Tracked):
-        driver.run(stream, driver.RunConfig(epsilon=0.5))
+        driver.run(stream, driver.RunConfig(epsilon=0.5, check_invariants=checked))
     return visits
 
 
@@ -209,6 +211,52 @@ def test_arc_visits_per_read_kind_stay_pinned():
     assert visits["extension"] <= 2500
     assert visits["collection"] <= 6000
     assert abs(visits["augmentation"] - 1409) <= 30
+
+
+def marking_decides(visits, tally):
+    """A :class:`PhaseEngine` that asserts at every bundle that three
+    things agree: a live structure is below the hold threshold when the
+    bundle starts, the bundle records an operation other than a hold, and
+    ``_bundle`` returns True; and that a bundle without such a structure
+    visits no arc.  ``tally`` counts the bundles of each kind and the
+    resumes."""
+
+    class MarkingDecides(PhaseEngine):
+        def resume(self, config):
+            tally["resumes"] += 1
+            super().resume(config)
+
+        def _bundle(self, tau):
+            stats = self.forest.stats
+
+            def operations():
+                return sum(stats[op + "s"] for op in ("overtake", "contract", "augment",
+                                                       "backtrack"))
+
+            off_hold = any(s.working is not None and s.size < self.config.limit
+                           for s in self.forest.structures.values())
+            before, seen = operations(), sum(visits.values())
+            changed = super()._bundle(tau)
+            assert changed == off_hold == (operations() > before), tau
+            assert off_hold or sum(visits.values()) == seen, tau
+            tally[off_hold] += 1
+            return changed
+
+    return MarkingDecides
+
+
+def test_a_bundle_changes_the_phase_iff_marking_leaves_a_structure_off_hold():
+    # Checked runs of the corpus, then a run whose phases resume from the
+    # scale before six times.
+    visits, tally = Counter(), Counter()
+    for spec in bench.corpus():
+        arcs_visited_per_read_kind(marking_decides(visits, tally), *build_edges(spec),
+                                   visits, checked=True)
+    assert tally[True] and tally[False]
+    tally.clear()
+    n, edges = build_edges(parse_graph_spec("gnm:1000,3000,seed=1"))
+    arcs_visited_per_read_kind(marking_decides(visits, tally), n, edges, visits)
+    assert tally["resumes"] == 6 and tally[False] >= 6
 
 
 def steals_before_acting(n, edges, eps):
@@ -352,16 +400,18 @@ def test_a_resumed_phase_runs_as_a_fresh_one(spec, eps, resumes):
 
     def run(engine):
         nonlocal compared
-        result = original_run(engine)
+        paths = original_run(engine)
         mark = marks.pop(engine, None)
         if mark is not None:
             fresh_events = []
             fresh = PhaseEngine(open_stream(graph), engine.matching, engine.config,
                                 trace=fresh_events.append)
-            assert fresh.run() == result
+            assert fresh.run() == paths
+            assert (fresh.forest.stats, fresh.froze, fresh.first_hold) == \
+                (engine.forest.stats, engine.froze, engine.first_hold)
             assert fresh_events == events[mark:]
             compared += 1
-        return result
+        return paths
 
     with mock.patch.object(PhaseEngine, "resume", resume), \
             mock.patch.object(PhaseEngine, "run", run):

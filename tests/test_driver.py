@@ -162,12 +162,12 @@ def test_label_reductions_are_overtakes_and_contracted_cycle_arcs(monkeypatch, e
     def checked_run(engine):
         nonlocal resumed
         resumed += engine.forest.bundle > 0
-        result = original_run(engine)
-        stats, arcs = result.stats, cycle_arcs[engine.forest]
+        paths = original_run(engine)
+        stats, arcs = engine.forest.stats, cycle_arcs[engine.forest]
         assert stats["contracts"] == len(arcs)
         assert stats["label_reductions"] == stats["overtakes"] + sum(arcs)
         assert list(stats)[-1] == "label_reductions"
-        return result
+        return paths
 
     monkeypatch.setattr(Forest, "contract", recording_contract)
     monkeypatch.setattr(PhaseEngine, "run", checked_run)
@@ -185,7 +185,7 @@ def test_matching_size_and_free_list_follow_every_change(monkeypatch, spec):
     # after each augmentation and when each phase starts.
     def assert_as_scanned(matching):
         free = [v for v, mate in enumerate(matching.mate) if mate is None]
-        assert matching.size == (matching.n - len(free)) // 2
+        assert matching.size == (len(matching.mate) - len(free)) // 2
         assert matching.free_vertices() == free
 
     seen = []
@@ -335,10 +335,10 @@ def test_checked_run_names_a_banked_path_that_is_not_augmenting(monkeypatch):
     # ends at a matched vertex.
     class Truncating(PhaseEngine):
         def run(self):
-            result = super().run()
-            assert result.paths
-            result.paths[0] = result.paths[0][:-1]
-            return result
+            paths = super().run()
+            assert paths
+            paths[0] = paths[0][:-1]
+            return paths
 
     monkeypatch.setattr(driver, "PhaseEngine", Truncating)
     with pytest.raises(InvariantViolationError) as caught:

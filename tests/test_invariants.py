@@ -366,6 +366,17 @@ def test_stale_resolution_is_flagged():
     forest = engine.forest
     forest.root_of[3] = forest.root_of[0]  # 3 is the root of S_3
     assert forest_names(forest, engine.stream.snapshot_edges()) == {"resolution"}
+    # P6 after one overtake: the unreached vertex 3 pointed at the live
+    # root {0} of S_0.
+    edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]
+    engine = PhaseEngine(EdgeStream(6, edges), matched(6, [(1, 2), (3, 4)]), CFG)
+    forest = engine.forest
+    forest.overtake(0, 1, 1)
+    forest.root_of[3] = forest.root_of[0]
+    assert forest_names(forest, edges) == {"resolution"}
+    details = [v.detail for v in boundary_violations(forest, CFG.limit, CFG.l_max,
+                                                     CFG.delta)]
+    assert details == [f"3 is in no tree but resolves to {forest.root_of[0]!r}"]
 
 
 def test_unvisited_vertex_resolving_to_removed_node_is_flagged():
@@ -479,6 +490,52 @@ def test_space_arcs_violation_is_flagged():
 def test_misconnected_blossom_cycle_is_flagged_at_contraction():
     assert names_raised_after_contract(lambda blossom: blossom.cycle.reverse()) \
         == {"blossom-shape"}
+
+
+def rotate_by_one(blossom):
+    """Start the cycle at its second sub: still connected, but the
+    matched arc now sits at an even position."""
+    blossom.subs.append(blossom.subs.pop(0))
+    blossom.cycle.append(blossom.cycle.pop(0))
+
+
+# The first blossom built is the triangle 2 - 4 = 3 - 2, with base 2.
+@pytest.mark.parametrize("corrupt, details", [
+    (lambda blossom: blossom.subs.pop(), ["has 2 subs"]),
+    (lambda blossom: setattr(blossom, "count", 4), ["has even vertex count"]),
+    (lambda blossom: blossom.cycle.pop(), ["cycle/subs length mismatch"]),
+    (lambda blossom: setattr(blossom, "base", 3),
+     ["base not the stem sub's base", "base 3 of B[2, 3, 4] matched inside"]),
+    (rotate_by_one, ["cycle arc 0 of B[2, 3, 4] breaks alternation"]),
+], ids=["subs", "count", "cycle", "base", "alternation"])
+def test_malformed_blossom_record_is_flagged_at_contraction(corrupt, details):
+    with pytest.raises(InvariantViolationError) as caught:
+        nested_blossom_forest(corrupt)
+    found = [v.detail for v in caught.value.violations if v.name == "blossom-shape"]
+    for detail in details:
+        assert any(detail in text for text in found), (detail, found)
+
+
+def give_the_root_a_parent(forest):
+    forest.structures[0].root.parent = forest.root_of[3]
+
+
+def make_the_inner_node_composite(forest):
+    # A one-vertex record stands in for a blossom at the inner node {1}.
+    forest.root_of[1].blossom = Blossom(1, [1], [], [1])
+
+
+@pytest.mark.parametrize("corrupt, detail", [
+    (give_the_root_a_parent, "bad root"),
+    (make_the_inner_node_composite, "inner node B[1] is composite"),
+])
+def test_malformed_tree_is_flagged(corrupt, detail):
+    forest = mid_run_engine().forest
+    corrupt(forest)
+    violations = check_structure(forest, forest.structures[0],
+                                 CFG.limit, CFG.l_max, CFG.delta)
+    assert any(v.name == "tree-representation" and v.detail.startswith(detail)
+               for v in violations), violations
 
 
 def test_blossom_that_is_not_the_union_of_its_subs_is_flagged():

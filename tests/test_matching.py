@@ -129,8 +129,15 @@ def test_augment_checked_rejects_bad_paths(path):
 def test_is_alternating_augmenting_rejects_wrong_parity():
     m = matched(4, [(1, 2)])
     assert is_alternating_augmenting([0, 1, 2, 3], m, K4)
-    # second edge must be matched
+    # ends at a matched vertex
     assert not is_alternating_augmenting([0, 3, 1, 2], m, K4)
+    # the second edge, at odd step 1, must be matched
+    k6 = edge_keys(6, complete_edges(6))
+    assert not is_alternating_augmenting([0, 1, 3, 4, 2, 5], matched(6, [(1, 2), (3, 4)]), k6)
+    # the third edge, at even step 2, must be unmatched; with a symmetric
+    # mate map a vertex would repeat first, so the map here is not one
+    m.mate[2] = 3
+    assert not is_alternating_augmenting([0, 1, 2, 3], m, K4)
     # non-edges are rejected too
     p4 = edge_keys(4, [(0, 1), (1, 2), (2, 3)])
     assert not is_alternating_augmenting([0, 2, 1, 3], m, p4)

@@ -2,8 +2,10 @@
 references it is checked against (subset DP, Tutte matrix rank, networkx,
 scipy), and the checker's path enumeration."""
 
+import inspect
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -129,6 +131,10 @@ def test_witness_check_rejects_a_witness_short_of_one_vertex():
     assert (size, witness) == (1, [0])
     with pytest.raises(ValueError, match="does not certify"):
         _certify(5, star, mate, [])
+    # A witness vertex outside 0..n-1 is rejected before it is counted.
+    for v in (5, -1):
+        with pytest.raises(ValueError, match=f"witness vertex {v} out of range for n=5"):
+            _certify(5, star, mate, [v])
 
 
 def test_witness_check_rejects_a_mate_pair_that_is_not_an_edge():
@@ -255,8 +261,35 @@ def test_rank_oracle_matches_scipy_on_bipartite_graph():
     assert oracle.matching_size_rank(n, edges) == nu
 
 
+def oracle_lines_run(function, *args):
+    """The line numbers of ``oracle.py`` that ``function(*args)`` runs."""
+    seen = set()
+
+    def local(frame, event, arg):
+        seen.add(frame.f_lineno)
+        return local
+
+    def tracer(frame, event, arg):
+        return local if frame.f_code.co_filename == oracle.__file__ else None
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        function(*args)
+    finally:
+        sys.settrace(previous)
+    return seen
+
+
 def test_oracles_agree_on_generator_corpus():
-    cases = []
+    # gnm:13,21,seed=46 in stored edge order is the smallest case found to
+    # lift a path backward across a blossom's bridge.
+    backward_bridge = 1 + next(
+        i for i, text in enumerate(inspect.getsource(oracle).splitlines())
+        if "stack += [v, (x, m, False), (y, stop, True)]" in text)
+    n, edges = build_edges(parse_graph_spec("gnm:13,21,seed=46"))
+    assert backward_bridge in oracle_lines_run(matching_size, n, edges)
+    cases = [(n, edges)]
     for n in range(2, 13):
         cases.append((n, path_edges(n)))
         if n >= 3:

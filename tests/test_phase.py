@@ -23,9 +23,10 @@ def engine_for(n, edges, pairs, h=HALF, eps=HALF, **kw):
 
 
 def run_phase(stream, matching, eps=HALF, h=HALF, **kw):
-    """Run one phase at scale ``h``; return the engine and its result."""
+    """Run one phase at scale ``h``; return its engine."""
     engine = PhaseEngine(stream, matching, PhaseConfig.from_scale(h, eps), **kw)
-    return engine, engine.run()
+    engine.run()
+    return engine
 
 
 def members(structure):
@@ -57,10 +58,10 @@ def test_phase_config_rejects_bad_parameters():
 def test_p4_phase_finds_the_augmenting_path():
     stream = open_stream(GraphSpec("path", (4,)))
     matching = matched(4, [(1, 2)])
-    _, result = run_phase(stream, matching, checker=checker_for(stream))
-    assert len(result.paths) == 1
-    assert sorted(result.paths[0]) == [0, 1, 2, 3]
-    assert is_alternating_augmenting(result.paths[0], matching,
+    paths = run_phase(stream, matching, checker=checker_for(stream)).forest.paths
+    assert len(paths) == 1
+    assert sorted(paths[0]) == [0, 1, 2, 3]
+    assert is_alternating_augmenting(paths[0], matching,
                                      edge_keys(4, stream.snapshot_edges()))
     # the matching itself is untouched during the phase
     assert matching.pairs() == [(1, 2)]
@@ -75,21 +76,20 @@ def test_p4_path_found_in_first_bundle():
 def test_triangle_phase_contracts_and_finds_nothing():
     stream = open_stream(GraphSpec("cycle", (3,)))
     events = []
-    engine, result = run_phase(stream, matched(3, [(1, 2)]), checker=checker_for(stream),
-                               trace=events.append)
-    assert result.paths == []
+    engine = run_phase(stream, matched(3, [(1, 2)]), checker=checker_for(stream),
+                       trace=events.append)
+    assert engine.forest.paths == []
     contracts = [e for e in events if e["op"] == "contract"]
     assert len(contracts) == 1
     assert len(engine.forest.root_of[contracts[0]["arc"][0]].vertices) == 3
-    assert result.stats["contracts"] == 1
+    assert engine.forest.stats["contracts"] == 1
 
 
 def test_no_free_vertices_means_no_structures():
     engine = engine_for(4, [(0, 1), (1, 2), (2, 3)], [(0, 1), (2, 3)])
     assert engine.forest.structures == {}
-    result = engine.run()
-    assert result.paths == []
-    assert engine.forest.bundle == 1 and result.froze
+    assert engine.run() == []
+    assert engine.forest.bundle == 1 and engine.froze
 
 
 def test_pass_accounting_three_reads_per_bundle(monkeypatch):
@@ -98,9 +98,9 @@ def test_pass_accounting_three_reads_per_bundle(monkeypatch):
     charge = stream.charge_passes
     monkeypatch.setattr(stream, "charge_passes",
                         lambda count: (charged.append(count), charge(count)))
-    engine, result = run_phase(stream, matched(5, [(0, 1), (2, 3)]))
+    engine = run_phase(stream, matched(5, [(0, 1), (2, 3)]))
     assert READS_PER_BUNDLE == 3
-    assert result.froze and charged
+    assert engine.froze and charged
     # Physical reads: every counted pass that was not charged.
     assert stream.pass_count() - sum(charged) == 3 * engine.forest.bundle
     assert stream.pass_count() == 3 * PhaseConfig.from_scale(HALF, HALF).tau_max
@@ -110,18 +110,18 @@ def test_frozen_phase_result_matches_full_replay():
     # Same phase with and without fast-forward cannot differ: compare a
     # frozen run against one whose bundle loop is driven to the end.
     stream = open_stream(GraphSpec("cycle", (5,)))
-    frozen, result = run_phase(stream, matched(5, [(0, 1), (2, 3)]))
+    frozen = run_phase(stream, matched(5, [(0, 1), (2, 3)]))
     bundles = frozen.forest.bundle
-    assert result.froze
+    assert frozen.froze
     assert bundles < PhaseConfig.from_scale(HALF, HALF).tau_max
 
     engine = engine_for(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)],
                         [(0, 1), (2, 3)])
     for tau in range(1, bundles + 30):
         run_bundle(engine, tau)
-    assert engine.forest.paths == result.paths
-    assert engine.forest.stats["contracts"] == result.stats["contracts"]
-    assert engine.forest.stats["overtakes"] == result.stats["overtakes"]
+    assert engine.forest.paths == frozen.forest.paths
+    assert engine.forest.stats["contracts"] == frozen.forest.stats["contracts"]
+    assert engine.forest.stats["overtakes"] == frozen.forest.stats["overtakes"]
 
 
 def test_one_extension_per_structure_per_bundle():
@@ -187,9 +187,9 @@ def test_phase_builds_no_blossom_for_unreached_vertices():
     edges = [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7)]
     engine = engine_for(8, edges, [(1, 2), (4, 5), (6, 7)],
                         checker=InvariantChecker(8, edges))
-    result = engine.run()
+    paths = engine.run()
     root_of = engine.forest.root_of
-    assert result.paths == [[3, 2, 1, 0]]
+    assert paths == [[3, 2, 1, 0]]
     assert all(root_of[v].structure is None for v in range(4))  # removed
     assert root_of[4:] == [None] * 4
 
@@ -227,11 +227,11 @@ def test_on_hold_at_size_limit_freezes_structure():
     edges = [(i, i + 1) for i in range(n - 1)]
     pairs = [(i, i + 1) for i in range(1, n - 1, 2)]
     stream = EdgeStream(n, edges)
-    engine, result = run_phase(stream, matched(n, pairs), checker=checker_for(stream))
-    assert result.first_hold == engine.forest.bundle == 7
-    assert result.stats["holds"] == 1
-    assert result.paths == []
-    assert result.froze
+    engine = run_phase(stream, matched(n, pairs), checker=checker_for(stream))
+    assert engine.first_hold == engine.forest.bundle == 7
+    assert engine.forest.stats["holds"] == 1
+    assert engine.forest.paths == []
+    assert engine.froze
     live = engine.forest.structures.values()
     assert sum(1 for s in live if s.working is not None) == 1
 
@@ -247,6 +247,38 @@ def test_only_a_traced_phase_logs_its_events():
     assert traced.forest.events == events and events
 
 
+def test_a_stored_arc_list_never_changes_in_place(monkeypatch):
+    # A contraction splices its subs' lists into a copy, and a compaction
+    # builds a new array, so an array the engine still stores at a later
+    # bundle start holds what it held at every earlier one, also across
+    # the phases that resume from the scale before.
+    snapshot = {}  # id -> (array, its contents), at the last bundle start
+    counts = {"compared": 0, "compactions": 0}
+
+    class Snapshotting(PhaseEngine):
+        def _bundle(self, tau):
+            stored = [own for own in self.arcs_at if own is not None]
+            for own in stored:
+                if id(own) in snapshot:
+                    assert snapshot[id(own)][1] == own.tolist(), tau
+                    counts["compared"] += 1
+            snapshot.clear()
+            snapshot.update((id(own), (own, own.tolist())) for own in stored)
+            return super()._bundle(tau)
+
+        def _arcs_at(self, read, node):
+            before = self.arcs_at[node.base]
+            own = super()._arcs_at(read, node)
+            counts["compactions"] += before is not None and own is not before
+            return own
+
+    monkeypatch.setattr(driver, "PhaseEngine", Snapshotting)
+    report = driver.run(open_stream(parse_graph_spec("gnm:1000,3000,seed=1")),
+                        driver.RunConfig(epsilon=HALF))
+    assert report.stats["contracts"] > 0 and counts["compactions"] > 0
+    assert counts["compared"] > 0
+
+
 def test_a_resumed_phase_starts_from_a_fresh_phase_state():
     # The chain above holds its structure at bundle 7 at h = 1/2 (limit
     # 13) and freezes there.  Resumed at h = 1/4 (limit 25), the engine
@@ -256,8 +288,8 @@ def test_a_resumed_phase_starts_from_a_fresh_phase_state():
     edges = [(i, i + 1) for i in range(n - 1)]
     pairs = [(i, i + 1) for i in range(1, n - 1, 2)]
     stream = EdgeStream(n, edges)
-    engine, result = run_phase(stream, matched(n, pairs), checker=checker_for(stream))
-    assert result.first_hold == engine.forest.bundle == 7 and result.froze
+    engine = run_phase(stream, matched(n, pairs), checker=checker_for(stream))
+    assert engine.first_hold == engine.forest.bundle == 7 and engine.froze
     quarter = PhaseConfig.from_scale(Fraction(1, 4), HALF)
     engine.resume(quarter)
     fresh = PhaseEngine(EdgeStream(n, edges), matched(n, pairs), quarter)
@@ -272,6 +304,8 @@ def test_a_resumed_phase_starts_from_a_fresh_phase_state():
 
     assert state(engine) == state(fresh)
     assert engine.run() == fresh.run()
+    assert (engine.forest.stats, engine.froze, engine.first_hold) == \
+        (fresh.forest.stats, fresh.froze, fresh.first_hold)
 
 
 def test_trace_sequence_cycle5():
@@ -309,8 +343,7 @@ def test_length_one_augmenting_path():
     # matching is deliberately not maximal here, so the boundary checker
     # (which relies on maximality) stays off.
     stream = EdgeStream(2, [(0, 1)])
-    _, result = run_phase(stream, Matching(2))
-    assert result.paths == [[0, 1]]
+    assert run_phase(stream, Matching(2)).forest.paths == [[0, 1]]
 
 
 def test_checked_phase_requires_maximal_start():
@@ -359,10 +392,10 @@ def test_label_reductions_bounded_per_arc(monkeypatch):
         matching = greedy_maximal_matching(stream)
         writes.clear()
         events = []
-        _, result = run_phase(stream, matching, trace=events.append)
+        engine = run_phase(stream, matching, trace=events.append)
         reductions = [(tail, old, new) for tail, old, new in writes if new < old]
         assert all(new <= old for _tail, old, new in writes)
-        assert result.stats["label_reductions"] == len(reductions)
+        assert engine.forest.stats["label_reductions"] == len(reductions)
         assert all(k <= cfg.l_max + 1
                    for k in Counter(tail for tail, _, _ in reductions).values())
         overtakes = [e for e in events if e["op"] == "overtake"]
@@ -377,10 +410,10 @@ def test_phase_paths_disjoint_and_valid_on_random_graphs():
         stream = open_stream(GraphSpec("gnm", (16, 26), seed))
         matching = greedy_maximal_matching(stream)
         pairs_before = set(matching.pairs())
-        _, result = run_phase(stream, matching, checker=checker_for(stream))
+        engine = run_phase(stream, matching, checker=checker_for(stream))
         edge_set = edge_keys(16, stream.snapshot_edges())
         used = set()
-        for path in result.paths:
+        for path in engine.forest.paths:
             assert is_alternating_augmenting(path, matching, edge_set)
             assert not (set(path) & used)
             used.update(path)
@@ -394,8 +427,7 @@ def test_phase_from_a_non_maximal_matching_augments_in_the_first_bundle():
     edges = [(0, 1), (1, 2), (3, 4), (4, 5), (0, 3)]
     events = []
     engine = engine_for(6, edges, [(1, 2), (4, 5)], trace=events.append)
-    result = engine.run()
-    assert result.paths == [[0, 3]]
+    assert engine.run() == [[0, 3]]
     augments = [e for e in events if e["op"] == "augment"]
     assert [(e["bundle"], e["arc"]) for e in augments] == [(1, [0, 3])]
 

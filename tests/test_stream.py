@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streammatch import bench
+from streammatch import bench, cli
 from streammatch.stream import (EdgeStream, GraphSpec, StreamFormatError,
                                 build_edges, gnm_edges, open_stream,
                                 parse_graph_spec, read_edgelist, write_edgelist)
@@ -163,6 +163,12 @@ def test_duplicate_edge_rejected():
         EdgeStream(3, [(0, 1), (1, 0)])
 
 
+def test_out_of_range_edge_rejected():
+    # A file never gets here: read_edgelist checks 0 <= u < v < n first.
+    with pytest.raises(StreamFormatError, match=r"edge \(0, 3\) out of range for n=3"):
+        EdgeStream(3, [(0, 3)])
+
+
 def test_gnm_deterministic_and_simple():
     a = gnm_edges(20, 40, seed=7)
     b = gnm_edges(20, 40, seed=7)
@@ -277,15 +283,22 @@ def test_file_order_is_stream_order(tmp_path):
     ("3 2\n0 1\n0 1\n", "duplicate"),
     ("3 1\n0 9\n", "0 <= u < v < n"),
     ("3 1\nx y\n", "non-integer"),
+    ("x 1\n0 1\n", "non-integer header"),
+    ("3 1\n0 1 2\n", "bad edge line '0 1 2'"),
     ("-3 0\n", "negative vertex count -3"),
 ])
-def test_malformed_files_rejected(tmp_path, content, message):
+def test_malformed_files_rejected(tmp_path, content, message, capsys):
     # read_edgelist checks the format; the duplicate and the negative
-    # vertex count are left to EdgeStream, which checks every graph.
+    # vertex count are left to EdgeStream, which checks every graph.  The
+    # command line exits 1 with the message.
     target = tmp_path / "bad.edgelist"
     target.write_text(content)
     with pytest.raises(StreamFormatError, match=message):
         EdgeStream(*read_edgelist(str(target)))
+    assert cli.main(["run", "--input", str(target)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert message in captured.err
 
 
 def test_read_edgelist_parses_each_line_as_it_reads_it(tmp_path):
