@@ -16,13 +16,13 @@ changing any output:
   fixpoint before running out of bundles would replay identically at
   every smaller scale too (smaller scales only raise the hold threshold
   and the bundle budget), so the remaining scales are charged wholesale;
-* such a phase that reached its fixpoint at the very bundle B where it
-  first put a structure on hold held every live structure in B and so
-  changed nothing in B but hold flags, so
-  the next scale's first phase, on the same matching, would repeat its
-  bundles 1 .. B - 1; that phase resumes from the engine instead
-  (:meth:`PhaseEngine.resume`), with those bundles' reads counted and
-  their events written to the trace again.
+* the next scale's first phase, on the same matching, would repeat such
+  a phase's bundles 1 .. B - 1, where B is the bundle in which it first
+  put a structure on hold; that phase resumes instead from the phase as
+  it stood at the start of B (:attr:`PhaseEngine.at_first_hold`: the
+  engine itself if it froze in B, else a copy taken in B), with those
+  bundles' reads counted and their events written to the trace again
+  (:meth:`PhaseEngine.resume`).
 """
 
 from __future__ import annotations
@@ -190,10 +190,10 @@ def run(stream: EdgeStream, config: RunConfig) -> RunReport:
                 stream.charge_passes(READS_PER_BUNDLE * cfg.tau_max * (cfg.t_max - t))
                 if engine.froze and engine.first_hold is None:
                     skip_remaining_scales = True
-                elif engine.froze and engine.first_hold == engine.forest.bundle:
-                    # It changed nothing after its first hold, so the next
-                    # scale's first phase runs as it did up to that bundle.
-                    resumable = engine
+                else:
+                    # The next scale's first phase runs as this one did up
+                    # to its first hold.
+                    resumable = engine.at_first_hold
                 break
             t += 1
         per_scale.append(ScaleReport(cfg.h, cfg.t_max, executed,

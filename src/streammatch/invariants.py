@@ -29,8 +29,9 @@ None of these reads the engine's candidate sets (``Forest.dirty``, the
 arc lists, the retired arcs) or the stream's tail index, so a wrong
 candidate set cannot hide a violation.
 
-A phase resumed from the previous scale's (see :mod:`streammatch.phase`)
-is checked from its resume bundle on: :meth:`InvariantChecker.start_phase`
+A phase resumed from the previous scale's, from that engine or from a
+copy of it (see :mod:`streammatch.phase`), is checked from its resume
+bundle on: :meth:`InvariantChecker.start_phase`
 hooks it again, and its first boundary checks the state it carries over.
 The bundles it replays are not checked again.  Their states are those of
 the phase before, which were checked already, against that scale's
@@ -43,7 +44,9 @@ vertex count) never changes once it is built, and its vertices stay the
 prefix of the vertex list of the tree node it was built for, which only
 grows; the mate map changes only between phases.  A later contraction
 that takes over that node gives it a new record and appends to its list,
-which leaves every earlier record as it was.  A sub that is a single
+which leaves every earlier record as it was.  A copy of a forest gives
+each composite node a fresh record with the same fields over a copy of
+the same list, so it needs no check of its own.  A sub that is a single
 vertex is that vertex's int.  The family is laminar because each blossom
 is the disjoint union of its subs and the root blossoms are pairwise
 disjoint.

@@ -138,15 +138,23 @@ of performing them and ends the phase early with identical results.
 
 A phase depends on its scale h only through the hold threshold ``limit``
 and the bundle budget ``tau_max``, which only grow as h halves.  So when
-a phase banks no path and reaches its fixpoint at the bundle B where it
-first puts a structure on hold, the first phase of the next scale, on
-the same matching, would run bundles 1 .. B - 1 as it did.
-:meth:`PhaseEngine.resume` turns the engine into that phase at the start
-of B, and :meth:`PhaseEngine.run` carries on from there.  The reads of
-bundles 1 .. B - 1 count as passes that visit no arc, and their events,
-which a traced forest keeps, are written to the trace again.  B visits
-no arc, so the engine at the start of B is the new phase's, except for
-the hold flags and count, which :meth:`PhaseEngine.resume` resets.
+a phase banks no path, the first phase of the next scale, on the same
+matching, would run bundles 1 .. B - 1 as it did, where B is the bundle
+in which this phase first puts a structure on hold.  The engine keeps
+its state at the start of B, up to B's hold flags and count: if B's
+marking holds every live structure, B changes nothing else and the
+phase freezes there, so the engine itself ends in that state; otherwise,
+while no path is banked, B copies the engine once its marking is done.
+The copy has its own nodes and structures, and a fresh record over its
+own ``members`` list for each composite node (:func:`_copied`); the
+records of subs are shared, since they read only a prefix.  It has its
+own retired arcs and dead counts, and shares the stored arc lists,
+which no bundle changes in place.  :meth:`PhaseEngine.resume` turns that
+engine (:attr:`PhaseEngine.at_first_hold`) into the next scale's phase
+at the start of B, and :meth:`PhaseEngine.run` carries on from there.
+The reads of bundles 1 .. B - 1 count as passes that visit no arc, and
+their events, which a traced forest keeps, are written to the trace
+again.
 """
 
 from __future__ import annotations
@@ -161,7 +169,7 @@ from typing import Callable, Optional
 from .invariants import InvariantChecker
 from .matching import Matching
 from .stream import EdgeStream, StreamRead
-from .structures import Forest, Node, Structure, base_of
+from .structures import Blossom, Forest, Node, Structure, base_of
 
 READS_PER_BUNDLE = 3
 
@@ -217,6 +225,9 @@ class PhaseConfig:
 class PhaseEngine:
     """Executes one phase over a stream against a fixed matching."""
 
+    __slots__ = ("stream", "matching", "config", "n", "forest", "live", "froze",
+                 "first_hold", "held_copy", "dead", "arcs_at", "dead_at", "checker")
+
     def __init__(self, stream: EdgeStream, matching: Matching, config: PhaseConfig,
                  *, trace: Optional[Callable[[dict], None]] = None,
                  checker: Optional[InvariantChecker] = None):
@@ -229,10 +240,12 @@ class PhaseEngine:
             self.forest.init_structure(alpha)
         # The structures that may still act, in alpha order.
         self.live = list(self.forest.structures.values())
-        # Whether the phase reached a fixpoint before tau_max bundles, and
-        # the first bundle that put a structure on hold.
+        # Whether the phase reached a fixpoint before tau_max bundles, the
+        # first bundle that put a structure on hold, and a copy of the
+        # engine at the start of that bundle (see ``at_first_hold``).
         self.froze = False
         self.first_hold: Optional[int] = None
+        self.held_copy: Optional[PhaseEngine] = None
         # Retired arcs; per root blossom, under its base, the positions of
         # the arcs with a tail in it that were live when the list was last
         # compacted (None: not cached), and how many of those are dead.
@@ -261,13 +274,23 @@ class PhaseEngine:
             self.checker.at_phase_end()
         return self.forest.paths
 
+    @property
+    def at_first_hold(self) -> Optional[PhaseEngine]:
+        """After a phase that banked no path, the phase as it stood at the
+        start of bundle B, where it first put a structure on hold: the
+        engine itself if it froze in B, else the copy B took; None if it
+        never held (see the module docstring)."""
+        if self.froze and self.first_hold == self.forest.bundle:
+            return self
+        return self.held_copy
+
     def resume(self, config: PhaseConfig) -> None:
         """Become the phase at ``config``'s smaller scale on the same
         matching, so that :meth:`run` continues it from bundle B, where
-        this phase first put a structure on hold and froze without banking
-        a path (see the module docstring).  B > 1, as every structure
-        starts with one vertex, so ``dirty`` is empty at the start of B in
-        the new phase, as it is here."""
+        this engine stands as :attr:`at_first_hold` of a phase that
+        banked no path (see the module docstring).  B > 1, as every
+        structure starts with one vertex, so ``dirty`` is empty at the
+        start of B in the new phase, as it is here."""
         forest = self.forest
         start = self.first_hold
         assert start == forest.bundle > 1 and not forest.paths
@@ -307,12 +330,33 @@ class PhaseEngine:
             structure.on_hold = hold
             structure.modified = False
             changes = changes or not hold
+        if self.first_hold == tau and changes and not forest.paths:
+            # A later scale's first phase may resume from here.
+            self.held_copy = self._copy()
         self._extend_pass()
         self._contract_and_augment()
         self._backtrack_stuck()
         if self.checker is not None:
             self.checker.at_boundary()
         return changes
+
+    def _copy(self) -> PhaseEngine:
+        """A copy of the engine, of its class and with a subclass's own
+        attributes, that shares no state a later bundle of either changes:
+        it has its forest's copy, the copies of the live structures, and
+        its own retired arcs and dead counts.  The stored arc lists are
+        shared, since no bundle changes one in place."""
+        other = object.__new__(type(self))
+        for name in PhaseEngine.__slots__:
+            setattr(other, name, getattr(self, name))
+        if hasattr(self, "__dict__"):
+            other.__dict__.update(self.__dict__)
+        forest = other.forest = _copied(self.forest)
+        other.live = [forest.structures[s.alpha] for s in self.live]
+        other.dead = self.dead[:]
+        other.arcs_at = self.arcs_at[:]
+        other.dead_at = self.dead_at[:]
+        return other
 
     # -- bundle parts ---------------------------------------------------------
 
@@ -504,13 +548,80 @@ class PhaseEngine:
 def _spliced(lists: list[array]) -> array:
     """One stream-ordered list of the positions in ``lists``, which are
     disjoint and each in stream order: a copy of the longest, with every
-    other position inserted at its ``bisect`` point."""
+    other position inserted at its ``bisect`` point.  Each insert moves
+    the tail of the list, so once a list to insert holds more than 64
+    positions and more than a tenth as many as the list merged so far,
+    all of them are sorted instead: the sort finds the runs and takes
+    near-linear time.  Below 64 positions the inserts cost less."""
     longest = max(lists, key=len)
     merged = longest[:]
     for own in lists:
         if own is not longest:
+            if len(own) > 64 and 10 * len(own) > len(merged):
+                return array("q", sorted(chain.from_iterable(lists)))
             lo = 0
             for p in own:
                 lo = bisect_left(merged, p, lo)
                 merged.insert(lo, p)
     return merged
+
+
+def _copied(forest: Forest) -> Forest:
+    """A copy of ``forest`` that later operations on either leave as it is.
+
+    Each structure and each node of its tree is copied, and a composite
+    node gets a fresh record over its own copy of ``members``, the list
+    that its node appends to.  The records of subs are shared, since
+    they read only their prefix of a list, and so are removed nodes,
+    which never change again in the phase.  ``root_of``, the labels,
+    ``dirty``, the banked paths, the stats and the event log are
+    copied; the mate map and the hooks are shared.  The copies are
+    made without their constructors, each attribute set here."""
+    other = object.__new__(Forest)
+    other.n, other.mate, other.labels = forest.n, forest.mate, forest.labels[:]
+    other.trace, other.on_op = forest.trace, forest.on_op
+    other.events = None if forest.events is None else forest.events[:]
+    other.bundle = forest.bundle
+    root_of = other.root_of = forest.root_of[:]
+    structures = other.structures = {}
+    other.dirty, other.paths, other.stats = forest.dirty[:], forest.paths[:], dict(forest.stats)
+    make = object.__new__
+    stack = []  # pairs (node, its copy), the copy's parent links set
+    for alpha, structure in forest.structures.items():
+        twin = structures[alpha] = make(Structure)
+        twin.alpha, twin.size, twin.working = alpha, structure.size, None
+        twin.on_hold, twin.modified = structure.on_hold, structure.modified
+        new = twin.root = make(Node)
+        new.structure, new.parent, new.parent_tail, new.sibling = twin, None, None, None
+        stack += (structure.root, new)
+    while stack:
+        new = stack.pop()
+        node = stack.pop()
+        new.base, new.outer, twin = node.base, node.outer, new.structure
+        if node is node.structure.working:
+            twin.working = new
+        record = node.blossom
+        if record is None:
+            new.blossom = None
+            root_of[node.base] = new
+        else:
+            fresh = new.blossom = make(Blossom)
+            fresh.base, fresh.subs, fresh.cycle = record.base, record.subs, record.cycle
+            fresh.arcs, fresh.count = record.arcs, record.count
+            fresh.members = record.members[:]
+            for x in fresh.members:
+                root_of[x] = new
+        new.kid = last = None
+        kid = node.kid
+        while kid is not None:
+            copy = make(Node)
+            copy.structure, copy.parent, copy.parent_tail, copy.sibling = \
+                twin, new, kid.parent_tail, None
+            if last is None:
+                new.kid = copy
+            else:
+                last.sibling = copy
+            last = copy
+            stack += (kid, copy)
+            kid = kid.sibling
+    return other

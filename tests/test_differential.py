@@ -247,7 +247,7 @@ def marking_decides(visits, tally):
 
 def test_a_bundle_changes_the_phase_iff_marking_leaves_a_structure_off_hold():
     # Checked runs of the corpus, then a run whose phases resume from the
-    # scale before six times.
+    # scale before seven times, once from a copy.
     visits, tally = Counter(), Counter()
     for spec in bench.corpus():
         arcs_visited_per_read_kind(marking_decides(visits, tally), *build_edges(spec),
@@ -256,7 +256,7 @@ def test_a_bundle_changes_the_phase_iff_marking_leaves_a_structure_off_hold():
     tally.clear()
     n, edges = build_edges(parse_graph_spec("gnm:1000,3000,seed=1"))
     arcs_visited_per_read_kind(marking_decides(visits, tally), n, edges, visits)
-    assert tally["resumes"] == 6 and tally[False] >= 6
+    assert tally["resumes"] == 7 and tally[False] >= 6
 
 
 def steals_before_acting(n, edges, eps):
@@ -375,27 +375,46 @@ def test_full_scan_contracts_only_in_the_collection_read():
     assert counts["collection"] > 0 and counts["steals"] > 0
 
 
-@pytest.mark.parametrize("spec, eps, resumes", [
+# The resumes from a copy taken at the first hold, per case of the test
+# below, whose parameter ``frozen`` counts those from an engine that froze
+# at its first hold.
+COPY_RESUMES = {
+    ("gnm:1000,3000,seed=1", Fraction(1, 2)): 1,
+    ("gnm:1000,3000,seed=1", Fraction(1, 4)): 1,
+    ("bipartite:1000,1000,4000,seed=4", Fraction(1, 2)): 4,
+    ("bipartite:1000,1000,4000,seed=4", Fraction(1, 4)): 7,
+    ("bipartite:300,300,1200,seed=12", Fraction(1, 4)): 4,
+}
+
+
+@pytest.mark.parametrize("spec, eps, frozen", [
     ("gnm:300,900,seed=1", Fraction(1, 2), 5),
     ("gnm:300,900,seed=1", Fraction(1, 4), 5),
     ("gnm:1000,3000,seed=1", Fraction(1, 2), 6),
     ("gnm:1000,3000,seed=1", Fraction(1, 4), 6),
-    # One resume, which replays 4,871 bundles.
+    # One frozen resume, which replays 4,871 bundles.
     ("bipartite:1000,1000,4000,seed=4", Fraction(1, 4), 1),
+    ("bipartite:1000,1000,4000,seed=4", Fraction(1, 2), 0),
+    # 741 case 2.2 steals.
+    ("bipartite:300,300,1200,seed=12", Fraction(1, 4), 0),
 ])
-def test_a_resumed_phase_runs_as_a_fresh_one(spec, eps, resumes):
+def test_a_resumed_phase_runs_as_a_fresh_one(spec, eps, frozen):
     # The driver resumes a scale's first phase from the last phase of the
-    # scale before when that one froze at its first hold.  Each resumed
-    # phase must give the result and the events of a fresh phase on the
-    # same matching and config, run on a stream of its own.
+    # scale before, as that phase stood when it first put a structure on
+    # hold: from the engine itself when it froze there, and otherwise
+    # from a copy it took then, which has not frozen.  Each resumed phase
+    # must give the result and the events of a fresh phase on the same
+    # matching and config, run on a stream of its own.
     graph = parse_graph_spec(spec)
     events = []
     marks = {}  # resumed engine -> index of its phase's first event
+    resumed = Counter()  # resumes by whether the engine had frozen
     compared = 0
     original_resume, original_run = PhaseEngine.resume, PhaseEngine.run
 
     def resume(engine, config):
         marks[engine] = len(events)
+        resumed[engine.froze] += 1
         original_resume(engine, config)
 
     def run(engine):
@@ -416,7 +435,9 @@ def test_a_resumed_phase_runs_as_a_fresh_one(spec, eps, resumes):
     with mock.patch.object(PhaseEngine, "resume", resume), \
             mock.patch.object(PhaseEngine, "run", run):
         driver.run(open_stream(graph), driver.RunConfig(epsilon=eps, trace=events.append))
-    assert compared == resumes
+    copies = COPY_RESUMES.get((spec, eps), 0)
+    assert (resumed[False], resumed[True]) == (copies, frozen)
+    assert compared == copies + frozen
 
 
 @pytest.mark.parametrize("eps", [Fraction(1), Fraction(1, 2)])

@@ -87,10 +87,12 @@ def test_boundary_state_passes_outer_independence():
 @pytest.mark.parametrize("spec, eps, count", [
     # 180 boundaries, 391 before phases resumed from the scale before.
     ("gnm:300,900,seed=1", Fraction(1, 2), 180),
-    # 741 case 2.2 steals, each moving a subtree between structures.
-    ("bipartite:300,300,1200,seed=12", Fraction(1, 4), 805),
-    # Blossoms nested 479 deep; 2,330 boundaries before phases resumed.
-    ("gnm:3000,9000,seed=4", Fraction(1, 2), 1169),
+    # 741 case 2.2 steals, each moving a subtree between structures; 805
+    # boundaries before phases resumed from copies taken at a first hold.
+    ("bipartite:300,300,1200,seed=12", Fraction(1, 4), 632),
+    # Blossoms nested 479 deep; 2,330 boundaries before phases resumed,
+    # 1,169 before they resumed from copies.
+    ("gnm:3000,9000,seed=4", Fraction(1, 2), 1103),
 ], ids=["gnm-300", "bipartite-300-steals", "gnm-3000-nested"])
 def test_boundary_check_agrees_with_the_full_scan_reference(spec, eps, count):
     # At every bundle boundary of a checked run, the check the checker
@@ -117,31 +119,37 @@ def test_boundary_check_agrees_with_the_full_scan_reference(spec, eps, count):
 
 def test_a_resumed_phase_checks_the_state_it_carries_over():
     # A scale's first phase may resume from the last phase of the scale
-    # before.  The checker checks the state it carries over at its first
-    # boundary, before it runs a bundle, instead of trusting the phase
-    # before: a label corrupted between the two phases must raise there.
+    # before: from that engine, where it froze at its first hold, or from
+    # a copy it took there.  The checker checks the state it carries over
+    # at its first boundary, before it runs a bundle, instead of trusting
+    # the phase before: a label corrupted between the two phases must
+    # raise there.  The first resume of gnm:300,900,seed=1 is from a
+    # frozen engine, the only one of gnm:30,45,seed=1 from a copy.
     original_resume = PhaseEngine.resume
     original_boundary = InvariantChecker.at_boundary
-    starts, seen = [], []  # the bundles resumed at; the bundles before each boundary
 
-    def corrupting_resume(engine, config):
-        forest = engine.forest
-        starts.append(forest.bundle)
-        forest.labels[forest.mate.index(None)] = 0  # an unmatched tail
-        original_resume(engine, config)
+    for spec, froze in [("gnm:300,900,seed=1", True), ("gnm:30,45,seed=1", False)]:
+        starts, seen = [], []  # the bundles resumed at; the bundles before each boundary
 
-    def counted(checker):
-        if starts:
-            seen.append(checker.forest.bundle)
-        original_boundary(checker)
+        def corrupting_resume(engine, config):
+            assert engine.froze is froze
+            forest = engine.forest
+            starts.append(forest.bundle)
+            forest.labels[forest.mate.index(None)] = 0  # an unmatched tail
+            original_resume(engine, config)
 
-    with mock.patch.object(PhaseEngine, "resume", corrupting_resume), \
-            mock.patch.object(InvariantChecker, "at_boundary", counted), \
-            pytest.raises(InvariantViolationError) as raised:
-        driver.run(open_stream(parse_graph_spec("gnm:300,900,seed=1")),
-                   driver.RunConfig(epsilon=Fraction(1, 2), check_invariants=True))
-    assert [v.name for v in raised.value.violations] == ["label-range"]
-    assert len(starts) == 1 and seen == [starts[0] - 1]
+        def counted(checker):
+            if starts:
+                seen.append(checker.forest.bundle)
+            original_boundary(checker)
+
+        with mock.patch.object(PhaseEngine, "resume", corrupting_resume), \
+                mock.patch.object(InvariantChecker, "at_boundary", counted), \
+                pytest.raises(InvariantViolationError) as raised:
+            driver.run(open_stream(parse_graph_spec(spec)),
+                       driver.RunConfig(epsilon=Fraction(1, 2), check_invariants=True))
+        assert [v.name for v in raised.value.violations] == ["label-range"]
+        assert len(starts) == 1 and seen == [starts[0] - 1]
 
 
 def test_a_checked_run_builds_one_view_of_the_graph(monkeypatch):

@@ -1,17 +1,20 @@
 """Phase engine: bundle loop, extension guards, marking, backtracking."""
 
+import random
+from array import array
 from fractions import Fraction
 
 import pytest
 
-from helpers import FullScanEngine, checker_for, edge_keys, matched
+from helpers import FullScanEngine, boundary_violations, checker_for, edge_keys, matched
 from streammatch import driver
 from streammatch.invariants import InvariantChecker
 from streammatch.matching import Matching, is_alternating_augmenting
-from streammatch.phase import READS_PER_BUNDLE, PhaseConfig, PhaseEngine
+from streammatch.phase import (READS_PER_BUNDLE, PhaseConfig, PhaseEngine, _copied,
+                               _spliced)
 from streammatch.stream import (EdgeStream, GraphSpec, build_edges, open_stream,
                                 parse_graph_spec)
-from streammatch.structures import subtree
+from streammatch.structures import Forest, subtree
 
 HALF = Fraction(1, 2)
 
@@ -277,6 +280,126 @@ def test_a_stored_arc_list_never_changes_in_place(monkeypatch):
                         driver.RunConfig(epsilon=HALF))
     assert report.stats["contracts"] > 0 and counts["compactions"] > 0
     assert counts["compared"] > 0
+
+
+def forest_state(forest):
+    """``forest`` as plain values: each tree's nodes in walk order, each
+    named by its place there, with its links, its record's vertex count,
+    ``members`` list and subs' vertices; ``root_of`` through those names
+    (a removed node is "outside"); the labels, ``dirty``, the banked
+    paths, the stats and the event log."""
+    names = {}
+    for structure in forest.structures.values():
+        for node in subtree(structure.root):
+            names[node] = len(names)
+
+    def name(node):
+        return None if node is None else names.get(node, "outside")
+
+    def record(node):
+        blossom = node.blossom
+        if blossom is None:
+            return None
+        return (blossom.count, list(blossom.members),
+                [list(sub.vertices) for sub in blossom.subs if type(sub) is not int])
+
+    trees = [(s.alpha, name(s.root), name(s.working), s.on_hold, s.modified, s.size,
+              [(node.base, name(node.parent), node.parent_tail, name(node.kid),
+                name(node.sibling), node.outer, node.structure.alpha, record(node))
+               for node in subtree(s.root)])
+             for s in forest.structures.values()]
+    return {"trees": trees, "root_of": [name(node) for node in forest.root_of],
+            "labels": list(forest.labels), "dirty": list(forest.dirty),
+            "paths": [list(path) for path in forest.paths], "stats": dict(forest.stats),
+            "events": None if forest.events is None else list(forest.events)}
+
+
+def engine_state(engine):
+    """What a resume reads of ``engine``, as plain values: its forest's
+    (see ``forest_state``), the live structures, the retired arcs, the
+    dead counts and the stored arc lists."""
+    return {**forest_state(engine.forest), "live": [s.alpha for s in engine.live],
+            "dead": bytes(engine.dead), "dead_at": list(engine.dead_at),
+            "arcs_at": [None if own is None else own.tolist() for own in engine.arcs_at]}
+
+
+def test_a_forest_copy_is_left_alone_by_the_operations_of_either():
+    # The triangle {0, 1, 2} hangs the pair 3 = 4 off its base; closing the
+    # pentagon 0 .. 4 takes over the triangle's node, the largest sub, and
+    # appends to its members list, the list the triangle's record reads.
+    forest = Forest(5, matched(5, [(1, 2), (3, 4)]).mate, 6)
+    structure = forest.init_structure(0)
+    forest.overtake(0, 1, 1)
+    forest.contract(2, 0)
+    forest.overtake(0, 3, 1)
+    copy = _copied(forest)
+    taken = forest_state(copy)
+    assert taken == forest_state(forest)
+    forest.contract(4, 0)
+    assert forest_state(copy) == taken
+    # The copy runs on as the forest did, and leaves the forest alone.
+    copy.contract(4, 0)
+    assert forest_state(copy) == forest_state(forest)
+    done = forest_state(forest)
+    copy.backtrack(copy.structures[0])
+    assert forest_state(forest) == done and structure.working is not None
+    for each in (forest, copy):
+        assert not boundary_violations(each, 100, 6, 10_000)
+
+
+def test_a_copy_taken_at_the_first_hold_stays_as_it_was_taken(monkeypatch):
+    # A phase that first puts a structure on hold before banking a path,
+    # and leaves another off hold, keeps a copy of itself for the next
+    # scale.  The copy must equal the phase when it is taken, and still
+    # equal that state once the phase it was taken from has run on to its
+    # end.  At eps = 1/2 this graph takes two copies; the one at h = 1/4
+    # holds a composite node, whose node in the phase goes on growing.
+    taken = {}  # id of a copy -> its state when taken
+    compared = composite = 0
+
+    class Copying(PhaseEngine):
+        def _copy(self):
+            nonlocal composite
+            copy = super()._copy()
+            taken[id(copy)] = state = engine_state(copy)
+            assert state == engine_state(self)
+            composite += any(node[-1] is not None for tree in state["trees"]
+                             for node in tree[-1])
+            return copy
+
+        def run(self):
+            nonlocal compared
+            paths = super().run()
+            if self.held_copy is not None:
+                assert engine_state(self.held_copy) == taken[id(self.held_copy)]
+                compared += 1
+            return paths
+
+    monkeypatch.setattr(driver, "PhaseEngine", Copying)
+    driver.run(open_stream(parse_graph_spec("gnm:1000,3000,seed=1")),
+               driver.RunConfig(epsilon=HALF, trace=lambda event: None))
+    assert compared == 2 and composite == 1
+
+
+@pytest.mark.parametrize("sizes", [
+    [2000, 1900], [1000, 300, 300, 299], [600, 65], [2000, 40, 300],  # sorted
+    [2000, 3], [2000, 150, 40], [500, 10, 10, 10, 10], [64, 64],      # inserted
+    [50, 40], [3, 3, 3], [7, 0], [0, 0], [1],
+])
+def test_spliced_is_the_sorted_merge_and_leaves_its_inputs(sizes):
+    # ``_spliced`` inserts into a copy of the longest list while the
+    # others are short, and sorts them all once one is not.
+    rng = random.Random(sum(sizes))
+    positions = rng.sample(range(4 * sum(sizes) + 1), sum(sizes))
+    lists, start = [], 0
+    for size in sizes:
+        lists.append(array("q", sorted(positions[start:start + size])))
+        start += size
+    before = [own.tolist() for own in lists]
+    merged = _spliced(lists)
+    assert merged.tolist() == sorted(positions)
+    assert [own.tolist() for own in lists] == before
+    assert all(merged is not own for own in lists)
 
 
 def test_a_resumed_phase_starts_from_a_fresh_phase_state():
