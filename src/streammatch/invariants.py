@@ -14,16 +14,16 @@ forest, plus C-level scans of the per-vertex lists:
 
 * one walk of each tree, which also checks that each tree vertex
   resolves to its node and that a composite node's internal matched arcs
-  carry label 0, and tables each tree vertex's node;
+  carry label 0, tables each tree vertex's node, and reads the edges at
+  each outer node's vertices from the checker's own adjacency, which
+  stores each edge once, under its smaller end: an edge joining two
+  outer nodes is found from its smaller end, which is outer;
 * the set of the labels (a Python scan only when a value is out of
   range) and the phase's unmatched tails, which keep the fresh label;
 * the reached vertices in no tree, which must be removed, each removed
   node resolved to by exactly its own vertices.  ``root_of.count(None)``
   tells whether there are any, and ``itertools.compress`` over
-  ``root_of`` lists them then;
-* the edges at live outer vertices, from the checker's own adjacency
-  that stores each edge once, under its smaller end: an edge joining two
-  outer nodes is found from its smaller end, which is outer.
+  ``root_of`` lists them then.
 
 None of these reads the engine's candidate sets (``Forest.dirty``, the
 arc lists, the retired arcs) or the stream's tail index, so a wrong
@@ -126,7 +126,8 @@ def check_blossom(forest: Forest, blossom: Blossom,
 
 def check_structure(forest: Forest, structure: Structure, limit: int,
                     l_max: int, delta: int,
-                    node_of: Optional[dict[int, Node]] = None) -> list[Violation]:
+                    node_of: Optional[dict[int, Node]] = None,
+                    above: Optional[Sequence[Sequence[int]]] = None) -> list[Violation]:
     """Structure-local checks: tree shape, arc realization, label order
     and size bounds, in one walk of the tree, which reads at most n + 1
     kids of a node and stops below a node whose vertices it met already,
@@ -134,7 +135,12 @@ def check_structure(forest: Forest, structure: Structure, limit: int,
     enters each node in ``node_of``, the caller's table from tree vertex
     to node, flagging a vertex that a node of this tree or another
     already holds, a vertex that does not resolve to its node, and a
-    nonzero label on a matched arc inside a composite node."""
+    nonzero label on a matched arc inside a composite node; and, given
+    ``above`` too (:func:`edges_above` of the graph), it flags an edge stored
+    under an outer node's vertex whose other end resolves to another
+    outer node of a live structure.  The per-operation check passes no
+    ``above``: within a bundle such an edge stands until the
+    augmentation read banks it."""
     bad: list[Violation] = []
     alpha = structure.alpha
     mate = forest.mate
@@ -153,7 +159,7 @@ def check_structure(forest: Forest, structure: Structure, limit: int,
     # Each entry carries its nearest outer ancestor's label, 0 at the root.
     stack: list[tuple[Node, int, int]] = [(root, 0, 0)]
     while stack:
-        node, depth, above = stack.pop()
+        node, depth, floor = stack.pop()
         blossom = node.blossom
         vertices = (node.base,) if blossom is None else blossom.vertices
         overlap = seen_vertices.intersection(vertices)
@@ -162,6 +168,7 @@ def check_structure(forest: Forest, structure: Structure, limit: int,
             continue
         seen_vertices.update(vertices)
         if node_of is not None:
+            outer = above is not None and node.outer and node.structure is not None
             for v in vertices:
                 if v in node_of:
                     flag("disjointness", f"vertex {v} also in {node_of[v]!r}")
@@ -169,6 +176,13 @@ def check_structure(forest: Forest, structure: Structure, limit: int,
                 if root_of[v] is not node:
                     flag("resolution",
                          f"root_of[{v}] is {root_of[v]!r}, not its tree node {node!r}")
+                if outer:
+                    for w in above[v]:
+                        other = root_of[w]
+                        if (other is not None and other.outer and other is not node
+                                and other.structure is not None):
+                            flag("outer-independence",
+                                 f"edge ({v}, {w}) joins outer nodes {node!r} and {other!r}")
             if blossom is not None:
                 for v in vertices:
                     w = mate[v]
@@ -192,15 +206,15 @@ def check_structure(forest: Forest, structure: Structure, limit: int,
                      f"arc {(x, y)} matched={matched} entering outer={node.outer}")
             if node.outer:
                 label = labels[x]
-                if label <= above:
-                    flag("increasing-labeling", f"label {label} under label {above} at {node!r}")
-                above = label
+                if label <= floor:
+                    flag("increasing-labeling", f"label {label} under label {floor} at {node!r}")
+                floor = label
         kids, kid = 0, node.kid
         while kid is not None and kids <= forest.n:  # a longer chain repeats a kid
             kids += 1
             if kid.parent is not node:
                 flag("tree-representation", f"parent link broken at {kid!r}")
-            stack.append((kid, depth + 1, above))
+            stack.append((kid, depth + 1, floor))
             kid = kid.sibling
         if not node.outer:
             if blossom is not None:
@@ -241,10 +255,10 @@ def check_forest(forest: Forest, limit: int, l_max: int, delta: int,
                  unmatched: Iterable[int],
                  above: Sequence[Sequence[int]]) -> list[Violation]:
     """Every check of a pass-bundle boundary but short-path coverage:
-    per-structure validity, disjointness, label range, resolution
-    coherence and outer independence, with the reads the module
-    docstring lists.  ``unmatched`` lists the phase's unmatched tails
-    and ``above`` is :func:`edges_above` of the graph."""
+    per-structure validity, disjointness and outer independence in the
+    tree walks, then label range and resolution coherence, with the
+    reads the module docstring lists.  ``unmatched`` lists the phase's
+    unmatched tails and ``above`` is :func:`edges_above` of the graph."""
     bad: list[Violation] = []
 
     def flag(name: str, detail: str) -> None:
@@ -252,7 +266,7 @@ def check_forest(forest: Forest, limit: int, l_max: int, delta: int,
 
     node_of: dict[int, Node] = {}
     for structure in forest.structures.values():
-        bad.extend(check_structure(forest, structure, limit, l_max, delta, node_of))
+        bad.extend(check_structure(forest, structure, limit, l_max, delta, node_of, above))
 
     # Every label lies in 0..l_max + 1, and an unmatched tail keeps l_max + 1.
     labels = forest.labels
@@ -292,25 +306,6 @@ def check_forest(forest: Forest, limit: int, l_max: int, delta: int,
             flag("resolution",
                  f"removed {node!r} is not resolved to by exactly its own vertices")
 
-    bad.extend(check_outer_independence(forest, node_of, above))
-    return bad
-
-
-def check_outer_independence(forest: Forest, node_of: dict[int, Node],
-                             above: Sequence[Sequence[int]]) -> list[Violation]:
-    """At a pass-bundle boundary no edge may join two outer nodes.  Each
-    edge is stored under its smaller end, so such an edge is found from
-    the edges at the outer vertices, which ``node_of`` maps to their tree
-    nodes; the other end's node is the one it resolves to."""
-    root_of = forest.root_of
-    bad: list[Violation] = []
-    for u, bu in node_of.items():
-        if bu.outer and bu.structure is not None:
-            for v in above[u]:
-                bv = root_of[v]
-                if bv is not None and bv.outer and bv is not bu and bv.structure is not None:
-                    bad.append(Violation("outer-independence", bu.structure.alpha,
-                                         f"edge ({u}, {v}) joins outer nodes {bu!r} and {bv!r}"))
     return bad
 
 

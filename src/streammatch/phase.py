@@ -159,6 +159,7 @@ again.
 
 from __future__ import annotations
 
+import copy
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -346,11 +347,7 @@ class PhaseEngine:
         it has its forest's copy, the copies of the live structures, and
         its own retired arcs and dead counts.  The stored arc lists are
         shared, since no bundle changes one in place."""
-        other = object.__new__(type(self))
-        for name in PhaseEngine.__slots__:
-            setattr(other, name, getattr(self, name))
-        if hasattr(self, "__dict__"):
-            other.__dict__.update(self.__dict__)
+        other = copy.copy(self)
         forest = other.forest = _copied(self.forest)
         other.live = [forest.structures[s.alpha] for s in self.live]
         other.dead = self.dead[:]
@@ -614,14 +611,14 @@ def _copied(forest: Forest) -> Forest:
         new.kid = last = None
         kid = node.kid
         while kid is not None:
-            copy = make(Node)
-            copy.structure, copy.parent, copy.parent_tail, copy.sibling = \
+            child = make(Node)
+            child.structure, child.parent, child.parent_tail, child.sibling = \
                 twin, new, kid.parent_tail, None
             if last is None:
-                new.kid = copy
+                new.kid = child
             else:
-                last.sibling = copy
-            last = copy
-            stack += (kid, copy)
+                last.sibling = child
+            last = child
+            stack += (kid, child)
             kid = kid.sibling
     return other

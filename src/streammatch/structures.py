@@ -133,9 +133,6 @@ class Structure:
         self.modified = False
         self.size = _size(root)
 
-    def __repr__(self) -> str:
-        return f"S({self.alpha})"
-
 
 def subtree(node: Node) -> Iterator[Node]:
     """``node`` and every tree node below it, depth first."""

@@ -75,6 +75,14 @@ def test_artificial_outer_outer_arc_is_flagged():
     violations = boundary_violations(engine.forest, CFG.limit, CFG.l_max, CFG.delta,
                                      stream.snapshot_edges())
     assert [v.name for v in violations] == ["outer-independence"]
+    # Two outer nodes of one structure, the root 0 and the tip 2 of
+    # 0 - 1 = 2, joined by the edge (0, 2) that no contraction took in.
+    stream = EdgeStream(3, [(0, 1), (1, 2), (0, 2)])
+    engine = PhaseEngine(stream, matched(3, [(1, 2)]), CFG)
+    engine.forest.overtake(0, 1, 1)
+    violations = boundary_violations(engine.forest, CFG.limit, CFG.l_max, CFG.delta,
+                                     stream.snapshot_edges())
+    assert [(v.name, v.structure) for v in violations] == [("outer-independence", 0)]
 
 
 def test_boundary_state_passes_outer_independence():

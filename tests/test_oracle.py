@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from helpers import EXHAUSTIVE_LIMIT, exact_matching_exhaustive
 from streammatch import oracle
-from streammatch.invariants import enumerate_short_augmenting_paths
+from streammatch.invariants import COVERAGE_LIMIT, enumerate_short_augmenting_paths
 from streammatch.oracle import _certify, _search, matching_size
 from streammatch.stream import (GraphSpec, build_edges, complete_edges,
                                 cycle_edges, gnm_edges, open_stream,
@@ -350,6 +350,10 @@ def test_enumerate_respects_budget():
     mate = mate_of(6, [(1, 2), (3, 4)])
     assert enumerate_short_augmenting_paths(6, edges, mate, 1) == []
     assert enumerate_short_augmenting_paths(6, edges, mate, 2) == [(0, 1, 2, 3, 4, 5)]
+    # Above COVERAGE_LIMIT vertices it refuses whatever the budget.
+    n = COVERAGE_LIMIT + 1
+    with pytest.raises(ValueError, match=f"limited to n <= {COVERAGE_LIMIT}, got {n}"):
+        enumerate_short_augmenting_paths(n, path_edges(n), [None] * n, 0)
 
 
 def test_enumeration_matches_naive_enumerator():

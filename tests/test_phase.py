@@ -494,6 +494,34 @@ def test_cleanup_pass_augments_modified_structures():
                          "case": None}]
 
 
+@pytest.mark.parametrize("first", [[(0, 1), (3, 4)], [(3, 4), (0, 1)]])
+def test_per_operation_check_lets_an_outer_outer_edge_stand_until_it_is_banked(first):
+    # The fixture above, checked: after the second overtake the edge
+    # (2, 5) joins the two new outer tips until the augmentation read
+    # banks it, so only a bundle boundary may flag it.  The checker
+    # stores the edge under its smaller end 2: a per-operation walk that
+    # read that adjacency would meet it only in the second order, whose
+    # second overtake grows S_0.
+    stream = EdgeStream(6, first + [(1, 2), (4, 5), (2, 5)])
+    checker = checker_for(stream)
+    engine = PhaseEngine(stream, matched(6, [(1, 2), (4, 5)]),
+                         PhaseConfig.from_scale(HALF, HALF), checker=checker)
+    root_of = engine.forest.root_of
+    joined = []
+    checked = checker.after_operation
+
+    def after_operation(op, touched):
+        checked(op, touched)
+        joined.append(root_of[2] is not None and root_of[5] is not None
+                      and root_of[2].outer and root_of[5].outer
+                      and root_of[2].structure is not root_of[5].structure)
+
+    engine.forest.on_op = after_operation
+    run_bundle(engine, 1)
+    assert joined == [False, True]
+    assert [sorted(path) for path in engine.forest.paths] == [[0, 1, 2, 3, 4, 5]]
+
+
 def test_label_reductions_bounded_per_arc(monkeypatch):
     # Within a phase each matched arc's label only ever decreases and is
     # reduced at most l_max + 1 times; every overtake event in the trace
