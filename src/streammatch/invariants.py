@@ -6,8 +6,10 @@ Violations carry the invariant name, the offending structure, and a
 witness, so a red run names its defect.
 
 Checks run at six moments: :func:`check_blossom` once per blossom, at
-its contraction; :func:`check_structure` after every operation, on the
-structures it changed; the active bound at each phase's end; each banked
+its contraction; :func:`check_structure` after each contraction and
+overtake, on the structures it changed (a backtrack, an augment or a
+hold names none, and :meth:`Forest.record` calls its hook only when an
+operation names some); the active bound at each phase's end; each banked
 path and the final matching, against the graph; and :func:`check_forest`
 at every pass-bundle boundary, in Python time proportional to the live
 forest, plus C-level scans of the per-vertex lists:
@@ -18,8 +20,9 @@ forest, plus C-level scans of the per-vertex lists:
   each outer node's vertices from the checker's own adjacency, which
   stores each edge once, under its smaller end: an edge joining two
   outer nodes is found from its smaller end, which is outer;
-* the set of the labels (a Python scan only when a value is out of
-  range) and the phase's unmatched tails, which keep the fresh label;
+* the set of the labels, whose min and max must lie in 0 .. l_max + 1
+  (a Python scan names the bad tail only when one does not), and the
+  phase's unmatched tails, which keep the fresh label;
 * the reached vertices in no tree, which must be removed, each removed
   node resolved to by exactly its own vertices.  ``root_of.count(None)``
   tells whether there are any, and ``itertools.compress`` over
@@ -272,7 +275,7 @@ def check_forest(forest: Forest, limit: int, l_max: int, delta: int,
     labels = forest.labels
     fresh = l_max + 1
     values = set(labels)  # one C-level pass, and a handful of values
-    if not values.issubset(range(fresh + 1)):
+    if values and (min(values) < 0 or max(values) > fresh):
         for v, label in enumerate(labels):
             if not 0 <= label <= fresh:
                 flag("label-range", f"label {label} out of range at tail {v}")

@@ -193,5 +193,6 @@ def matching_size(n: int, edges: Sequence[tuple[int, int]]) -> int:
 
 
 # ``perfbench/run.py`` calls this name and ``perfbench/layers.py`` patches
-# it to time the oracle; ``verify --oracle tutte`` picks it.
+# it to time the oracle; ``verify`` calls ``matching_size`` whatever its
+# ``--oracle``.
 matching_size_rank = matching_size

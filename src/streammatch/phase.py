@@ -114,8 +114,11 @@ list starts as its vertex's slice of the stream's tail index.  A
 contraction copies its longest sub's list, splices the other subs'
 positions in at their ``bisect`` points, sums their counts and drops
 their lists, so each position moves only from a shorter list into a
-longer one.  A read that finds at least half of a list dead compacts it,
-so every list the reads take that is not empty holds a live arc.
+longer one; once a list to insert holds more than 64 positions and more
+than a tenth of the list merged so far, it sorts all the subs' positions
+at once instead (:func:`_spliced`).  A read that finds at least half of
+a list dead compacts it, so every list the reads take that is not empty
+holds a live arc.
 The augmentation read walks the tail index of each dirty vertex,
 skipping dead positions, and keeps no list of its own.  The per-bundle loops
 (marking, extension tails, collection, backtracking) run over the
@@ -177,11 +180,12 @@ READS_PER_BUNDLE = 3
 
 @dataclass(frozen=True)
 class PhaseConfig:
-    """Exact integer parameters of one phase at scale ``h``.
+    """The integer parameters of one phase at scale ``h``.
 
-    All values are derived from (h, eps) with 1/h and 1/eps powers of two,
-    so the divisions below are exact.  :meth:`from_scale` also checks that
-    the structure-size bound ``limit * l_max`` fits the space budget ``delta``.
+    With e = 1/eps and s = 1/h powers of two (s >= 2), the paper's table
+    reads l_max = 3e, limit = 6s + 1, tau_max = 72es, t_max = 144es and
+    delta = 36es, so the structure-size bound limit * l_max = 18es + 3e
+    never exceeds the space budget delta.
     """
 
     h: Fraction
@@ -195,32 +199,12 @@ class PhaseConfig:
     def from_scale(h: Fraction, eps: Fraction) -> "PhaseConfig":
         h = Fraction(h)
         eps = Fraction(eps)
-
-        def reciprocal_power_of_two(x: Fraction) -> bool:
-            inv = 1 / x
-            return inv.denominator == 1 and (inv.numerator & (inv.numerator - 1)) == 0
-
-        if not (0 < eps <= 1 and reciprocal_power_of_two(eps)):
+        e, s = eps.denominator, h.denominator
+        if eps.numerator != 1 or e & (e - 1):
             raise ValueError(f"eps must be in (0, 1] with 1/eps a power of two, got {eps}")
-        if not (0 < h <= Fraction(1, 2) and reciprocal_power_of_two(h)):
+        if h.numerator != 1 or s & (s - 1) or s < 2:
             raise ValueError(f"scale must be in (0, 1/2] with 1/h a power of two, got {h}")
-        values = {
-            "l_max": 3 / eps,
-            "limit": 6 / h + 1,
-            "tau_max": 72 / (h * eps),
-            "t_max": 144 / (h * eps),
-            "delta": 36 / (h * eps),
-        }
-        ints = {}
-        for name, value in values.items():
-            if value.denominator != 1 or value <= 0:
-                raise ValueError(f"parameter {name}={value} is not a positive integer")
-            ints[name] = int(value)
-        bound = ints["limit"] * ints["l_max"]
-        if bound > ints["delta"]:
-            raise ValueError(f"size bound {bound} exceeds space budget {ints['delta']} "
-                             f"at h={h}, eps={eps}")
-        return PhaseConfig(h=h, **ints)
+        return PhaseConfig(h, 3 * e, 6 * s + 1, 72 * e * s, 144 * e * s, 36 * e * s)
 
 
 class PhaseEngine:

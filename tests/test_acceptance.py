@@ -155,8 +155,8 @@ def test_criterion_5_oracle_cross_validation(corpus_rows):
 def test_criterion_6_golden_traces(tmp_path, name, args, facts):
     out = tmp_path / f"{name}.jsonl"
     subprocess.run(
-        [sys.executable, "-m", "streammatch.cli", "trace", *args,
-         "--epsilon", "0.5", "--out", str(out)],
+        [sys.executable, "-m", "streammatch.cli", "run", *args,
+         "--epsilon", "0.5", "--trace", str(out)],
         check=True, capture_output=True, cwd=str(Path(__file__).parent.parent))
     golden = (GOLDEN_DIR / f"{name}.trace.jsonl").read_bytes()
     assert out.read_bytes() == golden, f"{name} trace drifted from golden"

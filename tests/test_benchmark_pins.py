@@ -67,8 +67,8 @@ def test_trace_is_identical_across_processes_and_hash_seeds(tmp_path):
     for seed in ("0", "1"):
         out = tmp_path / f"hashseed{seed}.jsonl"
         env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
-        subprocess.run([sys.executable, "-m", "streammatch.cli", "trace",
-                        "--gen", entry["graph"], "--out", str(out)],
+        subprocess.run([sys.executable, "-m", "streammatch.cli", "run",
+                        "--gen", entry["graph"], "--trace", str(out)],
                        check=True, capture_output=True, env=env)
         traces.append(out.read_bytes())
     assert traces[0] == traces[1]

@@ -74,6 +74,9 @@ def test_verify_c5_epsilon_one(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["matching_size"] == 2 and payload["nu"] == 2
+    # Both --oracle values run the certified oracle.
+    assert run_cli(capsys, "verify", "--gen", "cycle:5", "--epsilon", "1",
+                   "--oracle", "tutte")[:2] == (0, out)
 
 
 @pytest.mark.parametrize("spec", ["path:0", "gnm:0,0"])

@@ -41,15 +41,6 @@ def test_scale_schedule_counts():
     assert scale_schedule(Fraction(1, 4))[-1] == Fraction(1, 1024)
 
 
-def test_scale_params_table_values():
-    cfg = PhaseConfig.from_scale(HALF, Fraction(1, 4))
-    assert (cfg.l_max, cfg.limit, cfg.tau_max, cfg.t_max, cfg.delta) == \
-        (12, 13, 576, 1152, 288)
-    cfg = PhaseConfig.from_scale(HALF, Fraction(1))
-    assert (cfg.l_max, cfg.limit, cfg.tau_max, cfg.t_max, cfg.delta) == \
-        (3, 13, 144, 288, 72)
-
-
 def test_size_bound_within_space_budget_for_all_scheduled_scales():
     for eps in (Fraction(1), HALF, Fraction(1, 4), Fraction(1, 8)):
         for h in scale_schedule(eps):

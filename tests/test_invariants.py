@@ -1,6 +1,7 @@
 """Invariant checker: clean states pass, injected faults are named."""
 
 import re
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -22,11 +23,11 @@ HALF = Fraction(1, 2)
 CFG = PhaseConfig.from_scale(HALF, HALF)
 
 
-def mid_run_engine():
+def mid_run_engine(cfg=CFG):
     """P4 engine stopped right after the first structure extension."""
     stream = EdgeStream(4, [(0, 1), (1, 2), (2, 3)])
     matching = matched(4, [(1, 2)])
-    engine = PhaseEngine(stream, matching, CFG)
+    engine = PhaseEngine(stream, matching, cfg)
     engine.forest.overtake(0, 1, 1)
     return engine
 
@@ -369,6 +370,21 @@ def test_label_on_unmatched_tail_is_flagged():
     engine = mid_run_engine()
     engine.forest.labels[0] = 1           # 0 is free, so it must keep l_max + 1
     assert forest_names(engine.forest, engine.stream.snapshot_edges()) == {"label-range"}
+
+
+def test_label_range_check_allocates_nothing_per_label_value():
+    # At eps = 2^-20 a label lies in 0 .. 3 * 2^20 + 1; the boundary check
+    # reads the min and max of the labels instead of building that range.
+    cfg = PhaseConfig.from_scale(HALF, Fraction(1, 2 ** 20))
+    forest = mid_run_engine(cfg).forest
+    tracemalloc.start()
+    try:
+        bad = boundary_violations(forest, cfg.limit, cfg.l_max, cfg.delta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert bad == []
+    assert peak < 1 << 20
 
 
 def test_nonzero_label_inside_blossom_is_flagged():

@@ -88,6 +88,9 @@ def test_exhaustive_rejects_large_n():
 def test_rank_oracle_small_values():
     # perfbench calls the oracle by its old name, matching_size_rank.
     assert oracle.matching_size_rank is matching_size
+
+
+def test_matching_size_small_values():
     assert matching_size(10, petersen_edges()) == 5
     assert matching_size(5, cycle_edges(5)) == 2
     assert matching_size(6, []) == 0
@@ -236,18 +239,17 @@ def test_tutte_matrix_reference_matches_the_oracle(n, density):
     ("gnm:400,1200,seed=1", 199),
     ("gnm:1000,3000,seed=1", 499),
 ])
-def test_rank_oracle_matches_networkx(spec, nu):
-    # matching_size_rank is the name `verify --oracle tutte` and perfbench call.
+def test_oracle_matches_networkx(spec, nu):
     nx = pytest.importorskip("networkx")
     n, edges = build_edges(parse_graph_spec(spec))
     graph = nx.Graph()
     graph.add_nodes_from(range(n))
     graph.add_edges_from(edges)
     assert len(nx.max_weight_matching(graph, maxcardinality=True)) == nu
-    assert oracle.matching_size_rank(n, edges) == nu
+    assert matching_size(n, edges) == nu
 
 
-def test_rank_oracle_matches_scipy_on_bipartite_graph():
+def test_oracle_matches_scipy_on_bipartite_graph():
     sparse = pytest.importorskip("scipy.sparse")
     csgraph = pytest.importorskip("scipy.sparse.csgraph")
     a, b = 200, 200
@@ -258,7 +260,7 @@ def test_rank_oracle_matches_scipy_on_bipartite_graph():
     matched = csgraph.maximum_bipartite_matching(biadjacency, perm_type="column")
     nu = int((matched >= 0).sum())
     assert 0 < nu < a
-    assert oracle.matching_size_rank(n, edges) == nu
+    assert matching_size(n, edges) == nu
 
 
 def oracle_lines_run(function, *args):

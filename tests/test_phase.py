@@ -49,11 +49,30 @@ def test_phase_config_exact_values():
         (3, 13, 144, 288, 72)
 
 
+def test_phase_config_is_the_papers_table_at_every_scheduled_scale():
+    # Every config the driver builds for eps = 1 .. 2^-30 has int fields
+    # equal to the paper's formulas, and limit * l_max fits in delta.
+    count = 0
+    for a in range(31):
+        eps = Fraction(1, 2 ** a)
+        for h in driver.scale_schedule(eps):
+            cfg = PhaseConfig.from_scale(h, eps)
+            fields = (cfg.l_max, cfg.limit, cfg.tau_max, cfg.t_max, cfg.delta)
+            assert all(type(x) is int for x in fields)
+            assert fields == (3 / eps, 6 / h + 1, 72 / (h * eps), 144 / (h * eps),
+                              36 / (h * eps))
+            assert cfg.h == h and cfg.limit * cfg.l_max <= cfg.delta
+            count += 1
+    assert count == 1116
+
+
 def test_phase_config_rejects_bad_parameters():
-    with pytest.raises(ValueError):
-        PhaseConfig.from_scale(Fraction(1, 3), HALF)
-    with pytest.raises(ValueError):
-        PhaseConfig.from_scale(HALF, Fraction(2))
+    for h in (Fraction(1, 3), Fraction(2, 3), Fraction(1), Fraction(0)):
+        with pytest.raises(ValueError, match="scale"):
+            PhaseConfig.from_scale(h, HALF)
+    for eps in (Fraction(2), Fraction(0), Fraction(-1, 2), Fraction(3, 4)):
+        with pytest.raises(ValueError, match="eps"):
+            PhaseConfig.from_scale(HALF, eps)
     with pytest.raises(ValueError):
         PhaseConfig.from_scale(Fraction(2, 3), Fraction(3, 4))
 
