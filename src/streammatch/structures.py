@@ -247,7 +247,8 @@ class Forest:
 
     Every operation reports itself once, through :meth:`record`, which
     counts the operation in ``stats``, writes the trace event, which a
-    traced forest also keeps in ``events``, and calls the ``on_op`` hook.
+    traced forest also keeps in ``events``, and hands the ``on_op`` hook
+    the structures the operation changed, with its arc and case.
 
     ``dirty`` lists the vertices that became outer since the engine last
     cleared it, from three sources: a new structure's free vertex, the
@@ -267,7 +268,8 @@ class Forest:
         self.trace = trace
         # A traced phase logs its events, to write them again if it resumes.
         self.events: Optional[list[dict]] = None if trace is None else []
-        self.on_op: Optional[Callable[[str, tuple], None]] = None
+        self.on_op: Optional[Callable[[str, tuple, Optional[list[int]], Optional[str]],
+                                      None]] = None
         self.bundle = 0
         self.root_of: list[Optional[Node]] = [None] * n
         self.structures: dict[int, Structure] = {}
@@ -304,7 +306,8 @@ class Forest:
                case: Optional[str] = None, touched: tuple = ()) -> None:
         """Report one operation of kind ``op`` (``contract``, ``overtake``,
         ``augment``, ``backtrack`` or ``hold``) on ``structure``; ``touched``
-        names the structures whose shape it changed, for ``on_op``."""
+        names the structures it changed, ``structure`` alone by default,
+        for ``on_op``."""
         self.stats[op + "s"] += 1
         if self.trace is not None:
             event = {"bundle": self.bundle, "op": op, "structure": structure.alpha,
@@ -312,8 +315,8 @@ class Forest:
                      "case": case}
             self.events.append(event)
             self.trace(event)
-        if touched and self.on_op is not None:
-            self.on_op(op, touched)
+        if self.on_op is not None:
+            self.on_op(op, touched or (structure,), arc, case)
 
     def relabel(self, u: int, v: int, value: int) -> None:
         """Set the label of the matched arc (u, v) to ``value``, counting
@@ -405,8 +408,7 @@ class Forest:
             self.relabel(y, x, 0)
         structure.working = node
         structure.modified = True
-        self.record("contract", structure, [u, v], case="blossom",
-                    touched=(structure,))
+        self.record("contract", structure, [u, v], case="blossom")
         return blossom
 
     def overtake(self, u: int, v: int, k: int) -> str:
@@ -474,7 +476,7 @@ class Forest:
         self.relabel(v, t, k)
         structure.working = working
         structure.modified = True
-        touched = (structure,) if owner in (None, structure) else (structure, owner)
+        touched = () if owner in (None, structure) else (structure, owner)
         self.record("overtake", structure, [v, t], old, k, case, touched)
         return case
 
@@ -494,7 +496,7 @@ class Forest:
         path = lift_contracted_path(down + up, arcs)
         assert path[0] == side_u.alpha and path[-1] == side_v.alpha
         self.paths.append(path)
-        self.record("augment", side_u, [u, v])
+        self.record("augment", side_u, [u, v], touched=(side_u, side_v))
         self.remove_structures(side_u, side_v)
         return path
 

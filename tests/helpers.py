@@ -6,8 +6,8 @@ import json
 from typing import Sequence
 
 from streammatch.driver import ScaleReport, normalize_epsilon, scale_schedule
-from streammatch.invariants import (InvariantChecker, Violation, check_forest, check_structure,
-                                    edges_above)
+from streammatch.invariants import (InvariantChecker, Violation, adjacency, check_forest,
+                                    check_structure)
 from streammatch.matching import Matching, augment_along, greedy_maximal_matching
 from streammatch.phase import PhaseConfig, PhaseEngine
 
@@ -77,7 +77,7 @@ def boundary_violations(forest, limit, l_max, delta, edges=()):
     runs it, with the unmatched tails read off the mate map."""
     unmatched = [v for v, w in enumerate(forest.mate) if w is None]
     return check_forest(forest, limit, l_max, delta, unmatched,
-                        edges_above(forest.n, edges))
+                        adjacency(forest.n, edges))
 
 
 def full_scan_boundary_violations(forest, limit, l_max, delta, edges):

@@ -88,9 +88,9 @@ def test_criterion_3_invariant_suite(corpus_rows, monkeypatch):
         counts["boundary"] += 1
         return original_boundary(self)
 
-    def counting_op(self, op, touched):
+    def counting_op(self, *report):
         counts["op"] += 1
-        return original_op(self, op, touched)
+        return original_op(self, *report)
 
     def counting_end(self):
         counts["phase_end"] += 1

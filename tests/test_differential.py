@@ -267,8 +267,8 @@ def steals_before_acting(n, edges, eps):
     found = 0
     ops = None  # per contraction or overtake of the read: (actor, robbed or None)
 
-    def on_op(op, touched):
-        if ops is not None:
+    def on_op(op, touched, arc, case):
+        if ops is not None and op in ("contract", "overtake"):
             ops.append((touched[0].alpha, touched[1].alpha if len(touched) == 2 else None))
 
     class Tracked(PhaseEngine):

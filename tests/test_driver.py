@@ -41,13 +41,6 @@ def test_scale_schedule_counts():
     assert scale_schedule(Fraction(1, 4))[-1] == Fraction(1, 1024)
 
 
-def test_size_bound_within_space_budget_for_all_scheduled_scales():
-    for eps in (Fraction(1), HALF, Fraction(1, 4), Fraction(1, 8)):
-        for h in scale_schedule(eps):
-            cfg = PhaseConfig.from_scale(h, eps)
-            assert cfg.limit * cfg.l_max <= cfg.delta
-
-
 def test_expected_pass_count_single_scale_term():
     # Scale 1/2 at eps=1 contributes reads * 288 * 144 passes.
     assert 3 * 288 * 144 == 124416

@@ -17,7 +17,7 @@ from streammatch.invariants import (InvariantChecker, InvariantViolationError,
 from streammatch.matching import Matching, greedy_maximal_matching
 from streammatch.phase import PhaseConfig, PhaseEngine
 from streammatch.stream import EdgeStream, GraphSpec, open_stream, parse_graph_spec
-from streammatch.structures import Blossom, Forest
+from streammatch.structures import Blossom, Forest, subtree
 
 HALF = Fraction(1, 2)
 CFG = PhaseConfig.from_scale(HALF, HALF)
@@ -86,6 +86,30 @@ def test_artificial_outer_outer_arc_is_flagged():
     assert [(v.name, v.structure) for v in violations] == [("outer-independence", 0)]
 
 
+@pytest.mark.parametrize("edges, pairs, bundle", [
+    # Case 1 overtakes make the outer tips 2 and 5, joined by (2, 5).
+    ([(0, 1), (3, 4), (1, 2), (4, 5), (2, 5)], [(1, 2), (4, 5)], 1),
+    # S_0 reaches 0 - 1 = 2 in bundle 1 and 2 - 3 = 4 in bundle 2, when
+    # (4, 0) closes a blossom whose inner vertex 1 joins the root 5.
+    ([(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (1, 5)], [(1, 2), (3, 4)], 2),
+], ids=["overtake", "contraction"])
+def test_an_unbanked_edge_at_a_vertex_that_became_outer_is_flagged(edges, pairs, bundle):
+    # With an augmentation read that banks nothing, an edge that joins
+    # outer nodes of two structures stands at the boundary, which reads
+    # it at its end that became outer in the bundle.  Isolated vertices
+    # take n past the coverage check's limit.
+    stream = EdgeStream(invariants.COVERAGE_LIMIT + 1, edges)
+    engine = PhaseEngine(stream, matched(stream.vertex_count, pairs), CFG,
+                         checker=checker_for(stream))
+    engine.checker.at_boundary()
+    with mock.patch.object(Forest, "record_augmentation", lambda forest, u, v: None), \
+            pytest.raises(InvariantViolationError) as caught:
+        for tau in range(1, bundle + 1):
+            engine._bundle(tau)
+    assert engine.forest.bundle == bundle
+    assert [v.name for v in caught.value.violations] == ["outer-independence"]
+
+
 def test_boundary_state_passes_outer_independence():
     stream = open_stream(GraphSpec("gnm", (14, 24), 2))
     matching = greedy_maximal_matching(stream)
@@ -105,20 +129,43 @@ def test_boundary_state_passes_outer_independence():
 ], ids=["gnm-300", "bipartite-300-steals", "gnm-3000-nested"])
 def test_boundary_check_agrees_with_the_full_scan_reference(spec, eps, count):
     # At every bundle boundary of a checked run, the check the checker
-    # runs and the full-scan reference flag the same names.
+    # runs there (of the whole forest at a phase's first boundary, else of
+    # what the operations reported since the last one), the full
+    # check_forest and the full-scan reference flag the same.  The reports
+    # name every structure whose tree changed since the last boundary, a
+    # removed one included.
     original = InvariantChecker.at_boundary
     boundaries = 0
+    last = {}  # per live structure at the last boundary, what its walk reads
+
+    def shape(structure):
+        return structure.size, structure.working, [
+            (node, node.parent, node.parent_tail, node.outer, node.blossom)
+            for node in subtree(structure.root)]
 
     def compared(checker):
         nonlocal boundaries
         boundaries += 1
         forest, cfg = checker.forest, checker.config
-        names = {v.name for v in check_forest(forest, cfg.limit, cfg.l_max, cfg.delta,
-                                              checker.unmatched, checker.above)}
+        full = check_forest(forest, cfg.limit, cfg.l_max, cfg.delta,
+                            checker.unmatched, checker.adjacent)
         reference = full_scan_boundary_violations(forest, cfg.limit, cfg.l_max,
                                                   cfg.delta, checker.edges)
-        assert names == {v.name for v in reference}
-        original(checker)
+        assert {v.name for v in full} == {v.name for v in reference}
+        shapes = {alpha: shape(s) for alpha, s in forest.structures.items()}
+        if checker.sizes is not None:  # not the phase's first boundary
+            moved = {alpha for alpha, old in last.items() if shapes.get(alpha) != old}
+            assert moved <= checker.changed.keys()
+        last.clear()
+        last.update(shapes)
+        try:
+            original(checker)
+            flagged = []
+        except InvariantViolationError as error:
+            flagged = error.violations
+        assert sorted(map(str, flagged)) == sorted(map(str, full))
+        if flagged:
+            raise InvariantViolationError(flagged)
 
     with mock.patch.object(InvariantChecker, "at_boundary", compared):
         driver.run(open_stream(parse_graph_spec(spec)),
@@ -165,7 +212,7 @@ def test_a_checked_run_builds_one_view_of_the_graph(monkeypatch):
     # The checker's snapshot and adjacency are built once per run, not
     # once per phase: this run executes 7 phases.
     stream = open_stream(parse_graph_spec("gnm:300,900,seed=1"))
-    calls = {"snapshot_edges": 0, "edges_above": 0}
+    calls = {"snapshot_edges": 0, "adjacency": 0}
 
     def counted(name, original):
         def wrapper(*args):
@@ -175,11 +222,170 @@ def test_a_checked_run_builds_one_view_of_the_graph(monkeypatch):
 
     monkeypatch.setattr(EdgeStream, "snapshot_edges",
                         counted("snapshot_edges", EdgeStream.snapshot_edges))
-    monkeypatch.setattr(invariants, "edges_above",
-                        counted("edges_above", invariants.edges_above))
+    monkeypatch.setattr(invariants, "adjacency",
+                        counted("adjacency", invariants.adjacency))
     report = driver.run(stream, driver.RunConfig(epsilon=HALF, check_invariants=True))
     assert sum(row.phases_executed for row in report.per_scale) == 7
-    assert calls == {"snapshot_edges": 1, "edges_above": 1}
+    assert calls == {"snapshot_edges": 1, "adjacency": 1}
+
+
+def two_component_engine():
+    """A checked engine past its phase's first boundary.  S_0 on
+    0 - 1 = 2 deactivates in bundle 3, and no operation reports it after
+    that; S_3 on the path 3 - 4 = 5 - ... = 10 - 11 overtakes until
+    bundle 4 and backtracks until bundle 9."""
+    edges = [(0, 1), (1, 2)] + [(v, v + 1) for v in range(3, 11)]
+    stream = EdgeStream(12, edges)
+    matching = matched(12, [(1, 2), (4, 5), (6, 7), (8, 9), (10, 11)])
+    engine = PhaseEngine(stream, matching, CFG, checker=checker_for(stream))
+    engine.checker.at_boundary()
+    return engine
+
+
+def test_a_fault_no_operation_reports_is_caught_at_the_phase_end():
+    # Lowering the label of 1 = 2, the arc into S_0's outer tip, without
+    # going through Forest.record breaks increasing labels in a structure
+    # that no later operation reports.  The boundaries walk only the
+    # structures reported since the one before, so they pass it; the full
+    # check at the phase's end names it.
+    engine = two_component_engine()
+    for tau in (1, 2, 3):
+        engine._bundle(tau)
+    engine.forest.labels[1] = 0
+    tau = 4
+    while engine._bundle(tau):
+        tau += 1
+    assert tau == 10
+    with pytest.raises(InvariantViolationError) as caught:
+        engine.checker.at_phase_end()
+    assert [(v.name, v.structure) for v in caught.value.violations] \
+        == [("increasing-labeling", 0)]
+
+
+def break_the_arc_into_7(forest):
+    forest.root_of[7].parent_tail = 5     # 5 lies in S_3's node {5}, not in {6}
+
+
+def lower_the_label_of_6(forest):
+    forest.labels[6] = 0                  # 6 = 7 enters {7} below the label 1 above
+
+
+def resolve_11_to_7(forest):
+    forest.root_of[11] = forest.root_of[7]  # 11 is in no tree until bundle 4
+
+
+@pytest.mark.parametrize("corrupt, at, raised_at_boundary, flagged", [
+    (break_the_arc_into_7, (2, "overtake"), False, ("unique-arc", 3)),
+    (lower_the_label_of_6, (5, "backtrack"), True, ("increasing-labeling", 3)),
+    (resolve_11_to_7, (2, "overtake"), True, ("resolution", None)),
+], ids=["at-the-operation", "at-the-next-boundary", "by-the-reached-count"])
+def test_a_fault_an_operation_reports_is_caught_by_the_next_boundary(
+        corrupt, at, raised_at_boundary, flagged):
+    # A fault that an operation makes before it reports itself raises at
+    # that operation, when it lies in what the operation moved, or at the
+    # boundary that ends its bundle, which walks the structures reported
+    # and counts the reached vertices against the trees it walked.  S_3's
+    # overtake in bundle 2 makes the nodes {6} and {7}; its backtrack in
+    # bundle 5 moves only its working node.
+    engine = two_component_engine()
+    record = Forest.record
+    boundaries = []
+
+    def faulty(forest, op, *args, **kwargs):
+        if (forest.bundle, op) == at:
+            corrupt(forest)
+        record(forest, op, *args, **kwargs)
+
+    def counted(checker):
+        boundaries.append(checker.forest.bundle)
+        original_boundary(checker)
+
+    original_boundary = InvariantChecker.at_boundary
+    with mock.patch.object(Forest, "record", faulty), \
+            mock.patch.object(InvariantChecker, "at_boundary", counted), \
+            pytest.raises(InvariantViolationError) as caught:
+        for tau in range(1, 10):
+            engine._bundle(tau)
+    assert flagged in [(v.name, v.structure) for v in caught.value.violations]
+    assert boundaries == list(range(1, at[0] + raised_at_boundary))
+
+
+def checked_operations(corrupt=None, at=None):
+    """Run ten checked operations on a forest over 0 .. 9, and return the
+    index of the one that raised and its violations, or None.
+
+    S_0 grows 0 - 1 = 2 - 3 = 4 and the branch 2 - 5 = 6 - 8 = 9,
+    backtracking between them, and (0, 4) contracts 0 .. 4 into a blossom
+    that keeps the branch; then S_7 steals the branch in case 2.2.  With
+    ``corrupt``, the ``at[1]``-th report of kind ``at[0]`` (from 0) first
+    passes the forest through ``corrupt``."""
+    forest = Forest(10, matched(10, [(1, 2), (3, 4), (5, 6), (8, 9)]).mate, CFG.l_max)
+    s0, s7 = forest.init_structure(0), forest.init_structure(7)
+    checker = InvariantChecker(10, [])
+    checker.start_phase(forest, CFG)
+    seen = []
+
+    def on_op(op, *report):
+        seen.append(op)
+        if (op, seen.count(op) - 1) == at:
+            corrupt(forest)
+        checker.after_operation(op, *report)
+
+    forest.on_op = on_op
+    steps = [lambda: forest.overtake(0, 1, 1), lambda: forest.overtake(2, 3, 2),
+             lambda: forest.backtrack(s0), lambda: forest.overtake(2, 5, 2),
+             lambda: forest.overtake(6, 8, 3), lambda: forest.backtrack(s0),
+             lambda: forest.backtrack(s0), lambda: forest.backtrack(s0),
+             lambda: forest.contract(0, 4), lambda: forest.overtake(7, 5, 1)]
+    for i, step in enumerate(steps):
+        try:
+            step()
+        except InvariantViolationError as error:
+            return i, error.violations
+    assert s7.root.kid is forest.root_of[5] and s0.root.kid is None
+    assert forest.root_of[9].structure is s7
+    return None
+
+
+@pytest.mark.parametrize("at, corrupt, step, name, detail", [
+    # The overtake (2, 3) makes {3} and {4}.
+    (("overtake", 1), lambda f: setattr(f.root_of[4], "parent_tail", 1), 1,
+     "unique-arc", "arc (1, 4) does not realize"),
+    (("overtake", 1), lambda f: f.labels.__setitem__(3, 1), 1,
+     "increasing-labeling", "label 1 under label 1"),
+    (("overtake", 1), lambda f: setattr(f.root_of[4], "outer", False), 1,
+     "tree-representation", "parity mismatch"),
+    (("overtake", 1), lambda f: setattr(f.root_of[4], "structure", f.structures[7]), 1,
+     "tree-representation", "node B(4) not owned"),
+    (("overtake", 1), lambda f: setattr(f.root_of[2], "kid", None), 1,
+     "tree-representation", "B(3) is not a kid of its parent"),
+    (("overtake", 1), lambda f: setattr(f.root_of[3], "kid", None), 1,
+     "tree-representation", "inner node B(3)"),
+    (("overtake", 1), lambda f: f.root_of.__setitem__(4, f.root_of[2]), 1,
+     "resolution", "4 resolves to B(2)"),
+    (("overtake", 1), lambda f: setattr(f.structures[0], "size", 10 ** 6), 1,
+     "structure-size", ""),
+    # The contraction keeps {0}, takes in 1 .. 4 and adopts {5}.
+    (("contract", 0), lambda f: setattr(f.root_of[5], "parent", None), 8,
+     "tree-representation", "parent link broken at B(5)"),
+    (("contract", 0), lambda f: setattr(f.root_of[5], "parent_tail", 6), 8,
+     "unique-arc", "arc into B(5)"),
+    (("contract", 0), lambda f: f.root_of.__setitem__(3, None), 8,
+     "resolution", "root_of[3] is None"),
+    (("contract", 0), lambda f: setattr(f.structures[0], "root", f.root_of[5]), 8,
+     "tree-representation", "bad root"),
+    # The steal moves {5} and {6} to S_7; a backtrack moves a working node.
+    (("overtake", 4), lambda f: setattr(f.root_of[9], "structure", f.structures[0]), 9,
+     "tree-representation", "stolen node B(9)"),
+    (("backtrack", 0), lambda f: setattr(f.structures[0], "working", f.root_of[3]), 2,
+     "tree-representation", "working node B(3) invalid"),
+])
+def test_a_fault_in_what_an_operation_moved_raises_at_that_operation(
+        at, corrupt, step, name, detail):
+    assert checked_operations() is None
+    raised, violations = checked_operations(corrupt, at)
+    assert raised == step
+    assert any(v.name == name and detail in v.detail for v in violations), violations
 
 
 def test_size_bound_violation_is_flagged():
@@ -304,10 +510,10 @@ def nested_blossom_forest(corrupt=None):
         checker = InvariantChecker(7, NESTED_EDGES)
         checker.start_phase(forest, CFG)
 
-        def on_op(op, touched):
+        def on_op(op, touched, arc, case):
             if op == "contract":
                 corrupt(touched[0].working.blossom)
-            checker.after_operation(op, touched)
+            checker.after_operation(op, touched, arc, case)
 
         forest.on_op = on_op
     forest.init_structure(0)

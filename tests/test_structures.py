@@ -525,7 +525,7 @@ def overtake_case_22():
 def test_overtake_reports_touched_structures_and_sizes(build, arc, case, touched, sizes):
     forest = build()
     reports = []
-    forest.on_op = lambda op, structures: reports.append((op, structures))
+    forest.on_op = lambda op, structures, arc, case: reports.append((op, structures))
     assert forest.overtake(*arc) == case
     assert reports == [("overtake", tuple(forest.structures[a] for a in touched))]
     assert {alpha: s.size for alpha, s in forest.structures.items()} == sizes
